@@ -131,7 +131,7 @@ def test_instrumentation_parity_bit_identical(elements):
         for label, enabled in (("on", True), ("off", False)):
             set_registry(MetricsRegistry(enabled=enabled))
             sketch = _make_sketch(elements)
-            ingest_stream(sketch, elements, batch_size=BATCH_SIZE, workers=4)
+            ingest_stream(sketch, elements, batch_size=BATCH_SIZE)
             sketches[label] = sketch
             pairs = top_k_similar_pairs(sketch, k=50)
             results[label] = [(p.user_a, p.user_b, p.jaccard) for p in pairs]

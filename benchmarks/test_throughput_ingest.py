@@ -1,19 +1,18 @@
-"""Columnar ingest benchmark: element loop vs columnar-serial vs columnar-parallel.
+"""Columnar ingest benchmark: element loop vs columnar-serial.
 
 The write-path headline number for the array-native ingest pipeline: on a
 fully dynamic stream into a multi-shard :class:`ShardedVOS`, columnar ingest
 (array-native batches, one vectorized route per batch) must beat the
-per-element loop by a wide margin while producing **bit-identical** state, and
-the parallel executor (per-shard worker threads) must match that state exactly
-at any worker count.  The same stream is also written to disk in both formats
-to time binary ``.vosstream`` loading against text parsing.
+per-element loop by a wide margin while producing **bit-identical** state.
+The same stream is also written to disk in both formats to time binary
+``.vosstream`` loading against text parsing.  Multi-process ingest has its own
+benchmark, ``test_throughput_procs.py``.
 
 The measured figures are written to ``BENCH_ingest.json`` at the repository
 root so the performance trajectory accumulates across PRs.  Set
 ``REPRO_INGEST_BENCH_ELEMENTS`` to shrink the stream (CI smoke mode; results
 then go to ``BENCH_ingest_smoke.json`` and the timing floors are relaxed —
-state parity is always asserted).  Parallel-beats-serial is only asserted on
-multi-core machines: threads cannot beat a serial loop on one core.
+state parity is always asserted).
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from bench_paths import results_path
 STREAM_ELEMENTS = int(os.environ.get("REPRO_INGEST_BENCH_ELEMENTS", "100000"))
 SMOKE_MODE = STREAM_ELEMENTS < 50_000
 NUM_SHARDS = 8
-WORKERS = 8
 BATCH_SIZE = 32_768
 CPU_COUNT = os.cpu_count() or 1
 #: Floor on columnar-vs-element-loop speedup.  The full-size run records ~30x+
@@ -94,7 +92,7 @@ def _make_sketch(budget) -> ShardedVOS:
 
 @pytest.fixture(scope="module")
 def measurements(ingest_stream_data, budget):
-    """Time the three ingest modes once, sharing the sketches across tests.
+    """Time the element loop and columnar-serial ingest, sharing the sketches.
 
     The columnar runs go through a private metrics registry so the ingest
     phase histograms (``ingest.assemble``/``ingest.process``/…) accumulate
@@ -112,7 +110,7 @@ def measurements(ingest_stream_data, budget):
     previous_registry = get_registry()
     registry = set_registry(MetricsRegistry())
     try:
-        # The columnar runs finish in tens of milliseconds, so a single
+        # The columnar run finishes in tens of milliseconds, so a single
         # scheduler hiccup could dominate one measurement; keep the best of
         # three.
         serial_seconds = float("inf")
@@ -122,23 +120,12 @@ def measurements(ingest_stream_data, budget):
                 serial_seconds,
                 ingest_stream(serial, elements, batch_size=BATCH_SIZE).seconds,
             )
-
-        parallel_seconds = float("inf")
-        for _ in range(3):
-            parallel = _make_sketch(budget)
-            parallel_seconds = min(
-                parallel_seconds,
-                ingest_stream(
-                    parallel, elements, batch_size=BATCH_SIZE, workers=WORKERS
-                ).seconds,
-            )
     finally:
         set_registry(previous_registry)
 
     return {
         "element_loop": (element_loop, element_loop_seconds),
         "serial": (serial, serial_seconds),
-        "parallel": (parallel, parallel_seconds),
         "registry": registry,
     }
 
@@ -189,10 +176,6 @@ def test_columnar_serial_state_matches_element_loop(measurements):
     _assert_same_state(measurements["element_loop"][0], measurements["serial"][0])
 
 
-def test_columnar_parallel_state_matches_serial(measurements):
-    _assert_same_state(measurements["serial"][0], measurements["parallel"][0])
-
-
 def test_columnar_serial_beats_element_loop(measurements):
     _, element_loop_seconds = measurements["element_loop"]
     _, serial_seconds = measurements["serial"]
@@ -200,29 +183,6 @@ def test_columnar_serial_beats_element_loop(measurements):
     assert speedup >= SPEEDUP_FLOOR, (
         f"columnar-serial ingest only {speedup:.1f}x faster "
         f"({element_loop_seconds:.3f}s vs {serial_seconds:.3f}s)"
-    )
-
-
-def test_columnar_parallel_beats_element_loop(measurements):
-    _, element_loop_seconds = measurements["element_loop"]
-    _, parallel_seconds = measurements["parallel"]
-    speedup = element_loop_seconds / parallel_seconds
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"columnar-parallel ingest only {speedup:.1f}x faster "
-        f"({element_loop_seconds:.3f}s vs {parallel_seconds:.3f}s)"
-    )
-
-
-@pytest.mark.skipif(
-    CPU_COUNT < 2 or SMOKE_MODE,
-    reason="threads cannot beat serial ingest on one core / smoke stream too small",
-)
-def test_columnar_parallel_beats_serial(measurements):
-    _, serial_seconds = measurements["serial"]
-    _, parallel_seconds = measurements["parallel"]
-    assert parallel_seconds < serial_seconds, (
-        f"parallel ingest slower than serial on {CPU_COUNT} cores "
-        f"({parallel_seconds:.3f}s vs {serial_seconds:.3f}s)"
     )
 
 
@@ -237,14 +197,12 @@ def test_binary_load_beats_text_parsing(format_timings):
 def test_write_results_json(measurements, format_timings, ingest_stream_data):
     _, element_loop_seconds = measurements["element_loop"]
     _, serial_seconds = measurements["serial"]
-    _, parallel_seconds = measurements["parallel"]
     count = len(ingest_stream_data)
     payload = {
         "stream_elements": count,
         "distinct_users": len(ingest_stream_data.users()),
         "num_shards": NUM_SHARDS,
         "batch_size": BATCH_SIZE,
-        "workers": WORKERS,
         "cpu_count": CPU_COUNT,
         "element_loop": {
             "seconds": element_loop_seconds,
@@ -254,12 +212,6 @@ def test_write_results_json(measurements, format_timings, ingest_stream_data):
             "seconds": serial_seconds,
             "elements_per_second": count / serial_seconds,
             "speedup_vs_element_loop": element_loop_seconds / serial_seconds,
-        },
-        "columnar_parallel": {
-            "seconds": parallel_seconds,
-            "elements_per_second": count / parallel_seconds,
-            "speedup_vs_element_loop": element_loop_seconds / parallel_seconds,
-            "speedup_vs_serial": serial_seconds / parallel_seconds,
         },
         "stream_formats": format_timings,
         "latency_percentiles": {

@@ -37,17 +37,18 @@ Service commands (the :mod:`repro.service` subsystem)::
 ``ingest`` reads a stream file — the plain-text format (``<action> <user>
 <item>`` per line) or the binary columnar ``.vosstream`` format, auto-detected
 (see :mod:`repro.streams.io`) — feeds it through the sharded batch-vectorized
-VOS service (``--workers N`` ingests shard sub-batches concurrently) and
-snapshots the resulting sketch state; ``convert`` translates a stream between
-the two formats; ``topk`` answers nearest-neighbour queries against a snapshot
-without re-reading the stream; ``pairs`` runs the vectorized top-k similar-pair
-search (with the optional cardinality pre-filter) over a snapshot; ``--index
-lsh`` on either query routes candidate generation through the LSH banding
-index (:mod:`repro.index`) instead of enumerating every pair — the band seeds
-flow from the snapshot's sketch seed, so results are reproducible across runs;
-``index build`` / ``index stats`` report the banding layout, signature memory
-and candidate-reduction numbers for a snapshot; ``shards`` measures the
-cross-shard estimator's accuracy against single-array VOS across shard counts.
+VOS service (``--workers N`` ingests shard sub-batches on N worker processes;
+1 = serial) and snapshots the resulting sketch state; ``convert`` translates a
+stream between the two formats; ``topk`` answers nearest-neighbour queries
+against a snapshot without re-reading the stream; ``pairs`` runs the vectorized
+top-k similar-pair search (with the optional cardinality pre-filter) over a
+snapshot; ``--index lsh`` on either query routes candidate generation through
+the LSH banding index (:mod:`repro.index`) instead of enumerating every pair —
+the band seeds flow from the snapshot's sketch seed, so results are
+reproducible across runs; ``index build`` / ``index stats`` report the banding
+layout, signature memory and candidate-reduction numbers for a snapshot;
+``shards`` measures the cross-shard estimator's accuracy against single-array
+VOS across shard counts.
 
 The ``snapshot`` sub-commands drive the incremental persistence layer:
 ``save`` loads a snapshot (replaying its journal), optionally ingests another
@@ -289,8 +290,7 @@ def _run_ingest(args: argparse.Namespace) -> int:
         num_shards=args.shards,
         seed=args.seed,
         batch_size=args.batch_size,
-        workers=args.procs if args.procs > 0 else args.workers,
-        worker_mode="process" if args.procs > 0 else "thread",
+        workers=args.workers,
     )
     service = SimilarityService.from_config(config)
     report = service.ingest(source)
@@ -674,7 +674,7 @@ def _exercise_metrics(args: argparse.Namespace) -> SimilarityService:
     index.  Everything runs in this process, so the printed registry holds
     exactly what these operations emitted.
     """
-    service = SimilarityService.load(args.snapshot, workers=args.workers)
+    service = SimilarityService.load(args.snapshot)
     if getattr(args, "stream", None):
         service.ingest(iter_stream_batches(args.stream))
     if len(service.sketch.users()) >= 2:
@@ -1084,14 +1084,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker threads for concurrent per-shard ingest (1 = serial)",
-    )
-    ingest_parser.add_argument(
-        "--procs",
-        type=int,
-        default=0,
-        help="worker processes for true multi-core per-shard ingest "
-        "(overrides --workers; 0 = use threads)",
+        help="worker processes for per-shard ingest (1 = serial)",
     )
     ingest_parser.add_argument(
         "--format",
@@ -1262,9 +1255,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--snapshot", required=True, help="snapshot file to load")
         sub.add_argument("--stream", help="optional stream file to ingest first")
         sub.add_argument("-k", type=int, default=10, help="top-k pairs to query")
-        sub.add_argument(
-            "--workers", type=int, default=1, help="ingest worker threads"
-        )
         if name == "show":
             sub.add_argument("--csv", action="store_true")
             sub.set_defaults(handler=_cmd_metrics_show)

@@ -322,8 +322,7 @@ class MetricsRegistry:
         ``counters`` is the ``"counters"`` mapping of a :meth:`snapshot` —
         typically shipped home from a worker *process*, whose metrics live in
         its own registry.  Each named counter is incremented by the snapshot
-        value, so totals aggregate exactly across processes (the same
-        guarantee worker threads get by sharing one registry).  Gated on
+        value, so totals aggregate exactly across processes.  Gated on
         :attr:`enabled` like every other mutator.
         """
         if not self.enabled:

@@ -4,8 +4,8 @@
 
 * a **writer** — the one :class:`~repro.service.service.SimilarityService`
   that ingests (``ingest_batch`` requests are serialized through a write
-  lock and may run the thread/process ingest pools and checkpoint policy the
-  service already has);
+  lock and may run the process ingest pool and checkpoint policy the service
+  already has);
 * an :class:`~repro.server.epochs.EpochManager` of **frozen reader epochs** —
   after every published ingest the writer's state is serialized with
   :meth:`~repro.service.service.SimilarityService.dumps_state` and revived

@@ -35,7 +35,6 @@ from repro.service.journal import (
     read_journal,
     replay_journal,
 )
-from repro.service.parallel import ShardParallelIngestor
 from repro.service.procpool import ProcessShardIngestor
 from repro.service.service import CheckpointPolicy, ServiceConfig, SimilarityService
 from repro.service.sharding import ShardedVOS
@@ -58,7 +57,6 @@ __all__ = [
     "ingest_stream",
     "iter_batches",
     "ShardedVOS",
-    "ShardParallelIngestor",
     "ProcessShardIngestor",
     "CheckpointPolicy",
     "ServiceConfig",

@@ -1,4 +1,4 @@
-"""Array-native batch assembly and timed (optionally parallel) batch ingest.
+"""Array-native batch assembly and timed (optionally multi-process) batch ingest.
 
 The service layer never feeds sketches element by element: stream input is
 chopped into :class:`~repro.streams.batch.ElementBatch` columns and handed to
@@ -11,8 +11,8 @@ operations.  This module owns the two pieces every caller needs:
   ``.vosstream`` file) or single batch into ``ElementBatch`` chunks of a
   fixed maximum size;
 * :func:`ingest_stream` — drive a sketch over a whole stream batch-by-batch —
-  serially, or concurrently across shards via
-  :class:`~repro.service.parallel.ShardParallelIngestor` when ``workers > 1``
+  serially, or across per-shard worker processes via
+  :class:`~repro.service.procpool.ProcessShardIngestor` when ``workers > 1``
   — and return an :class:`IngestReport` with per-phase timings.
 """
 
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from repro.baselines.base import SimilaritySketch
 from repro.exceptions import ConfigurationError
 from repro.obs import get_registry, timed
-from repro.service.parallel import ShardParallelIngestor
 from repro.service.procpool import ProcessShardIngestor
 from repro.service.sharding import ShardedVOS
 from repro.streams.batch import ElementBatch
@@ -92,15 +91,12 @@ class IngestReport:
         parsing, list-to-column conversion).
     process_seconds:
         Time spent inside ``process_batch`` (serial) or routing + waiting on
-        the shard workers (parallel).
+        the shard worker processes.
     workers:
-        Workers that ingested shard sub-batches (1 = serial).
+        Worker processes that ingested shard sub-batches (1 = serial).
     mode:
-        How the batches were processed: ``"serial"`` (caller's thread),
-        ``"thread"`` (shard worker threads) or ``"process"`` (per-shard
-        worker processes).  A parallel request that fell back — one shard,
-        one effective worker, a single-core host — reports the mode that
-        actually ran.
+        How the batches were processed: ``"serial"`` (caller's thread) or
+        ``"process"`` (per-shard worker processes).
 
     All timings are sums of the per-batch ``repro.obs`` spans
     (``ingest.run``/``ingest.assemble``/``ingest.process``), so when the
@@ -130,48 +126,22 @@ def ingest_stream(
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
     workers: int = 1,
-    worker_mode: str = "thread",
 ) -> IngestReport:
     """Feed ``source`` to ``sketch`` in batches and report per-phase throughput.
 
-    With ``workers > 1`` and a multi-shard :class:`ShardedVOS`, each batch is
-    routed once on the calling thread and its per-shard sub-batches are
-    ingested concurrently — state-identical to serial ingest (per-shard
-    element order is preserved).  ``worker_mode`` selects the executor:
-
-    * ``"thread"`` (default) — :class:`ShardParallelIngestor` worker threads,
-      which overlap only inside GIL-releasing numpy kernels and fall back to
-      serial on single-core hosts;
-    * ``"process"`` — :class:`~repro.service.procpool.ProcessShardIngestor`
-      worker processes owning contiguous shard ranges, for true multi-core
-      scaling (state is shipped out and the dirty deltas merged back, so the
-      caller's sketch — including its dirty tracking — ends up exactly as if
-      it had ingested serially).
-
-    Sketches without independent shards ignore ``workers`` and ingest
-    serially; :attr:`IngestReport.mode` records what actually ran.
+    With ``workers > 1`` and a :class:`ShardedVOS` of more than one shard,
+    batches go to a :class:`~repro.service.procpool.ProcessShardIngestor`:
+    worker processes owning contiguous shard ranges, fed routed sub-batches
+    over shared memory.  Shard state is shipped out and the dirty deltas
+    merged back, so the caller's sketch — including its dirty tracking — ends
+    up bit-identical to serial ingest.  Every other call ingests serially on
+    the caller's thread; :attr:`IngestReport.mode` records what ran.
     """
     if workers <= 0:
         raise ConfigurationError(f"workers must be positive, got {workers}")
-    if worker_mode not in ("thread", "process"):
-        raise ConfigurationError(
-            f"worker_mode must be 'thread' or 'process', got {worker_mode!r}"
-        )
-    ingestor: ShardParallelIngestor | ProcessShardIngestor | None = None
-    mode = "serial"
-    if isinstance(sketch, ShardedVOS):
-        if worker_mode == "process":
-            # One process worker is still the process path (the scaling bench
-            # measures it); only a shard-less sketch falls back to serial.
-            ingestor = ProcessShardIngestor(sketch, workers)
-            mode = "process"
-        elif workers > 1 and sketch.num_shards > 1:
-            ingestor = ShardParallelIngestor(sketch, workers)
-            if ingestor.workers > 1:
-                mode = "thread"
-            else:
-                # Single-core fallback: the ingestor processes inline.
-                mode = "serial"
+    ingestor: ProcessShardIngestor | None = None
+    if workers > 1 and isinstance(sketch, ShardedVOS) and sketch.num_shards > 1:
+        ingestor = ProcessShardIngestor(sketch, workers)
     registry = get_registry()
     assemble = process = 0.0
     total = 0
@@ -204,7 +174,7 @@ def ingest_stream(
         assemble_seconds=assemble,
         process_seconds=process,
         workers=ingestor.workers if ingestor is not None else 1,
-        mode=mode,
+        mode="process" if ingestor is not None else "serial",
     )
     if registry.enabled:
         registry.inc("ingest.elements", total, unit="elements")

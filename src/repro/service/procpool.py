@@ -1,10 +1,10 @@
 """True multi-core shard ingest: per-shard worker *processes* over shared memory.
 
-The thread pool in :mod:`repro.service.parallel` overlaps work only inside
-numpy kernels — the GIL bounds everything else, and ``BENCH_ingest.json``
-showed it losing to serial ingest.  :class:`ProcessShardIngestor` removes the
-GIL from the equation: each worker **process** owns a contiguous range of
-shards and runs their updates on a real core of its own.
+A VOS update is one hash plus one xor, so per-shard sub-batches are too small
+for GIL-releasing numpy work to overlap on threads.
+:class:`ProcessShardIngestor` sidesteps the GIL: each worker **process** owns
+a contiguous range of shards and runs their updates on a core of its own.
+It is the executor behind ``ingest_stream(workers > 1)``.
 
 The protocol, end to end:
 
@@ -24,8 +24,7 @@ The protocol, end to end:
   provides backpressure;
 * **ordering** — shard ownership is exclusive and each worker drains its own
   queue FIFO, so every shard sees its sub-batches in submission order: final
-  state is **bit-identical** to serial ingest, the same contract the thread
-  pool honours;
+  state is **bit-identical** to serial ingest;
 * **merge-back** — at :meth:`close` each worker ships a *dirty delta* per
   owned shard (changed 64-bit array words, changed cardinality counters, and
   the shard's final popcount/user-count as consistency checks — the same

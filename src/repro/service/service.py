@@ -82,7 +82,7 @@ class CheckpointPolicy:
     Both knobs are off (0) by default, so persistence stays fully manual
     unless configured.  Policy checks run after every :meth:`~SimilarityService.ingest`
     call — never mid-batch, so a checkpoint always captures a batch-consistent
-    state (and never races parallel shard workers).
+    state (and never races shard worker processes).
 
     Parameters
     ----------
@@ -126,13 +126,9 @@ class ServiceConfig:
     size_multiplier: float = 2.0
     seed: int = 0
     batch_size: int = DEFAULT_BATCH_SIZE
-    #: Workers for concurrent per-shard ingest (1 = serial).  Parallel
+    #: Worker processes for per-shard ingest (1 = serial).  Multi-process
     #: ingest is state-identical to serial ingest; it only changes wall-clock.
     workers: int = 1
-    #: Parallel ingest executor: ``"thread"`` (GIL-bound worker threads, fall
-    #: back to serial on one core) or ``"process"`` (per-shard worker
-    #: processes over shared memory — true multi-core scaling).
-    worker_mode: str = "thread"
     #: Per-shard capacity of the packed-row LRU cache used by the bulk query
     #: path (hot users' recovered virtual sketches); 0 disables caching.
     sketch_cache_size: int = 1024
@@ -173,11 +169,9 @@ class SimilarityService:
     batch_size:
         Batch size used by :meth:`ingest`.
     workers:
-        Workers for concurrent per-shard ingest (1 = serial).  Ignored by
-        sketches without independent shards.
-    worker_mode:
-        ``"thread"`` (default) or ``"process"`` — see
-        :func:`~repro.service.batching.ingest_stream`.
+        Worker processes for per-shard ingest (1 = serial) — see
+        :func:`~repro.service.batching.ingest_stream`.  Ignored by sketches
+        without independent shards.
     """
 
     def __init__(
@@ -186,7 +180,6 @@ class SimilarityService:
         *,
         batch_size: int = DEFAULT_BATCH_SIZE,
         workers: int = 1,
-        worker_mode: str = "thread",
         index_config: IndexConfig | None = None,
         checkpoint_policy: CheckpointPolicy | None = None,
         journal_config: JournalConfig | None = None,
@@ -195,14 +188,9 @@ class SimilarityService:
             raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
         if workers <= 0:
             raise ConfigurationError(f"workers must be positive, got {workers}")
-        if worker_mode not in ("thread", "process"):
-            raise ConfigurationError(
-                f"worker_mode must be 'thread' or 'process', got {worker_mode!r}"
-            )
         self._sketch = sketch
         self._batch_size = batch_size
         self._workers = workers
-        self._worker_mode = worker_mode
         self._journal_config = (
             journal_config if journal_config is not None else JournalConfig()
         )
@@ -241,7 +229,6 @@ class SimilarityService:
             sketch,
             batch_size=config.batch_size,
             workers=config.workers,
-            worker_mode=config.worker_mode,
             index_config=config.index,
             checkpoint_policy=config.checkpoint,
             journal_config=config.journal,
@@ -257,14 +244,13 @@ class SimilarityService:
         Accepts element iterables and :class:`~repro.streams.batch.ElementBatch`
         iterables alike (e.g. the chunked ``.vosstream`` reader).  With
         ``workers > 1`` the per-shard sub-batches of every batch are ingested
-        concurrently — state-identical to serial ingest.
+        by worker processes — state-identical to serial ingest.
         """
         report = ingest_stream(
             self._sketch,
             elements,
             batch_size=self._batch_size,
             workers=self._workers,
-            worker_mode=self._worker_mode,
         )
         self._elements_ingested += report.elements
         self._batches_ingested += report.batches
@@ -405,7 +391,6 @@ class SimilarityService:
             "batches_ingested": self._batches_ingested,
             "batch_size": self._batch_size,
             "workers": self._workers,
-            "worker_mode": self._worker_mode,
             "users": len(sketch.users()),
             "memory_bits": sketch.memory_bits(),
             "beta": sketch.beta,
@@ -767,7 +752,6 @@ class SimilarityService:
         *,
         batch_size: int = DEFAULT_BATCH_SIZE,
         workers: int = 1,
-        worker_mode: str = "thread",
         index_config: IndexConfig | None = None,
         checkpoint_policy: CheckpointPolicy | None = None,
         journal: str | Path | None = "auto",
@@ -839,7 +823,6 @@ class SimilarityService:
             state.sketch,
             batch_size=batch_size,
             workers=workers,
-            worker_mode=worker_mode,
             index_config=index_config,
             checkpoint_policy=checkpoint_policy,
             journal_config=journal_config,

@@ -203,7 +203,7 @@ class ElementBatch:
         """Return ``elements`` as a batch: pass batches through, columnarize rest.
 
         The single place that defines what batch-accepting entry points
-        (``process_batch``, the parallel ingestor) take as input.
+        (``process_batch``, the process-pool ingestor) take as input.
         """
         if isinstance(elements, cls):
             return elements

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -162,8 +164,12 @@ class TestServiceCommands:
         assert "not found" in capsys.readouterr().err
 
 
-class TestConvertAndParallelIngest:
-    """``repro convert`` and the ingest ``--workers`` / ``--format`` flags."""
+class TestConvertAndProcessIngest:
+    """``repro convert`` and the ingest ``--workers`` / ``--format`` flags.
+
+    ``--workers N`` above 1 runs worker processes; their snapshots must be
+    bit-identical to a ``--workers 1`` (serial) run.
+    """
 
     @pytest.fixture()
     def text_stream_file(self, tmp_path, small_dynamic_stream):
@@ -203,7 +209,7 @@ class TestConvertAndParallelIngest:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_parallel_ingest_matches_serial_snapshot(
+    def test_process_ingest_matches_serial_snapshot(
         self, text_stream_file, tmp_path, capsys
     ):
         from repro.service.snapshot import load_snapshot
@@ -214,10 +220,10 @@ class TestConvertAndParallelIngest:
         ) == 0
 
         serial_snapshot = tmp_path / "serial.vos"
-        parallel_snapshot = tmp_path / "parallel.vos"
+        procs_snapshot = tmp_path / "procs.vos"
         for snapshot, stream, extra in (
-            (serial_snapshot, text_stream_file, []),
-            (parallel_snapshot, binary, ["--workers", "4", "--format", "binary"]),
+            (serial_snapshot, text_stream_file, ["--workers", "1"]),
+            (procs_snapshot, binary, ["--workers", "4", "--format", "binary"]),
         ):
             code = main(
                 [
@@ -236,8 +242,8 @@ class TestConvertAndParallelIngest:
         import numpy as np
 
         serial = load_snapshot(serial_snapshot)
-        parallel = load_snapshot(parallel_snapshot)
-        for shard_a, shard_b in zip(serial.shards, parallel.shards):
+        procs = load_snapshot(procs_snapshot)
+        for shard_a, shard_b in zip(serial.shards, procs.shards):
             assert np.array_equal(
                 shard_a.shared_array._bits._bits, shard_b.shared_array._bits._bits
             )
@@ -254,7 +260,9 @@ class TestConvertAndParallelIngest:
             ]
         )
         assert code == 0
-        assert "workers" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert re.search(r"\bworkers\s+2\b", out)
+        assert re.search(r"\bmode\s+process\b", out)
 
     def test_no_validate_ingest_streams_chunks_and_matches(
         self, text_stream_file, tmp_path, capsys

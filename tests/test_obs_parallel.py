@@ -1,10 +1,8 @@
-"""Metrics correctness under ShardParallelIngestor's worker threads.
+"""Instrumentation parity under process-pool ingest.
 
-The shard workers update shared metrics concurrently, so these tests pin the
-exactness bar: counters incremented from 2 and 8 worker threads must sum to
-the true element total, histogram observations must merge without lost
-updates, and — the parity satellite — ingest state and query results must be
-bit-identical whether instrumentation is enabled or disabled.
+Enabled vs disabled metrics must not change a single bit of ingest state or
+a single query result when shard sub-batches run on worker processes, and
+counter totals must not depend on whether ingest ran serially or on a pool.
 """
 
 from __future__ import annotations
@@ -25,21 +23,6 @@ NUM_SHARDS = 8
 BATCH_SIZE = 500
 
 
-@pytest.fixture(autouse=True)
-def _multicore(monkeypatch):
-    """Pretend the host has cores: these tests pin the *threaded* path, which
-    on a single-core host would otherwise fall back to serial ingest."""
-    monkeypatch.setattr("repro.service.parallel._cpu_count", lambda: 8)
-
-
-@pytest.fixture
-def registry():
-    previous = get_registry()
-    fresh = set_registry(MetricsRegistry())
-    yield fresh
-    set_registry(previous)
-
-
 @pytest.fixture(scope="module")
 def elements():
     """A dynamic stream (insertions + deletions) across many users."""
@@ -55,49 +38,6 @@ def _make_sketch(elements, seed=1) -> ShardedVOS:
     users = {element.user for element in elements}
     budget = MemoryBudget(baseline_registers=24, num_users=len(users))
     return ShardedVOS.from_budget(budget, num_shards=NUM_SHARDS, seed=seed)
-
-
-def _expected_sub_batches(sketch: ShardedVOS, elements, batch_size: int) -> int:
-    """Number of (batch, shard) tasks the parallel router will enqueue."""
-    total = 0
-    for start in range(0, len(elements), batch_size):
-        chunk = elements[start : start + batch_size]
-        shards = {sketch.shard_of(element.user) for element in chunk}
-        total += len(shards)
-    return total
-
-
-@pytest.mark.parametrize("workers", [2, 8])
-class TestCounterSumsAcrossThreads:
-    def test_worker_elements_counter_is_exact(self, registry, elements, workers):
-        sketch = _make_sketch(elements)
-        report = ingest_stream(
-            sketch, elements, batch_size=BATCH_SIZE, workers=workers
-        )
-        assert report.elements == len(elements)
-        counters = registry.snapshot()["counters"]
-        # Every worker thread increments the same counter; the sum must be
-        # exact regardless of worker count.
-        assert counters["ingest.worker_elements"]["value"] == len(elements)
-        assert counters["ingest.elements"]["value"] == len(elements)
-
-    def test_shard_batch_histogram_merges_without_lost_updates(
-        self, registry, elements, workers
-    ):
-        sketch = _make_sketch(elements)
-        ingest_stream(sketch, elements, batch_size=BATCH_SIZE, workers=workers)
-        expected = _expected_sub_batches(sketch, elements, BATCH_SIZE)
-        histogram = registry.histogram("ingest.shard_batch")
-        assert histogram.count == expected
-        assert sum(histogram._buckets.values()) == expected
-
-    def test_queue_depth_gets_observed(self, registry, elements, workers):
-        sketch = _make_sketch(elements)
-        ingest_stream(sketch, elements, batch_size=BATCH_SIZE, workers=workers)
-        depth = registry.snapshot()["histograms"]["ingest.queue_depth"]
-        expected = _expected_sub_batches(sketch, elements, BATCH_SIZE)
-        assert depth["count"] == expected
-        assert depth["max"] <= 8  # bounded by the per-worker queue capacity
 
 
 @pytest.mark.parametrize("workers", [2, 8])
@@ -138,12 +78,12 @@ class TestInstrumentationParity:
             set_registry(previous)
         assert results["on"] == results["off"]
 
-    def test_parallel_metrics_match_serial_metrics(self, elements, workers):
-        """Counter totals are mode-independent: serial and parallel agree."""
+    def test_process_metrics_match_serial_metrics(self, elements, workers):
+        """Counter totals are mode-independent: serial and process agree."""
         previous = get_registry()
         totals = {}
         try:
-            for label, mode_workers in (("serial", 1), ("parallel", workers)):
+            for label, mode_workers in (("serial", 1), ("process", workers)):
                 registry = set_registry(MetricsRegistry())
                 sketch = _make_sketch(elements)
                 ingest_stream(
@@ -153,4 +93,4 @@ class TestInstrumentationParity:
                 totals[label] = counters["ingest.elements"]["value"]
         finally:
             set_registry(previous)
-        assert totals["serial"] == totals["parallel"] == len(elements)
+        assert totals["serial"] == totals["process"] == len(elements)

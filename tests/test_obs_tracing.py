@@ -26,13 +26,6 @@ from repro.service.sharding import ShardedVOS
 from repro.streams.edge import Action, StreamElement
 
 
-@pytest.fixture(autouse=True)
-def _multicore(monkeypatch):
-    """Pretend the host has cores: the parallel-report parity test pins the
-    threaded path, which on a single-core host falls back to serial ingest."""
-    monkeypatch.setattr("repro.service.parallel._cpu_count", lambda: 8)
-
-
 @pytest.fixture
 def registry():
     previous = get_registry()
@@ -146,10 +139,11 @@ class TestIngestReportParity:
         assert report.process_seconds > 0.0
         assert registry.snapshot()["histograms"] == {}
 
-    def test_parallel_report_equals_registry(self, registry):
+    def test_process_report_equals_registry(self, registry):
         report = ingest_stream(
             self._sketch(), self._stream(), batch_size=100, workers=4
         )
+        assert report.mode == "process"
         assert report.workers == 4
         assert registry.histogram("ingest.process").sum == report.process_seconds
         assert registry.counter("ingest.worker_elements").value == report.elements

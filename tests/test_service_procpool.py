@@ -24,6 +24,7 @@ from repro.service import (
     ServiceConfig,
     SimilarityService,
     ingest_stream,
+    iter_batches,
     shard_snapshots,
 )
 from repro.service.sharding import ShardedVOS
@@ -81,23 +82,25 @@ class TestProcessParity:
         serial = _make_sketch()
         ingest_stream(serial, parity_stream, batch_size=500)
         parallel = _make_sketch()
-        report = ingest_stream(
-            parallel, parity_stream, batch_size=500, workers=workers,
-            worker_mode="process",
-        )
-        assert report.mode == "process"
-        assert report.workers == workers
-        assert report.elements == len(parity_stream)
+        if workers == 1:
+            # ingest_stream runs serially at one worker; drive the pool itself.
+            with ProcessShardIngestor(parallel, workers) as ingestor:
+                for batch in iter_batches(parity_stream, 500):
+                    ingestor.submit(batch)
+        else:
+            report = ingest_stream(
+                parallel, parity_stream, batch_size=500, workers=workers
+            )
+            assert report.mode == "process"
+            assert report.workers == workers
+            assert report.elements == len(parity_stream)
         _assert_same_sharded_state(serial, parallel)
 
     def test_rankings_match_serial(self, parity_stream):
         serial = _make_sketch()
         ingest_stream(serial, parity_stream, batch_size=500)
         parallel = _make_sketch()
-        ingest_stream(
-            parallel, parity_stream, batch_size=500, workers=4,
-            worker_mode="process",
-        )
+        ingest_stream(parallel, parity_stream, batch_size=500, workers=4)
         serial_pairs = top_k_similar_pairs(serial, k=25)
         parallel_pairs = top_k_similar_pairs(parallel, k=25)
         assert serial_pairs == parallel_pairs
@@ -116,9 +119,7 @@ class TestProcessParity:
         serial = _make_sketch()
         ingest_stream(serial, elements, batch_size=250)
         parallel = _make_sketch()
-        ingest_stream(
-            parallel, elements, batch_size=250, workers=2, worker_mode="process"
-        )
+        ingest_stream(parallel, elements, batch_size=250, workers=2)
         _assert_same_sharded_state(serial, parallel)
 
     def test_sub_batches_chunk_through_small_ring_slots(self, parity_stream):
@@ -253,9 +254,7 @@ class TestCounterAggregation:
 
     def test_worker_counters_merge_exactly(self, parity_stream, registry):
         sketch = _make_sketch()
-        report = ingest_stream(
-            sketch, parity_stream, batch_size=500, workers=2, worker_mode="process"
-        )
+        report = ingest_stream(sketch, parity_stream, batch_size=500, workers=2)
         total = report.elements
         assert registry.counter("ingest.worker_elements").value == total
         per_worker = [
@@ -270,9 +269,7 @@ class TestCounterAggregation:
     def test_disabled_registry_stays_silent(self, parity_stream, registry):
         registry.disable()
         sketch = _make_sketch()
-        ingest_stream(
-            sketch, parity_stream, batch_size=500, workers=2, worker_mode="process"
-        )
+        ingest_stream(sketch, parity_stream, batch_size=500, workers=2)
         assert registry.snapshot()["counters"] == {}
 
 
@@ -283,13 +280,12 @@ class TestServiceIntegration:
             num_shards=4,
             seed=9,
             workers=2,
-            worker_mode="process",
             journal=JournalConfig(group_commit=True),
         )
         service = SimilarityService.from_config(config)
         report = service.ingest(parity_stream[:3000])
         assert report.mode == "process"
-        assert service.stats()["worker_mode"] == "process"
+        assert service.stats()["workers"] == 2
         path = tmp_path / "state.vos"
         service.save(path)
         service.ingest(parity_stream[3000:])
@@ -304,15 +300,17 @@ class TestServiceIntegration:
         # equals snapshot + journal); compare the bits and counters.
         _assert_same_sharded_state(serial.sketch, restored.sketch, dirty=False)
 
-    def test_single_shard_sketch_ingests_serially(self, parity_stream):
-        """No independent shards to distribute: mode reports what ran."""
+    @pytest.mark.parametrize(
+        "num_shards, workers, mode, reported_workers",
+        [(1, 4, "serial", 1), (4, 2, "process", 2)],
+    )
+    def test_mode_reports_what_ran(
+        self, parity_stream, num_shards, workers, mode, reported_workers
+    ):
+        """Only more than one shard gives worker processes something to own."""
         sketch = ShardedVOS(
-            num_shards=1, shard_array_bits=1 << 12, virtual_sketch_size=64
+            num_shards=num_shards, shard_array_bits=1 << 12, virtual_sketch_size=64
         )
-        report = ingest_stream(
-            sketch, parity_stream[:500], workers=4, worker_mode="process"
-        )
-        # A 1-shard sketch still runs the process path with one worker (the
-        # ingestor caps workers at the shard count).
-        assert report.mode == "process"
-        assert report.workers == 1
+        report = ingest_stream(sketch, parity_stream[:500], workers=workers)
+        assert report.mode == mode
+        assert report.workers == reported_workers

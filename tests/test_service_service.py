@@ -11,13 +11,6 @@ from repro.similarity.search import nearest_neighbours
 from repro.streams.edge import Action, StreamElement
 
 
-@pytest.fixture(autouse=True)
-def _multicore(monkeypatch):
-    """Pretend the host has cores so `workers > 1` exercises the threaded
-    path instead of the single-core serial fallback."""
-    monkeypatch.setattr("repro.service.parallel._cpu_count", lambda: 8)
-
-
 @pytest.fixture(scope="module")
 def fed_service(small_dynamic_stream):
     service = SimilarityService.from_config(
@@ -108,7 +101,7 @@ class TestPersistence:
 
 
 def test_load_accepts_workers(tmp_path):
-    """Snapshot-restored services can keep ingesting in parallel."""
+    """Snapshot-restored services can keep ingesting on worker processes."""
     from repro.service import ServiceConfig, SimilarityService
     from repro.streams import Action, StreamElement
 
@@ -124,6 +117,7 @@ def test_load_accepts_workers(tmp_path):
     report = restored.ingest(
         [StreamElement(u, i, Action.INSERT) for u in range(8) for i in range(10, 20)]
     )
+    assert report.mode == "process"
     assert report.workers == 4
     assert restored.stats()["workers"] == 4
 
