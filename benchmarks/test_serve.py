@@ -14,11 +14,13 @@ TCP connection:
   and the epoch swap pause (the publish critical section concurrent readers
   can see) is read from the daemon's metrics registry and must stay
   microscopic relative to request latency.
-* **Publish latency sweep** — identical daemons in ``cow`` and ``full``
-  epoch mode absorb the same small batches at several user-pool tiers; the
-  per-publish build latency (daemon-side ``publish_log``) lands in the JSON
-  split by mode and user count.  Incremental COW publishing must be at least
-  5x faster at p50 than the full-state freeze at the largest tier.
+* **Publish latency sweep** — a daemon absorbs small batches at several
+  user-pool tiers, and its copy-on-write publishes (daemon-side
+  ``publish_log``) are timed against the whole-state freeze they replace
+  (``from_state_bytes(dumps_state())``), timed in-process on an identical
+  writer after the same batches.  The sweep lands in the JSON by user count;
+  copy-on-write publishing must be at least 5x faster at p50 than the
+  whole-state freeze at the largest tier.
 
 ``REPRO_SERVE_BENCH_USERS`` shrinks the pool (CI smoke mode writes
 ``BENCH_serve_smoke.json`` so a shrunken run never clobbers the full-size
@@ -66,7 +68,7 @@ REQUEST_PAIRS = 256
 #: Reader threads during the live-swap phase.
 SWAP_READERS = 4
 SWAP_ROUNDS = 3 if SMOKE_MODE else 6
-#: Publishes timed per epoch mode at each sweep tier.
+#: Publishes (and reference freezes) timed at each sweep tier.
 SWEEP_PUBLISHES = 12 if SMOKE_MODE else 16
 
 
@@ -243,51 +245,70 @@ def _sweep_tiers() -> list[int]:
     return sorted({max(100, POOL_USERS // 5), POOL_USERS})
 
 
-def test_publish_latency_sweep(measurements):
-    """Time cow vs full publishes over the same batches at each user tier.
-
-    Both daemons absorb identical small batches; per-publish build latency is
-    read from the daemon-side ``publish_log`` (no wire time included), so the
-    comparison isolates exactly what the COW path claims to make cheap: the
-    epoch build.  The 5x acceptance floor applies at the largest tier, where
-    the full freeze is most expensive.
-    """
+def _sweep_batch(round_index: int) -> list:
     from repro.streams import Action, StreamElement
 
+    base = 30_000_000 + round_index * 50
+    return [
+        StreamElement(base + offset, base + offset + item, Action.INSERT)
+        for offset in range(4)
+        for item in range(10)
+    ]
+
+
+def _latency_record(seconds: list[float]) -> dict:
+    return {
+        "publishes": len(seconds),
+        "publish_p50_ms": float(np.percentile(seconds, 50) * 1e3),
+        "publish_p99_ms": float(np.percentile(seconds, 99) * 1e3),
+        "publish_max_ms": float(max(seconds) * 1e3),
+    }
+
+
+def test_publish_latency_sweep(measurements):
+    """Time copy-on-write publishes against the whole-state freeze at each tier.
+
+    Per-publish build latency is read from the daemon-side ``publish_log``
+    (no wire time included), so the comparison isolates exactly what the COW
+    path claims to make cheap: the epoch build.  The reference freeze
+    (``from_state_bytes(dumps_state())``) is timed in-process on a second
+    writer after the same batches.  The 5x acceptance floor applies at the
+    largest tier, where the freeze is most expensive.
+    """
     sweep: dict[str, dict] = {}
     for tier in _sweep_tiers():
-        tier_record: dict[str, object] = {}
-        for mode in ("cow", "full"):
-            writer = _build_service(tier)
-            with ServingDaemon(writer, workers=2, epoch_mode=mode) as running:
-                with ServingClient(*running.address) as mine:
-                    for round_index in range(SWEEP_PUBLISHES):
-                        base = 30_000_000 + round_index * 50
-                        batch = [
-                            StreamElement(base + offset, base + offset + item, Action.INSERT)
-                            for offset in range(4)
-                            for item in range(10)
-                        ]
-                        report = mine.ingest_batch(batch)
-                        assert report["publish_mode"] == mode
-                log = [
-                    entry for entry in running.publish_log if entry["mode"] == mode
-                ]
-            assert len(log) == SWEEP_PUBLISHES
-            seconds = [entry["seconds"] for entry in log]
-            tier_record[mode] = {
-                "publishes": len(seconds),
-                "publish_p50_ms": float(np.percentile(seconds, 50) * 1e3),
-                "publish_p99_ms": float(np.percentile(seconds, 99) * 1e3),
-                "publish_max_ms": float(max(seconds) * 1e3),
-                "delta_words_p50": float(
-                    np.percentile([entry["delta_words"] for entry in log], 50)
-                ),
-            }
-        cow_p50 = tier_record["cow"]["publish_p50_ms"]
-        full_p50 = tier_record["full"]["publish_p50_ms"]
-        tier_record["cow_speedup_p50"] = full_p50 / cow_p50 if cow_p50 else float("inf")
-        sweep[str(tier)] = tier_record
+        with ServingDaemon(_build_service(tier), workers=2) as running:
+            with ServingClient(*running.address) as mine:
+                for round_index in range(SWEEP_PUBLISHES):
+                    report = mine.ingest_batch(_sweep_batch(round_index))
+                    assert report["publish_mode"] == "cow"
+            log = list(running.publish_log)
+        assert len(log) == SWEEP_PUBLISHES
+        reference = _build_service(tier)
+        freezes = []
+        for round_index in range(SWEEP_PUBLISHES):
+            reference.ingest(_sweep_batch(round_index))
+            started = time.perf_counter()
+            SimilarityService.from_state_bytes(
+                reference.dumps_state(),
+                index_config=reference.index_config,
+                elements_ingested=reference.elements_ingested,
+            )
+            freezes.append(time.perf_counter() - started)
+        cow = _latency_record([entry["seconds"] for entry in log])
+        cow["delta_words_p50"] = float(
+            np.percentile([entry["delta_words"] for entry in log], 50)
+        )
+        full = _latency_record(freezes)
+        sweep[str(tier)] = {
+            "cow": cow,
+            "full": full,
+            "cow_speedup_p50": (
+                full["publish_p50_ms"] / cow["publish_p50_ms"]
+                if cow["publish_p50_ms"]
+                else float("inf")
+            ),
+        }
     measurements["publish_sweep"] = sweep
     largest = str(max(_sweep_tiers()))
     assert sweep[largest]["cow_speedup_p50"] >= 5.0, sweep[largest]
@@ -303,7 +324,6 @@ def test_write_serve_json(daemon, measurements):
         "request_pool_users": REQUEST_POOL,
         "request_pairs": REQUEST_PAIRS,
         "workers": 4,
-        "epoch_mode": daemon.epoch_mode,
         "latency": {
             "top_k_pairs": measurements["top_k_pairs"],
             "estimate_many": measurements["estimate_many"],

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ConfigurationError, UnknownUserError
+from repro.hashing.bitpack import next_stamp
 from repro.streams.edge import StreamElement, UserId
 
 
@@ -130,15 +131,13 @@ class SimilaritySketch(abc.ABC):
 
     def __init__(self) -> None:
         self._cardinalities: dict[UserId, int] = {}
-        # Users whose counter changed since the last persist — the counter
-        # analogue of the shared array's dirty-word bitmap.  Delta checkpoints
-        # read and clear it; sketches that are never persisted just accumulate
-        # a set no larger than their user population.
-        self._dirty_counters: set[UserId] = set()
-        # The same signal on an independent channel for the serving daemon's
-        # incremental epoch publishes, so a journal checkpoint between two
-        # publishes cannot swallow counter changes the next epoch needs.
-        self._epoch_dirty_counters: set[UserId] = set()
+        # When each user's counter last changed, as a stamp of the shared
+        # change clock (:func:`repro.hashing.bitpack.next_stamp`) — the
+        # counter analogue of the shared array's per-word stamps.  A changed
+        # user is re-inserted at the end, so the dict stays ordered by stamp
+        # and :meth:`changed_users` reads newest-first, stopping at the first
+        # stamp at or before the cursor: O(changed users), not O(users).
+        self._counter_stamps: dict[UserId, int] = {}
 
     # -- stream consumption --------------------------------------------------------
 
@@ -151,8 +150,9 @@ class SimilaritySketch(abc.ABC):
         else:
             self._cardinalities[user] = max(0, self._cardinalities.get(user, 0) - 1)
             self._process_deletion(element)
-        self._dirty_counters.add(user)
-        self._epoch_dirty_counters.add(user)
+        stamps = self._counter_stamps
+        stamps.pop(user, None)
+        stamps[user] = next_stamp()
 
     def process_stream(self, elements: Iterable[StreamElement]) -> None:
         """Consume every element of an iterable (convenience wrapper)."""
@@ -214,10 +214,7 @@ class SimilaritySketch(abc.ABC):
             for delta in sorted_deltas[starts[index] : ends[index]].tolist():
                 value = value + delta if delta > 0 else max(0, value + delta)
             finals[index] = value
-        for user, value in zip(users_list, finals.tolist()):
-            self._cardinalities[user] = value
-        self._dirty_counters.update(users_list)
-        self._epoch_dirty_counters.update(users_list)
+        self.overwrite_cardinalities(users_list, finals.tolist())
 
     @abc.abstractmethod
     def _process_insertion(self, element: StreamElement) -> None:
@@ -243,21 +240,27 @@ class SimilaritySketch(abc.ABC):
         """All users ever observed."""
         return set(self._cardinalities)
 
-    def dirty_counter_users(self) -> set[UserId]:
-        """Users whose cardinality counter changed since the last persist."""
-        return set(self._dirty_counters)
+    def overwrite_cardinalities(self, users: list, counts: list) -> None:
+        """Set the listed users' counters to absolute values and stamp them changed.
 
-    def clear_dirty_counters(self) -> None:
-        """Mark every counter clean (their state has just been persisted)."""
-        self._dirty_counters.clear()
+        The batch fold and shard-delta replay both land counters here, so
+        every counter write is visible to :meth:`changed_users`.
+        """
+        cardinalities = self._cardinalities
+        pop = self._counter_stamps.pop
+        for user, count in zip(users, counts):
+            cardinalities[user] = count
+            pop(user, None)
+        self._counter_stamps.update(dict.fromkeys(users, next_stamp()))
 
-    def epoch_dirty_counter_users(self) -> set[UserId]:
-        """Users whose counter changed since the last epoch publish."""
-        return set(self._epoch_dirty_counters)
-
-    def clear_epoch_dirty_counters(self) -> None:
-        """Mark the epoch counter channel clean (a publish delta was taken)."""
-        self._epoch_dirty_counters.clear()
+    def changed_users(self, since: int) -> list[UserId]:
+        """Users whose counter changed after cursor ``since``, newest first."""
+        changed = []
+        for user, stamp in reversed(self._counter_stamps.items()):
+            if stamp <= since:
+                break
+            changed.append(user)
+        return changed
 
     @abc.abstractmethod
     def estimate_common_items(self, user_a: UserId, user_b: UserId) -> float:

@@ -832,7 +832,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             workers=args.serve_workers,
-            epoch_mode=args.epoch_mode,
         )
         host, port = daemon.start()
     except ReproError as error:
@@ -842,8 +841,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         signal.signal(signum, lambda *_: daemon.request_shutdown())
     print(
         f"# serving {args.snapshot} on {host}:{port} "
-        f"({args.serve_workers} workers, {daemon.epoch_mode} epochs; "
-        f"SIGTERM/ctrl-c to drain)",
+        f"({args.serve_workers} workers; SIGTERM/ctrl-c to drain)",
         flush=True,
     )
     daemon.wait()
@@ -854,7 +852,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     rows = [
         ["snapshot", str(args.snapshot)],
         ["requests served", requests],
-        ["epoch mode", daemon.epoch_mode],
         ["epochs published", epochs["published"]],
         ["noop publishes", epochs["noops"]],
         ["epochs retired", epochs["retired"]],
@@ -903,7 +900,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
                     ["server", f"{host}:{port}"],
                     ["version", server["version"]],
                     ["epoch", server["epochs"]["current"]],
-                    ["epoch mode", server.get("publish_mode", "full")],
                     ["epochs published", server["epochs"]["published"]],
                     ["noop publishes", server["epochs"].get("noops", 0)],
                     ["epochs retired", server["epochs"]["retired"]],
@@ -1293,15 +1289,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="request worker threads",
-    )
-    serve_parser.add_argument(
-        "--epoch-mode",
-        choices=("cow", "full"),
-        default=None,
-        help=(
-            "how publishes build epochs: cow = copy-on-write dirty-word deltas, "
-            "full = whole-state freeze (default: $REPRO_EPOCH_MODE or cow)"
-        ),
     )
     _add_index_options(serve_parser)
     serve_parser.add_argument("--csv", action="store_true")

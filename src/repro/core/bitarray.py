@@ -101,26 +101,25 @@ class SharedBitArray:
         """
         return self._bits.xor_bulk(positions)
 
-    # -- incremental persistence ------------------------------------------------------
+    # -- change tracking --------------------------------------------------------------
     #
-    # Delta checkpoints ship only the 64-bit words mutated since the last
-    # persist instead of rewriting all ``m`` bits.  The dirty bitmap lives in
-    # the backing PackedBitArray and piggybacks on the same mutation paths
-    # that bump :attr:`version`.
+    # Shard deltas (journal checkpoints, epoch publishes, pool merge-back)
+    # ship only the 64-bit words changed after a consumer's cursor instead of
+    # all ``m`` bits.  The per-word stamps live in the backing PackedBitArray
+    # and ride the same mutation paths that bump :attr:`version`.
 
     @property
     def num_words(self) -> int:
         """Number of 64-bit words covering the array (``ceil(m / 64)``)."""
         return self._bits.num_words
 
-    @property
-    def dirty_word_count(self) -> int:
-        """Words mutated since the last :meth:`clear_dirty`."""
-        return self._bits.dirty_word_count
+    def dirty_words(self, since: int) -> "np.ndarray":
+        """Sorted indices of the words changed after cursor ``since``."""
+        return self._bits.dirty_words(since)
 
-    def dirty_words(self) -> "np.ndarray":
-        """Sorted indices of the words mutated since the last :meth:`clear_dirty`."""
-        return self._bits.dirty_words()
+    #: Kept only because ``perfbench/tracer.py`` wraps this name; it goes
+    #: when that tracer entry does.
+    epoch_dirty_words = dirty_words
 
     def packed_words(self, word_indices) -> bytes:
         """Packed bytes (8 per word) of the listed 64-bit words."""
@@ -129,28 +128,6 @@ class SharedBitArray:
     def apply_packed_words(self, word_indices, data: bytes) -> None:
         """Overwrite the listed words from :meth:`packed_words` bytes (delta replay)."""
         self._bits.apply_packed_words(word_indices, data)
-
-    def clear_dirty(self) -> None:
-        """Mark the array clean (its state has just been persisted)."""
-        self._bits.clear_dirty()
-
-    @property
-    def epoch_dirty_word_count(self) -> int:
-        """Words mutated since the last :meth:`clear_epoch_dirty`."""
-        return self._bits.epoch_dirty_word_count
-
-    def epoch_dirty_words(self) -> "np.ndarray":
-        """Sorted word indices mutated since the last epoch publish.
-
-        Tracked independently of :meth:`dirty_words`: the serving daemon's
-        incremental publishes clear this channel while journal checkpoints
-        clear the persistence channel, so neither starves the other.
-        """
-        return self._bits.epoch_dirty_words()
-
-    def clear_epoch_dirty(self) -> None:
-        """Mark the epoch channel clean (a publish delta was just taken)."""
-        self._bits.clear_epoch_dirty()
 
     def bits_buffer(self) -> "np.ndarray":
         """Raw byte-per-bit backing store (no copy; arena materialization)."""

@@ -590,39 +590,13 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
             self.cardinality(user_b),
         )
 
-    # -- incremental persistence -----------------------------------------------------------------
+    # -- change tracking -------------------------------------------------------------------------
 
-    def clear_dirty(self) -> None:
-        """Mark the shared array's words and the counters clean (just persisted).
-
-        Full and delta checkpoints call this after writing, so the dirty
-        trackers always describe exactly the state mutated since the last
-        durable record.
-        """
-        self._array.clear_dirty()
-        self.clear_dirty_counters()
-
-    def dirty_info(self) -> dict[str, int]:
-        """Pending un-persisted state: mutated 64-bit words and counters."""
+    def dirty_info(self, since: int) -> dict[str, int]:
+        """State changed after cursor ``since``: 64-bit words and counters."""
         return {
-            "dirty_words": self._array.dirty_word_count,
-            "dirty_counters": len(self._dirty_counters),
-        }
-
-    def clear_epoch_dirty(self) -> None:
-        """Mark the epoch channel clean (a publish delta was just taken).
-
-        Independent of :meth:`clear_dirty`: the journal and the serving
-        daemon's incremental publishes each consume their own channel.
-        """
-        self._array.clear_epoch_dirty()
-        self.clear_epoch_dirty_counters()
-
-    def epoch_dirty_info(self) -> dict[str, int]:
-        """State mutated since the last epoch publish: words and counters."""
-        return {
-            "dirty_words": self._array.epoch_dirty_word_count,
-            "dirty_counters": len(self._epoch_dirty_counters),
+            "dirty_words": int(self._array.dirty_words(since).size),
+            "dirty_counters": len(self.changed_users(since)),
         }
 
     # -- accounting ------------------------------------------------------------------------------

@@ -15,11 +15,19 @@ Two storage primitives shared by the sketches:
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+
+#: The process-wide change clock.  Every mutation of a tracked array or
+#: counter takes a fresh stamp, and a consumer that wants "everything changed
+#: after now" takes one as its cursor.  ``itertools.count`` advances
+#: atomically under the GIL, so stamps are unique and monotone across threads
+#: and comparable across every array and sketch in the process.
+next_stamp = itertools.count(1).__next__
 
 
 class PackedBitArray:
@@ -42,11 +50,11 @@ class PackedBitArray:
     0.125
     """
 
-    __slots__ = ("_bits", "_ones", "_version", "_dirty_words", "_epoch_dirty")
+    __slots__ = ("_bits", "_ones", "_version", "_stamps", "_floor", "_latest")
 
-    #: Bits per dirty-tracking word.  Matches the ``uint64`` lanes of the
-    #: packed representation, so one dirty word maps to exactly 8 bytes of
-    #: :meth:`to_packed_bytes` output — the unit a delta checkpoint ships.
+    #: Bits per change-tracking word.  Matches the ``uint64`` lanes of the
+    #: packed representation, so one changed word maps to exactly 8 bytes of
+    #: :meth:`to_packed_bytes` output — the unit a shard delta ships.
     WORD_BITS = 64
 
     def __init__(self, size: int) -> None:
@@ -55,15 +63,7 @@ class PackedBitArray:
         self._bits = np.zeros(size, dtype=np.uint8)
         self._ones = 0
         self._version = 0
-        # Two independent dirty-word channels ride the same mutation paths:
-        # ``_dirty_words`` feeds persistence (journal delta checkpoints) and
-        # ``_epoch_dirty`` feeds incremental epoch publishing in the serving
-        # daemon.  Each consumer clears only its own channel, so a journal
-        # checkpoint never shrinks the next epoch delta and vice versa.
-        # ``None`` means clean — the bitmaps are allocated on first mutation,
-        # so frozen copy-on-write views carry no bitmap memory at all.
-        self._dirty_words = None
-        self._epoch_dirty = None
+        self._reset_stamps(0)
 
     @classmethod
     def from_byte_buffer(cls, bits: np.ndarray, *, ones_count: int | None = None) -> "PackedBitArray":
@@ -83,21 +83,34 @@ class PackedBitArray:
         array._bits = bits
         array._ones = int(bits.sum(dtype=np.int64)) if ones_count is None else int(ones_count)
         array._version = 0
-        array._dirty_words = None
-        array._epoch_dirty = None
+        array._reset_stamps(0)
         return array
 
-    def _mark_words_dirty(self, words) -> None:
-        if self._dirty_words is None:
-            self._dirty_words = np.zeros(self.num_words, dtype=bool)
-        self._dirty_words[words] = True
-        if self._epoch_dirty is None:
-            self._epoch_dirty = np.zeros(self.num_words, dtype=bool)
-        self._epoch_dirty[words] = True
+    # -- change tracking ---------------------------------------------------------
+    #
+    # One generation stamp per 64-bit word records when the word last changed
+    # (stamps come from :func:`next_stamp`).  Each consumer of changes — the
+    # journal, the epoch publisher, a pool worker — keeps its own cursor and
+    # asks for the words stamped after it, so no consumer ever clears state
+    # another one still needs.  ``_floor`` is the stamp of the last wholesale
+    # change (0 for a fresh array, the reset stamp after :meth:`clear` /
+    # :meth:`load_packed_bytes`); a word whose entry is 0 last changed then.
+    # The per-word array is allocated zeroed on the first partial mutation,
+    # so read-only and frozen arrays carry no stamp memory and untouched
+    # pages stay unmapped.  ``_latest`` is the newest stamp anywhere, which
+    # answers "nothing changed since the cursor" without a scan.
 
-    def _mark_all_dirty(self) -> None:
-        self._dirty_words = np.ones(self.num_words, dtype=bool)
-        self._epoch_dirty = np.ones(self.num_words, dtype=bool)
+    def _reset_stamps(self, stamp: int) -> None:
+        self._stamps = None
+        self._floor = stamp
+        self._latest = stamp
+
+    def _stamp_words(self, words) -> None:
+        if self._stamps is None:
+            self._stamps = np.zeros(self.num_words, dtype=np.int64)
+        stamp = next_stamp()
+        self._stamps[words] = stamp
+        self._latest = stamp
 
     def __len__(self) -> int:
         return int(self._bits.shape[0])
@@ -135,54 +148,19 @@ class PackedBitArray:
         """Number of 64-bit words covering the array (``ceil(size / 64)``)."""
         return (len(self._bits) + self.WORD_BITS - 1) // self.WORD_BITS
 
-    @property
-    def dirty_word_count(self) -> int:
-        """Number of words mutated since the last :meth:`clear_dirty`."""
-        if self._dirty_words is None:
-            return 0
-        return int(np.count_nonzero(self._dirty_words))
+    def dirty_words(self, since: int) -> np.ndarray:
+        """Sorted indices of the words changed after cursor ``since``.
 
-    def dirty_words(self) -> np.ndarray:
-        """Sorted indices of the words mutated since the last :meth:`clear_dirty`.
-
-        Together with :meth:`packed_words` this is the write set a delta
-        checkpoint records instead of rewriting the whole array; the bitmap
-        piggybacks on the same mutation paths that bump :attr:`version`.
+        Together with :meth:`packed_words` this is the write set a shard
+        delta ships instead of the whole array.  A word is listed when any
+        mutation touched it, even one that restored its old bits (a superset
+        of the words whose bits differ), never less.
         """
-        if self._dirty_words is None:
+        if self._latest <= since:
             return np.empty(0, dtype=np.int64)
-        return np.flatnonzero(self._dirty_words).astype(np.int64)
-
-    def clear_dirty(self) -> None:
-        """Mark the persistence channel clean (called after state is persisted).
-
-        Leaves the epoch channel untouched: a journal checkpoint between two
-        epoch publishes must not shrink the next publish's delta.
-        """
-        self._dirty_words = None
-
-    @property
-    def epoch_dirty_word_count(self) -> int:
-        """Number of words mutated since the last :meth:`clear_epoch_dirty`."""
-        if self._epoch_dirty is None:
-            return 0
-        return int(np.count_nonzero(self._epoch_dirty))
-
-    def epoch_dirty_words(self) -> np.ndarray:
-        """Sorted indices of words mutated since the last :meth:`clear_epoch_dirty`.
-
-        This is the serving daemon's publish delta: the words a copy-on-write
-        epoch overlay must patch.  It is tracked independently of
-        :meth:`dirty_words` so journal checkpoints and epoch publishes can
-        each clear their own channel without starving the other.
-        """
-        if self._epoch_dirty is None:
-            return np.empty(0, dtype=np.int64)
-        return np.flatnonzero(self._epoch_dirty).astype(np.int64)
-
-    def clear_epoch_dirty(self) -> None:
-        """Mark the epoch channel clean (called after a delta is published)."""
-        self._epoch_dirty = None
+        if self._stamps is None or since < self._floor:
+            return np.arange(self.num_words, dtype=np.int64)
+        return np.flatnonzero(self._stamps > since)
 
     def packed_words(self, word_indices) -> bytes:
         """The packed bytes of the listed 64-bit words (8 bytes per word).
@@ -204,13 +182,14 @@ class PackedBitArray:
         bits = np.where(in_range, self._bits[np.minimum(positions, len(self._bits) - 1)], 0)
         return np.packbits(bits.astype(np.uint8), axis=1).tobytes()
 
-    def apply_packed_words(self, word_indices, data: bytes) -> None:
+    def apply_packed_words(self, word_indices, data: bytes, *, track: bool = True) -> None:
         """Overwrite the listed words from :meth:`packed_words` bytes.
 
         This is the delta-replay primitive: the popcount is re-derived from
         the before/after bits of the touched words, so ``beta`` stays exact,
-        and the words are marked dirty (replayed state has not itself been
-        persisted yet).
+        and the words are stamped as changed.  ``track=False`` skips the
+        stamps: frozen copy-on-write overlays are patched once and never read
+        for changes, so they must not allocate stamp memory.
         """
         words = np.asarray(word_indices, dtype=np.int64).ravel()
         if len(data) != words.size * 8:
@@ -241,7 +220,8 @@ class PackedBitArray:
         self._bits[flat_positions] = flat_fresh
         self._ones += int(flat_fresh.sum(dtype=np.int64)) - before
         self._version += 1
-        self._mark_words_dirty(words)
+        if track:
+            self._stamp_words(words)
 
     def set(self, index: int, value: int) -> None:
         """Set bit ``index`` to ``value`` (0 or 1), updating the popcount."""
@@ -251,7 +231,7 @@ class PackedBitArray:
             self._bits[index] = value
             self._ones += value - old
             self._version += 1
-            self._mark_words_dirty(index // self.WORD_BITS)
+            self._stamp_words(index // self.WORD_BITS)
 
     def flip(self, index: int) -> int:
         """Xor bit ``index`` with 1 and return its new value."""
@@ -259,7 +239,7 @@ class PackedBitArray:
         self._bits[index] = new
         self._ones += 1 if new else -1
         self._version += 1
-        self._mark_words_dirty(index // self.WORD_BITS)
+        self._stamp_words(index // self.WORD_BITS)
         return new
 
     def xor_value(self, index: int, value: int) -> int:
@@ -309,7 +289,7 @@ class PackedBitArray:
         self._version += 1
         # Fancy-index assignment tolerates duplicate word indices, so no
         # dedup pass is needed on the per-batch hot path.
-        self._mark_words_dirty(odd // self.WORD_BITS)
+        self._stamp_words(odd // self.WORD_BITS)
         return int(odd.size)
 
     def to_list(self) -> list[int]:
@@ -321,7 +301,7 @@ class PackedBitArray:
         self._bits[:] = 0
         self._ones = 0
         self._version += 1
-        self._mark_all_dirty()
+        self._reset_stamps(next_stamp())
 
     def bits_buffer(self) -> np.ndarray:
         """The raw byte-per-bit backing store (no copy).
@@ -351,7 +331,7 @@ class PackedBitArray:
         self._bits = bits
         self._ones = int(bits.sum(dtype=np.int64))
         self._version += 1
-        self._mark_all_dirty()
+        self._reset_stamps(next_stamp())
 
     def memory_bits(self) -> int:
         """Memory this array accounts for under the paper's cost model (1 bit/position)."""

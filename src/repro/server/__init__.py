@@ -7,7 +7,7 @@ A long-running process built from three pieces:
 * :mod:`repro.server.epochs` — epoch-versioned immutable service snapshots
   (publish / pin / drain / retire), so reads stay consistent during ingest;
 * :mod:`repro.server.cow` — the copy-on-write epoch publisher: publishes
-  cost O(dirty words) against a shared mmap arena instead of O(state);
+  cost O(changed words) against a shared mmap arena instead of O(state);
 * :mod:`repro.server.daemon` / :mod:`repro.server.client` — the threaded
   request loop (``repro serve``) and the typed client
   (``repro query --connect``), answering bit-identically to the in-process
@@ -16,13 +16,12 @@ A long-running process built from three pieces:
 
 from repro.server.client import ServingClient
 from repro.server.cow import CowEpochPublisher
-from repro.server.daemon import EPOCH_MODES, ServingDaemon
+from repro.server.daemon import ServingDaemon
 from repro.server.epochs import Epoch, EpochManager
 from repro.server.protocol import DEFAULT_PORT, PROTOCOL_VERSION, REQUEST_OPS
 
 __all__ = [
     "DEFAULT_PORT",
-    "EPOCH_MODES",
     "PROTOCOL_VERSION",
     "REQUEST_OPS",
     "CowEpochPublisher",

@@ -1,9 +1,8 @@
 """Copy-on-write epoch state: incremental publishing for the serving daemon.
 
-PR 9's epoch publisher froze the writer with a full ``dumps_state`` →
-``from_state_bytes`` round trip — O(state) per publish, ~30ms at 2k bench
-users and growing linearly.  This module replaces that with a publish cost of
-O(dirty words):
+Freezing the writer with a whole-state ``dumps_state`` → ``from_state_bytes``
+round trip costs O(state) per publish (~30ms at 2k bench users, growing
+linearly).  This module publishes at O(changed words) instead:
 
 * **Arena** — at daemon start the writer's byte-per-bit shard buffers are
   written once to file-backed arenas (:class:`_ShardArena`).  The files are
@@ -13,11 +12,12 @@ O(dirty words):
   and patching N words touches only the pages holding those words (the
   kernel copies pages lazily on write).
 * **Patch** — every publish takes the writer's
-  :meth:`~repro.service.service.SimilarityService.freeze_delta` (the same
-  ``packed_words`` / ``apply_packed_words`` wire shape the journal uses),
-  folds it into the arena's cumulative patch, and applies the cumulative
-  patch to a fresh overlay.  Shards untouched since the previous publish are
-  carried over by reference — no new mapping, no new sketch object.
+  :meth:`~repro.service.service.SimilarityService.freeze_delta` since the
+  publisher's cursor (the shard deltas of :mod:`repro.service.delta`, the
+  record the journal ships too), folds it into the arena's cumulative patch,
+  and applies the cumulative patch to a fresh overlay.  Shards untouched
+  since the previous publish are carried over by reference — no new
+  mapping, no new sketch object.
 * **Rebase** — when a shard's cumulative patch approaches the arena size the
   arena is rewritten from the current overlay (amortized O(state), so the
   steady-state publish stays O(delta)).
@@ -27,8 +27,8 @@ the before/after bits, the publisher verifies every patched shard's popcount
 and user count against the writer's values shipped in the delta, and the
 per-user counters are layered exactly (:class:`LayeredCounts`).  A
 copy-on-write epoch therefore answers ``top_k_pairs`` / ``nearest`` /
-``estimate_many`` bit-identically to a full-freeze epoch — asserted by the
-parity suite under both kernel tiers.
+``estimate_many`` bit-identically to a whole-state frozen copy — asserted by
+the parity suite under both kernel tiers.
 """
 
 from __future__ import annotations
@@ -46,7 +46,9 @@ from repro.core.bitarray import SharedBitArray
 from repro.core.vos import VirtualOddSketch
 from repro.exceptions import SnapshotError
 from repro.hashing import PackedBitArray
+from repro.hashing.bitpack import next_stamp
 from repro.obs import get_registry, kv
+from repro.service.delta import delta_mismatch
 from repro.service.service import SimilarityService
 from repro.service.sharding import ShardedVOS
 from repro.streams.edge import UserId
@@ -152,12 +154,13 @@ class _ShardArena:
 class CowEpochPublisher:
     """Build frozen epoch services from publish deltas instead of full state.
 
-    Owned by the serving daemon when ``epoch_mode="cow"``.  Lifecycle:
-    :meth:`materialize` once at start (O(state): writes the arenas and wraps
-    the first frozen views), then :meth:`publish_delta` per published ingest
-    (O(dirty words)), then :meth:`close` at drain.  All calls run under the
-    daemon's write lock; published services are immutable and outlive the
-    publisher's arenas (private mappings survive close/unlink).
+    Owned by the serving daemon.  Lifecycle: :meth:`materialize` once at
+    start (O(state): writes the arenas and wraps the first frozen views),
+    then :meth:`publish_delta` per published ingest (O(changed words)), then
+    :meth:`close` at drain.  :attr:`cursor` is the change cursor the next
+    ``freeze_delta`` reads from.  All calls run under the daemon's write
+    lock; published services are immutable and outlive the publisher's
+    arenas (private mappings survive close/unlink).
     """
 
     def __init__(
@@ -177,16 +180,18 @@ class CowEpochPublisher:
         self._publishes = 0
         self._rebases = 0
         self._closed = False
+        self.cursor = 0
 
     # -- lifecycle ---------------------------------------------------------------------
 
     def materialize(self) -> SimilarityService:
         """The first epoch: copy the writer's state into the shared arenas.
 
-        The one O(state) step of the copy-on-write lifecycle.  Also resets
-        the writer's epoch dirty channel, so the first :meth:`publish_delta`
-        ships exactly the mutations that landed after this snapshot.
+        The one O(state) step of the copy-on-write lifecycle.  Also takes the
+        publisher's cursor, so the first :meth:`publish_delta` ships exactly
+        the changes that landed after this copy.
         """
+        self.cursor = next_stamp()
         writer_sketch = self._writer.sketch
         shards: list[VirtualOddSketch] = []
         for shard_index, shard in enumerate(writer_sketch.row_shards()):
@@ -201,7 +206,6 @@ class CowEpochPublisher:
             self._arenas.append(arena)
             shards.append(self._frozen_shard(shard, arena, counts))
         self._current_shards = shards
-        self._writer.clear_epoch_dirty()
         service = self._assemble()
         # Adopt the writer's built index via an export/restore round trip:
         # restore_state deep-copies the mutable containers (user lists,
@@ -224,7 +228,8 @@ class CowEpochPublisher:
     ) -> SimilarityService:
         """Build the next frozen epoch from a ``freeze_delta`` payload.
 
-        Only shards the delta touches get a new overlay and a new sketch
+        The payload's ``cursor`` becomes this publisher's cursor.  Only
+        shards the delta touches get a new overlay and a new sketch
         view; every other shard of the new epoch *is* the previous epoch's
         shard object.  ``previous_service`` (the current epoch's) donates its
         LSH signature tables for untouched shards via
@@ -238,9 +243,7 @@ class CowEpochPublisher:
         stale_shards: list[int] = []
         for entry in delta["shards"]:
             index = entry["shard"]
-            words = np.asarray(entry["words"], dtype=np.int64)
-            if words.size == 0 and not entry["counter_users"]:
-                continue
+            words = entry["words"]
             arena = self._arenas[index]
             data = entry["word_data"]
             for offset, word in enumerate(words.tolist()):
@@ -249,16 +252,10 @@ class CowEpochPublisher:
                 arena.counter_patch[user] = count
             counts = LayeredCounts(arena.base_counts, dict(arena.counter_patch))
             frozen = self._frozen_shard(self._current_shards[index], arena, counts)
-            if frozen.shared_array.ones_count != entry["ones_count"]:
+            problem = delta_mismatch(frozen, entry)
+            if problem is not None:
                 raise SnapshotError(
-                    f"cow overlay leaves shard {index} with popcount "
-                    f"{frozen.shared_array.ones_count}, expected "
-                    f"{entry['ones_count']} — writer and arena diverged"
-                )
-            if len(counts) != entry["num_users"]:
-                raise SnapshotError(
-                    f"cow overlay leaves shard {index} with {len(counts)} "
-                    f"users, expected {entry['num_users']}"
+                    f"cow overlay {problem} — writer and arena diverged"
                 )
             self._current_shards[index] = frozen
             if words.size:
@@ -267,6 +264,7 @@ class CowEpochPublisher:
         service = self._assemble(
             elements=delta["elements_ingested"], batches=delta["batches_ingested"]
         )
+        self.cursor = delta["cursor"]
         self._publishes += 1
         self._carry_index(
             service, stale_shards, previous_service, previous_index_lock
@@ -305,14 +303,13 @@ class CowEpochPublisher:
         )
         if arena.word_patch:
             words = sorted(arena.word_patch)
+            # Untracked: frozen views are never read for changes, so they
+            # carry no stamp memory.
             bits.apply_packed_words(
                 np.asarray(words, dtype=np.int64),
                 b"".join(arena.word_patch[word] for word in words),
+                track=False,
             )
-            # Drop the dirty bitmaps the patch application allocated: frozen
-            # views are never persisted or re-published from.
-            bits.clear_dirty()
-            bits.clear_epoch_dirty()
         return VirtualOddSketch.cow_view(
             source, SharedBitArray.from_packed_bits(bits), counts
         )

@@ -7,9 +7,10 @@
   lock and may run the process ingest pool and checkpoint policy the service
   already has);
 * an :class:`~repro.server.epochs.EpochManager` of **frozen reader epochs** —
-  after every published ingest the writer's state is serialized with
-  :meth:`~repro.service.service.SimilarityService.dumps_state` and revived
-  into an immutable read copy, which is atomically swapped in as the next
+  after every published ingest the
+  :class:`~repro.server.cow.CowEpochPublisher` patches the words and counters
+  the writer changed since the previous publish onto a copy-on-write overlay,
+  and the resulting immutable read copy is atomically swapped in as the next
   epoch.  Readers pin whatever epoch is current when their request arrives,
   so a query never observes a half-applied batch and an epoch swap never
   tears, drops, or errors an in-flight request.
@@ -37,7 +38,6 @@ shutdown checkpoint counter — all in the process registry
 from __future__ import annotations
 
 import logging
-import os
 import socket
 import threading
 import time
@@ -55,9 +55,6 @@ logger = logging.getLogger(__name__)
 
 #: How often blocking accept/recv waits wake up to check the stop flag.
 _POLL_SECONDS = 0.2
-
-#: Valid epoch publishing modes (see :mod:`repro.server.cow`).
-EPOCH_MODES = ("cow", "full")
 
 #: How many recent publishes :attr:`ServingDaemon.publish_log` retains.
 _PUBLISH_LOG_SIZE = 4096
@@ -79,12 +76,6 @@ class ServingDaemon:
     backlog:
         Maximum live connections (and listen backlog); beyond it new
         connections are shed at accept instead of queueing indefinitely.
-    epoch_mode:
-        How publishes build the next epoch: ``"cow"`` (default) copies only
-        the words the batch dirtied onto a shared mmap arena
-        (:class:`~repro.server.cow.CowEpochPublisher`), ``"full"`` serializes
-        and revives the whole writer state.  ``None`` reads the
-        ``REPRO_EPOCH_MODE`` environment variable, falling back to ``"cow"``.
     """
 
     def __init__(
@@ -95,20 +86,12 @@ class ServingDaemon:
         port: int = 0,
         workers: int = 4,
         backlog: int = 64,
-        epoch_mode: str | None = None,
     ) -> None:
         if workers <= 0:
             raise ConfigurationError(f"workers must be positive, got {workers}")
-        if epoch_mode is None:
-            epoch_mode = os.environ.get("REPRO_EPOCH_MODE", "cow").strip().lower()
-        if epoch_mode not in EPOCH_MODES:
-            raise ConfigurationError(
-                f"epoch_mode must be one of {EPOCH_MODES}, got {epoch_mode!r}"
-            )
-        self._epoch_mode = epoch_mode
         self._publisher: CowEpochPublisher | None = None
-        #: Recent publish records ``{"epoch", "mode", "seconds", "delta_words"}``
-        #: — bounded; read by benchmarks to split latency by publish mode.
+        #: Recent publish records ``{"epoch", "seconds", "delta_words"}`` —
+        #: bounded; read by benchmarks for per-publish build latency.
         self.publish_log: deque[dict] = deque(maxlen=_PUBLISH_LOG_SIZE)
         self._writer = service
         self._host = host
@@ -168,21 +151,12 @@ class ServingDaemon:
         """What the shutdown checkpoint wrote (``None`` before drain)."""
         return self._final_checkpoint
 
-    @property
-    def epoch_mode(self) -> str:
-        """How this daemon builds epochs: ``"cow"`` or ``"full"``."""
-        return self._epoch_mode
-
     def start(self) -> tuple[str, int]:
         """Publish epoch 1, bind the listener, start threads; returns address."""
         if self._started:
             return self.address
-        if self._epoch_mode == "cow":
-            self._publisher = CowEpochPublisher(self._writer)
-            self._epochs = EpochManager(self._publisher.materialize())
-        else:
-            self._epochs = EpochManager(self._freeze())
-            self._writer.clear_epoch_dirty()
+        self._publisher = CowEpochPublisher(self._writer)
+        self._epochs = EpochManager(self._publisher.materialize())
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self._host, self._port))
@@ -285,58 +259,34 @@ class ServingDaemon:
 
     # -- epoch publishing ------------------------------------------------------------
 
-    def _freeze(self) -> SimilarityService:
-        """A frozen, immutable read copy of the writer's current state."""
-        registry = get_registry()
-        state = self._writer.dumps_state()
-        frozen = SimilarityService.from_state_bytes(
-            state,
-            index_config=self._writer.index_config,
-            elements_ingested=self._writer.elements_ingested,
-        )
-        if registry.enabled:
-            registry.set_gauge("server.epoch.state_bytes", len(state), unit="bytes")
-        return frozen
-
     def _publish_epoch(self) -> tuple[int, str]:
         """Publish the writer's state as a new epoch (caller holds the write lock).
 
-        Returns ``(epoch_id, publish_mode)``.  When the batch left zero dirty
-        words *and* zero dirty counters the publish is a no-op: readers keep
-        the current epoch, nothing is serialized or copied, and only the
+        Returns ``(epoch_id, publish_mode)``.  When no word and no counter
+        changed since the previous publish the publish is a no-op: readers
+        keep the current epoch, nothing is copied, and only the
         ``server.epoch.noop`` counter moves.
         """
-        info = self._writer.epoch_dirty_info()
-        delta_words = info["dirty_words"]
-        if delta_words == 0 and info["dirty_counters"] == 0:
-            return self.epochs.note_noop(), "noop"
         registry = get_registry()
         started = time.perf_counter()
-        if self._publisher is not None:
-            current = self.epochs.current
-            frozen = self._publisher.publish_delta(
-                self._writer.freeze_delta(),
-                previous_service=current.service,
-                previous_index_lock=current.index_lock,
-            )
-            mode = "cow"
-        else:
-            frozen = self._freeze()
-            self._writer.clear_epoch_dirty()
-            mode = "full"
-        epoch = self.epochs.publish(frozen, mode=mode, delta_words=delta_words)
+        delta = self._writer.freeze_delta(self._publisher.cursor)
+        if not delta["shards"]:
+            return self.epochs.note_noop(), "noop"
+        delta_words = sum(len(entry["words"]) for entry in delta["shards"])
+        current = self.epochs.current
+        frozen = self._publisher.publish_delta(
+            delta,
+            previous_service=current.service,
+            previous_index_lock=current.index_lock,
+        )
+        epoch = self.epochs.publish(frozen, delta_words=delta_words)
         seconds = time.perf_counter() - started
         if registry.enabled:
             registry.observe("server.epoch.publish", seconds)
         self.publish_log.append(
-            {
-                "epoch": epoch,
-                "mode": mode,
-                "seconds": seconds,
-                "delta_words": delta_words,
-            }
+            {"epoch": epoch, "seconds": seconds, "delta_words": delta_words}
         )
-        return epoch, mode
+        return epoch, "cow"
 
     # -- connection handling ---------------------------------------------------------
 
@@ -597,18 +547,15 @@ class ServingDaemon:
         """The ``server`` section of ``stats`` responses."""
         with self._inflight_lock:
             inflight = self._inflight
-        stats = {
+        return {
             "version": __version__,
             "address": list(self.address),
             "workers": self._workers,
             "inflight": inflight,
             "connections": len(self._conn_threads),
-            "publish_mode": self._epoch_mode,
             "epochs": self.epochs.stats(),
+            "cow": self._publisher.stats(),
         }
-        if self._publisher is not None:
-            stats["cow"] = self._publisher.stats()
-        return stats
 
 
 def _error_response(error: Exception) -> dict:

@@ -1,7 +1,7 @@
 """The similarity *service* layer: batch ingest, sharding, snapshots, serving.
 
 The core package proves the paper's sketch; this package turns it into a
-system component.  Four pieces compose:
+system component.  These pieces compose:
 
 * :mod:`repro.service.batching` — fixed-size batch assembly and timed batch
   ingest through the sketches' ``process_batch`` fast path;
@@ -11,9 +11,12 @@ system component.  Four pieces compose:
   sketch state with a bit-exact round-trip guarantee, atomic writes, and a
   pluggable extra-section registry (the banding index persists its signature
   tables through it);
+* :mod:`repro.service.delta` — the shard delta, the one record of what a
+  shard changed after a consumer's cursor (journal checkpoints, epoch
+  publishes and the process pool's merge-back all ship it);
 * :mod:`repro.service.journal` — the write-ahead shard journal: CRC-framed
-  delta records (dirty array words, counter updates, index signature appends)
-  between full checkpoints, replayed on load;
+  shard deltas (plus index signature appends) between full checkpoints,
+  replayed on load;
 * :mod:`repro.service.service` — :class:`SimilarityService`, the facade that
   owns a sharded sketch and exposes ``ingest`` / ``estimate`` / ``top_k`` plus
   full/delta checkpointing and journal compaction under a

@@ -132,10 +132,11 @@ def ingest_stream(
     With ``workers > 1`` and a :class:`ShardedVOS` of more than one shard,
     batches go to a :class:`~repro.service.procpool.ProcessShardIngestor`:
     worker processes owning contiguous shard ranges, fed routed sub-batches
-    over shared memory.  Shard state is shipped out and the dirty deltas
-    merged back, so the caller's sketch — including its dirty tracking — ends
-    up bit-identical to serial ingest.  Every other call ingests serially on
-    the caller's thread; :attr:`IngestReport.mode` records what ran.
+    over shared memory.  Shard state is shipped out and the shard deltas
+    merged back, so the caller's sketch ends up bit-identical to serial
+    ingest, with every changed word and counter stamped for its consumers.
+    Every other call ingests serially on the caller's thread;
+    :attr:`IngestReport.mode` records what ran.
     """
     if workers <= 0:
         raise ConfigurationError(f"workers must be positive, got {workers}")

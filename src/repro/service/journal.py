@@ -1,12 +1,12 @@
 """Write-ahead shard journal: CRC-framed delta records between full checkpoints.
 
 A full snapshot rewrites every shard's whole bit array; between full
-checkpoints the journal appends only what changed — per shard, the mutated
-64-bit array words (from the dirty-word bitmap the arrays maintain), the
-changed cardinality counters, and optionally freshly appended LSH index
-signature rows.  Restart cost becomes ``O(snapshot) + O(changes)`` instead of
-``O(snapshot)`` per checkpoint interval, and checkpoint cost becomes
-``O(changes)``.
+checkpoints the journal appends only what changed — per shard, one shard
+delta (:mod:`repro.service.delta`: the 64-bit array words and cardinality
+counters changed after the journal's cursor), and optionally freshly
+appended LSH index signature rows.  Restart cost becomes ``O(snapshot) +
+O(changes)`` instead of ``O(snapshot)`` per checkpoint interval, and
+checkpoint cost becomes ``O(changes)``.
 
 File layout (little-endian)::
 
@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.exceptions import SnapshotError
 from repro.obs import get_registry, kv, timed
+from repro.service.delta import apply_shard_delta
 from repro.service.snapshot import (
     atomic_write_bytes,
     decode_id_column,
@@ -97,24 +98,23 @@ class JournalConfig:
 
 @dataclass(frozen=True)
 class DeltaRecord:
-    """One decoded journal record: everything one shard changed since the last."""
+    """One decoded journal record: a shard delta plus its journal framing."""
 
     seq: int
-    shard: int
     shard_seq: int
-    word_indices: np.ndarray
-    word_data: bytes
-    counter_users: list
-    counter_counts: np.ndarray
-    ones_count: int
-    num_users: int
+    #: The shard delta (:mod:`repro.service.delta` record shape).
+    delta: dict
     index_users: list | None = None
     index_signatures: np.ndarray | None = None
     index_valid: np.ndarray | None = None
 
     @property
+    def shard(self) -> int:
+        return self.delta["shard"]
+
+    @property
     def has_words(self) -> bool:
-        return self.word_indices.size > 0
+        return len(self.delta["words"]) > 0
 
 
 @dataclass
@@ -197,16 +197,29 @@ def _decode_record(body: bytes, frame_index: int) -> DeltaRecord:
         raise corrupt("incomplete record header")
     try:
         header = json.loads(header_bytes.decode("utf-8"))
-        seq = header["seq"]
-        shard = header["shard"]
-        shard_seq = header["shard_seq"]
-        words = header["words"]
-        counters = header["counters"]
-        counter_users_bytes = header["counter_users_bytes"]
-        ones_count = header["ones_count"]
-        num_users = header["num_users"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise corrupt(repr(error)) from error
+    if not isinstance(header, dict):
+        raise corrupt("record header is not a JSON object")
+
+    def count(name: str, default: int | None = None) -> int:
+        if default is None and name not in header:
+            raise corrupt(f"record header lacks {name!r}")
+        value = header.get(name, default)
+        # ``type`` rather than ``isinstance``: JSON ``true`` is a bool, which
+        # is an int subclass and must not pass as shard 1.
+        if type(value) is not int or value < 0:
+            raise corrupt(f"record header field {name!r} is {value!r}, not a count")
+        return value
+
+    seq = count("seq")
+    shard = count("shard")
+    shard_seq = count("shard_seq")
+    words = count("words")
+    counters = count("counters")
+    counter_users_bytes = count("counter_users_bytes")
+    ones_count = count("ones_count")
+    num_users = count("num_users")
     offset = _U32.size + header_length
 
     def take(length: int, what: str) -> bytes:
@@ -229,13 +242,13 @@ def _decode_record(body: bytes, frame_index: int) -> DeltaRecord:
         )
         counter_counts = np.frombuffer(
             take(counters * 8, "counter values"), dtype="<i8"
-        ).astype(np.int64)
+        ).tolist()
         index_users = index_signatures = index_valid = None
-        index_rows = header.get("index_rows", 0)
+        index_rows = count("index_rows", 0)
         if index_rows:
-            columns = header["index_columns"]
+            columns = count("index_columns")
             index_users = decode_id_column(
-                take(header["index_users_bytes"], "index users"),
+                take(count("index_users_bytes"), "index users"),
                 header.get("index_users_encoding"),
                 index_rows,
             )
@@ -261,14 +274,16 @@ def _decode_record(body: bytes, frame_index: int) -> DeltaRecord:
         raise corrupt("payload holds trailing bytes its header does not describe")
     return DeltaRecord(
         seq=seq,
-        shard=shard,
         shard_seq=shard_seq,
-        word_indices=word_indices,
-        word_data=word_data,
-        counter_users=counter_users,
-        counter_counts=counter_counts,
-        ones_count=ones_count,
-        num_users=num_users,
+        delta={
+            "shard": shard,
+            "words": word_indices,
+            "word_data": word_data,
+            "counter_users": counter_users,
+            "counter_counts": counter_counts,
+            "ones_count": ones_count,
+            "num_users": num_users,
+        },
         index_users=index_users,
         index_signatures=index_signatures,
         index_valid=index_valid,
@@ -408,24 +423,15 @@ def replay_journal(
                     f"journal record {record.seq} names shard {record.shard}, "
                     f"but the snapshot holds {len(shards)} shard(s)"
                 )
-            shard = shards[record.shard]
             if record.has_words:
-                shard.shared_array.apply_packed_words(record.word_indices, record.word_data)
-                replay.words_applied += int(record.word_indices.size)
+                replay.words_applied += len(record.delta["words"])
                 replay.shards_touched.add(record.shard)
-            for user, count in zip(record.counter_users, record.counter_counts.tolist()):
-                shard._cardinalities[user] = count
-            replay.counters_applied += len(record.counter_users)
-            if shard.shared_array.ones_count != record.ones_count:
+            replay.counters_applied += len(record.delta["counter_users"])
+            problem = apply_shard_delta(shards[record.shard], record.delta)
+            if problem is not None:
                 raise SnapshotError(
-                    f"journal record {record.seq} leaves shard {record.shard} with "
-                    f"popcount {shard.shared_array.ones_count}, expected "
-                    f"{record.ones_count} — the journal does not match this snapshot"
-                )
-            if len(shard._cardinalities) != record.num_users:
-                raise SnapshotError(
-                    f"journal record {record.seq} leaves shard {record.shard} with "
-                    f"{len(shard._cardinalities)} users, expected {record.num_users}"
+                    f"journal record {record.seq} {problem} — the journal "
+                    "does not match this snapshot"
                 )
             if record.index_users is not None:
                 replay.index_appends.setdefault(record.shard, []).append(record)
@@ -437,14 +443,10 @@ def replay_journal(
                         seq=record.seq,
                         shard=record.shard,
                         shard_seq=record.shard_seq,
-                        words=int(record.word_indices.size),
-                        counters=len(record.counter_users),
+                        words=len(record.delta["words"]),
+                        counters=len(record.delta["counter_users"]),
                     ),
                 )
-        # Replayed state equals the journal's durable record, so the sketch is
-        # clean with respect to (snapshot + journal).
-        for shard in shards:
-            shard.clear_dirty()
     if registry.enabled:
         registry.inc("persistence.replay.records", replay.records, unit="records")
         if span.seconds > 0.0:
@@ -492,8 +494,8 @@ def journal_info(path: str | Path) -> dict:
         "checkpoint_id": contents.checkpoint_id,
         "records": len(contents.records),
         "shards": shards,
-        "words": sum(int(r.word_indices.size) for r in contents.records),
-        "counters": sum(len(r.counter_users) for r in contents.records),
+        "words": sum(len(r.delta["words"]) for r in contents.records),
+        "counters": sum(len(r.delta["counter_users"]) for r in contents.records),
         "truncated_tail": contents.truncated_tail,
     }
 

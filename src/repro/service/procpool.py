@@ -10,8 +10,8 @@ The protocol, end to end:
 
 * **startup** — every owned shard is serialized with
   :func:`~repro.service.snapshot.dumps_snapshot` and restored inside the
-  worker via ``loads_snapshot`` (restore clears dirty tracking, so the worker
-  starts with a clean delta baseline);
+  worker via ``loads_snapshot``; the worker then takes a change cursor, so
+  its delta holds exactly what it ingested;
 * **transport** — the coordinator routes each submitted batch once
   (:meth:`ShardedVOS.split_by_owner`, the same vectorized hash serial ingest
   uses) and writes each worker's sub-batch into a slot of that worker's
@@ -25,13 +25,14 @@ The protocol, end to end:
 * **ordering** — shard ownership is exclusive and each worker drains its own
   queue FIFO, so every shard sees its sub-batches in submission order: final
   state is **bit-identical** to serial ingest;
-* **merge-back** — at :meth:`close` each worker ships a *dirty delta* per
-  owned shard (changed 64-bit array words, changed cardinality counters, and
-  the shard's final popcount/user-count as consistency checks — the same
-  shape as a journal record).  The coordinator applies it with
-  ``apply_packed_words`` and re-marks the touched state dirty, so the live
-  sketch's dirty tracking (and therefore ``save_delta`` journaling) behaves
-  exactly as if the coordinator had ingested serially;
+* **merge-back** — at :meth:`close` each worker ships one shard delta per
+  changed shard (:mod:`repro.service.delta`: changed 64-bit array words,
+  changed cardinality counters, and the shard's final popcount/user-count as
+  consistency checks — the record journal replay applies too).  The
+  coordinator applies it with :func:`~repro.service.delta.apply_shard_delta`,
+  which stamps the touched words and counters as changed, so the live
+  sketch's consumers (``save_delta`` journaling, epoch publishes) see the
+  run exactly as if the coordinator had ingested serially;
 * **failure relay** — a worker exception is pickled together with its
   formatted traceback and re-raised in the coordinator (chained to a
   :class:`~repro.exceptions.WorkerProcessError` carrying the remote
@@ -59,11 +60,12 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.exceptions import ConfigurationError, WorkerProcessError
+from repro.hashing.bitpack import next_stamp
 from repro.obs import MetricsRegistry, get_registry, set_registry, trace
+from repro.service.delta import apply_shard_delta, shard_delta
 from repro.service.sharding import ShardedVOS
 from repro.service.snapshot import loads_snapshot, shard_snapshots
 from repro.streams.batch import ElementBatch
-from repro.streams.edge import user_sort_key
 
 #: Bound on each worker's task queue (messages, i.e. sub-batches in flight).
 _QUEUE_DEPTH = 8
@@ -113,22 +115,6 @@ def _slot_views(
     return users, items, shard_ids, signs
 
 
-def _shard_delta(shard) -> dict | None:
-    """One shard's dirty delta (journal-record shape) or ``None`` if clean."""
-    words = shard.shared_array.dirty_words()
-    dirty_users = sorted(shard.dirty_counter_users(), key=user_sort_key)
-    if words.size == 0 and not dirty_users:
-        return None
-    return {
-        "word_indices": words.astype("<i8").tobytes(),
-        "word_data": shard.shared_array.packed_words(words),
-        "counter_users": dirty_users,
-        "counter_counts": [shard._cardinalities.get(user, 0) for user in dirty_users],
-        "ones_count": shard.shared_array.ones_count,
-        "num_users": len(shard._cardinalities),
-    }
-
-
 def _process_sub_batch(shards: dict, batch: ElementBatch, shard_ids: np.ndarray) -> None:
     """Apply one routed sub-batch: per-shard selects, submission order kept."""
     for shard_index in np.unique(shard_ids).tolist():
@@ -148,6 +134,7 @@ def _worker_main(
     """Worker process entry point: restore owned shards, drain, ship deltas."""
     registry = set_registry(MetricsRegistry(enabled=metrics_enabled))
     shards = {index: loads_snapshot(blob) for index, blob in shard_blobs}
+    cursor = next_stamp()
     shm = _attach_shm(shm_name)
     failed = False
     try:
@@ -191,7 +178,7 @@ def _worker_main(
         if not failed:
             deltas = {}
             for index, shard in shards.items():
-                delta = _shard_delta(shard)
+                delta = shard_delta(shard, index, cursor)
                 if delta is not None:
                     deltas[index] = delta
             counters = registry.snapshot()["counters"]
@@ -484,37 +471,15 @@ class ProcessShardIngestor:
     # -- merge-back ------------------------------------------------------------------
 
     def _merge_worker(self, worker: int, deltas: dict, counters: dict) -> None:
-        """Fold one worker's dirty deltas and metric counters into the sketch."""
+        """Fold one worker's shard deltas and metric counters into the sketch."""
         if self._failure is not None:
             return  # poisoned run: never merge partial state
         for shard_index, delta in sorted(deltas.items()):
-            shard = self._sketch.shards[shard_index]
-            word_indices = np.frombuffer(
-                delta["word_indices"], dtype="<i8"
-            ).astype(np.int64)
-            if word_indices.size:
-                shard.shared_array.apply_packed_words(
-                    word_indices, delta["word_data"]
-                )
-            for user, card in zip(delta["counter_users"], delta["counter_counts"]):
-                shard._cardinalities[user] = card
-                shard._dirty_counters.add(user)
-                # apply_packed_words above marks the word epoch channel; the
-                # counter epoch channel needs the same explicit marking so a
-                # serving daemon over process-pool ingest publishes exact
-                # deltas.
-                shard._epoch_dirty_counters.add(user)
-            if shard.shared_array.ones_count != delta["ones_count"]:
+            problem = apply_shard_delta(self._sketch.shards[shard_index], delta)
+            if problem is not None:
                 raise WorkerProcessError(
-                    f"worker {worker} delta leaves shard {shard_index} with "
-                    f"popcount {shard.shared_array.ones_count}, expected "
-                    f"{delta['ones_count']} — coordinator and worker state diverged"
-                )
-            if len(shard._cardinalities) != delta["num_users"]:
-                raise WorkerProcessError(
-                    f"worker {worker} delta leaves shard {shard_index} with "
-                    f"{len(shard._cardinalities)} users, expected "
-                    f"{delta['num_users']}"
+                    f"worker {worker} delta {problem} — coordinator and "
+                    "worker state diverged"
                 )
         registry = get_registry()
         if registry.enabled:

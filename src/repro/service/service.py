@@ -28,6 +28,7 @@ from repro.baselines.base import PairEstimate
 from repro.core.memory import MemoryBudget
 from repro.core.vos import VirtualOddSketch
 from repro.exceptions import ConfigurationError, SnapshotError
+from repro.hashing.bitpack import next_stamp
 from repro.index import (
     INDEX_SNAPSHOT_SECTION,
     BandedSketchIndex,
@@ -38,6 +39,7 @@ from repro.index import (
 from repro.kernels import kernel_info
 from repro.obs import get_registry, kv, timed
 from repro.service.batching import DEFAULT_BATCH_SIZE, IngestReport, ingest_stream
+from repro.service.delta import shard_delta
 from repro.service.journal import (
     JournalConfig,
     JournalWriter,
@@ -61,7 +63,7 @@ from repro.similarity.search import (
     top_k_similar_pairs,
 )
 from repro.streams.batch import ElementBatch
-from repro.streams.edge import StreamElement, UserId, user_sort_key
+from repro.streams.edge import StreamElement, UserId
 
 # The service layer owns both the snapshot registry and its subsystems, so it
 # performs the section wiring: the banding index persists its signature
@@ -210,6 +212,10 @@ class SimilarityService:
         # appending to it would record deltas against the wrong base, so
         # delta checkpoints are refused until a full save rotates it.
         self._unreplayed_journal = False
+        # The journal's change cursor: snapshot + journal hold every change
+        # stamped at or before it.  A loaded service is built after its
+        # journal replay, so its state starts out persisted.
+        self._journal_cursor = next_stamp()
         self._elements_since_checkpoint = 0
         self._deltas_written = 0
         self._compactions = 0
@@ -414,7 +420,7 @@ class SimilarityService:
             "deltas_written": self._deltas_written,
             "compactions": self._compactions,
             "journal_bytes": self._journal_size_bytes(),
-            "dirty": sketch.dirty_info(),
+            "dirty": sketch.dirty_info(self._journal_cursor),
         }
         # Which kernel tier (native C popcount vs NumPy fallback) is scoring
         # pairs and hashing bands, plus probe/compile status (see README
@@ -428,8 +434,8 @@ class SimilarityService:
     # -- persistence -----------------------------------------------------------------
     #
     # Full checkpoints rewrite everything (snapshot v2, atomically) and rotate
-    # the journal; delta checkpoints append each shard's dirty words and
-    # counters to the journal; compaction folds the journal back into a fresh
+    # the journal; delta checkpoints append each shard's delta since the
+    # journal cursor; compaction folds the journal back into a fresh
     # full checkpoint.  ``load`` replays any journal bound to the snapshot's
     # checkpoint id, and restores the persisted banding index so the first
     # query needs no O(users) rebuild.
@@ -461,6 +467,7 @@ class SimilarityService:
             include_index = self._index is not None and self._index.is_built
         if include_index:
             extras[INDEX_SNAPSHOT_SECTION] = self.index().export_state()
+        cursor = next_stamp()
         registry = get_registry()
         with timed("persistence.snapshot.save", registry) as span:
             checkpoint_id = save_snapshot(
@@ -484,7 +491,7 @@ class SimilarityService:
                 seconds=round(span.seconds, 6),
             ),
         )
-        self._sketch.clear_dirty()
+        self._journal_cursor = cursor
         self._snapshot_path = Path(path)
         self._journal_path = (
             Path(journal_path) if journal_path else default_journal_path(path)
@@ -500,7 +507,7 @@ class SimilarityService:
         return checkpoint_id
 
     def save_delta(self) -> dict:
-        """Append a delta checkpoint (dirty words + counters) to the journal.
+        """Append a delta checkpoint (changed words + counters) to the journal.
 
         Requires a bound snapshot (an earlier :meth:`save` or :meth:`load`).
         One CRC-framed record is appended per shard with pending changes; a
@@ -540,37 +547,37 @@ class SimilarityService:
         journal = self._journal
         records = 0
         bytes_written = 0
+        cursor = next_stamp()
         registry = get_registry()
         with timed("persistence.checkpoint.delta", registry) as span:
             for shard_index, shard in enumerate(self._sketch.row_shards()):
-                words = shard.shared_array.dirty_words()
-                dirty_users = sorted(shard.dirty_counter_users(), key=user_sort_key)
-                if words.size == 0 and not dirty_users:
+                delta = shard_delta(shard, shard_index, self._journal_cursor)
+                if delta is None:
                     continue
+                users = delta["counter_users"]
                 index_append = None
                 if (
-                    words.size == 0
-                    and dirty_users
+                    not len(delta["words"])
                     and self._index is not None
                     and self._index.is_built
                     and not journal.shard_words_changed(shard_index)
                 ):
-                    index_append = self._index.export_append(shard_index, dirty_users)
+                    index_append = self._index.export_append(shard_index, users)
                 bytes_written += journal.append_delta(
                     shard_index,
-                    words,
-                    shard.shared_array.packed_words(words),
-                    dirty_users,
-                    [shard._cardinalities.get(user, 0) for user in dirty_users],
-                    ones_count=shard.shared_array.ones_count,
-                    num_users=len(shard._cardinalities),
+                    delta["words"],
+                    delta["word_data"],
+                    users,
+                    delta["counter_counts"],
+                    ones_count=delta["ones_count"],
+                    num_users=delta["num_users"],
                     index_append=index_append,
                 )
-                shard.clear_dirty()
                 records += 1
             # Group commit: one fsync covers every record of this checkpoint
             # (no-op under the default fsync-per-record config).
             journal.sync()
+        self._journal_cursor = cursor
         self._elements_since_checkpoint = 0
         self._deltas_written += records
         if registry.enabled and records:
@@ -607,9 +614,9 @@ class SimilarityService:
 
         The in-memory counterpart of :meth:`save`: the same snapshot format,
         no file, no journal rotation, no change to the service's persistence
-        binding.  The serving daemon's epoch publisher uses it to freeze a
-        consistent copy of the writer's state for lock-free concurrent reads
-        (see :mod:`repro.server.epochs`).  ``include_index`` follows
+        binding.  With :meth:`from_state_bytes` it makes a whole-state frozen
+        copy: the reference the serving daemon's copy-on-write epochs are
+        checked and timed against.  ``include_index`` follows
         :meth:`save`'s semantics: ``None`` ships the banding index's
         signature tables whenever the index is already built.
         """
@@ -622,53 +629,26 @@ class SimilarityService:
             self._sketch, extras=extras or None, checkpoint_id=new_checkpoint_id()
         )
 
-    def epoch_dirty_info(self) -> dict[str, int]:
-        """State mutated since the last epoch publish (words and counters).
-
-        Non-destructive: the serving daemon reads this to short-circuit no-op
-        publishes before deciding whether to take a :meth:`freeze_delta`.
-        """
-        return self._sketch.epoch_dirty_info()
-
-    def clear_epoch_dirty(self) -> None:
-        """Mark the epoch channel clean (used by full-freeze publishes)."""
-        self._sketch.clear_epoch_dirty()
-
-    def freeze_delta(self) -> dict:
-        """Collect the publish delta: every shard's epoch-dirty words and counters.
+    def freeze_delta(self, since: int) -> dict:
+        """Collect an epoch publish delta: every shard changed after cursor ``since``.
 
         The incremental counterpart of :meth:`dumps_state` for the serving
         daemon's copy-on-write epoch publisher: instead of serializing O(state)
-        bytes, it ships only the 64-bit words and cardinality counters mutated
-        since the last publish, in the same ``packed_words`` wire shape the
-        journal uses, plus each shard's exact popcount and user count so the
-        publisher can verify the patched overlay against the writer.  Reading
-        the delta clears the *epoch* dirty channel only — the journal's
-        persistence channel is untouched, so interleaved ``save_delta`` calls
-        still ship everything they need.
+        bytes it ships one shard delta (:mod:`repro.service.delta`) per
+        changed shard, each with the shard's exact popcount and user count so
+        the publisher can verify its patched overlay against the writer.
+        ``cursor`` in the result is the publisher's next cursor.  Reading
+        changes clears nothing, so interleaved ``save_delta`` calls still ship
+        everything the journal needs.
         """
-        shards = []
-        for shard_index, shard in enumerate(self._sketch.row_shards()):
-            words = shard.shared_array.epoch_dirty_words()
-            dirty_users = sorted(
-                shard.epoch_dirty_counter_users(), key=user_sort_key
-            )
-            shards.append(
-                {
-                    "shard": shard_index,
-                    "words": words,
-                    "word_data": shard.shared_array.packed_words(words),
-                    "counter_users": dirty_users,
-                    "counter_counts": [
-                        shard._cardinalities.get(user, 0) for user in dirty_users
-                    ],
-                    "ones_count": shard.shared_array.ones_count,
-                    "num_users": len(shard._cardinalities),
-                }
-            )
-            shard.clear_epoch_dirty()
+        cursor = next_stamp()
+        shards = [
+            shard_delta(shard, shard_index, since)
+            for shard_index, shard in enumerate(self._sketch.row_shards())
+        ]
         return {
-            "shards": shards,
+            "shards": [delta for delta in shards if delta is not None],
+            "cursor": cursor,
             "elements_ingested": self._elements_ingested,
             "batches_ingested": self._batches_ingested,
         }

@@ -363,8 +363,6 @@ def _restore_vos(
     if len(users) != counts.size or counts.size != parameters["num_users"]:
         raise SnapshotError("cardinality sections disagree with recorded user count")
     vos._cardinalities = dict(zip(users, counts.tolist()))
-    # A freshly restored sketch matches its durable record exactly.
-    vos.clear_dirty()
     return vos
 
 
@@ -470,7 +468,7 @@ def shard_snapshots(
     The shipping format for moving individual shards between processes (the
     process-pool ingestor sends each worker only the shards it owns):
     ``loads_snapshot`` on each blob yields a bit-exact standalone
-    :class:`VirtualOddSketch` with freshly cleared dirty tracking.
+    :class:`VirtualOddSketch`.
 
     Each blob embeds a random ``checkpoint_id`` by default; pass one
     explicitly to make the bytes deterministic (parity tests compare the

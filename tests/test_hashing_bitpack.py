@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.hashing.bitpack import PackedBitArray, PackedRegisters
+from repro.hashing.bitpack import PackedBitArray, PackedRegisters, next_stamp
 
 
 class TestPackedBitArray:
@@ -189,33 +189,48 @@ class TestPackedBytesRoundTrip:
         assert bits.ones_count == 1
 
 
-class TestDirtyWordTracking:
-    """The changed-word bitmap behind delta checkpoints."""
+class TestChangeStamps:
+    """The per-word generation stamps behind shard deltas."""
 
-    def test_fresh_array_is_clean(self):
+    def test_fresh_array_is_unchanged(self):
         bits = PackedBitArray(256)
-        assert bits.dirty_word_count == 0
-        assert bits.dirty_words().tolist() == []
+        assert bits.dirty_words(0).tolist() == []
 
-    def test_flip_and_set_mark_their_word(self):
+    def test_flip_and_set_stamp_their_word(self):
         bits = PackedBitArray(256)
         bits.flip(3)
         bits.set(130, 1)
-        assert bits.dirty_words().tolist() == [0, 2]
-        bits.clear_dirty()
-        assert bits.dirty_word_count == 0
-        # A set that changes nothing stays clean.
+        assert bits.dirty_words(0).tolist() == [0, 2]
+        cursor = next_stamp()
+        assert bits.dirty_words(cursor).tolist() == []
+        # A set that changes nothing stamps nothing.
         bits.set(130, 1)
-        assert bits.dirty_word_count == 0
+        assert bits.dirty_words(cursor).tolist() == []
+        bits.flip(64)
+        assert bits.dirty_words(cursor).tolist() == [1]
+        # An older cursor still sees every word changed after it.
+        assert bits.dirty_words(0).tolist() == [0, 1, 2]
 
-    def test_xor_bulk_marks_only_touched_words(self):
+    def test_xor_bulk_stamps_only_touched_words(self):
         bits = PackedBitArray(64 * 5)
         bits.xor_bulk(np.array([0, 1, 64 * 3 + 2]))
-        assert bits.dirty_words().tolist() == [0, 3]
+        assert bits.dirty_words(0).tolist() == [0, 3]
         # Cancelling repeats touch nothing.
-        bits.clear_dirty()
+        cursor = next_stamp()
         bits.xor_bulk(np.array([7, 7]))
-        assert bits.dirty_word_count == 0
+        assert bits.dirty_words(cursor).tolist() == []
+
+    def test_consumers_keep_independent_cursors(self):
+        bits = PackedBitArray(64 * 4)
+        bits.flip(0)
+        first = next_stamp()
+        bits.flip(64)
+        second = next_stamp()
+        bits.flip(128)
+        assert bits.dirty_words(first).tolist() == [1, 2]
+        assert bits.dirty_words(second).tolist() == [2]
+        # Reading is not consuming: the older cursor still sees word 1.
+        assert bits.dirty_words(first).tolist() == [1, 2]
 
     def test_packed_words_match_full_serialization(self):
         import random
@@ -231,7 +246,7 @@ class TestDirtyWordTracking:
             assert chunk[: len(expected)] == expected
             assert all(byte == 0 for byte in chunk[len(expected) :])
 
-    def test_apply_packed_words_round_trips_dirty_state(self):
+    def test_apply_packed_words_round_trips_changed_words(self):
         import random
 
         rng = random.Random(4)
@@ -239,16 +254,24 @@ class TestDirtyWordTracking:
         target = PackedBitArray(300)
         for _ in range(64):
             source.flip(rng.randrange(300))
-        source.clear_dirty()
+        # Target starts from the source's state at the cursor.
+        target.load_packed_bytes(source.to_packed_bytes())
+        cursor = next_stamp()
         for _ in range(40):
             source.flip(rng.randrange(300))
-        words = source.dirty_words()
+        words = source.dirty_words(cursor)
         payload = source.packed_words(words)
-        # Target starts from the source's pre-mutation state.
-        target.load_packed_bytes(source.to_packed_bytes())
+        target_cursor = next_stamp()
         target.apply_packed_words(words, payload)
         assert target.to_list() == source.to_list()
         assert target.ones_count == source.ones_count
+        # Applied words are stamped for the target's own consumers ...
+        assert target.dirty_words(target_cursor).tolist() == words.tolist()
+        # ... unless the patch is untracked (frozen overlays).
+        frozen = PackedBitArray.from_byte_buffer(np.zeros(300, dtype=np.uint8))
+        frozen.apply_packed_words(words, payload, track=False)
+        assert frozen._stamps is None
+        assert frozen.dirty_words(0).tolist() == []
 
     def test_apply_rejects_bad_payloads(self):
         bits = PackedBitArray(100)
@@ -262,11 +285,49 @@ class TestDirtyWordTracking:
         with pytest.raises(ConfigurationError, match="pad bits"):
             bits.apply_packed_words(np.array([1]), b"\xff" * 8)
 
-    def test_clear_and_load_mark_everything_dirty(self):
+    def test_clear_and_load_stamp_every_word(self):
         bits = PackedBitArray(128)
-        bits.clear_dirty()
+        bits.flip(0)
+        cursor = next_stamp()
         bits.clear()
-        assert bits.dirty_word_count == bits.num_words
-        bits.clear_dirty()
+        assert bits.dirty_words(cursor).tolist() == list(range(bits.num_words))
+        cursor = next_stamp()
+        assert bits.dirty_words(cursor).tolist() == []
         bits.load_packed_bytes(bytes(16))
-        assert bits.dirty_word_count == bits.num_words
+        assert bits.dirty_words(cursor).tolist() == list(range(bits.num_words))
+        # A later partial change stamps only its word, and a cursor from
+        # before the reload still sees every word.
+        before_load = cursor
+        cursor = next_stamp()
+        bits.flip(64)
+        assert bits.dirty_words(cursor).tolist() == [1]
+        assert bits.dirty_words(before_load).tolist() == list(range(bits.num_words))
+
+
+def test_change_clock_is_unique_across_threads():
+    """Stamps taken concurrently never repeat, so no cursor can hide a change."""
+    import sys
+    import threading
+
+    per_thread, threads = 20_000, 8
+    taken: list[list[int]] = [[] for _ in range(threads)]
+
+    def take(out: list[int]) -> None:
+        for _ in range(per_thread):
+            out.append(next_stamp())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=take, args=(out,)) for out in taken]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    stamps = [stamp for out in taken for stamp in out]
+    assert len(set(stamps)) == per_thread * threads
+    # Each thread sees its own stamps strictly increase.
+    assert all(out == sorted(out) for out in taken)

@@ -1,13 +1,13 @@
-"""Copy-on-write epoch publishing: parity, noops, dirty tracking, isolation.
+"""Copy-on-write epoch publishing: parity, noops, change tracking, isolation.
 
 The acceptance bar for :mod:`repro.server.cow`: a daemon publishing COW
-dirty-word overlays must answer every query bit-identically (``==``) to a
-daemon doing full-state freezes over the *same* ingest history — including
-delete-heavy batches that cancel inserts and users that are re-inserted
-after deletion.  No-op publishes (zero dirty words) must short-circuit
-without serializing anything, pinned readers must keep their overlay across
-later publishes, and the epoch dirty channel must stay independent of the
-journal's persistence channel.
+changed-word overlays must answer every query bit-identically (``==``) to a
+whole-state frozen copy of its writer (``from_state_bytes(dumps_state())``)
+over the same ingest history — including delete-heavy batches that cancel
+inserts and users that are re-inserted after deletion.  No-op publishes
+(nothing changed) must short-circuit without copying anything, and pinned
+readers must keep their overlay across later publishes.  Independence from
+the journal's cursor is exercised in ``test_service_delta.py``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.vos import VirtualOddSketch
+from repro.hashing.bitpack import next_stamp
 from repro.obs import get_registry
 from repro.server import CowEpochPublisher, ServingClient, ServingDaemon
 from repro.server.cow import LayeredCounts
@@ -56,34 +57,33 @@ ROUNDS = [
 ]
 
 
+def _whole_state_copy(writer: SimilarityService) -> SimilarityService:
+    """The reference epoch: the writer frozen through a full snapshot round trip."""
+    return SimilarityService.from_state_bytes(
+        writer.dumps_state(),
+        index_config=writer.index_config,
+        elements_ingested=writer.elements_ingested,
+    )
+
+
 class TestCowFullParity:
     @pytest.mark.parametrize("build", [_sharded_service, _plain_service])
     def test_daemons_answer_bit_identically(self, build):
-        with ServingDaemon(build(), workers=2, epoch_mode="cow") as cow_daemon:
-            with ServingDaemon(build(), workers=2, epoch_mode="full") as full_daemon:
-                with ServingClient(*cow_daemon.address) as cow:
-                    with ServingClient(*full_daemon.address) as full:
-                        for batch in ROUNDS:
-                            c = cow.ingest_batch(batch)
-                            f = full.ingest_batch(batch)
-                            assert c["epoch"] == f["epoch"]
-                            assert c["publish_mode"] == "cow"
-                            assert f["publish_mode"] == "full"
-                            assert cow.top_k_pairs(k=15) == full.top_k_pairs(k=15)
-                            assert cow.nearest(3, k=8) == full.nearest(3, k=8)
-                            probes = [(0, 1), (3, 27), (12, 25), (8, 9)]
-                            assert cow.estimate_many(probes) == full.estimate_many(
-                                probes
-                            )
-                        # LSH candidate generation sees identical signatures too.
-                        assert cow.top_k_pairs(k=10, candidates="lsh") == (
-                            full.top_k_pairs(k=10, candidates="lsh")
-                        )
-                        cow_stats = cow.stats()
-                        full_stats = full.stats()
-                        assert cow_stats["users"] == full_stats["users"]
-                        assert cow_stats["server"]["publish_mode"] == "cow"
-                        assert full_stats["server"]["publish_mode"] == "full"
+        with ServingDaemon(build(), workers=2) as daemon:
+            with ServingClient(*daemon.address) as cow:
+                for batch in ROUNDS:
+                    response = cow.ingest_batch(batch)
+                    assert response["publish_mode"] == "cow"
+                    full = _whole_state_copy(daemon.writer)
+                    assert cow.top_k_pairs(k=15) == full.top_k_pairs(k=15)
+                    assert cow.nearest(3, k=8) == full.top_k(3, k=8)
+                    probes = [(0, 1), (3, 27), (12, 25), (8, 9)]
+                    assert cow.estimate_many(probes) == full.estimate_many(probes)
+                # LSH candidate generation sees identical signatures too.
+                assert cow.top_k_pairs(k=10, candidates="lsh") == (
+                    full.top_k_pairs(k=10, candidates="lsh")
+                )
+                assert cow.stats()["users"] == full.stats()["users"]
 
     def test_publisher_matches_full_freeze_after_rebase(self):
         writer = _sharded_service(seed=5)
@@ -93,12 +93,8 @@ class TestCowFullParity:
         frozen = None
         for batch in ROUNDS[1:]:
             writer.ingest(batch)
-            frozen = publisher.publish_delta(writer.freeze_delta())
-        reference = SimilarityService.from_state_bytes(
-            writer.dumps_state(),
-            index_config=writer.index_config,
-            elements_ingested=writer.elements_ingested,
-        )
+            frozen = publisher.publish_delta(writer.freeze_delta(publisher.cursor))
+        reference = _whole_state_copy(writer)
         assert frozen.top_k_pairs(k=20) == reference.top_k_pairs(k=20)
         assert publisher.stats()["rebases"] >= 1
         publisher.close()
@@ -108,7 +104,7 @@ class TestNoopPublish:
     def test_empty_batch_short_circuits(self):
         service = _sharded_service(seed=7)
         service.ingest(ROUNDS[0])
-        with ServingDaemon(service, workers=2, epoch_mode="cow") as daemon:
+        with ServingDaemon(service, workers=2) as daemon:
             registry = get_registry()
             before = registry.snapshot()
             publishes_before = (
@@ -135,12 +131,12 @@ class TestNoopPublish:
             assert len(daemon.publish_log) == 0
 
     def test_cancelling_batch_still_publishes(self):
-        # Insert+delete of the same items nets to zero bit flips, but the
-        # dirty superset guarantee means the words are marked — the publish
-        # must run (and stay correct), not silently no-op.
+        # Insert+delete of the same items nets to zero bit flips, but user 99
+        # is new (with a zero counter), so the publish must run and stay
+        # correct, not silently no-op.
         service = _plain_service(seed=9)
         service.ingest(ROUNDS[0])
-        with ServingDaemon(service, workers=2, epoch_mode="cow") as daemon:
+        with ServingDaemon(service, workers=2) as daemon:
             with ServingClient(*daemon.address) as client:
                 batch = _inserts([99], range(5)) + _deletes([99], range(5))
                 response = client.ingest_batch(batch)
@@ -148,68 +144,54 @@ class TestNoopPublish:
                 assert response["epoch"] == 2
 
 
-class TestEpochDirtyTracking:
-    def test_dirty_words_cover_changed_words_under_xor_bulk(self):
-        """Cancelled and re-inserted users produce dirty sets ⊇ changed words."""
+class TestEpochChangeTracking:
+    def test_delta_covers_changed_words_under_xor_bulk(self):
+        """Cancelled and re-inserted users produce deltas ⊇ changed words."""
         service = _sharded_service(seed=13)
         service.ingest(ROUNDS[0])
-        service.clear_epoch_dirty()
+        cursor = next_stamp()
         shards = list(service._sketch.row_shards())
         before = [shard.shared_array.bits_buffer().copy() for shard in shards]
         counts_before = [dict(shard._cardinalities) for shard in shards]
         # Delete-heavy batch: exact cancellation for users 0..9, then re-insert.
         service.ingest(ROUNDS[2])
         service.ingest(ROUNDS[3])
-        for shard, old_bits, old_counts in zip(shards, before, counts_before):
+        deltas = {entry["shard"]: entry for entry in service.freeze_delta(cursor)["shards"]}
+        for index, (shard, old_bits, old_counts) in enumerate(
+            zip(shards, before, counts_before)
+        ):
             new_bits = shard.shared_array.bits_buffer()
             # The buffer is byte-per-bit, so bit index // 64 is the word.
             changed = {
                 int(bit) // 64 for bit in np.flatnonzero(old_bits != new_bits)
             }
-            dirty = {int(word) for word in shard.shared_array.epoch_dirty_words()}
-            assert changed <= dirty
+            entry = deltas.get(index, {"words": [], "counter_users": []})
+            assert changed <= {int(word) for word in entry["words"]}
             changed_counters = {
                 user
                 for user in set(old_counts) | set(shard._cardinalities)
                 if old_counts.get(user) != shard._cardinalities.get(user)
             }
-            assert changed_counters <= set(shard.epoch_dirty_counter_users())
+            assert changed_counters <= set(entry["counter_users"])
 
-    def test_freeze_delta_leaves_journal_channel_intact(self, tmp_path):
-        """Epoch publishes must not eat the words the journal still has to ship."""
-        service = _sharded_service(seed=17)
-        service.ingest(ROUNDS[0])
-        snapshot = tmp_path / "state.vos"
-        service.save(snapshot)
-        service.ingest(ROUNDS[1])
-        service.ingest(ROUNDS[2])
-        persistence_dirty = service._sketch.dirty_info()["dirty_words"]
-        assert persistence_dirty > 0
-        delta = service.freeze_delta()  # clears the *epoch* channel only
-        assert sum(entry["words"].size for entry in delta["shards"]) > 0
-        assert service._sketch.dirty_info()["dirty_words"] == persistence_dirty
-        assert service.epoch_dirty_info()["dirty_words"] == 0
-        service.save_delta()
-        revived = SimilarityService.load(snapshot)
-        assert revived.top_k_pairs(k=20) == service.top_k_pairs(k=20)
-
-    def test_clear_epoch_dirty_is_independent_of_clear_dirty(self):
-        service = _plain_service(seed=21)
-        service.ingest(ROUNDS[0])
-        info = service.epoch_dirty_info()
-        assert info["dirty_words"] > 0 and info["dirty_counters"] > 0
-        service._sketch.clear_dirty()  # journal checkpoint path
-        info = service.epoch_dirty_info()
-        assert info["dirty_words"] > 0 and info["dirty_counters"] > 0
-        service.clear_epoch_dirty()
-        assert service.epoch_dirty_info() == {"dirty_words": 0, "dirty_counters": 0}
+    def test_frozen_overlays_carry_no_stamps(self):
+        writer = _sharded_service(seed=29)
+        writer.ingest(ROUNDS[0])
+        publisher = CowEpochPublisher(writer)
+        publisher.materialize()
+        writer.ingest(ROUNDS[1])
+        frozen = publisher.publish_delta(writer.freeze_delta(publisher.cursor))
+        for shard in frozen.sketch.row_shards():
+            assert shard.shared_array._bits._stamps is None
+            assert shard._counter_stamps == {}
+        publisher.close()
 
 
 class TestReaderIsolation:
     def test_pinned_reader_keeps_old_overlay_across_publishes(self):
         service = _sharded_service(seed=23)
         service.ingest(ROUNDS[0])
-        with ServingDaemon(service, workers=2, epoch_mode="cow") as daemon:
+        with ServingDaemon(service, workers=2) as daemon:
             with daemon.epochs.pin() as pinned:
                 old_pairs = pinned.service.top_k_pairs(k=10)
                 old_users = pinned.service.stats()["users"]

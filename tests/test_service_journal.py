@@ -8,7 +8,9 @@ shard counts, with deletions and cancelled batches in the mutation mix.
 
 from __future__ import annotations
 
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -238,7 +240,7 @@ class TestJournalCorruption:
                 int(word)
                 for record in read_journal(journal).records
                 if record.shard == 0
-                for word in record.word_indices.tolist()
+                for word in record.delta["words"].tolist()
             }
         )
         assert untouched, "need a word the journal leaves alone"
@@ -259,6 +261,51 @@ class TestJournalCorruption:
         journal.write_bytes(bytes(bad_version))
         with pytest.raises(SnapshotError, match="version 9"):
             read_journal(journal)
+
+
+HEADER_COUNT_FIELDS = [
+    "seq",
+    "shard",
+    "shard_seq",
+    "words",
+    "counters",
+    "counter_users_bytes",
+    "ones_count",
+    "num_users",
+]
+
+
+@pytest.mark.parametrize("bad", ["0", 0.0, True, [0], None], ids=repr)
+@pytest.mark.parametrize("field", HEADER_COUNT_FIELDS)
+def test_non_integer_header_counts_are_corruption(tmp_path, field, bad):
+    """A well-framed record (valid CRC) whose header counts are not plain
+    non-negative ints raises SnapshotError — never a raw TypeError, and
+    ``true`` never passes as 1."""
+    from repro.service import ServiceConfig
+
+    service = SimilarityService.from_config(
+        ServiceConfig(expected_users=50, num_shards=2, seed=4)
+    )
+    path = tmp_path / "state.vos"
+    service.save(path)
+    service.ingest([StreamElement(1, i, Action.INSERT) for i in range(20)])
+    service.save_delta()
+    journal = default_journal_path(path)
+    blob = journal.read_bytes()
+    start = _last_frame_start(blob)
+    body = blob[start + 8 :]
+    (header_length,) = struct.unpack_from("<I", body)
+    header = json.loads(body[4 : 4 + header_length])
+    header[field] = bad
+    header_bytes = json.dumps(header).encode("utf-8")
+    body = struct.pack("<I", len(header_bytes)) + header_bytes + body[4 + header_length :]
+    journal.write_bytes(
+        blob[:start] + struct.pack("<II", len(body), zlib.crc32(body)) + body
+    )
+    with pytest.raises(SnapshotError, match="not a count"):
+        read_journal(journal)
+    with pytest.raises(SnapshotError, match="not a count"):
+        SimilarityService.load(path)
 
 
 def _last_frame_start(blob: bytes) -> int:

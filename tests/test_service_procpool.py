@@ -2,8 +2,8 @@
 
 The load-bearing guarantee of :class:`ProcessShardIngestor`: shipping shard
 state to worker processes, routing sub-batches over shared memory, and
-merging the dirty deltas back leaves the coordinator's sketch **bit-identical**
-to serial ingest — array bytes, cardinality counters, dirty tracking, rankings
+merging the shard deltas back leaves the coordinator's sketch **bit-identical**
+to serial ingest — array bytes, cardinality counters, change tracking, rankings
 and journal round trips — for 1, 2 and 4 worker processes, on streams with
 deletions and exactly-cancelling batches, for both the zero-copy integer path
 and the pickle fallback for object (string) id columns.
@@ -60,19 +60,20 @@ def _make_sketch(seed=3) -> ShardedVOS:
 
 def _assert_same_sharded_state(a: ShardedVOS, b: ShardedVOS, *, dirty=True) -> None:
     """Bit-identical arrays and counters — and, with ``dirty``, identical
-    dirty tracking.  Dirty-word sets depend on batch granularity (a toggle
-    pair cancelling *within* one batch never writes its word), so tests that
-    deliberately re-chunk batches compare them separately."""
+    change tracking (words and users changed since the sketches were built).
+    Changed-word sets depend on batch granularity (a toggle pair cancelling
+    *within* one batch never writes its word), so tests that deliberately
+    re-chunk batches compare them separately."""
     assert shard_snapshots(a, checkpoint_id="parity") == shard_snapshots(
         b, checkpoint_id="parity"
     )
     for shard_a, shard_b in zip(a.shards, b.shards):
         assert shard_a._cardinalities == shard_b._cardinalities
         if dirty:
-            assert shard_a._dirty_counters == shard_b._dirty_counters
+            assert set(shard_a.changed_users(0)) == set(shard_b.changed_users(0))
             assert np.array_equal(
-                shard_a.shared_array.dirty_words(),
-                shard_b.shared_array.dirty_words(),
+                shard_a.shared_array.dirty_words(0),
+                shard_b.shared_array.dirty_words(0),
             )
 
 
@@ -135,11 +136,11 @@ class TestProcessParity:
                 ingestor.submit(batches.slice(start, start + 1000))
         # 16-row chunks write strictly more words than 1000-row batches (a
         # cancelled toggle pair split across chunks touches its word twice),
-        # so dirty tracking is a superset, never a mismatch of the bits.
+        # so the changed-word set is a superset, never a mismatch of the bits.
         _assert_same_sharded_state(serial, parallel, dirty=False)
         for shard_a, shard_b in zip(serial.shards, parallel.shards):
-            assert set(shard_a.shared_array.dirty_words().tolist()) <= set(
-                shard_b.shared_array.dirty_words().tolist()
+            assert set(shard_a.shared_array.dirty_words(0).tolist()) <= set(
+                shard_b.shared_array.dirty_words(0).tolist()
             )
 
     def test_spawn_start_method(self, parity_stream):
@@ -296,8 +297,8 @@ class TestServiceIntegration:
         )
         serial.ingest(parity_stream[:3000])
         serial.ingest(parity_stream[3000:])
-        # Replay clears the restored sketch's dirty tracking (its state now
-        # equals snapshot + journal); compare the bits and counters.
+        # The restored sketch's change stamps come from the replay, not the
+        # ingest; compare the bits and counters.
         _assert_same_sharded_state(serial.sketch, restored.sketch, dirty=False)
 
     @pytest.mark.parametrize(
