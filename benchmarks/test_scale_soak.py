@@ -19,8 +19,9 @@ record.  One module-scoped fixture performs the whole sequence —
 3. an LSH index build over the whole population (timed),
 4. query workloads: pool ``top_k_pairs`` block scoring (p50/p99 over fixed
    pools) and single-user ``top_k`` through the LSH index,
-5. a delta slice: more ingest, an incremental index ``refresh`` (append
-   cost), and a delta checkpoint (``save_delta`` bytes vs snapshot bytes),
+5. a delta slice: more ingest, an index ``refresh`` (a rebuild of the
+   shards the slice changed), and a delta checkpoint (``save_delta`` bytes
+   vs snapshot bytes),
 
 — and the tests assert the soak's invariants (memory budget, monotone
 percentiles, delta much smaller than snapshot) before writing the JSON.
@@ -66,7 +67,7 @@ BATCH_ELEMENTS = 1 << 18
 #: toggle-off churn).
 DELETE_FRACTION = 0.05
 #: Extra stream slice ingested after the full snapshot to measure delta
-#: checkpointing and incremental index refresh (~1% of the stream).
+#: checkpointing and the index refresh after it (~1% of the stream).
 DELTA_ELEMENTS = max(10_000, SOAK_ELEMENTS // 100)
 POOL_USERS = 512
 POOL_QUERIES = 8 if SMOKE_MODE else 16

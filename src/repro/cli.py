@@ -492,7 +492,6 @@ def _cmd_index_stats(args: argparse.Namespace) -> int:
         ["candidate fraction", "" if fraction is None else round(fraction, 6)],
         ["signature KiB", round(stats["signature_bytes"] / 1024, 1)],
         ["rebuilds", stats["rebuilds"]],
-        ["incremental updates", stats["incremental_updates"]],
         ["restored", stats["restored"]],
     ]
     headers = ["field", "value"]

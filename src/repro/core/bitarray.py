@@ -84,13 +84,13 @@ class SharedBitArray:
         return self._bits.gather(positions)
 
     @property
-    def version(self) -> int:
-        """Mutation counter (see :meth:`~repro.hashing.bitpack.PackedBitArray.version`).
+    def latest_stamp(self) -> int:
+        """Stamp of the newest write (:attr:`~repro.hashing.bitpack.PackedBitArray.latest_stamp`).
 
-        Query-side caches of recovered virtual sketches use this to notice
-        that ingest changed the array underneath them.
+        Query-side caches of recovered virtual sketches and the LSH signature
+        tables key on it to notice that ingest changed the array under them.
         """
-        return self._bits.version
+        return self._bits.latest_stamp
 
     def xor_bulk(self, positions) -> int:
         """Xor 1 into every listed position at once (repeats fold modulo 2).
@@ -106,7 +106,7 @@ class SharedBitArray:
     # Shard deltas (journal checkpoints, epoch publishes, pool merge-back)
     # ship only the 64-bit words changed after a consumer's cursor instead of
     # all ``m`` bits.  The per-word stamps live in the backing PackedBitArray
-    # and ride the same mutation paths that bump :attr:`version`.
+    # and ride the same mutation paths that advance :attr:`latest_stamp`.
 
     @property
     def num_words(self) -> int:

@@ -222,11 +222,11 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         self._position_cache: dict[UserId, np.ndarray] = {}
         # LRU cache of hot users' recovered virtual sketches, stored bit-packed
         # (8 virtual bits per byte).  Entries are valid only for the shared
-        # array version they were read at; any write invalidates them all,
+        # array stamp they were read at; any write invalidates them all,
         # which keeps query results indistinguishable from uncached reads.
         self._sketch_cache_size = sketch_cache_size
         self._sketch_cache: OrderedDict[UserId, np.ndarray] = OrderedDict()
-        self._sketch_cache_version = -1
+        self._sketch_cache_stamp = -1
         self._sketch_cache_hits = 0
         self._sketch_cache_misses = 0
         # Guards the LRU bookkeeping only (lookups, insertions, eviction,
@@ -301,7 +301,7 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         view._position_cache = source._position_cache
         view._sketch_cache_size = source._sketch_cache_size
         view._sketch_cache = OrderedDict()
-        view._sketch_cache_version = -1
+        view._sketch_cache_stamp = -1
         view._sketch_cache_hits = 0
         view._sketch_cache_misses = 0
         view._sketch_cache_lock = threading.Lock()
@@ -425,7 +425,7 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
     def _packed_rows(self, users: Sequence[UserId]) -> np.ndarray:
         """Bit-packed virtual sketches, one row per user, via the LRU row cache.
 
-        The cache is keyed on the shared array's mutation version: any ingest
+        The cache is keyed on the shared array's latest change stamp: any ingest
         since the rows were read invalidates every entry (a single xor can
         land in any user's virtual bits), so cached reads are always exactly
         what an uncached gather would return.  Missing rows are recovered with
@@ -434,15 +434,15 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         for user in users:
             if user not in self._cardinalities:
                 raise UnknownUserError(user)
-        version = self._array.version
+        stamp = self._array.latest_stamp
         row_bytes = packed_row_bytes(self.virtual_sketch_size)
         packed = np.zeros((len(users), row_bytes), dtype=np.uint8)
         missing: list[int] = []
         cache = self._sketch_cache
         with self._sketch_cache_lock:
-            if version != self._sketch_cache_version:
+            if stamp != self._sketch_cache_stamp:
                 cache.clear()
-                self._sketch_cache_version = version
+                self._sketch_cache_stamp = stamp
             for row, user in enumerate(users):
                 cached = cache.get(user) if self._sketch_cache_size else None
                 if cached is None:
@@ -457,10 +457,10 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
             packed[missing] = fresh
             with self._sketch_cache_lock:
                 self._sketch_cache_misses += len(missing)
-                # Only populate while the version still matches: an ingest
-                # racing this gather bumped the version, so these rows may
+                # Only populate while the stamp still matches: an ingest
+                # racing this gather advanced the stamp, so these rows may
                 # describe a mix of old and new bits.
-                if self._sketch_cache_size and self._sketch_cache_version == version:
+                if self._sketch_cache_size and self._sketch_cache_stamp == stamp:
                     for offset, user in enumerate(missing_users):
                         # Copy the row out of the batch matrix: a cached view
                         # would pin the whole gather result in memory for as
@@ -498,8 +498,8 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         may reinterpret the matrix as ``uint64`` lanes.  This is the row
         representation both the bulk pair scorer and the LSH banding index
         (:mod:`repro.index`) consume.  With ``cache=True`` reads go through
-        the LRU row cache keyed on the shared array's mutation version; pass
-        ``cache=False`` for one-shot whole-population sweeps (e.g. index
+        the LRU row cache keyed on the shared array's latest change stamp;
+        pass ``cache=False`` for one-shot whole-population sweeps (e.g. index
         rebuilds) so they neither churn nor evict the query-hot rows.
         """
         users = list(users)
@@ -515,8 +515,8 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
 
         :class:`~repro.service.sharding.ShardedVOS` overrides this with its
         shard list; exposing the same hook here lets index structures treat
-        both layouts uniformly (each source has its own array version and its
-        own users).
+        both layouts uniformly (each source has its own array change stamp
+        and its own users).
         """
         return [self]
 

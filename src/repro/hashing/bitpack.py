@@ -50,7 +50,7 @@ class PackedBitArray:
     0.125
     """
 
-    __slots__ = ("_bits", "_ones", "_version", "_stamps", "_floor", "_latest")
+    __slots__ = ("_bits", "_ones", "_stamps", "_floor", "_latest")
 
     #: Bits per change-tracking word.  Matches the ``uint64`` lanes of the
     #: packed representation, so one changed word maps to exactly 8 bytes of
@@ -62,7 +62,6 @@ class PackedBitArray:
             raise ConfigurationError(f"bit array size must be positive, got {size}")
         self._bits = np.zeros(size, dtype=np.uint8)
         self._ones = 0
-        self._version = 0
         self._reset_stamps(0)
 
     @classmethod
@@ -82,7 +81,6 @@ class PackedBitArray:
         array = cls.__new__(cls)
         array._bits = bits
         array._ones = int(bits.sum(dtype=np.int64)) if ones_count is None else int(ones_count)
-        array._version = 0
         array._reset_stamps(0)
         return array
 
@@ -97,8 +95,9 @@ class PackedBitArray:
     # :meth:`load_packed_bytes`); a word whose entry is 0 last changed then.
     # The per-word array is allocated zeroed on the first partial mutation,
     # so read-only and frozen arrays carry no stamp memory and untouched
-    # pages stay unmapped.  ``_latest`` is the newest stamp anywhere, which
-    # answers "nothing changed since the cursor" without a scan.
+    # pages stay unmapped.  ``_latest`` is the stamp of the newest mutation,
+    # tracked or not: it answers "nothing changed since the cursor" without a
+    # scan, and caches of derived views key on it (:attr:`latest_stamp`).
 
     def _reset_stamps(self, stamp: int) -> None:
         self._stamps = None
@@ -132,16 +131,15 @@ class PackedBitArray:
         return self._ones / len(self)
 
     @property
-    def version(self) -> int:
-        """Counter bumped on every mutation.
+    def latest_stamp(self) -> int:
+        """The stamp of the newest mutation anywhere in the array.
 
-        Readers that cache derived views of the bits (e.g. the VOS query path
-        caching users' recovered sketch rows) compare versions to detect that
-        the array changed underneath them.  Two equal versions guarantee the
-        bits are unchanged; unequal versions say nothing about how much
-        changed.
+        Every mutating method advances it, so readers that cache derived
+        views of the bits (the VOS packed-row cache, the LSH signature
+        tables) key them on it: two equal stamps guarantee the bits are
+        unchanged; unequal stamps say nothing about how much changed.
         """
-        return self._version
+        return self._latest
 
     @property
     def num_words(self) -> int:
@@ -154,12 +152,13 @@ class PackedBitArray:
         Together with :meth:`packed_words` this is the write set a shard
         delta ships instead of the whole array.  A word is listed when any
         mutation touched it, even one that restored its old bits (a superset
-        of the words whose bits differ), never less.
+        of the words whose bits differ), never less — except words patched
+        with ``apply_packed_words(track=False)``, which are never listed.
         """
-        if self._latest <= since:
-            return np.empty(0, dtype=np.int64)
-        if self._stamps is None or since < self._floor:
+        if since < self._floor:
             return np.arange(self.num_words, dtype=np.int64)
+        if self._latest <= since or self._stamps is None:
+            return np.empty(0, dtype=np.int64)
         return np.flatnonzero(self._stamps > since)
 
     def packed_words(self, word_indices) -> bytes:
@@ -188,8 +187,10 @@ class PackedBitArray:
         This is the delta-replay primitive: the popcount is re-derived from
         the before/after bits of the touched words, so ``beta`` stays exact,
         and the words are stamped as changed.  ``track=False`` skips the
-        stamps: frozen copy-on-write overlays are patched once and never read
-        for changes, so they must not allocate stamp memory.
+        per-word stamps: frozen copy-on-write overlays are patched once and
+        never read for changes, so they must not allocate stamp memory.
+        :attr:`latest_stamp` advances either way, so caches keyed on it see
+        the write.
         """
         words = np.asarray(word_indices, dtype=np.int64).ravel()
         if len(data) != words.size * 8:
@@ -219,9 +220,10 @@ class PackedBitArray:
         before = int(self._bits[flat_positions].sum(dtype=np.int64))
         self._bits[flat_positions] = flat_fresh
         self._ones += int(flat_fresh.sum(dtype=np.int64)) - before
-        self._version += 1
         if track:
             self._stamp_words(words)
+        else:
+            self._latest = next_stamp()
 
     def set(self, index: int, value: int) -> None:
         """Set bit ``index`` to ``value`` (0 or 1), updating the popcount."""
@@ -230,7 +232,6 @@ class PackedBitArray:
         if old != value:
             self._bits[index] = value
             self._ones += value - old
-            self._version += 1
             self._stamp_words(index // self.WORD_BITS)
 
     def flip(self, index: int) -> int:
@@ -238,7 +239,6 @@ class PackedBitArray:
         new = int(self._bits[index]) ^ 1
         self._bits[index] = new
         self._ones += 1 if new else -1
-        self._version += 1
         self._stamp_words(index // self.WORD_BITS)
         return new
 
@@ -286,7 +286,6 @@ class PackedBitArray:
         previously_set = int(self._bits[odd].sum(dtype=np.int64))
         self._bits[odd] ^= 1
         self._ones += int(odd.size) - 2 * previously_set
-        self._version += 1
         # Fancy-index assignment tolerates duplicate word indices, so no
         # dedup pass is needed on the per-batch hot path.
         self._stamp_words(odd // self.WORD_BITS)
@@ -300,7 +299,6 @@ class PackedBitArray:
         """Reset every bit to zero."""
         self._bits[:] = 0
         self._ones = 0
-        self._version += 1
         self._reset_stamps(next_stamp())
 
     def bits_buffer(self) -> np.ndarray:
@@ -330,7 +328,6 @@ class PackedBitArray:
         bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=len(self))
         self._bits = bits
         self._ones = int(bits.sum(dtype=np.int64))
-        self._version += 1
         self._reset_stamps(next_stamp())
 
     def memory_bits(self) -> int:

@@ -35,8 +35,8 @@ sub-quadratic on sparse sketches:
 * **Shards partition users, not bands.**  Every shard of a
   :class:`~repro.service.sharding.ShardedVOS` uses the same seed, so virtual
   bit ``j`` means the same thing everywhere and band signatures are comparable
-  *across* shards.  The index keeps one signature table per shard (synced
-  incrementally against that shard's array mutation version) and merges all
+  *across* shards.  The index keeps one signature table per shard (rebuilt
+  when that shard's array change stamp or user count moves) and merges all
   tables at query time, so cross-shard pairs are proposed exactly like
   same-shard pairs.
 """
@@ -47,7 +47,7 @@ import json
 import math
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -198,102 +198,35 @@ def required_bands(
     return max(1, math.ceil(needed))
 
 
-class _ShardSignatures:
-    """Band signatures of one shard's users, kept fresh against its array version.
+def _shard_key(shard) -> tuple[int, int]:
+    """What a shard's signature table depends on: ``(array stamp, user count)``.
 
-    The shard's :class:`~repro.core.bitarray.SharedBitArray` mutation version
-    — the same counter the packed-row LRU cache keys on — decides freshness:
-    any write may change *any* user's recovered row (a single xor can land in
-    anyone's virtual bits), so a version change marks every signature dirty
-    and triggers a full rebuild on demand.  When the version is unchanged but
-    the shard gained users (e.g. a batch whose toggles cancelled exactly),
-    only the new users' signatures are computed and appended.
+    Any write may change *any* user's recovered row (a single xor can land in
+    anyone's virtual bits), so the array's latest change stamp covers the
+    bits.  Users are never removed, so the count covers the user set;
+    ``len(_cardinalities)`` reads it in O(1) where ``users()`` builds a set.
+    """
+    return (shard.shared_array.latest_stamp, len(shard._cardinalities))
+
+
+@dataclass(frozen=True)
+class _ShardSignatures:
+    """Band signatures of one shard's users: an immutable value.
+
+    ``key`` is the :func:`_shard_key` the table was built or adopted at; the
+    table describes its shard exactly while the two are equal, and a refresh
+    replaces it with a rebuild once they differ.  No table is ever mutated,
+    so indexes over different epochs or restored copies share them by
+    reference.
     """
 
-    def __init__(
-        self,
-        shard,
-        band_hashes: Sequence[UniversalHash],
-        residual_hash: UniversalHash,
-        rows_per_band: int,
-        min_band_bits: int,
-    ) -> None:
-        self._shard = shard
-        self._band_hashes = list(band_hashes)
-        self._residual_hash = residual_hash
-        self._rows_per_band = rows_per_band
-        self._min_band_bits = min_band_bits
-        # Carter-Wegman coefficients for the kernel-tier band fold: one pair
-        # per band column plus the residual whole-row hash in the last slot.
-        column_hashes = list(band_hashes) + [residual_hash]
-        self._coeff_a = np.array(
-            [hash_fn._coefficients[0] for hash_fn in column_hashes], dtype=np.uint64
-        )
-        self._coeff_b = np.array(
-            [hash_fn._coefficients[1] for hash_fn in column_hashes], dtype=np.uint64
-        )
-        self.users: list[UserId] = []
-        self.ordinal: dict[UserId, int] = {}
-        # One signature column per band plus the residual whole-row column
-        # (valid only for users with no band at the set-bit floor).
-        columns = len(self._band_hashes) + 1
-        self.signatures = np.empty((0, columns), dtype=np.uint64)
-        self.valid = np.empty((0, columns), dtype=bool)
-        self._version: int | None = None
-
-    def sync(self) -> str:
-        """Bring the table up to date; returns ``rebuilt``/``updated``/``fresh``."""
-        version = self._shard.shared_array.version
-        shard_users = self._shard.users()
-        if self._version != version:
-            self.users = sorted(shard_users, key=user_sort_key)
-            self.ordinal = {user: row for row, user in enumerate(self.users)}
-            self.signatures, self.valid = self._compute(self.users)
-            self._version = version
-            return "rebuilt"
-        if len(shard_users) > len(self.users):
-            fresh = sorted(
-                (user for user in shard_users if user not in self.ordinal),
-                key=user_sort_key,
-            )
-            signatures, valid = self._compute(fresh)
-            base = len(self.users)
-            self.users.extend(fresh)
-            for offset, user in enumerate(fresh):
-                self.ordinal[user] = base + offset
-            self.signatures = np.concatenate([self.signatures, signatures])
-            self.valid = np.concatenate([self.valid, valid])
-            return "updated"
-        return "fresh"
-
-    def _compute(self, users: Sequence[UserId]) -> tuple[np.ndarray, np.ndarray]:
-        """Band signatures and validity masks for ``users`` (one gather + hash)."""
-        bands = len(self._band_hashes)
-        r = self._rows_per_band
-        columns = bands + 1
-        if not users:
-            return (
-                np.empty((0, columns), dtype=np.uint64),
-                np.empty((0, columns), dtype=bool),
-            )
-        rows = self._shard.packed_rows(users, cache=False)
-        row_words = rows.view(np.uint64)
-        # The fold, set-bit counts, and Carter-Wegman signature hashes all run
-        # in the kernel tier (native C when available, blocked NumPy
-        # otherwise) — bit-identical across tiers by the parity suite.
-        signatures, set_bits = kernels.band_signatures(
-            row_words, bands, r, self._coeff_a, self._coeff_b
-        )
-        # A band below the set-bit floor says too little about similarity to
-        # bucket (on sparse sketches all-zero and single-bit bands match a
-        # constant fraction of the pool), so it is never valid.  Users with no
-        # band at the floor get the residual column instead: a hash of the
-        # whole row, so identical rows — all-zero ones included — are still
-        # always co-candidates.
-        valid = np.empty((len(users), columns), dtype=bool)
-        valid[:, :bands] = set_bits >= self._min_band_bits
-        valid[:, bands] = ~valid[:, :bands].any(axis=1)
-        return signatures, valid
+    users: tuple[UserId, ...]
+    ordinal: dict[UserId, int]
+    #: One signature column per band plus the residual whole-row column
+    #: (valid only for users with no band at the set-bit floor).
+    signatures: np.ndarray
+    valid: np.ndarray
+    key: tuple[int, int] | None = None
 
     def memory_bytes(self) -> int:
         return int(self.signatures.nbytes + self.valid.nbytes)
@@ -344,8 +277,8 @@ class BandedSketchIndex:
 
     The index is maintained *on demand*: every query calls :meth:`refresh`,
     which rebuilds a shard's signature table only when that shard's array
-    mutation version moved (and appends incrementally when only new users
-    appeared).  Between ingests, repeated queries reuse the tables untouched.
+    change stamp or user count moved.  Between ingests, repeated queries
+    reuse the tables untouched.
 
     Examples
     --------
@@ -390,10 +323,13 @@ class BandedSketchIndex:
             else getattr(sketch, "seed", 0)
         )
         self._bands = self._config.bands
-        self._shard_signatures: list[_ShardSignatures] = []
+        # Carter-Wegman coefficients of the kernel-tier band fold for the
+        # current band count (set by _set_layout).
+        self._coeff_a = self._coeff_b = np.empty(0, dtype=np.uint64)
+        # One table per shard; None until the shard's first (re)build.
+        self._shard_signatures: list[_ShardSignatures | None] = []
         self._tuning_state: tuple | None = None
         self._rebuilds = 0
-        self._incremental_updates = 0
         self._restored = 0
         self._last_candidate_pairs: int | None = None
         self._last_pool_pairs: int | None = None
@@ -423,14 +359,32 @@ class BandedSketchIndex:
         """Whether signature tables exist (built, synced or restored)."""
         return bool(self._shard_signatures)
 
-    def _band_hashes(self, bands: int) -> list[UniversalHash]:
-        return [
+    def _set_layout(self, bands: int) -> None:
+        """Adopt ``bands`` and derive the hash coefficients of its columns.
+
+        One seeded hash per band column plus the residual whole-row hash in
+        the last slot; every table built afterwards uses this layout.
+        """
+        hashes = [
             UniversalHash(
                 range_size=_MERSENNE_P,
                 seed=stable_hash64(("index-band", self._seed, band)),
             )
             for band in range(bands)
         ]
+        hashes.append(
+            UniversalHash(
+                range_size=_MERSENNE_P,
+                seed=stable_hash64(("index-residual", self._seed)),
+            )
+        )
+        self._bands = bands
+        self._coeff_a = np.array(
+            [hash_fn._coefficients[0] for hash_fn in hashes], dtype=np.uint64
+        )
+        self._coeff_b = np.array(
+            [hash_fn._coefficients[1] for hash_fn in hashes], dtype=np.uint64
+        )
 
     def _resolve_bands(self) -> int:
         if self._config.bands:
@@ -470,53 +424,34 @@ class BandedSketchIndex:
         Auto-tuned band counts are re-resolved first — they depend on the
         sketch's live fill fraction and mean cardinality, so a changed count
         re-layouts every signature table.  The resolution itself is memoized
-        on the shards' (version, user count) state, so repeated queries
-        between ingests skip its O(users) cardinality scan.  Each shard table
-        then syncs against its own array version, rebuilding only when dirty.
+        on the shards' :func:`_shard_key` state, so repeated queries between
+        ingests skip its O(users) cardinality scan.  Each shard's table is
+        then rebuilt when its key no longer matches the shard's.
         """
+        shards = self._sketch.row_shards()
+        keys = tuple(_shard_key(shard) for shard in shards)
         if self._config.bands:
             bands = self._config.bands
+        elif self._shard_signatures and keys == self._tuning_state:
+            bands = self._bands
         else:
-            state = tuple(
-                (shard.shared_array.version, len(shard.users()))
-                for shard in self._sketch.row_shards()
-            )
-            if self._shard_signatures and state == self._tuning_state:
-                bands = self._bands
-            else:
-                bands = self._resolve_bands()
-                self._tuning_state = state
+            bands = self._resolve_bands()
+            self._tuning_state = keys
         if bands != self._bands or not self._shard_signatures:
-            self._bands = bands
-            hashes = self._band_hashes(bands)
-            residual = UniversalHash(
-                range_size=_MERSENNE_P,
-                seed=stable_hash64(("index-residual", self._seed)),
-            )
-            self._shard_signatures = [
-                _ShardSignatures(
-                    shard,
-                    hashes,
-                    residual,
-                    self._config.rows_per_band,
-                    self._config.min_band_bits,
-                )
-                for shard in self._sketch.row_shards()
-            ]
+            self._set_layout(bands)
+            self._shard_signatures = [None] * len(shards)
         registry = get_registry()
-        for table in self._shard_signatures:
+        for position, (shard, key) in enumerate(zip(shards, keys)):
             with trace("index.sync", registry) as span:
-                outcome = table.sync()
-            if outcome == "rebuilt":
+                table = self._shard_signatures[position]
+                stale = table is None or table.key != key
+                if stale:
+                    self._shard_signatures[position] = self._build_table(shard, key)
+            if stale:
                 self._rebuilds += 1
                 if registry.enabled:
                     registry.inc("index.rebuilds", 1, unit="tables")
                     registry.observe("index.rebuild_seconds", span.seconds)
-            elif outcome == "updated":
-                self._incremental_updates += 1
-                if registry.enabled:
-                    registry.inc("index.incremental_appends", 1, unit="tables")
-                    registry.observe("index.append_seconds", span.seconds)
 
     def build(self) -> None:
         """Force a full rebuild of every shard's signature table."""
@@ -524,13 +459,49 @@ class BandedSketchIndex:
         self._tuning_state = None
         self.refresh()
 
+    def _build_table(self, shard, key: tuple[int, int]) -> _ShardSignatures:
+        """Every user's band signatures and validity masks (one gather + hash)."""
+        users = tuple(sorted(shard.users(), key=user_sort_key))
+        bands = self._bands
+        columns = bands + 1
+        if not users:
+            return _ShardSignatures(
+                users,
+                {},
+                np.empty((0, columns), dtype=np.uint64),
+                np.empty((0, columns), dtype=bool),
+                key,
+            )
+        rows = shard.packed_rows(users, cache=False)
+        # The fold, set-bit counts, and Carter-Wegman signature hashes all run
+        # in the kernel tier (native C when available, blocked NumPy
+        # otherwise) — bit-identical across tiers by the parity suite.
+        signatures, set_bits = kernels.band_signatures(
+            rows.view(np.uint64),
+            bands,
+            self._config.rows_per_band,
+            self._coeff_a,
+            self._coeff_b,
+        )
+        # A band below the set-bit floor says too little about similarity to
+        # bucket (on sparse sketches all-zero and single-bit bands match a
+        # constant fraction of the pool), so it is never valid.  Users with no
+        # band at the floor get the residual column instead: a hash of the
+        # whole row, so identical rows — all-zero ones included — are still
+        # always co-candidates.
+        valid = np.empty((len(users), columns), dtype=bool)
+        valid[:, :bands] = set_bits >= self._config.min_band_bits
+        valid[:, bands] = ~valid[:, :bands].any(axis=1)
+        ordinal = {user: row for row, user in enumerate(users)}
+        return _ShardSignatures(users, ordinal, signatures, valid, key)
+
     # -- persistence ------------------------------------------------------------------
     #
     # The signature tables are the index's only state (band buckets are
     # derived per query by sorting signatures), so persisting them inside a
     # snapshot's ``index/banding`` extra section makes restart-to-first-query
-    # O(1): a restored table is marked fresh against its shard's current array
-    # version and ``sync()`` finds nothing to rebuild.
+    # O(1): a restored table is keyed to its shard's current bits and the next
+    # refresh finds nothing to rebuild.
 
     def export_state(self) -> dict:
         """Capture the synced signature tables for snapshot persistence.
@@ -556,6 +527,37 @@ class BandedSketchIndex:
             ],
         }
 
+    def _adopt(
+        self,
+        bands: int,
+        tables: Sequence[_ShardSignatures | None],
+        stale_shards: Sequence[int],
+    ) -> int:
+        """Install ``tables`` (one per shard, shared by reference) under ``bands``.
+
+        Each adopted table must describe its shard's current bits for the
+        users it holds.  It is keyed to the shard's current change stamp and
+        to its *own* user count, so a shard that has gained users since the
+        table was built rebuilds on its next refresh.  Shards listed in
+        ``stale_shards`` get no table and rebuild too.  Returns the number of
+        tables adopted.
+        """
+        shards = self._sketch.row_shards()
+        stale = set(stale_shards)
+        adopted: list[_ShardSignatures | None] = []
+        for position, (shard, table) in enumerate(zip(shards, tables)):
+            if table is not None and position not in stale:
+                key = (shard.shared_array.latest_stamp, len(table.users))
+                table = replace(table, key=key)
+            else:
+                table = None
+            adopted.append(table)
+        self._set_layout(bands)
+        self._shard_signatures = adopted
+        # The adopted band count stands until the shards change.
+        self._tuning_state = tuple(_shard_key(shard) for shard in shards)
+        return sum(table is not None for table in adopted)
+
     def restore_state(self, state: dict, *, stale_shards: Sequence[int] = ()) -> bool:
         """Reinstate signature tables captured by :meth:`export_state`.
 
@@ -563,10 +565,10 @@ class BandedSketchIndex:
         index's configuration (band count unless auto-tuned, band width,
         set-bit floor, seed) and the sketch's shard count; on any mismatch
         the method returns ``False`` and the index simply rebuilds on demand.
-        Shards listed in ``stale_shards`` (journal replay changed their array
-        words, so their persisted signatures no longer describe the bits) are
-        restored structurally but marked dirty, so their next query rebuilds
-        just those tables.  Returns ``True`` when the tables were adopted.
+        Shards listed in ``stale_shards`` (journal replay changed them, so
+        their persisted signatures may no longer describe the shard) are not
+        adopted, so their next query rebuilds just those tables.  Returns
+        ``True`` when the tables were adopted.
         """
         bands = state["bands"]
         if self._config.bands and self._config.bands != bands:
@@ -578,160 +580,47 @@ class BandedSketchIndex:
             or bands * self._config.rows_per_band > self._row_words
         ):
             return False
-        shards = self._sketch.row_shards()
-        if len(state["shards"]) != len(shards):
+        if len(state["shards"]) != len(self._sketch.row_shards()):
             return False
-        stale = set(stale_shards)
-        hashes = self._band_hashes(bands)
-        residual = UniversalHash(
-            range_size=_MERSENNE_P,
-            seed=stable_hash64(("index-residual", self._seed)),
-        )
-        tables: list[_ShardSignatures] = []
         columns = bands + 1
-        for index, (shard, entry) in enumerate(zip(shards, state["shards"])):
-            table = _ShardSignatures(
-                shard,
-                hashes,
-                residual,
-                self._config.rows_per_band,
-                self._config.min_band_bits,
-            )
-            users = list(entry["users"])
+        tables: list[_ShardSignatures] = []
+        for entry in state["shards"]:
+            users = tuple(entry["users"])
             signatures = np.asarray(entry["signatures"], dtype=np.uint64)
             valid = np.asarray(entry["valid"], dtype=bool)
             if signatures.shape != (len(users), columns) or valid.shape != signatures.shape:
                 return False
-            table.users = users
-            table.ordinal = {user: row for row, user in enumerate(users)}
-            table.signatures = signatures
-            table.valid = valid
-            # A fresh version pins the table to the restored bits; stale
-            # shards keep version None so their next sync() rebuilds.
-            table._version = None if index in stale else shard.shared_array.version
-            tables.append(table)
-        self._bands = bands
-        self._shard_signatures = tables
-        self._tuning_state = tuple(
-            (shard.shared_array.version, len(shard.users())) for shard in shards
-        )
-        self._restored += len(tables) - len(stale & set(range(len(tables))))
+            ordinal = {user: row for row, user in enumerate(users)}
+            tables.append(_ShardSignatures(users, ordinal, signatures, valid))
+        self._restored += self._adopt(bands, tables, stale_shards)
         return True
 
     def carry_forward(
         self, sketch, *, stale_shards: Sequence[int] = ()
     ) -> "BandedSketchIndex | None":
-        """Clone this index for a frozen successor sketch, reusing clean tables.
+        """A new index over ``sketch`` sharing this index's tables by reference.
 
-        The serving daemon's incremental epoch publisher calls this so epoch
-        ``N+1``'s lazy LSH build does not recompute signatures for shards the
-        publish did not touch: clean shards' tables are adopted **by
-        reference** — users, ordinals and signature matrices are immutable
-        once their owning epoch is frozen, so sharing them across epochs is
-        safe — while ``stale_shards`` get empty tables whose next ``sync()``
-        rebuilds just them.  Must only be called on an index whose sketch is
-        frozen (a published epoch's): the writer's live index mutates its
-        tables in place on incremental appends, which would corrupt a
-        by-reference clone.  Returns ``None`` when no tables exist yet or the
-        successor's layout differs; callers then fall back to a lazy build.
+        The serving daemon's epoch publisher calls this so an epoch's lazy
+        LSH build does not recompute signatures for shards the publish did
+        not touch: ``sketch`` must hold the same bits as this index's sketch
+        on every shard not listed in ``stale_shards``, and each shard's table
+        must already describe those bits (refresh first when in doubt).
+        Tables are immutable, so whichever index rebuilds a shard later does
+        not disturb the other.  Returns ``None`` when no tables exist yet or
+        the successor's layout differs; callers then fall back to a lazy
+        build.
         """
         if not self._shard_signatures or not self._bands:
             return None
-        shards = sketch.row_shards()
-        if len(shards) != len(self._shard_signatures):
+        if len(sketch.row_shards()) != len(self._shard_signatures):
             return None
         clone = BandedSketchIndex(sketch, self._config)
         if clone._seed != self._seed:
             return None
-        bands = self._bands
-        stale = set(stale_shards)
-        hashes = self._band_hashes(bands)
-        residual = UniversalHash(
-            range_size=_MERSENNE_P,
-            seed=stable_hash64(("index-residual", self._seed)),
+        clone._restored = clone._adopt(
+            self._bands, self._shard_signatures, stale_shards
         )
-        tables: list[_ShardSignatures] = []
-        tuning: list[tuple[int, int]] = []
-        carried = 0
-        for index, (shard, source) in enumerate(zip(shards, self._shard_signatures)):
-            table = _ShardSignatures(
-                shard,
-                hashes,
-                residual,
-                self._config.rows_per_band,
-                self._config.min_band_bits,
-            )
-            if index not in stale:
-                table.users = source.users
-                table.ordinal = source.ordinal
-                table.signatures = source.signatures
-                table.valid = source.valid
-                table._version = shard.shared_array.version
-                carried += 1
-            tables.append(table)
-            # len(_cardinalities) == len(users()) without building the user
-            # set: publish cost must stay O(delta), not O(corpus).
-            tuning.append((shard.shared_array.version, len(shard._cardinalities)))
-        clone._bands = bands
-        clone._shard_signatures = tables
-        clone._tuning_state = tuple(tuning)
-        clone._restored = carried
         return clone
-
-    def export_append(self, shard_index: int, users: Sequence[UserId]) -> dict | None:
-        """Signature rows for ``users`` of one shard, for journal delta records.
-
-        Used when a delta checkpoint finds new users on a shard whose array
-        words did not change (batches whose toggles cancelled exactly): the
-        journal ships these rows so a restart can extend the restored table
-        without recomputing anything.  Returns ``None`` when the index holds
-        no table for the shard or any listed user is missing from it.
-        """
-        if not self._shard_signatures or shard_index >= len(self._shard_signatures):
-            return None
-        self.refresh()
-        table = self._shard_signatures[shard_index]
-        try:
-            rows = np.fromiter(
-                (table.ordinal[user] for user in users),
-                dtype=np.int64,
-                count=len(users),
-            )
-        except KeyError:
-            return None
-        return {
-            "users": list(users),
-            "signatures": table.signatures[rows],
-            "valid": table.valid[rows],
-        }
-
-    def apply_append(
-        self, shard_index: int, users: Sequence[UserId], signatures, valid
-    ) -> None:
-        """Extend one restored shard table with journaled signature rows.
-
-        Users already present are skipped (replaying the same journal twice is
-        idempotent); the table's freshness version is left untouched, so an
-        appended table stays fresh exactly when it was fresh before.
-        """
-        if not self._shard_signatures or shard_index >= len(self._shard_signatures):
-            return
-        table = self._shard_signatures[shard_index]
-        signatures = np.asarray(signatures, dtype=np.uint64)
-        valid = np.asarray(valid, dtype=bool)
-        if signatures.ndim != 2 or signatures.shape[1] != table.signatures.shape[1]:
-            return  # rows recorded under a different band layout: rebuild instead
-        fresh_rows = [
-            row for row, user in enumerate(users) if user not in table.ordinal
-        ]
-        if not fresh_rows:
-            return
-        base = len(table.users)
-        for offset, row in enumerate(fresh_rows):
-            table.users.append(users[row])
-            table.ordinal[users[row]] = base + offset
-        table.signatures = np.concatenate([table.signatures, signatures[fresh_rows]])
-        table.valid = np.concatenate([table.valid, valid[fresh_rows]])
 
     # -- queries ----------------------------------------------------------------------
 
@@ -863,7 +752,8 @@ class BandedSketchIndex:
         full pair pool — the knob-tuning signal for the recall/speed tradeoff
         (1.0 would mean no pruning at all).
         """
-        users_indexed = sum(len(table.users) for table in self._shard_signatures)
+        tables = [table for table in self._shard_signatures if table is not None]
+        users_indexed = sum(len(table.users) for table in tables)
         fraction = (
             self._last_candidate_pairs / self._last_pool_pairs
             if self._last_candidate_pairs is not None and self._last_pool_pairs
@@ -878,11 +768,8 @@ class BandedSketchIndex:
             "seed": self._seed,
             "shards": len(self._shard_signatures),
             "users_indexed": users_indexed,
-            "signature_bytes": sum(
-                table.memory_bytes() for table in self._shard_signatures
-            ),
+            "signature_bytes": sum(table.memory_bytes() for table in tables),
             "rebuilds": self._rebuilds,
-            "incremental_updates": self._incremental_updates,
             "restored": self._restored,
             "last_candidate_pairs": self._last_candidate_pairs,
             "last_pool_pairs": self._last_pool_pairs,

@@ -207,16 +207,13 @@ class CowEpochPublisher:
             shards.append(self._frozen_shard(shard, arena, counts))
         self._current_shards = shards
         service = self._assemble()
-        # Adopt the writer's built index via an export/restore round trip:
-        # restore_state deep-copies the mutable containers (user lists,
-        # ordinals), which matters here — the writer's live index mutates
-        # them in place on incremental appends, so a by-reference carry from
-        # the WRITER (unlike between frozen epochs) would corrupt the copy.
+        # Adopt the writer's built tables by reference, refreshed first so
+        # they describe the bits just copied.  Tables are immutable: the
+        # writer's later rebuilds replace its own, never this epoch's.
         writer_index = self._writer._index
         if writer_index is not None and writer_index.is_built:
-            index = service.index()
-            if not index.restore_state(writer_index.export_state()):
-                service._index = None
+            writer_index.refresh()
+            service._index = writer_index.carry_forward(service.sketch)
         return service
 
     def publish_delta(

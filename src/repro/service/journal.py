@@ -3,10 +3,9 @@
 A full snapshot rewrites every shard's whole bit array; between full
 checkpoints the journal appends only what changed — per shard, one shard
 delta (:mod:`repro.service.delta`: the 64-bit array words and cardinality
-counters changed after the journal's cursor), and optionally freshly
-appended LSH index signature rows.  Restart cost becomes ``O(snapshot) +
-O(changes)`` instead of ``O(snapshot)`` per checkpoint interval, and
-checkpoint cost becomes ``O(changes)``.
+counters changed after the journal's cursor).  Restart cost becomes
+``O(snapshot) + O(changes)`` instead of ``O(snapshot)`` per checkpoint
+interval, and checkpoint cost becomes ``O(changes)``.
 
 File layout (little-endian)::
 
@@ -104,17 +103,10 @@ class DeltaRecord:
     shard_seq: int
     #: The shard delta (:mod:`repro.service.delta` record shape).
     delta: dict
-    index_users: list | None = None
-    index_signatures: np.ndarray | None = None
-    index_valid: np.ndarray | None = None
 
     @property
     def shard(self) -> int:
         return self.delta["shard"]
-
-    @property
-    def has_words(self) -> bool:
-        return len(self.delta["words"]) > 0
 
 
 @dataclass
@@ -141,7 +133,6 @@ def _encode_record(
     counter_counts: np.ndarray,
     ones_count: int,
     num_users: int,
-    index_append: dict | None,
 ) -> bytes:
     users_blob, users_encoding = encode_id_column(counter_users)
     header: dict = {
@@ -161,23 +152,6 @@ def _encode_record(
         users_blob,
         counter_counts.astype("<i8").tobytes(),
     ]
-    if index_append is not None:
-        signatures = np.ascontiguousarray(index_append["signatures"], dtype=np.uint64)
-        valid = np.asarray(index_append["valid"], dtype=bool)
-        index_users_blob, index_users_encoding = encode_id_column(
-            list(index_append["users"])
-        )
-        header["index_rows"] = int(signatures.shape[0])
-        header["index_columns"] = int(signatures.shape[1])
-        header["index_users_encoding"] = index_users_encoding
-        header["index_users_bytes"] = len(index_users_blob)
-        payload_parts.extend(
-            (
-                index_users_blob,
-                signatures.astype("<u8").tobytes(),
-                np.packbits(valid.ravel()).tobytes(),
-            )
-        )
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     body = _U32.pack(len(header_bytes)) + header_bytes + b"".join(payload_parts)
     return _FRAME.pack(len(body), zlib.crc32(body)) + body
@@ -243,31 +217,19 @@ def _decode_record(body: bytes, frame_index: int) -> DeltaRecord:
         counter_counts = np.frombuffer(
             take(counters * 8, "counter values"), dtype="<i8"
         ).tolist()
-        index_users = index_signatures = index_valid = None
+        # Older writers could append LSH signature rows (users, signatures,
+        # validity bits) to a record.  Their header counts, user column and
+        # lengths are still checked, but the rows are dropped: replay marks
+        # the shard stale and its index table rebuilds on the first query.
         index_rows = count("index_rows", 0)
         if index_rows:
-            columns = count("index_columns")
-            index_users = decode_id_column(
+            cells = index_rows * count("index_columns")
+            decode_id_column(
                 take(count("index_users_bytes"), "index users"),
                 header.get("index_users_encoding"),
                 index_rows,
             )
-            index_signatures = (
-                np.frombuffer(take(index_rows * columns * 8, "index signatures"), dtype="<u8")
-                .astype(np.uint64)
-                .reshape(index_rows, columns)
-            )
-            index_valid = (
-                np.unpackbits(
-                    np.frombuffer(
-                        take((index_rows * columns + 7) // 8, "index validity"),
-                        dtype=np.uint8,
-                    ),
-                    count=index_rows * columns,
-                )
-                .astype(bool)
-                .reshape(index_rows, columns)
-            )
+            take(cells * 8 + (cells + 7) // 8, "index signature rows")
     except (TypeError, ValueError) as error:
         raise corrupt(repr(error)) from error
     if offset != len(body):
@@ -284,9 +246,6 @@ def _decode_record(body: bytes, frame_index: int) -> DeltaRecord:
             "ones_count": ones_count,
             "num_users": num_users,
         },
-        index_users=index_users,
-        index_signatures=index_signatures,
-        index_valid=index_valid,
     )
 
 
@@ -386,12 +345,10 @@ class JournalReplay:
     records: int = 0
     words_applied: int = 0
     counters_applied: int = 0
-    #: Shards whose array words changed during replay — any persisted index
-    #: signatures for them no longer describe the bits.
+    #: Shards with any replayed record, whether it changed words or only
+    #: counters — persisted index signatures for them may no longer describe
+    #: the shard (changed bits, or users the table lacks).
     shards_touched: set[int] = field(default_factory=set)
-    #: Per-shard index signature rows the journal shipped (applied by the
-    #: service after it restores the snapshot's index section).
-    index_appends: dict[int, list[DeltaRecord]] = field(default_factory=dict)
     truncated_tail: bool = False
 
 
@@ -423,9 +380,8 @@ def replay_journal(
                     f"journal record {record.seq} names shard {record.shard}, "
                     f"but the snapshot holds {len(shards)} shard(s)"
                 )
-            if record.has_words:
-                replay.words_applied += len(record.delta["words"])
-                replay.shards_touched.add(record.shard)
+            replay.words_applied += len(record.delta["words"])
+            replay.shards_touched.add(record.shard)
             replay.counters_applied += len(record.delta["counter_users"])
             problem = apply_shard_delta(shards[record.shard], record.delta)
             if problem is not None:
@@ -433,8 +389,6 @@ def replay_journal(
                     f"journal record {record.seq} {problem} — the journal "
                     "does not match this snapshot"
                 )
-            if record.index_users is not None:
-                replay.index_appends.setdefault(record.shard, []).append(record)
             replay.records += 1
             if debug:
                 logger.debug(
@@ -532,7 +486,6 @@ class JournalWriter:
         self._needs_sync = False
         self._seq = 0
         self._shard_seqs: dict[int, int] = {}
-        self._word_changed_shards: set[int] = set()
         if self._path.exists():
             contents = read_journal(self._path)
             if contents.checkpoint_id != checkpoint_id:
@@ -547,8 +500,6 @@ class JournalWriter:
             self._seq = len(contents.records)
             for record in contents.records:
                 self._shard_seqs[record.shard] = record.shard_seq
-                if record.has_words:
-                    self._word_changed_shards.add(record.shard)
         else:
             header = json.dumps(
                 {"checkpoint_id": checkpoint_id}, separators=(",", ":")
@@ -581,14 +532,6 @@ class JournalWriter:
         """Current byte size of the journal file."""
         return self._path.stat().st_size if self._path.exists() else 0
 
-    def shard_words_changed(self, shard: int) -> bool:
-        """Whether any record so far changed this shard's array words.
-
-        Once true, persisted index signatures for the shard are stale across
-        a replay, so shipping further index appends for it is pointless.
-        """
-        return shard in self._word_changed_shards
-
     def append_delta(
         self,
         shard: int,
@@ -599,7 +542,6 @@ class JournalWriter:
         *,
         ones_count: int,
         num_users: int,
-        index_append: dict | None = None,
     ) -> int:
         """Append one shard's delta record; returns the bytes written.
 
@@ -628,7 +570,6 @@ class JournalWriter:
             counter_counts,
             ones_count,
             num_users,
-            index_append,
         )
         registry = get_registry()
         with timed("persistence.journal.append", registry):
@@ -658,8 +599,6 @@ class JournalWriter:
                 ),
             )
         self._shard_seqs[shard] = shard_seq
-        if word_indices.size:
-            self._word_changed_shards.add(shard)
         return len(record)
 
     def sync(self) -> bool:

@@ -306,7 +306,7 @@ class SimilarityService:
 
         The same instance is reused across queries, so its per-shard signature
         tables stay warm between ingests (rebuild-on-demand keyed on the
-        shards' array mutation versions).  Its seed flows from the sketch's
+        shards' array change stamps and user counts).  Its seed flows from the sketch's
         seed unless the :class:`~repro.index.banding.IndexConfig` overrides
         it, so candidate sets are reproducible for a given service seed.
         """
@@ -510,10 +510,7 @@ class SimilarityService:
         """Append a delta checkpoint (changed words + counters) to the journal.
 
         Requires a bound snapshot (an earlier :meth:`save` or :meth:`load`).
-        One CRC-framed record is appended per shard with pending changes; a
-        shard whose array words did not change but which gained users (e.g. a
-        batch whose toggles cancelled exactly) additionally ships its fresh
-        index signature rows, so a persisted index stays warm across replay.
+        One CRC-framed record is appended per shard with pending changes.
         Returns ``{"records", "bytes", "journal_bytes"}``.
         """
         if self._snapshot_path is None:
@@ -554,24 +551,14 @@ class SimilarityService:
                 delta = shard_delta(shard, shard_index, self._journal_cursor)
                 if delta is None:
                     continue
-                users = delta["counter_users"]
-                index_append = None
-                if (
-                    not len(delta["words"])
-                    and self._index is not None
-                    and self._index.is_built
-                    and not journal.shard_words_changed(shard_index)
-                ):
-                    index_append = self._index.export_append(shard_index, users)
                 bytes_written += journal.append_delta(
                     shard_index,
                     delta["words"],
                     delta["word_data"],
-                    users,
+                    delta["counter_users"],
                     delta["counter_counts"],
                     ones_count=delta["ones_count"],
                     num_users=delta["num_users"],
-                    index_append=index_append,
                 )
                 records += 1
             # Group commit: one fsync covers every record of this checkpoint
@@ -816,16 +803,5 @@ class SimilarityService:
             index = BandedSketchIndex(state.sketch, service._index_config)
             stale = replay.shards_touched if replay is not None else set()
             if index.restore_state(index_state, stale_shards=stale):
-                if replay is not None:
-                    for shard_index, appends in replay.index_appends.items():
-                        if shard_index in stale:
-                            continue
-                        for record in appends:
-                            index.apply_append(
-                                shard_index,
-                                record.index_users,
-                                record.index_signatures,
-                                record.index_valid,
-                            )
                 service._index = index
         return service

@@ -273,6 +273,29 @@ class TestChangeStamps:
         assert frozen._stamps is None
         assert frozen.dirty_words(0).tolist() == []
 
+    def test_every_mutation_advances_latest_stamp(self):
+        """Caches of derived views key on ``latest_stamp``: any write moves it."""
+        bits = PackedBitArray(200)
+        payload = bits.packed_words([1])
+        writes = [
+            lambda: bits.flip(5),
+            lambda: bits.set(5, 1 - bits[5]),
+            lambda: bits.xor_bulk([7, 9]),
+            lambda: bits.apply_packed_words([1], payload),
+            lambda: bits.apply_packed_words([2], payload, track=False),
+            bits.clear,
+            lambda: bits.load_packed_bytes(bits.to_packed_bytes()),
+        ]
+        for write in writes:
+            stamp = bits.latest_stamp
+            write()
+            assert bits.latest_stamp > stamp
+        # Writes that leave every bit as it was need not move it.
+        stamp = bits.latest_stamp
+        bits.set(5, bits[5])
+        bits.xor_bulk([11, 11])
+        assert bits.latest_stamp == stamp
+
     def test_apply_rejects_bad_payloads(self):
         bits = PackedBitArray(100)
         with pytest.raises(ConfigurationError, match="expected"):

@@ -91,7 +91,7 @@ class TestFourSubsystemCoverage:
         assert snap["histograms"]["index.bucket_size"]["count"] > 0
         assert snap["counters"]["index.rebuilds"]["value"] == 4  # one per shard
 
-    def test_incremental_append_metrics(self, registry):
+    def test_cancelled_batch_rebuild_metrics(self, registry):
         from repro.index import IndexConfig
 
         vos = VirtualOddSketch(
@@ -100,21 +100,24 @@ class TestFourSubsystemCoverage:
         index = BandedSketchIndex(vos, IndexConfig(bands=16))
         index.refresh()
         registry.reset()
-        # Insert+delete cancels inside xor_bulk: the array version does not
-        # move, yet a brand-new user appeared — the incremental append path.
+        # Insert+delete cancels inside xor_bulk: no array word changes, yet
+        # two brand-new users appeared, so the table rebuilds.
         vos.process_batch(
             [
                 StreamElement(7001, 1, Action.INSERT),
                 StreamElement(7001, 1, Action.DELETE),
+                StreamElement(7002, 2, Action.INSERT),
+                StreamElement(7002, 2, Action.DELETE),
             ]
         )
         index.refresh()
         snap = registry.snapshot()
-        assert snap["counters"]["index.incremental_appends"]["value"] == 1
-        assert snap["histograms"]["index.append_seconds"]["count"] == 1
-        assert "index.rebuilds" not in snap["counters"] or (
-            snap["counters"]["index.rebuilds"]["value"] == 0
-        )
+        assert snap["counters"]["index.rebuilds"]["value"] == 1
+        assert snap["histograms"]["index.rebuild_seconds"]["count"] == 1
+        # Both users recover identical all-zero rows: co-candidates via the
+        # residual whole-row bucket.
+        index_a, index_b = index.candidate_pairs([7001, 7002])
+        assert (index_a.tolist(), index_b.tolist()) == ([0], [1])
 
     def test_stats_exposes_metrics_snapshot(self, registry, service):
         stats = service.stats()

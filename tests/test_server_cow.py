@@ -215,3 +215,70 @@ class TestLayeredCounts:
         assert len(layered) == 3
         assert sorted(layered) == ["a", "b", "c"]
         assert dict(layered) == {"a": 3, "b": 5, "c": 2}
+
+
+class TestCarriedIndexTables:
+    def test_counter_only_publish_leaves_previous_epoch_tables_intact(self):
+        """Epochs share LSH tables by reference; rebuilding one never edits another.
+
+        A new user inserting and deleting the same item in one batch changes
+        counters but no array word, so the publish carries every table
+        forward; epoch N+1's first ``lsh`` query must then leave epoch N's
+        tables exactly as they were.
+        """
+        writer = _sharded_service(seed=31)
+        writer.ingest(ROUNDS[0])
+        writer.top_k_pairs(k=5, candidates="lsh")
+        publisher = CowEpochPublisher(writer)
+        first = publisher.materialize()
+        first_reference = _whole_state_copy(writer)
+        first_index = first.index()
+        first_index.refresh()
+        tables = [
+            (
+                tuple(table.users),
+                dict(table.ordinal),
+                table.signatures.copy(),
+                table.valid.copy(),
+            )
+            for table in first_index._shard_signatures
+        ]
+        users_indexed = first_index.stats()["users_indexed"]
+        shapes = [
+            (len(entry["users"]), entry["signatures"].shape, entry["valid"].shape)
+            for entry in first_index.export_state()["shards"]
+        ]
+
+        writer.ingest(_inserts([999], [7]) + _deletes([999], [7]))
+        delta = writer.freeze_delta(publisher.cursor)
+        assert delta["shards"] and not any(len(e["words"]) for e in delta["shards"])
+        second = publisher.publish_delta(delta, previous_service=first)
+        second_reference = _whole_state_copy(writer)
+        assert second.top_k_pairs(k=10, candidates="lsh") == (
+            second_reference.top_k_pairs(k=10, candidates="lsh")
+        )
+        assert second.top_k(999, k=5, index="lsh") == (
+            second_reference.top_k(999, k=5, index="lsh")
+        )
+        assert second.index().stats()["users_indexed"] == users_indexed + 1
+
+        for table, (users, ordinal, signatures, valid) in zip(
+            first_index._shard_signatures, tables
+        ):
+            assert tuple(table.users) == users
+            assert table.ordinal == ordinal
+            assert np.array_equal(table.signatures, signatures)
+            assert np.array_equal(table.valid, valid)
+        assert first_index.stats()["users_indexed"] == users_indexed
+        assert [
+            (len(entry["users"]), entry["signatures"].shape, entry["valid"].shape)
+            for entry in first_index.export_state()["shards"]
+        ] == shapes
+        assert first.top_k_pairs(k=10, candidates="lsh") == (
+            first_reference.top_k_pairs(k=10, candidates="lsh")
+        )
+        for user in (3, 27):
+            assert first.top_k(user, k=5, index="lsh") == (
+                first_reference.top_k(user, k=5, index="lsh")
+            )
+        publisher.close()

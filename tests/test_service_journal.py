@@ -308,6 +308,107 @@ def test_non_integer_header_counts_are_corruption(tmp_path, field, bad):
         SimilarityService.load(path)
 
 
+def _journal_with_legacy_index_rows(tmp_path):
+    """A snapshot whose journal's one record carries LSH rows in the old layout.
+
+    Older writers appended the signature rows of users new to a shard whose
+    array words did not change: header fields ``index_rows``,
+    ``index_columns``, ``index_users_encoding`` and ``index_users_bytes``,
+    then the user column, the little-endian ``uint64`` signature matrix and
+    the packed validity bits after the counter payload.  Returns the live
+    service and the snapshot path.
+    """
+    from repro.service import ServiceConfig
+    from repro.service.snapshot import encode_id_column
+
+    service = SimilarityService.from_config(
+        ServiceConfig(expected_users=100, num_shards=4, seed=5)
+    )
+    service.ingest(mutation_mix(np.random.default_rng(3)))
+    service.top_k_pairs(k=5, candidates="lsh")
+    path = tmp_path / "state.vos"
+    service.save(path)
+    # A new user inserts and deletes one item in one batch: a counter-only
+    # record, the only kind that ever carried index rows.
+    service.ingest(
+        [StreamElement(9001, 5, Action.INSERT), StreamElement(9001, 5, Action.DELETE)]
+    )
+    assert service.save_delta()["records"] == 1
+    index = service.index()
+    index.refresh()
+    table = next(t for t in index._shard_signatures if 9001 in t.ordinal)
+    rows = [table.ordinal[9001]]
+    signatures = table.signatures[rows]
+    valid = table.valid[rows]
+    users_blob, users_encoding = encode_id_column([9001])
+
+    journal = default_journal_path(path)
+    blob = journal.read_bytes()
+    start = _last_frame_start(blob)
+    body = blob[start + 8 :]
+    (header_length,) = struct.unpack_from("<I", body)
+    header = json.loads(body[4 : 4 + header_length])
+    assert header["words"] == 0
+    header.update(
+        index_rows=1,
+        index_columns=int(signatures.shape[1]),
+        index_users_encoding=users_encoding,
+        index_users_bytes=len(users_blob),
+    )
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    body = (
+        struct.pack("<I", len(header_bytes))
+        + header_bytes
+        + body[4 + header_length :]
+        + users_blob
+        + signatures.astype("<u8").tobytes()
+        + np.packbits(valid.ravel()).tobytes()
+    )
+    journal.write_bytes(
+        blob[:start] + struct.pack("<II", len(body), zlib.crc32(body)) + body
+    )
+    return service, path
+
+
+class TestLegacyIndexRows:
+    def test_old_records_replay_and_rebuild_the_shard(self, tmp_path):
+        service, path = _journal_with_legacy_index_rows(tmp_path)
+        restored = SimilarityService.load(path)
+        assert restored.stats()["index"]["restored"] == 4 - 1
+        fresh = SimilarityService.from_state_bytes(
+            service.dumps_state(include_index=False)
+        )
+        assert_same_sketch_state(service.sketch, restored.sketch)
+        for user in (0, 7, 23, 9001):
+            assert restored.top_k(user, k=5, index="lsh") == fresh.top_k(
+                user, k=5, index="lsh"
+            )
+        assert restored.stats()["index"]["rebuilds"] == 1
+
+    @pytest.mark.parametrize("bad", ["0", 0.0, True, [0], None], ids=repr)
+    @pytest.mark.parametrize(
+        "field", ["index_rows", "index_columns", "index_users_bytes"]
+    )
+    def test_non_integer_index_counts_are_corruption(self, tmp_path, field, bad):
+        _, path = _journal_with_legacy_index_rows(tmp_path)
+        journal = default_journal_path(path)
+        blob = journal.read_bytes()
+        start = _last_frame_start(blob)
+        body = blob[start + 8 :]
+        (header_length,) = struct.unpack_from("<I", body)
+        header = json.loads(body[4 : 4 + header_length])
+        header[field] = bad
+        header_bytes = json.dumps(header).encode("utf-8")
+        body = struct.pack("<I", len(header_bytes)) + header_bytes + body[4 + header_length :]
+        journal.write_bytes(
+            blob[:start] + struct.pack("<II", len(body), zlib.crc32(body)) + body
+        )
+        with pytest.raises(SnapshotError, match="not a count"):
+            read_journal(journal)
+        with pytest.raises(SnapshotError, match="not a count"):
+            SimilarityService.load(path)
+
+
 def _last_frame_start(blob: bytes) -> int:
     """Byte offset of the final record frame in a journal blob."""
     offset = len(JOURNAL_MAGIC) + 8

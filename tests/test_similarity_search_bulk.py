@@ -380,7 +380,7 @@ class TestSketchRowCache:
         assert info["capacity"] == 4 * 1024
 
     def test_cache_invalidated_by_pure_deletion_batch(self, small_dynamic_stream_module):
-        """The xor_bulk delete path must bump the mutation version like inserts do."""
+        """The xor_bulk delete path must advance the change stamp like inserts do."""
         extra_items = (987654, 987655, 987656)
         sketch = self._loaded(small_dynamic_stream_module)
         users = _candidates(sketch)[:10]
@@ -390,12 +390,12 @@ class TestSketchRowCache:
         columns = ([a for a, _ in pairs], [b for _, b in pairs])
         sketch.estimate_jaccard_many(*columns)
         assert sketch.sketch_cache_info()["entries"] == len(users)
-        version_before = sketch.shared_array.version
+        stamp_before = sketch.shared_array.latest_stamp
         deletions = [
             StreamElement(users[0], item, Action.DELETE) for item in extra_items
         ]
         sketch.process_batch(deletions)
-        assert sketch.shared_array.version > version_before
+        assert sketch.shared_array.latest_stamp > stamp_before
         fresh = sketch.estimate_jaccard_many(*columns)
         uncached = VirtualOddSketch.from_budget(BUDGET, seed=11, sketch_cache_size=0)
         uncached.process_batch(small_dynamic_stream_module)
@@ -409,7 +409,7 @@ class TestSketchRowCache:
         """Insert+delete of the same item in one batch flips no bit: rows stay hot.
 
         ``xor_bulk`` folds the two toggles modulo 2, flips nothing and leaves
-        the mutation version untouched — so the cached rows are still exactly
+        the change stamp untouched — so the cached rows are still exactly
         what an uncached gather would return, and the second query may serve
         every row from the cache.
         """
@@ -419,14 +419,14 @@ class TestSketchRowCache:
         columns = ([a for a, _ in pairs], [b for _, b in pairs])
         sketch.estimate_jaccard_many(*columns)
         hits_before = sketch.sketch_cache_info()["hits"]
-        version_before = sketch.shared_array.version
+        stamp_before = sketch.shared_array.latest_stamp
         sketch.process_batch(
             [
                 StreamElement(users[0], 31337, Action.INSERT),
                 StreamElement(users[0], 31337, Action.DELETE),
             ]
         )
-        assert sketch.shared_array.version == version_before
+        assert sketch.shared_array.latest_stamp == stamp_before
         fresh = sketch.estimate_jaccard_many(*columns)
         assert sketch.sketch_cache_info()["hits"] == hits_before + len(users)
         uncached = VirtualOddSketch.from_budget(BUDGET, seed=11, sketch_cache_size=0)
