@@ -17,6 +17,7 @@ from __future__ import annotations
 import abc
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -193,7 +194,11 @@ class SimilaritySketch(abc.ABC):
         per-element loop for every input.
         """
         counts = np.bincount(inverse)
-        order = np.argsort(inverse, kind="stable")
+        # The narrowest dtype holding every group id: at most 2^16 groups
+        # take NumPy's O(n) radix sort instead of an O(n log n) merge sort,
+        # and any stable sort yields the same order.
+        group_ids = inverse.astype(np.min_scalar_type(max(len(counts) - 1, 0)))
+        order = np.argsort(group_ids, kind="stable")
         ends = np.cumsum(counts)
         starts = ends - counts
         sorted_deltas = deltas[order]
@@ -204,7 +209,7 @@ class SimilaritySketch(abc.ABC):
         totals = within[ends - 1]
         users_list = unique_users.tolist()
         initial = np.fromiter(
-            (self._cardinalities.get(user, 0) for user in users_list),
+            map(self._cardinalities.get, users_list, repeat(0)),
             dtype=np.int64,
             count=len(users_list),
         )
@@ -232,6 +237,16 @@ class SimilaritySketch(abc.ABC):
             raise UnknownUserError(user)
         return self._cardinalities[user]
 
+    def cardinalities(self, users: Sequence[UserId]) -> np.ndarray:
+        """:meth:`cardinality` of every listed user, as one ``int64`` array."""
+        counts = self._cardinalities
+        try:
+            return np.fromiter(
+                (counts[user] for user in users), dtype=np.int64, count=len(users)
+            )
+        except KeyError as error:
+            raise UnknownUserError(error.args[0]) from None
+
     def has_user(self, user: UserId) -> bool:
         """Whether ``user`` has ever appeared in the stream."""
         return user in self._cardinalities
@@ -246,10 +261,9 @@ class SimilaritySketch(abc.ABC):
         The batch fold and shard-delta replay both land counters here, so
         every counter write is visible to :meth:`changed_users`.
         """
-        cardinalities = self._cardinalities
+        self._cardinalities.update(zip(users, counts))
         pop = self._counter_stamps.pop
-        for user, count in zip(users, counts):
-            cardinalities[user] = count
+        for user in users:
             pop(user, None)
         self._counter_stamps.update(dict.fromkeys(users, next_stamp()))
 

@@ -552,11 +552,7 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         rows = self._packed_rows(users)
         counts = pair_xor_counts(rows, index_a, index_b)
         alphas = counts.astype(np.float64) / self.virtual_sketch_size
-        cardinalities = np.fromiter(
-            (self._cardinalities[user] for user in users),
-            dtype=np.int64,
-            count=len(users),
-        )
+        cardinalities = self.cardinalities(users)
         beta = self.beta
         return alphas, beta, beta, cardinalities[index_a], cardinalities[index_b]
 

@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import kernels
 from repro.exceptions import ConfigurationError
 from repro.hashing.universal import (
     UniversalHash,
     _affine_mod_mersenne,
     fingerprint64,
-    fingerprint64_array,
     stable_hash64,
 )
 
@@ -166,12 +166,9 @@ class HashFamily:
         as one vectorized affine step over the selected coefficient pairs,
         bit-exact with the scalar members.  Returns ``int64`` values.
         """
-        wide = _affine_mod_mersenne(
-            fingerprint64_array(keys),
-            self._coeff_a[member_indices],
-            self._coeff_b[member_indices],
+        return kernels.hash_keys(
+            keys, self._coeff_a, self._coeff_b, member_indices, self.range_size
         )
-        return (wide % np.uint64(self.range_size)).astype(np.int64)
 
     def min_index(self, key: object) -> int:
         """Return the index of the member giving ``key`` its smallest wide hash.

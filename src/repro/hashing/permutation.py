@@ -128,22 +128,21 @@ class AffinePermutation:
 
     domain_size: int
     seed: int = 0
+    #: ``(a, b)``, derived from ``seed`` once at construction.
+    _coefficients: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.domain_size <= 0:
             raise ConfigurationError(
                 f"domain_size must be positive, got {self.domain_size}"
             )
-
-    @property
-    def _coefficients(self) -> tuple[int, int]:
         n = self.domain_size
         a = stable_hash64(("affine-a", self.seed)) % n
         a = max(a, 1)
         while math.gcd(a, n) != 1:
             a = (a + 1) % n or 1
         b = stable_hash64(("affine-b", self.seed)) % n
-        return a, b
+        object.__setattr__(self, "_coefficients", (a, b))
 
     def __call__(self, value: int) -> int:
         if not 0 <= value < self.domain_size:

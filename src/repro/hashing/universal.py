@@ -17,7 +17,7 @@ fingerprint domain, and finally reduces into the requested range.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,8 +98,13 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
 
 
 def _subtract_p_where_needed(r: np.ndarray) -> np.ndarray:
-    """One conditional subtraction of the Mersenne prime (no eager underflow)."""
-    return r - np.where(r >= _P64, _P64, np.uint64(0))
+    """One conditional subtraction of the Mersenne prime.
+
+    ``r - p`` wraps past zero exactly when ``r < p`` and then exceeds ``r``
+    (``p < 2^64``), so the minimum is ``r - p`` iff ``r >= p``.  The ufunc
+    form wraps silently for 0-d inputs too, where scalar ``-`` would warn.
+    """
+    return np.minimum(r, np.subtract(r, _P64))
 
 
 def _reduce_mod_mersenne(x: np.ndarray) -> np.ndarray:
@@ -177,18 +182,18 @@ class UniversalHash:
 
     range_size: int
     seed: int = 0
+    #: ``(a, b)``, derived from ``seed`` once at construction: every scalar
+    #: hash reads them, and deriving them costs two BLAKE2b digests.
+    _coefficients: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.range_size <= 0:
             raise ConfigurationError(
                 f"range_size must be positive, got {self.range_size}"
             )
-
-    @property
-    def _coefficients(self) -> tuple[int, int]:
         a = stable_hash64(("uh-a", self.seed)) % (_MERSENNE_P - 1) + 1
         b = stable_hash64(("uh-b", self.seed)) % _MERSENNE_P
-        return a, b
+        object.__setattr__(self, "_coefficients", (a, b))
 
     def __call__(self, key: object) -> int:
         """Hash ``key`` into ``[0, range_size)``."""
@@ -226,4 +231,10 @@ class UniversalHash:
         for every 64-bit integer key — but orders of magnitude faster for
         large batches.  Returns an ``int64`` array (convenient for indexing).
         """
-        return (self.value64_array(keys) % np.uint64(self.range_size)).astype(np.int64)
+        # Imported here: the kernel package's NumPy tier imports this module.
+        from repro import kernels
+
+        a, b = self._coefficients
+        return kernels.hash_keys(
+            keys, np.array([a], np.uint64), np.array([b], np.uint64), None, self.range_size
+        )

@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -217,7 +217,8 @@ class _ShardSignatures:
     table describes its shard exactly while the two are equal, and a refresh
     replaces it with a rebuild once they differ.  No table is ever mutated,
     so indexes over different epochs or restored copies share them by
-    reference.
+    reference (``replace`` re-keys a table without copying its arrays).
+    Construct tables with :meth:`of`, which derives the bucket lookup arrays.
     """
 
     users: tuple[UserId, ...]
@@ -226,10 +227,58 @@ class _ShardSignatures:
     #: (valid only for users with no band at the set-bit floor).
     signatures: np.ndarray
     valid: np.ndarray
+    #: Every valid ``(row, column)`` entry, sorted by signature: a bucket is
+    #: a run of equal ``bucket_signatures`` restricted to one column.
+    bucket_signatures: np.ndarray
+    bucket_rows: np.ndarray
+    bucket_columns: np.ndarray
     key: tuple[int, int] | None = None
 
+    @classmethod
+    def of(
+        cls,
+        users: tuple[UserId, ...],
+        signatures: np.ndarray,
+        valid: np.ndarray,
+        key: tuple[int, int] | None = None,
+    ) -> "_ShardSignatures":
+        """A table over ``users`` (in row order) with its lookup arrays."""
+        rows, columns = np.nonzero(valid)
+        entries = signatures[rows, columns]
+        order = np.argsort(entries)
+        return cls(
+            users,
+            {user: row for row, user in enumerate(users)},
+            signatures,
+            valid,
+            entries[order],
+            rows[order].astype(np.int32),
+            columns[order].astype(np.int32),
+            key,
+        )
+
     def memory_bytes(self) -> int:
-        return int(self.signatures.nbytes + self.valid.nbytes)
+        return int(
+            self.signatures.nbytes
+            + self.valid.nbytes
+            + self.bucket_signatures.nbytes
+            + self.bucket_rows.nbytes
+            + self.bucket_columns.nbytes
+        )
+
+    def bucket_mates(self, keys: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Sorted rows sharing a bucket with any ``(keys[i], columns[i])``."""
+        table = self.bucket_signatures
+        starts = np.searchsorted(table, keys, side="left")
+        counts = np.searchsorted(table, keys, side="right") - starts
+        total = int(counts.sum())
+        if not total:
+            return np.empty(0, dtype=np.int64)
+        # Flat positions of every hit: run i covers starts[i] .. starts[i] + counts[i].
+        offsets = np.cumsum(counts) - counts
+        hits = np.repeat(starts - offsets, counts) + np.arange(total)
+        same_column = self.bucket_columns[hits] == np.repeat(columns, counts)
+        return np.unique(self.bucket_rows[hits[same_column]])
 
 
 def _pairs_within_groups(
@@ -333,6 +382,7 @@ class BandedSketchIndex:
         self._restored = 0
         self._last_candidate_pairs: int | None = None
         self._last_pool_pairs: int | None = None
+        self._last_neighbour_candidates: int | None = None
 
     # -- configuration ----------------------------------------------------------------
 
@@ -391,11 +441,11 @@ class BandedSketchIndex:
             return self._config.bands
         available = max(1, self._row_words // self._config.rows_per_band)
         sketch = self._sketch
-        users = sketch.users()
+        users = list(sketch.users())
+        # An exact integer sum, so the mean (and the band count) is the same
+        # whichever order the users come in.
         mean_cardinality = (
-            sum(sketch.cardinality(user) for user in users) / len(users)
-            if users
-            else 0.0
+            int(sketch.cardinalities(users).sum()) / len(users) if users else 0.0
         )
         beta = sketch.beta
         size = sketch.virtual_sketch_size
@@ -465,9 +515,8 @@ class BandedSketchIndex:
         bands = self._bands
         columns = bands + 1
         if not users:
-            return _ShardSignatures(
+            return _ShardSignatures.of(
                 users,
-                {},
                 np.empty((0, columns), dtype=np.uint64),
                 np.empty((0, columns), dtype=bool),
                 key,
@@ -492,8 +541,7 @@ class BandedSketchIndex:
         valid = np.empty((len(users), columns), dtype=bool)
         valid[:, :bands] = set_bits >= self._config.min_band_bits
         valid[:, bands] = ~valid[:, :bands].any(axis=1)
-        ordinal = {user: row for row, user in enumerate(users)}
-        return _ShardSignatures(users, ordinal, signatures, valid, key)
+        return _ShardSignatures.of(users, signatures, valid, key)
 
     # -- persistence ------------------------------------------------------------------
     #
@@ -590,8 +638,7 @@ class BandedSketchIndex:
             valid = np.asarray(entry["valid"], dtype=bool)
             if signatures.shape != (len(users), columns) or valid.shape != signatures.shape:
                 return False
-            ordinal = {user: row for row, user in enumerate(users)}
-            tables.append(_ShardSignatures(users, ordinal, signatures, valid))
+            tables.append(_ShardSignatures.of(users, signatures, valid))
         self._restored += self._adopt(bands, tables, stale_shards)
         return True
 
@@ -721,27 +768,52 @@ class BandedSketchIndex:
         return pair_keys // n, pair_keys % n
 
     def neighbour_candidates(
-        self, target: UserId, pool: Sequence[UserId]
+        self, target: UserId, pool: Container[UserId]
     ) -> list[UserId]:
         """Members of ``pool`` sharing at least one band bucket with ``target``.
 
-        Pool order is preserved; ``target`` itself is never returned.  This is
-        the nearest-neighbour analogue of :meth:`candidate_pairs`: the linear
-        scan over the pool shrinks to the users the banding proposes.
+        The nearest-neighbour analogue of :meth:`candidate_pairs`, costing
+        O(bucket members) rather than O(pool): each table looks the target's
+        valid band signatures up in its sorted bucket arrays.  ``pool`` is
+        only a filter (anything supporting ``in``; pass a set or a view, not
+        a long list).  Results come in :func:`~repro.streams.edge.user_sort_key`
+        order, each user once, never ``target`` itself.  Each call is traced
+        (``index.neighbour_candidates``).
         """
-        self.refresh()
-        pool = list(pool)
-        if not pool:
-            return []
-        signatures, valid = self._gather([target, *pool])
-        matches = (
-            (signatures[1:] == signatures[0]) & valid[1:] & valid[0]
-        ).any(axis=1)
-        return [
-            user
-            for user, keep in zip(pool, matches.tolist())
-            if keep and user != target
-        ]
+        registry = get_registry()
+        with trace("index.neighbour_candidates", registry):
+            self.refresh()
+            if not pool:
+                members: list[UserId] = []
+            else:
+                members = [
+                    user
+                    for user in self._bucket_members(target)
+                    if user != target and user in pool
+                ]
+        self._last_neighbour_candidates = len(members)
+        return members
+
+    def _bucket_members(self, target: UserId) -> list[UserId]:
+        """Users sharing a bucket with ``target`` (itself included), sorted."""
+        for home in self._shard_signatures:
+            target_row = home.ordinal.get(target)
+            if target_row is not None:
+                break
+        else:
+            raise UnknownUserError(target)
+        columns = np.flatnonzero(home.valid[target_row])
+        keys = home.signatures[target_row, columns]
+        members: list[UserId] = []
+        for table in self._shard_signatures:
+            users = table.users
+            members.extend(
+                users[row] for row in table.bucket_mates(keys, columns).tolist()
+            )
+        # Shards partition the users, so only the merge across tables can
+        # leave the per-table row (= sort key) order.
+        members.sort(key=user_sort_key)
+        return members
 
     # -- accounting -------------------------------------------------------------------
 
@@ -774,6 +846,7 @@ class BandedSketchIndex:
             "last_candidate_pairs": self._last_candidate_pairs,
             "last_pool_pairs": self._last_pool_pairs,
             "last_candidate_fraction": fraction,
+            "last_neighbour_candidates": self._last_neighbour_candidates,
         }
 
 

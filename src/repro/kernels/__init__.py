@@ -2,7 +2,9 @@
 
 Every read-path milestone bottoms out in two primitives: the uint64
 xor+popcount sweep behind pair scoring and the banded hash fold behind LSH
-signature building.  This package routes both through a tier chosen at
+signature building.  The ingest path bottoms out in a third: seeded
+Carter-Wegman hashing of integer id columns (item hash, position hashes,
+shard router).  This package routes all three through a tier chosen at
 runtime::
 
                         REPRO_KERNEL=auto|numpy|native
@@ -52,6 +54,7 @@ from repro.obs import get_registry
 __all__ = [
     "active_tier",
     "band_signatures",
+    "hash_keys",
     "kernel_info",
     "pair_block_pairs",
     "pair_counts",
@@ -211,6 +214,55 @@ def pair_counts(
         registry.inc(f"kernels.{tier}.pairs_scored", int(index_a.shape[0]), unit="pairs")
         registry.observe(f"kernels.{tier}.pair_seconds", elapsed)
     return counts
+
+
+def hash_keys(
+    keys,
+    coeff_a: np.ndarray,
+    coeff_b: np.ndarray,
+    members: np.ndarray | None,
+    range_size: int,
+) -> np.ndarray:
+    """Dispatch seeded hashing of an integer-key array to the active tier.
+
+    Returns ``((coeff_a[m] * fingerprint64(k) + coeff_b[m]) mod (2^61 - 1))
+    mod range_size`` per key as ``int64``, with ``m = members[i]`` (``0``
+    when ``members`` is ``None``): the ingest path's item hash, position
+    hashes and shard router.  Shapes and member indices are checked here,
+    before any pointer reaches native code.
+    """
+    keys = np.asarray(keys)
+    if keys.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"hash_keys needs an integer key array, got dtype {keys.dtype}"
+        )
+    coeff_a = np.ascontiguousarray(coeff_a, dtype=np.uint64)
+    coeff_b = np.ascontiguousarray(coeff_b, dtype=np.uint64)
+    if coeff_a.ndim != 1 or coeff_a.shape != coeff_b.shape or not coeff_a.size:
+        raise ConfigurationError("hash_keys needs matching 1-d coefficient arrays")
+    if members is not None:
+        members = np.ascontiguousarray(members, dtype=np.int64)
+        if members.shape != keys.shape:
+            raise ConfigurationError(
+                f"{members.shape} member indices for {keys.shape} keys"
+            )
+        if members.size and (
+            int(members.min()) < 0 or int(members.max()) >= coeff_a.shape[0]
+        ):
+            raise IndexError(
+                f"member index outside [0, {coeff_a.shape[0]}) in hash_keys"
+            )
+    native = _resolve()["native"]
+    if native is None:
+        return numpy_tier.hash_keys(keys, coeff_a, coeff_b, members, range_size)
+    hashed = native.hash_keys(
+        np.ascontiguousarray(keys.ravel()).astype(np.uint64, copy=False),
+        coeff_a,
+        coeff_b,
+        None if members is None else members.ravel(),
+        range_size,
+    )
+    return hashed.reshape(keys.shape)
 
 
 def band_signatures(

@@ -1,6 +1,6 @@
 """Native kernel tier: hardware-popcount C kernels compiled at first use.
 
-The two hot primitives are implemented in ~60 lines of portable C11 and
+The hot primitives are implemented in ~70 lines of portable C11 and
 compiled with the host toolchain (``cc``/``gcc``/``clang``) into a shared
 object the first time the tier is requested.  The build is cached under
 ``REPRO_KERNEL_CACHE`` (default ``$XDG_CACHE_HOME/repro-kernels``) keyed on a
@@ -64,6 +64,19 @@ static inline uint64_t mix64(uint64_t x) {
 static inline uint64_t affine_mod_p(uint64_t a, uint64_t b, uint64_t x) {
     unsigned __int128 t = (unsigned __int128)a * x + b;
     return (uint64_t)(t % MERSENNE_P);
+}
+
+/* out[i] = ((a[m] * fingerprint64(keys[i]) + b[m]) mod p) mod range_size with
+ * m = members[i] (0 when members is NULL): HashFamily.hash_pairs and
+ * UniversalHash.hash_array over an integer-key column in one pass. */
+void repro_hash_keys(const uint64_t *keys, int64_t n, const uint64_t *coeff_a,
+                     const uint64_t *coeff_b, const int64_t *members,
+                     uint64_t range_size, int64_t *out) {
+    for (int64_t i = 0; i < n; ++i) {
+        int64_t m = members ? members[i] : 0;
+        uint64_t wide = affine_mod_p(coeff_a[m], coeff_b[m], mix64(keys[i] ^ GOLDEN));
+        out[i] = (int64_t)(wide % range_size);
+    }
 }
 
 void repro_pair_counts(const uint64_t *rows, int64_t row_words,
@@ -194,6 +207,17 @@ class NativeKernels:
             ctypes.c_int64,
             _INT64_P,
         ]
+        self._hash = lib.repro_hash_keys
+        self._hash.restype = None
+        self._hash.argtypes = [
+            _UINT64_P,
+            ctypes.c_int64,
+            _UINT64_P,
+            _UINT64_P,
+            _INT64_P,
+            ctypes.c_uint64,
+            _INT64_P,
+        ]
         self._band = lib.repro_band_signatures
         self._band.restype = None
         self._band.argtypes = [
@@ -223,6 +247,28 @@ class NativeKernels:
                 counts.ctypes.data_as(_INT64_P),
             )
         return counts
+
+    def hash_keys(
+        self,
+        keys: np.ndarray,
+        coeff_a: np.ndarray,
+        coeff_b: np.ndarray,
+        members: np.ndarray | None,
+        range_size: int,
+    ) -> np.ndarray:
+        n = int(keys.shape[0])
+        out = np.empty(n, dtype=np.int64)
+        if n:
+            self._hash(
+                keys.ctypes.data_as(_UINT64_P),
+                ctypes.c_int64(n),
+                coeff_a.ctypes.data_as(_UINT64_P),
+                coeff_b.ctypes.data_as(_UINT64_P),
+                None if members is None else members.ctypes.data_as(_INT64_P),
+                ctypes.c_uint64(range_size),
+                out.ctypes.data_as(_INT64_P),
+            )
+        return out
 
     def band_signatures(
         self,

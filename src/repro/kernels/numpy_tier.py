@@ -1,11 +1,13 @@
 """NumPy kernel tier: the always-available, bit-identical fallback.
 
-This module owns the pure-NumPy implementations of the two hot primitives
-behind every read path (see :mod:`repro.kernels` for the dispatch layer):
+This module owns the pure-NumPy implementations of the hot primitives
+behind the read and ingest paths (see :mod:`repro.kernels` for the dispatch layer):
 
 * :func:`pair_counts` — popcount of ``rows[a] ^ rows[b]`` per candidate pair,
   processed in cache-sized blocks with preallocated gather/xor scratch
   buffers so the hot loop never allocates a fresh block-sized temporary.
+* :func:`hash_keys` — seeded Carter-Wegman hashing of an integer-key column
+  (the ingest path's item and position hashes).
 * :func:`band_signatures` — the LSH banding fold: per-band SplitMix64 chains,
   per-band set-bit counts, a whole-row residual fold, and the Carter-Wegman
   affine signature hash, all bit-identical to the scalar definitions in
@@ -24,13 +26,19 @@ import os
 
 import numpy as np
 
-from repro.hashing.universal import _GOLDEN, _affine_mod_mersenne, _mix64_array
+from repro.hashing.universal import (
+    _GOLDEN,
+    _affine_mod_mersenne,
+    _mix64_array,
+    fingerprint64_array,
+)
 
 __all__ = [
     "MAX_BLOCK_PAIRS",
     "MIN_BLOCK_PAIRS",
     "TARGET_BLOCK_BYTES",
     "band_signatures",
+    "hash_keys",
     "pair_block_pairs",
     "pair_counts",
 ]
@@ -167,3 +175,24 @@ def band_signatures(
     keys = _mix64_array(np.ascontiguousarray(residual) ^ golden)
     signatures[:, bands] = _affine_mod_mersenne(keys, coeff_a[bands], coeff_b[bands])
     return signatures, set_bits
+
+
+def hash_keys(
+    keys: np.ndarray,
+    coeff_a: np.ndarray,
+    coeff_b: np.ndarray,
+    members: np.ndarray | None,
+    range_size: int,
+) -> np.ndarray:
+    """``((a[m] * fingerprint64(k) + b[m]) mod p) mod range_size`` per key.
+
+    ``m`` is ``members[i]``, or ``0`` when ``members`` is ``None``; the result
+    is ``int64``.  Bit-exact with the scalar
+    :class:`~repro.hashing.universal.UniversalHash` members.
+    """
+    if members is not None:
+        coeff_a, coeff_b = coeff_a[members], coeff_b[members]
+    else:
+        coeff_a, coeff_b = coeff_a[0], coeff_b[0]
+    wide = _affine_mod_mersenne(fingerprint64_array(keys), coeff_a, coeff_b)
+    return (wide % np.uint64(range_size)).astype(np.int64)

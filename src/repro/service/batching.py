@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import groupby, islice
 
 from repro.baselines.base import SimilaritySketch
 from repro.exceptions import ConfigurationError
@@ -59,17 +60,22 @@ def iter_batches(
         yield from _sliced(source, batch_size)
         return
     pending: list[StreamElement] = []
-    for entry in source:
-        if isinstance(entry, ElementBatch):
+    # Runs of same-typed entries are split and chunked in C (groupby,
+    # islice): no Python-level step per element.
+    for kind, run in groupby(source, key=type):
+        if issubclass(kind, ElementBatch):
             if pending:
                 yield ElementBatch.from_elements(pending)
                 pending = []
-            yield from _sliced(entry, batch_size)
-        else:
-            pending.append(entry)
-            if len(pending) >= batch_size:
-                yield ElementBatch.from_elements(pending)
-                pending = []
+            for batch in run:
+                yield from _sliced(batch, batch_size)
+            continue
+        while True:
+            pending.extend(islice(run, batch_size - len(pending)))
+            if len(pending) < batch_size:
+                break
+            yield ElementBatch.from_elements(pending)
+            pending = []
     if pending:
         yield ElementBatch.from_elements(pending)
 

@@ -237,8 +237,16 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         ingest state-identical to per-element routing.
         """
         assignment = self.shard_assignment(batch.users)
-        for shard_index in np.unique(assignment).tolist():
-            yield shard_index, batch.select(np.flatnonzero(assignment == shard_index))
+        counts = np.bincount(assignment, minlength=self.num_shards)
+        # A stable sort groups rows by shard with each group in batch order;
+        # the narrow dtype gets NumPy's O(n) radix sort.
+        order = np.argsort(
+            assignment.astype(np.min_scalar_type(self.num_shards - 1)), kind="stable"
+        )
+        ends = np.cumsum(counts)
+        for shard_index in np.flatnonzero(counts).tolist():
+            start = ends[shard_index] - counts[shard_index]
+            yield shard_index, batch.select(order[start : ends[shard_index]])
 
     def split_by_owner(self, batch: ElementBatch, owner_of_shard):
         """Yield ``(owner, sub_batch, shard_assignment)`` per owning worker.
@@ -288,6 +296,20 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
 
     def cardinality(self, user: UserId) -> int:
         return self.shard_for(user).cardinality(user)
+
+    def cardinalities(self, users: Sequence[UserId]) -> np.ndarray:
+        """Bulk :meth:`cardinality`: one :meth:`shard_assignment` routes every user."""
+        users = list(users)
+        counts = np.empty(len(users), dtype=np.int64)
+        if not users:
+            return counts
+        assignment = self.shard_assignment(id_column(users))
+        for shard_index in np.unique(assignment).tolist():
+            rows = np.flatnonzero(assignment == shard_index)
+            counts[rows] = self._shards[shard_index].cardinalities(
+                [users[row] for row in rows.tolist()]
+            )
+        return counts
 
     def has_user(self, user: UserId) -> bool:
         return self.shard_for(user).has_user(user)
@@ -377,9 +399,7 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
             member_users = [users[row] for row in member_rows]
             rows[member_rows] = shard._packed_rows(member_users)
             betas[member_rows] = shard.beta
-            cardinalities[member_rows] = [
-                shard.cardinality(user) for user in member_users
-            ]
+            cardinalities[member_rows] = shard.cardinalities(member_users)
         return rows, betas, cardinalities
 
     def _indexed_pair_arrays(

@@ -68,13 +68,40 @@ def _candidate_users(
     sketch: SimilaritySketch, users: Iterable[UserId] | None, minimum_cardinality: int
 ) -> list[UserId]:
     if users is None:
-        pool: Iterable[UserId] = sketch.users()
+        pool = list(sketch.users())
     else:
         pool = [user for user in users if sketch.has_user(user)]
     return sorted(
-        (user for user in pool if sketch.cardinality(user) >= minimum_cardinality),
-        key=_user_sort_key,
+        _at_least(sketch, pool, minimum_cardinality), key=_user_sort_key
     )
+
+
+def _at_least(
+    sketch: SimilaritySketch, users: Sequence[UserId], minimum_cardinality: int
+) -> list[UserId]:
+    """The listed users holding at least ``minimum_cardinality`` items, in order."""
+    counts = sketch.cardinalities(users).tolist()
+    return [user for user, count in zip(users, counts) if count >= minimum_cardinality]
+
+
+class _SketchUsers:
+    """Every user of a VOS-family sketch as a filter, without building a set.
+
+    ``in`` and ``len`` read the row shards' counter dicts: O(shards) per call,
+    where ``sketch.users()`` is O(users).  This is the pool a bucket lookup
+    filters by when the caller names no candidates.
+    """
+
+    __slots__ = ("_shards",)
+
+    def __init__(self, sketch) -> None:
+        self._shards = sketch.row_shards()
+
+    def __contains__(self, user) -> bool:
+        return any(user in shard._cardinalities for shard in self._shards)
+
+    def __len__(self) -> int:
+        return sum(len(shard._cardinalities) for shard in self._shards)
 
 
 def _size_ratio_bound(size_a: int, size_b: int) -> float:
@@ -83,12 +110,6 @@ def _size_ratio_bound(size_a: int, size_b: int) -> float:
         return 0.0
     smaller, larger = min(size_a, size_b), max(size_a, size_b)
     return smaller / larger
-
-
-def _cardinalities(sketch: SimilaritySketch, users: Sequence[UserId]) -> np.ndarray:
-    return np.fromiter(
-        (sketch.cardinality(user) for user in users), dtype=np.int64, count=len(users)
-    )
 
 
 def _iter_pair_blocks(
@@ -305,7 +326,7 @@ def top_k_similar_pairs(
     if len(pool) < 2:
         return []
     cardinalities = (
-        _cardinalities(sketch, pool) if prefilter_threshold > 0.0 else None
+        sketch.cardinalities(pool) if prefilter_threshold > 0.0 else None
     )
     best: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     for index_a, index_b in _candidate_pair_blocks(sketch, pool, candidates, index):
@@ -344,18 +365,27 @@ def nearest_neighbours(
 
     ``candidates`` defaults to every other user the sketch has seen; pass a
     subset (e.g. high-cardinality users) to bound the linear scan.  Passing a
-    banding ``index`` shrinks the scan further to the users sharing at least
-    one band bucket with ``target`` (see
-    :meth:`~repro.index.banding.BandedSketchIndex.neighbour_candidates`).
+    banding ``index`` restricts the scan to the users sharing at least one
+    band bucket with ``target`` (see
+    :meth:`~repro.index.banding.BandedSketchIndex.neighbour_candidates`);
+    with ``candidates=None`` too, the query then costs O(bucket members), not
+    O(users): the buckets are looked up and only their members are filtered
+    by ``minimum_cardinality``.
     """
     if k <= 0:
         raise ConfigurationError(f"k must be positive, got {k}")
     if not sketch.has_user(target):
         raise ConfigurationError(f"target user {target!r} has never appeared in the stream")
-    pool = _candidate_users(sketch, candidates, minimum_cardinality)
-    others = [user for user in pool if user != target]
-    if index is not None:
-        others = index.neighbour_candidates(target, others)
+    if index is not None and candidates is None:
+        proposed = index.neighbour_candidates(target, _SketchUsers(sketch))
+        others = _at_least(sketch, proposed, minimum_cardinality)
+    else:
+        pool = _candidate_users(sketch, candidates, minimum_cardinality)
+        others = [user for user in pool if user != target]
+        if index is not None:
+            # Filter rather than replace: repeats in ``candidates`` stay.
+            proposed = set(index.neighbour_candidates(target, set(others)))
+            others = [user for user in others if user in proposed]
     if not others:
         return []
     indexed_users = [target, *others]
@@ -395,7 +425,7 @@ def pairs_above_threshold(
     if len(pool) < 2:
         return []
     cardinalities = (
-        _cardinalities(sketch, pool) if use_prefilter and threshold > 0.0 else None
+        sketch.cardinalities(pool) if use_prefilter and threshold > 0.0 else None
     )
     kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for index_a, index_b in _candidate_pair_blocks(sketch, pool, candidates, index):

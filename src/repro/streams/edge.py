@@ -33,6 +33,11 @@ class Action(enum.Enum):
     INSERT = "+"
     DELETE = "-"
 
+    def __init__(self, symbol: str) -> None:
+        #: ``+1`` for insertions and ``-1`` for deletions; a plain member
+        #: attribute, so columnarizing a batch reads it without a call.
+        self.sign = 1 if symbol == "+" else -1
+
     @classmethod
     def from_symbol(cls, symbol: str) -> "Action":
         """Parse ``"+"`` / ``"-"`` (also accepts ``"insert"`` / ``"delete"``)."""
@@ -47,11 +52,6 @@ class Action(enum.Enum):
     def symbol(self) -> str:
         """The single-character stream symbol (``+`` or ``-``)."""
         return self.value
-
-    @property
-    def sign(self) -> int:
-        """``+1`` for insertions and ``-1`` for deletions."""
-        return 1 if self is Action.INSERT else -1
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.hashing import permutation
 from repro.hashing.permutation import AffinePermutation, FeistelPermutation, RandomPermutation
 
 
@@ -68,3 +71,25 @@ def test_invalid_construction_raises():
 
 def test_random_permutation_alias_is_feistel():
     assert RandomPermutation is FeistelPermutation
+
+
+def test_affine_derives_its_coefficients_once(monkeypatch):
+    perm = AffinePermutation(domain_size=1000, seed=4)
+    calls = []
+    real = permutation.stable_hash64
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(permutation, "stable_hash64", counting)
+    outputs = [perm(x) for x in range(1000)]
+    assert [perm.inverse(y) for y in outputs] == list(range(1000))
+    assert calls == []
+
+
+def test_affine_pickle_round_trip():
+    perm = AffinePermutation(domain_size=257, seed=11)
+    clone = pickle.loads(pickle.dumps(perm))
+    assert clone == perm
+    assert [clone(x) for x in range(257)] == [perm(x) for x in range(257)]

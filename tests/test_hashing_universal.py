@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.hashing import universal
 from repro.hashing.universal import UniversalHash, fingerprint64, stable_hash64
 
 
@@ -87,6 +91,41 @@ class TestUniversalHash:
         h = UniversalHash(range_size=4, seed=1)
         with pytest.raises(Exception):
             h.range_size = 8  # type: ignore[misc]
+
+
+class TestCoefficientsDerivedOnce:
+    """``(a, b)`` come from two BLAKE2b digests; hashing must not re-derive them."""
+
+    def test_hashing_calls_stable_hash64_zero_times(self, monkeypatch):
+        h = UniversalHash(range_size=13, seed=5)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return stable_hash64(*args)
+
+        monkeypatch.setattr(universal, "stable_hash64", counting)
+        keys = np.arange(-50, 50, dtype=np.int64)
+        for key in keys.tolist():
+            h(key)
+            h.value64(key)
+        h("string-key")
+        h.unit_interval(3)
+        h.hash_array(keys)
+        h.value64_array(keys)
+        assert calls == []
+        # Construction is where the coefficients come from.
+        UniversalHash(range_size=13, seed=6)
+        assert len(calls) == 2
+
+    def test_pickle_round_trip_keeps_the_function(self):
+        h = UniversalHash(range_size=4096, seed=424242)
+        clone = pickle.loads(pickle.dumps(h))
+        assert clone == h
+        assert clone._coefficients == h._coefficients
+        keys = np.array([0, 1, -1, 2**63 - 1, -(2**63), 987654321], dtype=np.int64)
+        assert [clone(key) for key in keys.tolist()] == [h(key) for key in keys.tolist()]
+        assert np.array_equal(clone.hash_array(keys), h.hash_array(keys))
 
 
 class TestVectorizedHashing:

@@ -10,7 +10,7 @@ from repro.similarity.engine import build_sketch
 from repro.core.vos import VirtualOddSketch, packed_row_bytes
 from repro.exceptions import ConfigurationError, UnknownUserError
 from repro.index import BandedSketchIndex, IndexConfig, required_bands
-from repro.index.banding import alpha_at_threshold
+from repro.index.banding import _ShardSignatures, alpha_at_threshold
 from repro.service import ServiceConfig, ShardedVOS, SimilarityService
 from repro.similarity.search import (
     nearest_neighbours,
@@ -224,6 +224,19 @@ class TestIncrementalMaintenance:
         assert stats["signature_bytes"] > 0
         assert stats["users_indexed"] == 100
         assert stats["bands"] == 16
+        (table,) = index._shard_signatures
+        lookup = sum(
+            array.nbytes
+            for array in (
+                table.bucket_signatures,
+                table.bucket_rows,
+                table.bucket_columns,
+            )
+        )
+        assert lookup > 0
+        assert stats["signature_bytes"] == (
+            table.signatures.nbytes + table.valid.nbytes + lookup
+        )
 
 
 class TestShardedIndex:
@@ -288,6 +301,66 @@ class TestSearchIntegration:
         assert 0 not in neighbours
         assert set(neighbours) <= set(pool)
         assert 1 in neighbours
+        assert index.stats()["last_neighbour_candidates"] == len(neighbours)
+
+    def test_neighbour_candidates_pool_is_a_filter(self, clone_vos):
+        index = BandedSketchIndex(clone_vos)
+        everyone = index.neighbour_candidates(0, set(clone_vos.users()))
+        assert everyone == sorted(everyone)
+        # Users outside the sketch may sit in the pool; only bucket mates of
+        # the target that the pool admits come back.
+        assert index.neighbour_candidates(0, {1, 10**12}) == [1]
+        assert index.neighbour_candidates(0, set()) == []
+        with pytest.raises(UnknownUserError):
+            index.neighbour_candidates(10**12, {1})
+
+    def test_bucket_lookup_drops_hits_from_other_columns(self):
+        # Rows 0 and 1 hold the same two signatures in swapped columns, so
+        # they share no bucket; row 2 shares column 0 with row 0.
+        table = _ShardSignatures.of(
+            ("a", "b", "c"),
+            np.array([[5, 7], [7, 5], [5, 9]], dtype=np.uint64),
+            np.ones((3, 2), dtype=bool),
+        )
+        mates = table.bucket_mates(
+            np.array([5, 7], dtype=np.uint64), np.array([0, 1])
+        )
+        assert mates.tolist() == [0, 2]
+
+    def test_lsh_nearest_scans_no_user_pool(self, monkeypatch):
+        """One LSH ``nearest`` costs O(candidates), not O(users)."""
+        sketch = ShardedVOS(
+            4, shard_array_bits=1 << 20, virtual_sketch_size=1024, seed=3
+        )
+        sketch.process_batch(clone_pool_elements(num_users=2000))
+        index = BandedSketchIndex(sketch)
+        nearest_neighbours(sketch, 0, k=5, index=index)  # warm the tables
+        calls = {"cardinality": 0, "users": 0, "gather": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            ShardedVOS, "cardinality", counting("cardinality", ShardedVOS.cardinality)
+        )
+        monkeypatch.setattr(ShardedVOS, "users", counting("users", ShardedVOS.users))
+        monkeypatch.setattr(
+            VirtualOddSketch, "users", counting("users", VirtualOddSketch.users)
+        )
+        monkeypatch.setattr(
+            BandedSketchIndex, "_gather", counting("gather", BandedSketchIndex._gather)
+        )
+        results = nearest_neighbours(sketch, 0, k=5, index=index)
+        assert results and results[0].user_b == 1
+        candidates = index.stats()["last_neighbour_candidates"]
+        assert candidates < 100
+        assert calls["cardinality"] <= candidates + 1
+        assert calls["users"] == 0
+        assert calls["gather"] == 0
 
 
 class TestServiceIntegration:

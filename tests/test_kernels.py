@@ -20,6 +20,7 @@ from repro import kernels
 from repro.core.memory import MemoryBudget
 from repro.core.vos import VirtualOddSketch, packed_row_bytes, pair_xor_counts
 from repro.exceptions import ConfigurationError
+from repro.hashing.families import HashFamily
 from repro.hashing.universal import _MERSENNE_P, UniversalHash, stable_hash64
 from repro.index import BandedSketchIndex, IndexConfig
 from repro.kernels import numpy_tier
@@ -187,6 +188,56 @@ class TestBandSignatureParity:
             kernels.band_signatures(words, 5, 1, np.ones(6, np.uint64), np.ones(6, np.uint64))
         with pytest.raises(ConfigurationError):
             kernels.band_signatures(words, 2, 2, np.ones(2, np.uint64), np.ones(2, np.uint64))
+
+
+class TestHashKeyParity:
+    KEYS = np.array(
+        [0, 1, -1, 2, 17, -12345, 2**31, 2**63 - 1, -(2**63), 987654321012345],
+        dtype=np.int64,
+    )
+
+    @pytest.mark.parametrize("range_size", [1, 13, 4096, 10**9 + 7, _MERSENNE_P])
+    def test_tiers_match_scalar_hashes(self, range_size):
+        rng = np.random.default_rng(range_size % 1000)
+        keys = np.concatenate(
+            (self.KEYS, rng.integers(-(2**63), 2**63 - 1, size=5000, dtype=np.int64))
+        )
+        family = HashFamily(size=16, range_size=range_size, seed=5)
+        members = rng.integers(0, 16, size=keys.shape[0])
+        single = UniversalHash(range_size=range_size, seed=9)
+        for tier in tiers():
+            with kernels.use_tier(tier):
+                pairs = family.hash_pairs(keys, members)
+                hashed = single.hash_array(keys)
+            assert pairs.dtype == np.int64 and hashed.dtype == np.int64
+            assert pairs.tolist() == [
+                family[m](k) for k, m in zip(keys.tolist(), members.tolist())
+            ]
+            assert hashed.tolist() == [single(k) for k in keys.tolist()]
+
+    def test_unsigned_and_empty_keys(self):
+        keys = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+        single = UniversalHash(range_size=1000, seed=2)
+        for tier in tiers():
+            with kernels.use_tier(tier):
+                assert single.hash_array(keys).tolist() == [
+                    single(k) for k in keys.tolist()
+                ]
+                assert single.hash_array(np.empty(0, dtype=np.int64)).shape == (0,)
+
+    def test_member_indices_are_bounds_checked(self):
+        coeff = np.ones(4, dtype=np.uint64)
+        keys = np.arange(3)
+        for tier in tiers():
+            with kernels.use_tier(tier):
+                with pytest.raises(IndexError):
+                    kernels.hash_keys(keys, coeff, coeff, np.array([0, 4, 1]), 10)
+                with pytest.raises(IndexError):
+                    kernels.hash_keys(keys, coeff, coeff, np.array([0, -1, 1]), 10)
+                with pytest.raises(ConfigurationError):
+                    kernels.hash_keys(keys, coeff, coeff, np.array([0, 1]), 10)
+                with pytest.raises(ConfigurationError):
+                    kernels.hash_keys(np.array([1.5]), coeff, coeff, None, 10)
 
 
 def _string_pool_sketch():
