@@ -5,8 +5,7 @@ fully dynamic stream into a multi-shard :class:`ShardedVOS`, columnar ingest
 (array-native batches, one vectorized route per batch) must beat the
 per-element loop by a wide margin while producing **bit-identical** state.
 The same stream is also written to disk in both formats to time binary
-``.vosstream`` loading against text parsing.  Multi-process ingest has its own
-benchmark, ``test_throughput_procs.py``.
+``.vosstream`` loading against text parsing.
 
 The measured figures are written to ``BENCH_ingest.json`` at the repository
 root so the performance trajectory accumulates across PRs.  Set

@@ -13,7 +13,7 @@ Usage (after ``pip install -e .``)::
 
 Service commands (the :mod:`repro.service` subsystem)::
 
-    repro ingest --stream edges.vosstream --snapshot state.vos --shards 4 --workers 4
+    repro ingest --stream edges.vosstream --snapshot state.vos --shards 4
     repro convert --input edges.txt --output edges.vosstream
     repro topk --snapshot state.vos --user 17 -k 10 --index lsh
     repro pairs --snapshot state.vos -k 10 --prefilter 0.2 --index lsh
@@ -37,8 +37,7 @@ Service commands (the :mod:`repro.service` subsystem)::
 ``ingest`` reads a stream file — the plain-text format (``<action> <user>
 <item>`` per line) or the binary columnar ``.vosstream`` format, auto-detected
 (see :mod:`repro.streams.io`) — feeds it through the sharded batch-vectorized
-VOS service (``--workers N`` ingests shard sub-batches on N worker processes;
-1 = serial) and snapshots the resulting sketch state; ``convert`` translates a
+VOS service and snapshots the resulting sketch state; ``convert`` translates a
 stream between the two formats; ``topk`` answers nearest-neighbour queries
 against a snapshot without re-reading the stream; ``pairs`` runs the vectorized
 top-k similar-pair search (with the optional cardinality pre-filter) over a
@@ -290,7 +289,6 @@ def _run_ingest(args: argparse.Namespace) -> int:
         num_shards=args.shards,
         seed=args.seed,
         batch_size=args.batch_size,
-        workers=args.workers,
     )
     service = SimilarityService.from_config(config)
     report = service.ingest(source)
@@ -300,8 +298,6 @@ def _run_ingest(args: argparse.Namespace) -> int:
         ["stream", stream_name],
         ["elements", report.elements],
         ["batches", report.batches],
-        ["workers", report.workers],
-        ["mode", report.mode],
         ["elements/sec", round(report.elements_per_second)],
         ["assemble sec", round(report.assemble_seconds, 4)],
         ["process sec", round(report.process_seconds, 4)],
@@ -1074,12 +1070,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingest_parser.add_argument(
         "--batch-size", type=int, default=8192, help="ingest batch size"
-    )
-    ingest_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for per-shard ingest (1 = serial)",
     )
     ingest_parser.add_argument(
         "--format",

@@ -103,7 +103,7 @@ class SharedBitArray:
 
     # -- change tracking --------------------------------------------------------------
     #
-    # Shard deltas (journal checkpoints, epoch publishes, pool merge-back)
+    # Shard deltas (journal checkpoints, epoch publishes)
     # ship only the 64-bit words changed after a consumer's cursor instead of
     # all ``m`` bits.  The per-word stamps live in the backing PackedBitArray
     # and ride the same mutation paths that advance :attr:`latest_stamp`.

@@ -55,18 +55,6 @@ class DatasetError(ReproError):
     """A dataset file or synthetic dataset specification could not be used."""
 
 
-class WorkerProcessError(ReproError):
-    """An ingest worker process failed or died.
-
-    Raised by the process-pool ingestor when a worker crashes without
-    reporting, when its original exception cannot be reconstructed (the
-    formatted remote traceback is embedded in the message), or when a
-    merged-back shard delta fails its popcount/user-count consistency check.
-    When the original exception *can* be unpickled it is re-raised directly,
-    chained to a ``WorkerProcessError`` carrying the remote traceback.
-    """
-
-
 class SnapshotError(ReproError):
     """A sketch snapshot could not be written or restored.
 

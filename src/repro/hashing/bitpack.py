@@ -88,7 +88,7 @@ class PackedBitArray:
     #
     # One generation stamp per 64-bit word records when the word last changed
     # (stamps come from :func:`next_stamp`).  Each consumer of changes — the
-    # journal, the epoch publisher, a pool worker — keeps its own cursor and
+    # journal and the epoch publisher — keeps its own cursor and
     # asks for the words stamped after it, so no consumer ever clears state
     # another one still needs.  ``_floor`` is the stamp of the last wholesale
     # change (0 for a fresh array, the reset stamp after :meth:`clear` /

@@ -13,7 +13,7 @@ kinds cover the ROADMAP's measurement needs:
   storing samples.  ``count``/``sum``/``min``/``max`` are tracked exactly, so
   derived means are not subject to bucketing error.
 
-Every metric carries its own ``threading.Lock`` so concurrent shard workers
+Every metric carries its own ``threading.Lock`` so concurrent threads
 can update disjoint metrics without contending on a registry-wide lock, and
 updates to a shared metric are never lost.  The registry itself only locks on
 first registration of a name.
@@ -315,22 +315,6 @@ class MetricsRegistry:
     def observe_many(self, name: str, values: Iterable[float], unit: str = "") -> None:
         if self.enabled:
             self.histogram(name, unit).observe_many(values)
-
-    def merge_counter_snapshot(self, counters: Dict[str, Dict[str, object]]) -> None:
-        """Fold another registry's counter snapshot into this one.
-
-        ``counters`` is the ``"counters"`` mapping of a :meth:`snapshot` —
-        typically shipped home from a worker *process*, whose metrics live in
-        its own registry.  Each named counter is incremented by the snapshot
-        value, so totals aggregate exactly across processes.  Gated on
-        :attr:`enabled` like every other mutator.
-        """
-        if not self.enabled:
-            return
-        for name, info in counters.items():
-            amount = int(info.get("value", 0))
-            if amount:
-                self.inc(name, amount, unit=str(info.get("unit", "")))
 
     # -- export --------------------------------------------------------
 

@@ -5,8 +5,8 @@ round trip costs O(state) per publish (~30ms at 2k bench users, growing
 linearly).  This module publishes at O(changed words) instead:
 
 * **Arena** — at daemon start the writer's byte-per-bit shard buffers are
-  written once to file-backed arenas (:class:`_ShardArena`).  The files are
-  plain raw bytes, so process-pool workers can later map them zero-copy.
+  written once to file-backed arenas (:class:`_ShardArena`) of plain raw
+  bytes.
 * **Overlay** — each published epoch maps its shard arenas privately
   (``mmap.ACCESS_COPY``): reads come straight from the shared page cache,
   and patching N words touches only the pages holding those words (the

@@ -429,9 +429,9 @@ class ServingDaemon:
             if candidates == "lsh":
                 self._ensure_index(epoch)
             pairs = service.top_k_pairs(
-                k=int(request.get("k", 10)),
+                k=_field(request, "k", 10, int),
                 users=request.get("users"),
-                minimum_cardinality=int(request.get("minimum_cardinality", 1)),
+                minimum_cardinality=_field(request, "minimum_cardinality", 1, int),
                 prefilter_threshold=float(request.get("prefilter_threshold", 0.0)),
                 candidates=candidates,
             )
@@ -449,9 +449,9 @@ class ServingDaemon:
                 self._ensure_index(epoch)
             neighbours = epoch.service.top_k(
                 request["user"],
-                k=int(request.get("k", 10)),
+                k=_field(request, "k", 10, int),
                 candidates=request.get("candidates"),
-                minimum_cardinality=int(request.get("minimum_cardinality", 1)),
+                minimum_cardinality=_field(request, "minimum_cardinality", 1, int),
                 index=index,
             )
             return {
@@ -511,7 +511,7 @@ class ServingDaemon:
                 "ingest_batch requires an 'elements' list of [user, item, action] rows"
             )
         elements = protocol.decode_elements(rows)
-        publish = bool(request.get("publish", True))
+        publish = _field(request, "publish", True, bool)
         with self._write_lock:
             report = self._writer.ingest(elements)
             if publish:
@@ -525,7 +525,6 @@ class ServingDaemon:
             "elements": report.elements,
             "batches": report.batches,
             "seconds": report.seconds,
-            "mode": report.mode,
             "users": len(self._writer.sketch.users()),
         }
 
@@ -556,6 +555,22 @@ class ServingDaemon:
             "epochs": self.epochs.stats(),
             "cow": self._publisher.stats(),
         }
+
+
+def _field(request: dict, name: str, default, kind: type):
+    """Request parameter ``name`` (``default`` when absent), exactly a ``kind``.
+
+    The check is on the exact type, so JSON ``true`` is not an integer and
+    ``3.7`` or ``"false"`` is never coerced into a meaning the client did not
+    send.
+    """
+    value = request.get(name, default)
+    if type(value) is not kind:
+        raise ProtocolError(
+            f"{name!r} must be a JSON {'boolean' if kind is bool else 'integer'}, "
+            f"got {value!r}"
+        )
+    return value
 
 
 def _error_response(error: Exception) -> dict:

@@ -236,14 +236,24 @@ def encode_elements(elements: Iterable[StreamElement]) -> list[list]:
 
 
 def decode_elements(rows: Sequence[Sequence]) -> list[StreamElement]:
-    """Inverse of :func:`encode_elements` (validates the action symbol)."""
+    """Inverse of :func:`encode_elements`, checking every row before any is used.
+
+    A row must be a list ``[user, item, "+"|"-"]`` whose user and item are
+    ``str`` or ``int`` (not ``bool``).  Anything else raises
+    :class:`~repro.exceptions.ProtocolError`, so a malformed row rejects the
+    whole batch instead of failing inside the sketch halfway through it.
+    """
     elements: list[StreamElement] = []
     for row in rows:
-        if len(row) != 3:
+        if type(row) is not list or len(row) != 3:
             raise ProtocolError(
                 f"ingest_batch rows must be [user, item, action], got {row!r}"
             )
         user, item, action = row
+        if type(user) not in (int, str) or type(item) not in (int, str):
+            raise ProtocolError(
+                f"ingest_batch user and item must be strings or integers, got {row!r}"
+            )
         if action not in ("+", "-"):
             raise ProtocolError(f"unknown stream action {action!r} (expected + or -)")
         elements.append(StreamElement(user, item, Action(action)))

@@ -12,8 +12,8 @@ system component.  These pieces compose:
   pluggable extra-section registry (the banding index persists its signature
   tables through it);
 * :mod:`repro.service.delta` — the shard delta, the one record of what a
-  shard changed after a consumer's cursor (journal checkpoints, epoch
-  publishes and the process pool's merge-back all ship it);
+  shard changed after a consumer's cursor (journal checkpoints and epoch
+  publishes both ship it);
 * :mod:`repro.service.journal` — the write-ahead shard journal: CRC-framed
   shard deltas (plus index signature appends) between full checkpoints,
   replayed on load;
@@ -38,7 +38,6 @@ from repro.service.journal import (
     read_journal,
     replay_journal,
 )
-from repro.service.procpool import ProcessShardIngestor
 from repro.service.service import CheckpointPolicy, ServiceConfig, SimilarityService
 from repro.service.sharding import ShardedVOS
 from repro.service.snapshot import (
@@ -50,7 +49,6 @@ from repro.service.snapshot import (
     loads_snapshot_state,
     register_snapshot_section,
     save_snapshot,
-    shard_snapshots,
     snapshot_info,
 )
 
@@ -60,7 +58,6 @@ __all__ = [
     "ingest_stream",
     "iter_batches",
     "ShardedVOS",
-    "ProcessShardIngestor",
     "CheckpointPolicy",
     "ServiceConfig",
     "SimilarityService",
@@ -71,7 +68,6 @@ __all__ = [
     "load_snapshot_state",
     "loads_snapshot_state",
     "register_snapshot_section",
-    "shard_snapshots",
     "snapshot_info",
     "SnapshotState",
     "JournalConfig",

@@ -1,4 +1,4 @@
-"""Array-native batch assembly and timed (optionally multi-process) batch ingest.
+"""Array-native batch assembly and timed batch ingest.
 
 The service layer never feeds sketches element by element: stream input is
 chopped into :class:`~repro.streams.batch.ElementBatch` columns and handed to
@@ -10,10 +10,9 @@ operations.  This module owns the two pieces every caller needs:
   (e.g. :func:`~repro.streams.io.iter_stream_batches` straight off a
   ``.vosstream`` file) or single batch into ``ElementBatch`` chunks of a
   fixed maximum size;
-* :func:`ingest_stream` — drive a sketch over a whole stream batch-by-batch —
-  serially, or across per-shard worker processes via
-  :class:`~repro.service.procpool.ProcessShardIngestor` when ``workers > 1``
-  — and return an :class:`IngestReport` with per-phase timings.
+* :func:`ingest_stream` — drive a sketch over a whole stream batch-by-batch
+  on the caller's thread and return an :class:`IngestReport` with per-phase
+  timings.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from itertools import groupby, islice
 from repro.baselines.base import SimilaritySketch
 from repro.exceptions import ConfigurationError
 from repro.obs import get_registry, timed
-from repro.service.procpool import ProcessShardIngestor
-from repro.service.sharding import ShardedVOS
 from repro.streams.batch import ElementBatch
 from repro.streams.edge import StreamElement
 
@@ -96,13 +93,7 @@ class IngestReport:
         Time spent pulling/columnarizing batches from the source (stream
         parsing, list-to-column conversion).
     process_seconds:
-        Time spent inside ``process_batch`` (serial) or routing + waiting on
-        the shard worker processes.
-    workers:
-        Worker processes that ingested shard sub-batches (1 = serial).
-    mode:
-        How the batches were processed: ``"serial"`` (caller's thread) or
-        ``"process"`` (per-shard worker processes).
+        Time spent inside ``process_batch``.
 
     All timings are sums of the per-batch ``repro.obs`` spans
     (``ingest.run``/``ingest.assemble``/``ingest.process``), so when the
@@ -115,8 +106,6 @@ class IngestReport:
     seconds: float
     assemble_seconds: float = 0.0
     process_seconds: float = 0.0
-    workers: int = 1
-    mode: str = "serial"
 
     @property
     def elements_per_second(self) -> float:
@@ -131,57 +120,33 @@ def ingest_stream(
     source: Iterable[StreamElement] | Iterable[ElementBatch] | ElementBatch,
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    workers: int = 1,
 ) -> IngestReport:
     """Feed ``source`` to ``sketch`` in batches and report per-phase throughput.
 
-    With ``workers > 1`` and a :class:`ShardedVOS` of more than one shard,
-    batches go to a :class:`~repro.service.procpool.ProcessShardIngestor`:
-    worker processes owning contiguous shard ranges, fed routed sub-batches
-    over shared memory.  Shard state is shipped out and the shard deltas
-    merged back, so the caller's sketch ends up bit-identical to serial
-    ingest, with every changed word and counter stamped for its consumers.
-    Every other call ingests serially on the caller's thread;
-    :attr:`IngestReport.mode` records what ran.
+    Every batch goes through ``sketch.process_batch`` on the caller's thread.
     """
-    if workers <= 0:
-        raise ConfigurationError(f"workers must be positive, got {workers}")
-    ingestor: ProcessShardIngestor | None = None
-    if workers > 1 and isinstance(sketch, ShardedVOS) and sketch.num_shards > 1:
-        ingestor = ProcessShardIngestor(sketch, workers)
     registry = get_registry()
     assemble = process = 0.0
     total = 0
     batches = 0
     iterator = iter_batches(source, batch_size)
     with timed("ingest.run", registry) as run_span:
-        try:
-            while True:
-                with timed("ingest.assemble", registry) as span:
-                    batch = next(iterator, None)
-                assemble += span.seconds
-                if batch is None:
-                    break
-                with timed("ingest.process", registry) as span:
-                    if ingestor is not None:
-                        total += ingestor.submit(batch)
-                    else:
-                        total += sketch.process_batch(batch)
-                process += span.seconds
-                batches += 1
-        finally:
-            if ingestor is not None:
-                with timed("ingest.process", registry) as span:
-                    ingestor.close()
-                process += span.seconds
+        while True:
+            with timed("ingest.assemble", registry) as span:
+                batch = next(iterator, None)
+            assemble += span.seconds
+            if batch is None:
+                break
+            with timed("ingest.process", registry) as span:
+                total += sketch.process_batch(batch)
+            process += span.seconds
+            batches += 1
     report = IngestReport(
         elements=total,
         batches=batches,
         seconds=run_span.seconds,
         assemble_seconds=assemble,
         process_seconds=process,
-        workers=ingestor.workers if ingestor is not None else 1,
-        mode="process" if ingestor is not None else "serial",
     )
     if registry.enabled:
         registry.inc("ingest.elements", total, unit="elements")

@@ -1,17 +1,17 @@
 """The shard delta: one record of everything a shard changed after a cursor.
 
-Three consumers ship a VOS shard's changes instead of its whole state: journal
-delta checkpoints, copy-on-write epoch publishes and the process pool's
-merge-back.  They all build the record here (:func:`shard_delta`), and the two
-that replay it onto a live sketch — journal replay and the pool merge — apply
-it here (:func:`apply_shard_delta`).
+Two consumers ship a VOS shard's changes instead of its whole state: journal
+delta checkpoints and copy-on-write epoch publishes.  Both build the record
+here (:func:`shard_delta`); journal replay applies it onto a live sketch here
+(:func:`apply_shard_delta`), and the epoch publisher checks its patched copy
+with :func:`delta_mismatch`.
 
 Each consumer keeps its own cursor, a stamp of the change clock
 (:func:`repro.hashing.bitpack.next_stamp`), and asks for the changes stamped
 after it.  No consumer clears anything, so a change made after a consumer's
 last read is in its next delta whatever the other consumers did meanwhile.
 
-A record is a plain dict, so it pickles across processes unchanged::
+A record is a plain dict::
 
     shard           shard index
     words           int64 indices of the changed 64-bit words

@@ -84,7 +84,7 @@ class CheckpointPolicy:
     Both knobs are off (0) by default, so persistence stays fully manual
     unless configured.  Policy checks run after every :meth:`~SimilarityService.ingest`
     call — never mid-batch, so a checkpoint always captures a batch-consistent
-    state (and never races shard worker processes).
+    state.
 
     Parameters
     ----------
@@ -128,9 +128,6 @@ class ServiceConfig:
     size_multiplier: float = 2.0
     seed: int = 0
     batch_size: int = DEFAULT_BATCH_SIZE
-    #: Worker processes for per-shard ingest (1 = serial).  Multi-process
-    #: ingest is state-identical to serial ingest; it only changes wall-clock.
-    workers: int = 1
     #: Per-shard capacity of the packed-row LRU cache used by the bulk query
     #: path (hot users' recovered virtual sketches); 0 disables caching.
     sketch_cache_size: int = 1024
@@ -170,10 +167,6 @@ class SimilarityService:
         (recommended) or a plain :class:`~repro.core.vos.VirtualOddSketch`.
     batch_size:
         Batch size used by :meth:`ingest`.
-    workers:
-        Worker processes for per-shard ingest (1 = serial) — see
-        :func:`~repro.service.batching.ingest_stream`.  Ignored by sketches
-        without independent shards.
     """
 
     def __init__(
@@ -181,18 +174,14 @@ class SimilarityService:
         sketch: ShardedVOS | VirtualOddSketch,
         *,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        workers: int = 1,
         index_config: IndexConfig | None = None,
         checkpoint_policy: CheckpointPolicy | None = None,
         journal_config: JournalConfig | None = None,
     ) -> None:
         if batch_size <= 0:
             raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
-        if workers <= 0:
-            raise ConfigurationError(f"workers must be positive, got {workers}")
         self._sketch = sketch
         self._batch_size = batch_size
-        self._workers = workers
         self._journal_config = (
             journal_config if journal_config is not None else JournalConfig()
         )
@@ -234,7 +223,6 @@ class SimilarityService:
         return cls(
             sketch,
             batch_size=config.batch_size,
-            workers=config.workers,
             index_config=config.index,
             checkpoint_policy=config.checkpoint,
             journal_config=config.journal,
@@ -248,16 +236,9 @@ class SimilarityService:
         """Consume stream input in vectorized batches; returns throughput.
 
         Accepts element iterables and :class:`~repro.streams.batch.ElementBatch`
-        iterables alike (e.g. the chunked ``.vosstream`` reader).  With
-        ``workers > 1`` the per-shard sub-batches of every batch are ingested
-        by worker processes — state-identical to serial ingest.
+        iterables alike (e.g. the chunked ``.vosstream`` reader).
         """
-        report = ingest_stream(
-            self._sketch,
-            elements,
-            batch_size=self._batch_size,
-            workers=self._workers,
-        )
+        report = ingest_stream(self._sketch, elements, batch_size=self._batch_size)
         self._elements_ingested += report.elements
         self._batches_ingested += report.batches
         self._elements_since_checkpoint += report.elements
@@ -396,7 +377,6 @@ class SimilarityService:
             "elements_ingested": self._elements_ingested,
             "batches_ingested": self._batches_ingested,
             "batch_size": self._batch_size,
-            "workers": self._workers,
             "users": len(sketch.users()),
             "memory_bits": sketch.memory_bits(),
             "beta": sketch.beta,
@@ -718,7 +698,6 @@ class SimilarityService:
         path: str | Path,
         *,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        workers: int = 1,
         index_config: IndexConfig | None = None,
         checkpoint_policy: CheckpointPolicy | None = None,
         journal: str | Path | None = "auto",
@@ -789,7 +768,6 @@ class SimilarityService:
         service = cls(
             state.sketch,
             batch_size=batch_size,
-            workers=workers,
             index_config=index_config,
             checkpoint_policy=checkpoint_policy,
             journal_config=journal_config,

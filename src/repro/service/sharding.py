@@ -233,8 +233,8 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         to its owning shard; each sub-batch is a NumPy ``select`` (no
         per-element list rebuilds).  Concatenating a shard's sub-batches over
         consecutive calls reproduces that shard's element subsequence in
-        stream order, which is what makes both serial and concurrent shard
-        ingest state-identical to per-element routing.
+        stream order, which is what makes batch ingest state-identical to
+        per-element routing.
         """
         assignment = self.shard_assignment(batch.users)
         counts = np.bincount(assignment, minlength=self.num_shards)
@@ -247,24 +247,6 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         for shard_index in np.flatnonzero(counts).tolist():
             start = ends[shard_index] - counts[shard_index]
             yield shard_index, batch.select(order[start : ends[shard_index]])
-
-    def split_by_owner(self, batch: ElementBatch, owner_of_shard):
-        """Yield ``(owner, sub_batch, shard_assignment)`` per owning worker.
-
-        ``owner_of_shard`` maps every shard index to the worker that owns it
-        (e.g. the contiguous ranges a process pool assigns).  The batch is
-        routed with the same single vectorized hash as :meth:`split_by_shard`
-        and regrouped by owner; each yielded ``shard_assignment`` array gives
-        the owning shard of the corresponding sub-batch row, so a worker can
-        finish the per-shard split locally.  Row order is preserved within
-        each owner, keeping per-shard element order — and therefore final
-        sketch state — identical to serial ingest.
-        """
-        assignment = self.shard_assignment(batch.users)
-        owners = np.asarray(owner_of_shard, dtype=np.int64)[assignment]
-        for owner in np.unique(owners).tolist():
-            rows = np.flatnonzero(owners == owner)
-            yield owner, batch.select(rows), assignment[rows]
 
     def process_batch(self, elements) -> int:
         """Vectorized batch ingest: route by user, one sub-batch per shard.

@@ -460,29 +460,6 @@ def loads_snapshot(data: bytes) -> VirtualOddSketch | ShardedVOS:
     return loads_snapshot_state(data).sketch
 
 
-def shard_snapshots(
-    sketch: ShardedVOS, *, checkpoint_id: str | None = None
-) -> list[bytes]:
-    """Per-shard snapshot bytes, one standalone VOS blob per shard.
-
-    The shipping format for moving individual shards between processes (the
-    process-pool ingestor sends each worker only the shards it owns):
-    ``loads_snapshot`` on each blob yields a bit-exact standalone
-    :class:`VirtualOddSketch`.
-
-    Each blob embeds a random ``checkpoint_id`` by default; pass one
-    explicitly to make the bytes deterministic (parity tests compare the
-    blobs of two sketches directly).
-    """
-    if not isinstance(sketch, ShardedVOS):
-        raise SnapshotError(
-            f"shard_snapshots requires a ShardedVOS, got {type(sketch).__name__}"
-        )
-    return [
-        dumps_snapshot(shard, checkpoint_id=checkpoint_id) for shard in sketch.shards
-    ]
-
-
 def load_snapshot_state(path: str | Path) -> SnapshotState:
     """Read a snapshot file with its extra sections and checkpoint id."""
     source = Path(path)

@@ -202,7 +202,7 @@ class ElementBatch:
         """Return ``elements`` as a batch: pass batches through, columnarize rest.
 
         The single place that defines what batch-accepting entry points
-        (``process_batch``, the process-pool ingestor) take as input.
+        (``process_batch``) take as input.
         """
         if isinstance(elements, cls):
             return elements

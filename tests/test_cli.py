@@ -164,11 +164,10 @@ class TestServiceCommands:
         assert "not found" in capsys.readouterr().err
 
 
-class TestConvertAndProcessIngest:
-    """``repro convert`` and the ingest ``--workers`` / ``--format`` flags.
+class TestConvertAndIngestFormats:
+    """``repro convert`` and the ingest ``--format`` / ``--no-validate`` flags.
 
-    ``--workers N`` above 1 runs worker processes; their snapshots must be
-    bit-identical to a ``--workers 1`` (serial) run.
+    Every way of reading the same stream must snapshot bit-identical state.
     """
 
     @pytest.fixture()
@@ -209,7 +208,7 @@ class TestConvertAndProcessIngest:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_process_ingest_matches_serial_snapshot(
+    def test_binary_ingest_matches_text_snapshot(
         self, text_stream_file, tmp_path, capsys
     ):
         from repro.service.snapshot import load_snapshot
@@ -219,11 +218,11 @@ class TestConvertAndProcessIngest:
             ["convert", "--input", str(text_stream_file), "--output", str(binary)]
         ) == 0
 
-        serial_snapshot = tmp_path / "serial.vos"
-        procs_snapshot = tmp_path / "procs.vos"
+        text_snapshot = tmp_path / "text.vos"
+        binary_snapshot = tmp_path / "binary.vos"
         for snapshot, stream, extra in (
-            (serial_snapshot, text_stream_file, ["--workers", "1"]),
-            (procs_snapshot, binary, ["--workers", "4", "--format", "binary"]),
+            (text_snapshot, text_stream_file, []),
+            (binary_snapshot, binary, ["--format", "binary"]),
         ):
             code = main(
                 [
@@ -241,28 +240,26 @@ class TestConvertAndProcessIngest:
 
         import numpy as np
 
-        serial = load_snapshot(serial_snapshot)
-        procs = load_snapshot(procs_snapshot)
-        for shard_a, shard_b in zip(serial.shards, procs.shards):
+        from_text = load_snapshot(text_snapshot)
+        from_binary = load_snapshot(binary_snapshot)
+        for shard_a, shard_b in zip(from_text.shards, from_binary.shards):
             assert np.array_equal(
                 shard_a.shared_array._bits._bits, shard_b.shared_array._bits._bits
             )
             assert shard_a._cardinalities == shard_b._cardinalities
 
-    def test_ingest_reports_workers(self, text_stream_file, tmp_path, capsys):
-        snapshot = tmp_path / "state.vos"
-        code = main(
-            [
-                "ingest",
-                "--stream", str(text_stream_file),
-                "--snapshot", str(snapshot),
-                "--workers", "2",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert re.search(r"\bworkers\s+2\b", out)
-        assert re.search(r"\bmode\s+process\b", out)
+    def test_ingest_has_no_workers_flag(self, text_stream_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "ingest",
+                    "--stream", str(text_stream_file),
+                    "--snapshot", str(tmp_path / "state.vos"),
+                    "--workers", "2",
+                ]
+            )
+        assert info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_no_validate_ingest_streams_chunks_and_matches(
         self, text_stream_file, tmp_path, capsys
@@ -280,7 +277,7 @@ class TestConvertAndProcessIngest:
         streamed = tmp_path / "streamed.vos"
         for snapshot, extra in (
             (validated, []),
-            (streamed, ["--no-validate", "--workers", "2"]),
+            (streamed, ["--no-validate"]),
         ):
             assert main(
                 [

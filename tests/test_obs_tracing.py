@@ -138,12 +138,3 @@ class TestIngestReportParity:
         assert report.seconds > 0.0
         assert report.process_seconds > 0.0
         assert registry.snapshot()["histograms"] == {}
-
-    def test_process_report_equals_registry(self, registry):
-        report = ingest_stream(
-            self._sketch(), self._stream(), batch_size=100, workers=4
-        )
-        assert report.mode == "process"
-        assert report.workers == 4
-        assert registry.histogram("ingest.process").sum == report.process_seconds
-        assert registry.counter("ingest.worker_elements").value == report.elements

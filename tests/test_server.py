@@ -131,6 +131,21 @@ class TestLiveIngest:
         assert client.top_k_pairs(k=3) == daemon.writer.top_k_pairs(k=3)
         assert before  # old epoch's answer was served, not torn
 
+    def test_ingest_batch_reply_fields(self, daemon, client):
+        report = client.ingest_batch(_elements(range(150, 151)), publish=False)
+        assert set(report) == {
+            "epoch",
+            "published",
+            "publish_mode",
+            "elements",
+            "batches",
+            "seconds",
+            "users",
+        }
+        assert report["published"] is False
+        assert report["publish_mode"] == "deferred"
+        assert report["users"] == len(daemon.writer.sketch.users())
+
     def test_unpublished_ingest_keeps_the_current_epoch(self, daemon, client):
         client.ingest_batch(_elements(range(200, 201)), publish=False)
         assert client.epoch == 1
@@ -213,10 +228,53 @@ class TestProtocolFailures:
             client._call("estimate_many", pairs="oops")
         assert info.value.remote_type == "ProtocolError"
 
-    def test_malformed_request_rows_fail_without_mutating_state(self, client):
-        with pytest.raises(ServerError):
-            client._call("ingest_batch", elements=[[1, 2, "x"]])
-        assert client.stats()["elements_ingested"] == 350  # 25 users x 14 items
+    @pytest.mark.parametrize(
+        ("op", "field", "value"),
+        [
+            ("ingest_batch", "publish", "false"),
+            ("ingest_batch", "publish", 0),
+            ("nearest", "k", 3.7),
+            ("nearest", "k", True),
+            ("nearest", "k", "3"),
+            ("nearest", "minimum_cardinality", 1.0),
+            ("top_k_pairs", "k", False),
+            ("top_k_pairs", "minimum_cardinality", "1"),
+        ],
+    )
+    def test_request_fields_are_checked_not_coerced(
+        self, daemon, client, op, field, value
+    ):
+        params = {"ingest_batch": {"elements": [[300, 1, "+"]]}, "nearest": {"user": 1}}
+        with pytest.raises(ServerError, match=repr(field)) as info:
+            client._call(op, **params.get(op, {}), **{field: value})
+        assert info.value.remote_type == "ProtocolError"
+        assert client.ping()["epoch"] == 1  # nothing was published
+        assert daemon.writer.elements_ingested == 350  # nor ingested
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            pytest.param([1, 2, "x"], id="unknown-action"),
+            pytest.param("ab+", id="length-3-string"),
+            pytest.param({"u": 1, "i": 2, "+": 3}, id="length-3-object"),
+            pytest.param([[1], 2, "+"], id="list-user"),
+            pytest.param([1, {"a": 1}, "+"], id="object-item"),
+            pytest.param([True, 2, "+"], id="bool-user"),
+            pytest.param([1, 2.5, "+"], id="float-item"),
+            pytest.param([None, 2, "+"], id="null-user"),
+            pytest.param([1, 2], id="short-row"),
+        ],
+    )
+    def test_malformed_request_rows_fail_without_mutating_state(self, client, bad_row):
+        # The good row comes first: a decoder that let the bad row through
+        # would leave user "fresh" in the writer when the sketch then raised.
+        with pytest.raises(ServerError) as info:
+            client._call("ingest_batch", elements=[["fresh", 9, "+"], bad_row])
+        assert info.value.remote_type == "ProtocolError"
+        client.ingest_batch([])  # publish whatever the writer now holds
+        stats = client.stats()
+        assert stats["elements_ingested"] == 350  # 25 users x 14 items
+        assert stats["users"] == 25
 
     def test_connection_survives_request_errors(self, client):
         with pytest.raises(ServerError):

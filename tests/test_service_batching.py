@@ -260,33 +260,6 @@ class TestIngestReportPhases:
     def test_phase_timings_are_recorded(self, parity_stream):
         sketch = ShardedVOS(4, 4096, 128, seed=9)
         report = ingest_stream(sketch, parity_stream, batch_size=512)
-        assert report.workers == 1
         assert report.assemble_seconds >= 0.0
         assert report.process_seconds > 0.0
         assert report.seconds >= report.process_seconds
-
-    @pytest.mark.parametrize("method", sorted(sketch_registry()))
-    def test_workers_never_change_estimates(self, method, parity_stream):
-        """Only a multi-shard ShardedVOS runs the process pool; every other
-        sketch ingests serially, and all end up with serial's estimates."""
-        budget = MemoryBudget(
-            baseline_registers=16, num_users=len(parity_stream.users())
-        )
-        reference = build_sketch(method, budget, seed=11)
-        requested = build_sketch(method, budget, seed=11)
-        ingest_stream(reference, parity_stream, batch_size=997)
-        report = ingest_stream(requested, parity_stream, batch_size=997, workers=4)
-        sharded = isinstance(requested, ShardedVOS) and requested.num_shards > 1
-        assert (report.mode, report.workers) == (
-            ("process", 4) if sharded else ("serial", 1)
-        )
-        assert report.elements == len(parity_stream)
-        assert requested.users() == reference.users()
-        for user_a, user_b in _sample_pairs(reference):
-            assert requested.estimate_jaccard(
-                user_a, user_b
-            ) == reference.estimate_jaccard(user_a, user_b)
-
-    def test_rejects_non_positive_workers(self):
-        with pytest.raises(ConfigurationError, match="workers"):
-            ingest_stream(ShardedVOS(2, 256, 32), [], workers=0)

@@ -1,12 +1,12 @@
 """Shard deltas and change cursors: every consumer sees every change it missed.
 
-The journal (``save_delta``), the copy-on-write epoch publisher
-(``freeze_delta`` → ``publish_delta``) and the process pool's merge-back all
-ship :mod:`repro.service.delta` records built from one set of change stamps,
-each consumer reading from its own cursor.  The load-bearing invariant: a
-change made after a consumer last read is in that consumer's next delta,
-whatever the other consumers did in between.  The interleaving test drives
-random mixes of all of them over delete-heavy, exactly cancelling and
+The journal (``save_delta``) and the copy-on-write epoch publisher
+(``freeze_delta`` → ``publish_delta``) both ship :mod:`repro.service.delta`
+records built from one set of change stamps, each consumer reading from its
+own cursor.  The load-bearing invariant: a change made after a consumer last
+read is in that consumer's next delta, whatever the other consumer did in
+between.  The interleaving test drives random mixes of both over
+delete-heavy, exactly cancelling and
 re-inserting batches and checks that invariant against the actual state
 difference, plus bit-identical journal replay and epoch answers ``==`` the
 writer's.
@@ -19,16 +19,14 @@ import random
 import numpy as np
 import pytest
 
-from repro.exceptions import SnapshotError, WorkerProcessError
+from repro.exceptions import SnapshotError
 from repro.hashing.bitpack import next_stamp
 from repro.server.cow import CowEpochPublisher
 from repro.service import ServiceConfig
-from repro.service.batching import ingest_stream
 from repro.service.delta import apply_shard_delta, delta_mismatch, shard_delta
 from repro.service.journal import read_journal, replay_journal
-from repro.service.procpool import ProcessShardIngestor
 from repro.service.service import SimilarityService
-from repro.service.snapshot import load_snapshot_state, shard_snapshots
+from repro.service.snapshot import dumps_snapshot, load_snapshot_state
 from repro.streams import Action, StreamElement
 
 USERS = 40
@@ -99,6 +97,11 @@ def _state(service: SimilarityService) -> list[tuple[np.ndarray, dict]]:
     ]
 
 
+def _shard_blobs(service: SimilarityService) -> list[bytes]:
+    """Per-shard snapshot bytes with a pinned checkpoint id, for ``==`` parity."""
+    return [dumps_snapshot(shard, checkpoint_id="x") for shard in service.sketch.shards]
+
+
 def _assert_covers(before, after, deltas) -> None:
     """``deltas`` (shard -> (words, users)) ⊇ what changed from before to after."""
     for index, ((old_bits, old_counts), (new_bits, new_counts)) in enumerate(
@@ -144,18 +147,13 @@ def test_interleaved_consumers_each_see_every_change(tmp_path, seed):
     publisher.materialize()
     journal_base = epoch_base = _state(writer)
     records_read = 0
-    pool_runs = 0
-    steps = ["ingest", "ingest", "save_delta", "publish", "pool"]
+    steps = ["ingest", "ingest", "save_delta", "publish"]
     # The two orders the independence guarantee is about, then random ones.
     schedule = ["ingest", "save_delta", "ingest", "publish", "ingest", "publish", "save_delta"]
     schedule += [rng.choice(steps) for _ in range(14)]
     for step in schedule:
         if step == "ingest":
             writer.ingest(stream.batch())
-        elif step == "pool" and pool_runs < 2:
-            pool_runs += 1
-            report = ingest_stream(writer.sketch, stream.batch(), workers=2)
-            assert report.mode == "process"
         elif step == "save_delta":
             writer.save_delta()
             deltas, records_read = _journal_deltas(journal, records_read)
@@ -178,9 +176,7 @@ def test_interleaved_consumers_each_see_every_change(tmp_path, seed):
             assert _answers(frozen) == _answers(writer)
     writer.save_delta()
     restored = SimilarityService.load(snapshot)
-    assert shard_snapshots(restored.sketch, checkpoint_id="x") == shard_snapshots(
-        writer.sketch, checkpoint_id="x"
-    )
+    assert _shard_blobs(restored) == _shard_blobs(writer)
     frozen = publisher.publish_delta(writer.freeze_delta(publisher.cursor))
     assert _answers(frozen) == _answers(writer) == _answers(restored)
     publisher.close()
@@ -213,9 +209,7 @@ class TestShardDelta:
                 assert sorted(twin.changed_users(target_cursor), key=str) == sorted(
                     delta["counter_users"], key=str
                 )
-        assert shard_snapshots(source.sketch, checkpoint_id="x") == shard_snapshots(
-            target.sketch, checkpoint_id="x"
-        )
+        assert _shard_blobs(source) == _shard_blobs(target)
 
     def test_mismatch_names_popcount_then_users(self):
         service = _service()
@@ -228,7 +222,6 @@ class TestShardDelta:
 
     def test_callers_raise_their_own_typed_errors(self, tmp_path, monkeypatch):
         import repro.service.journal as journal_module
-        import repro.service.procpool as procpool_module
 
         service = _service()
         stream = _Stream(random.Random(4))
@@ -249,7 +242,3 @@ class TestShardDelta:
                 snapshot.with_name(snapshot.name + ".journal"),
                 checkpoint_id=state.checkpoint_id,
             )
-        monkeypatch.setattr(procpool_module, "apply_shard_delta", failing)
-        with pytest.raises(WorkerProcessError, match="made-up state"):
-            with ProcessShardIngestor(service.sketch, workers=2) as ingestor:
-                ingestor.submit(stream.grow())

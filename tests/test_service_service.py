@@ -100,26 +100,22 @@ class TestPersistence:
         assert restored.sketch.cardinality(1) >= 10
 
 
-def test_load_accepts_workers(tmp_path):
-    """Snapshot-restored services can keep ingesting on worker processes."""
-    from repro.service import ServiceConfig, SimilarityService
-    from repro.streams import Action, StreamElement
+def test_ingest_has_no_workers_knob(tmp_path):
+    """Ingest has one path (serial ``process_batch``): nothing takes ``workers``."""
+    from repro.service import ingest_stream
 
-    service = SimilarityService.from_config(
-        ServiceConfig(expected_users=100, num_shards=4)
-    )
-    service.ingest(
-        [StreamElement(u, i, Action.INSERT) for u in range(8) for i in range(10)]
-    )
+    service = SimilarityService.from_config(ServiceConfig(expected_users=10))
     path = tmp_path / "state.vos"
     service.save(path)
-    restored = SimilarityService.load(path, workers=4)
-    report = restored.ingest(
-        [StreamElement(u, i, Action.INSERT) for u in range(8) for i in range(10, 20)]
-    )
-    assert report.mode == "process"
-    assert report.workers == 4
-    assert restored.stats()["workers"] == 4
+    for build in (
+        lambda: ServiceConfig(expected_users=10, workers=2),
+        lambda: SimilarityService(service.sketch, workers=2),
+        lambda: SimilarityService.load(path, workers=2),
+        lambda: ingest_stream(service.sketch, [], workers=2),
+    ):
+        with pytest.raises(TypeError, match="workers"):
+            build()
+    assert "workers" not in service.stats()
 
 
 class TestCheckpointPolicy:
