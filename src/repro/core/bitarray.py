@@ -48,10 +48,10 @@ class SharedBitArray:
     def from_packed_bits(cls, bits: PackedBitArray) -> "SharedBitArray":
         """Wrap an existing :class:`PackedBitArray` without copying.
 
-        The copy-on-write epoch path builds its overlay bits directly (a
-        private mapping of the shared arena patched with the publish delta)
-        and injects them here so the frozen sketch view reads them through
-        the normal ``A`` interface.
+        The copy-on-publish epoch path builds its bits directly (a copy of
+        the previous epoch's shard patched with the publish delta) and
+        injects them here so the frozen sketch view reads them through the
+        normal ``A`` interface.
         """
         array = cls.__new__(cls)
         array.num_bits = len(bits)
@@ -130,7 +130,7 @@ class SharedBitArray:
         self._bits.apply_packed_words(word_indices, data)
 
     def bits_buffer(self) -> "np.ndarray":
-        """Raw byte-per-bit backing store (no copy; arena materialization)."""
+        """Raw byte-per-bit backing store (no copy; the epoch publisher copies it)."""
         return self._bits.bits_buffer()
 
     def to_packed_bytes(self) -> bytes:

@@ -269,16 +269,15 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
     ) -> "VirtualOddSketch":
         """A frozen read view over ``array``, sharing ``source``'s hash state.
 
-        The serving daemon's incremental epoch publisher calls this once per
-        publish: ``array`` wraps a private copy-on-write overlay of the shared
-        arena (already patched with the publish delta) and ``cardinalities``
-        is any read-only mapping of exact per-user counters.  Construction
-        must cost O(1) in the corpus size, so instead of rebuilding the
-        ``k``-hash user family (tens of milliseconds at service scale) the
-        view shares ``source``'s hash objects and position cache by
-        reference — positions are a deterministic function of (user, seed),
-        so writer and views always agree on them.  The view gets its own
-        packed-row LRU: row bytes differ per overlay.
+        The serving daemon's epoch publisher calls this for each shard a
+        publish touches: ``array`` wraps the epoch's own copy of the shard
+        bits (already patched with the publish delta) and ``cardinalities``
+        is the epoch's own dict of exact per-user counters.  Instead of
+        rebuilding the ``k``-hash user family (tens of milliseconds at
+        service scale) the view shares ``source``'s hash objects and
+        position cache by reference — positions are a deterministic function
+        of (user, seed), so writer and views always agree on them.  The view
+        gets its own packed-row LRU: row bytes differ per epoch.
 
         The view is a full :class:`VirtualOddSketch` for the read API but
         must never ingest; epoch services are frozen by contract.

@@ -68,9 +68,8 @@ class PackedBitArray:
     def from_byte_buffer(cls, bits: np.ndarray, *, ones_count: int | None = None) -> "PackedBitArray":
         """Wrap an existing byte-per-bit ``uint8`` buffer without copying.
 
-        The copy-on-write epoch path maps a shared arena file privately
-        (``mmap.ACCESS_COPY``) and hands the mapping here; subsequent
-        ``apply_packed_words`` patches then touch only the dirtied pages.
+        The copy-on-publish epoch path copies a shard's buffer and hands the
+        copy here, then patches it with ``apply_packed_words``.
         ``ones_count`` skips the O(n) popcount when the caller already knows
         it — downstream verification compares it against shipped counts.
         """
@@ -187,7 +186,7 @@ class PackedBitArray:
         This is the delta-replay primitive: the popcount is re-derived from
         the before/after bits of the touched words, so ``beta`` stays exact,
         and the words are stamped as changed.  ``track=False`` skips the
-        per-word stamps: frozen copy-on-write overlays are patched once and
+        per-word stamps: frozen copy-on-publish epochs are patched once and
         never read for changes, so they must not allocate stamp memory.
         :attr:`latest_stamp` advances either way, so caches keyed on it see
         the write.
@@ -304,9 +303,9 @@ class PackedBitArray:
     def bits_buffer(self) -> np.ndarray:
         """The raw byte-per-bit backing store (no copy).
 
-        Exposed for the serving arena, which writes these bytes to an
-        mmap-backed file once and then patches private per-epoch overlays.
-        Treat the returned array as read-only unless you own the instance.
+        Exposed for the epoch publisher, which copies it into each published
+        shard.  Treat the returned array as read-only unless you own the
+        instance.
         """
         return self._bits
 

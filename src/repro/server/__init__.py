@@ -6,8 +6,9 @@ A long-running process built from three pieces:
   over TCP, plus the version handshake and payload codecs;
 * :mod:`repro.server.epochs` — epoch-versioned immutable service snapshots
   (publish / pin / drain / retire), so reads stay consistent during ingest;
-* :mod:`repro.server.cow` — the copy-on-write epoch publisher: publishes
-  cost O(changed words) against a shared mmap arena instead of O(state);
+* :mod:`repro.server.cow` — the copy-on-publish epoch publisher: a publish
+  copies only the shards it touches and applies only its own delta, instead
+  of freezing the whole state;
 * :mod:`repro.server.daemon` / :mod:`repro.server.client` — the threaded
   request loop (``repro serve``) and the typed client
   (``repro query --connect``), answering bit-identically to the in-process

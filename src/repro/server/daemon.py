@@ -4,16 +4,16 @@
 
 * a **writer** — the one :class:`~repro.service.service.SimilarityService`
   that ingests (``ingest_batch`` requests are serialized through a write
-  lock and may run the process ingest pool and checkpoint policy the service
-  already has);
+  lock and run the checkpoint policy the service already has);
 * an :class:`~repro.server.epochs.EpochManager` of **frozen reader epochs** —
   after every published ingest the
-  :class:`~repro.server.cow.CowEpochPublisher` patches the words and counters
-  the writer changed since the previous publish onto a copy-on-write overlay,
-  and the resulting immutable read copy is atomically swapped in as the next
-  epoch.  Readers pin whatever epoch is current when their request arrives,
-  so a query never observes a half-applied batch and an epoch swap never
-  tears, drops, or errors an in-flight request.
+  :class:`~repro.server.cow.CowEpochPublisher` copies each shard the writer
+  changed since the previous publish from the previous epoch and applies
+  just those words and counters, and the resulting immutable read copy is
+  atomically swapped in as the next epoch.  Readers pin whatever epoch is
+  current when their request arrives, so a query never observes a
+  half-applied batch and an epoch swap never tears, drops, or errors an
+  in-flight request.
 
 Threading model: one acceptor thread spawns a thread per live connection
 (bounded by ``backlog``; connections beyond it are shed, never silently
@@ -232,8 +232,6 @@ class ServingDaemon:
                 if thread is not threading.current_thread():
                     thread.join()
             self._final_checkpoint = self._checkpoint_on_shutdown()
-            if self._publisher is not None:
-                self._publisher.close()
             self._drained.set()
             logger.info("serve drain complete %s", kv(**(self._final_checkpoint or {})))
 
@@ -430,9 +428,11 @@ class ServingDaemon:
                 self._ensure_index(epoch)
             pairs = service.top_k_pairs(
                 k=_field(request, "k", 10, int),
-                users=request.get("users"),
+                users=_user_list(request, "users"),
                 minimum_cardinality=_field(request, "minimum_cardinality", 1, int),
-                prefilter_threshold=float(request.get("prefilter_threshold", 0.0)),
+                prefilter_threshold=_field(
+                    request, "prefilter_threshold", 0.0, float, int
+                ),
                 candidates=candidates,
             )
             return {
@@ -443,14 +443,15 @@ class ServingDaemon:
     def _op_nearest(self, request: dict) -> dict:
         if "user" not in request:
             raise ProtocolError("nearest requires a 'user' parameter")
+        user = _user_id(request["user"], "user")
         index = request.get("index", "none")
         with self.epochs.pin() as epoch:
             if index == "lsh":
                 self._ensure_index(epoch)
             neighbours = epoch.service.top_k(
-                request["user"],
+                user,
                 k=_field(request, "k", 10, int),
-                candidates=request.get("candidates"),
+                candidates=_user_list(request, "candidates"),
                 minimum_cardinality=_field(request, "minimum_cardinality", 1, int),
                 index=index,
             )
@@ -467,7 +468,7 @@ class ServingDaemon:
         for row in rows:
             if not isinstance(row, list) or len(row) != 2:
                 raise ProtocolError(f"estimate_many rows must be [a, b], got {row!r}")
-            pairs.append((row[0], row[1]))
+            pairs.append((_user_id(row[0], "pairs"), _user_id(row[1], "pairs")))
         with self.epochs.pin() as epoch:
             estimates = epoch.service.estimate_many(pairs)
             return {
@@ -557,19 +558,43 @@ class ServingDaemon:
         }
 
 
-def _field(request: dict, name: str, default, kind: type):
-    """Request parameter ``name`` (``default`` when absent), exactly a ``kind``.
+#: JSON names of the exact types :func:`_field` accepts (by its first kind).
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number"}
+
+
+def _field(request: dict, name: str, default, *kinds: type):
+    """Request parameter ``name`` (``default`` when absent), exactly one of ``kinds``.
 
     The check is on the exact type, so JSON ``true`` is not an integer and
     ``3.7`` or ``"false"`` is never coerced into a meaning the client did not
     send.
     """
     value = request.get(name, default)
-    if type(value) is not kind:
+    if type(value) not in kinds:
         raise ProtocolError(
-            f"{name!r} must be a JSON {'boolean' if kind is bool else 'integer'}, "
-            f"got {value!r}"
+            f"{name!r} must be a JSON {_JSON_TYPES[kinds[0]]}, got {value!r}"
         )
+    return value
+
+
+def _user_id(value, name: str):
+    """``value`` if it is a wire user id (:func:`protocol.is_wire_id`)."""
+    if not protocol.is_wire_id(value):
+        raise ProtocolError(
+            f"{name!r} must hold string or integer user ids, got {value!r}"
+        )
+    return value
+
+
+def _user_list(request: dict, name: str) -> list | None:
+    """Optional user-id list ``name``: absent or ``null`` is ``None``."""
+    value = request.get(name)
+    if value is None:
+        return None
+    if type(value) is not list:
+        raise ProtocolError(f"{name!r} must be a JSON list of user ids, got {value!r}")
+    for user in value:
+        _user_id(user, name)
     return value
 
 

@@ -124,7 +124,8 @@ class EpochManager:
 
         The superseded epoch is retired immediately when no reader holds it,
         otherwise it lingers until its last reader releases (``pin`` exit).
-        ``delta_words`` is the number of 64-bit words the publish copied.
+        ``delta_words`` is the number of changed 64-bit words the publish
+        applied (this delta's words only; each touched shard is copied whole).
         """
         registry = get_registry()
         started = time.perf_counter()

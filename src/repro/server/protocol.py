@@ -235,6 +235,15 @@ def encode_elements(elements: Iterable[StreamElement]) -> list[list]:
     ]
 
 
+def is_wire_id(value: object) -> bool:
+    """Whether ``value`` may name a user or item on the wire.
+
+    Only JSON strings and integers qualify; ``bool`` is an ``int`` subclass
+    in Python, so ``true`` is excluded by checking the exact type.
+    """
+    return type(value) in (int, str)
+
+
 def decode_elements(rows: Sequence[Sequence]) -> list[StreamElement]:
     """Inverse of :func:`encode_elements`, checking every row before any is used.
 
@@ -250,7 +259,7 @@ def decode_elements(rows: Sequence[Sequence]) -> list[StreamElement]:
                 f"ingest_batch rows must be [user, item, action], got {row!r}"
             )
         user, item, action = row
-        if type(user) not in (int, str) or type(item) not in (int, str):
+        if not (is_wire_id(user) and is_wire_id(item)):
             raise ProtocolError(
                 f"ingest_batch user and item must be strings or integers, got {row!r}"
             )

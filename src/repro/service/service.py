@@ -600,10 +600,10 @@ class SimilarityService:
         """Collect an epoch publish delta: every shard changed after cursor ``since``.
 
         The incremental counterpart of :meth:`dumps_state` for the serving
-        daemon's copy-on-write epoch publisher: instead of serializing O(state)
+        daemon's copy-on-publish epoch publisher: instead of serializing O(state)
         bytes it ships one shard delta (:mod:`repro.service.delta`) per
         changed shard, each with the shard's exact popcount and user count so
-        the publisher can verify its patched overlay against the writer.
+        the publisher can verify its patched copy against the writer.
         ``cursor`` in the result is the publisher's next cursor.  Reading
         changes clears nothing, so interleaved ``save_delta`` calls still ship
         everything the journal needs.

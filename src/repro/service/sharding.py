@@ -121,9 +121,9 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
     ) -> "ShardedVOS":
         """Wrap existing shard sketches without allocating new arrays.
 
-        The copy-on-write epoch publisher assembles each frozen epoch from
+        The copy-on-publish epoch publisher assembles each frozen epoch from
         per-shard views (unchanged shards carried over by reference, changed
-        shards re-wrapped around a patched overlay) and injects them here, so
+        shards re-wrapped around a patched copy) and injects them here, so
         building a published ``ShardedVOS`` costs O(num_shards), not
         O(state).  ``seed`` must be the writer's seed: it derives the user
         router, which must route exactly as the writer routed at ingest.

@@ -239,6 +239,8 @@ class TestProtocolFailures:
             ("nearest", "minimum_cardinality", 1.0),
             ("top_k_pairs", "k", False),
             ("top_k_pairs", "minimum_cardinality", "1"),
+            ("top_k_pairs", "prefilter_threshold", "0.5"),
+            ("top_k_pairs", "prefilter_threshold", True),
         ],
     )
     def test_request_fields_are_checked_not_coerced(
@@ -250,6 +252,26 @@ class TestProtocolFailures:
         assert info.value.remote_type == "ProtocolError"
         assert client.ping()["epoch"] == 1  # nothing was published
         assert daemon.writer.elements_ingested == 350  # nor ingested
+
+    @pytest.mark.parametrize(
+        ("op", "params"),
+        [
+            pytest.param("top_k_pairs", {"users": "abc"}, id="users-string"),
+            pytest.param("top_k_pairs", {"users": {"a": 1, "b": 2}}, id="users-object"),
+            pytest.param("top_k_pairs", {"users": 5}, id="users-integer"),
+            pytest.param("top_k_pairs", {"users": [1, 2.5]}, id="users-float-member"),
+            pytest.param("nearest", {"user": True}, id="user-bool"),
+            pytest.param("nearest", {"user": ["a"]}, id="user-list"),
+            pytest.param("nearest", {"user": 1, "candidates": "23"}, id="candidates-string"),
+            pytest.param("nearest", {"user": 1, "candidates": [2, None]}, id="candidates-null-member"),
+            pytest.param("estimate_many", {"pairs": [[["a"], "b"]]}, id="pair-list-member"),
+            pytest.param("estimate_many", {"pairs": [[1, False]]}, id="pair-bool-member"),
+        ],
+    )
+    def test_read_op_user_ids_are_checked(self, client, op, params):
+        with pytest.raises(ServerError) as info:
+            client._call(op, **params)
+        assert info.value.remote_type == "ProtocolError"
 
     @pytest.mark.parametrize(
         "bad_row",

@@ -1,13 +1,15 @@
-"""Copy-on-write epoch publishing: parity, noops, change tracking, isolation.
+"""Copy-on-publish epochs: parity, per-publish work, noops, isolation.
 
-The acceptance bar for :mod:`repro.server.cow`: a daemon publishing COW
-changed-word overlays must answer every query bit-identically (``==``) to a
-whole-state frozen copy of its writer (``from_state_bytes(dumps_state())``)
-over the same ingest history — including delete-heavy batches that cancel
-inserts and users that are re-inserted after deletion.  No-op publishes
-(nothing changed) must short-circuit without copying anything, and pinned
-readers must keep their overlay across later publishes.  Independence from
-the journal's cursor is exercised in ``test_service_delta.py``.
+The acceptance bar for :mod:`repro.server.cow`: a daemon whose publishes
+copy the touched shards and apply each delta must answer every query
+bit-identically (``==``) to a whole-state frozen copy of its writer
+(``from_state_bytes(dumps_state())``) over the same ingest history —
+including delete-heavy batches that cancel inserts and users that are
+re-inserted after deletion.  Each publish applies only its own delta's
+words, no-op publishes (nothing changed) must short-circuit without copying
+anything, and pinned readers must keep their epoch's copy across later
+publishes.  Independence from the journal's cursor is exercised in
+``test_service_delta.py``.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import numpy as np
 import pytest
 
 from repro.core.vos import VirtualOddSketch
+from repro.hashing import PackedBitArray
 from repro.hashing.bitpack import next_stamp
 from repro.obs import get_registry
 from repro.server import CowEpochPublisher, ServingClient, ServingDaemon
-from repro.server.cow import LayeredCounts
 from repro.service import ServiceConfig
 from repro.service.service import SimilarityService
 from repro.streams import Action, StreamElement
@@ -85,10 +87,10 @@ class TestCowFullParity:
                 )
                 assert cow.stats()["users"] == full.stats()["users"]
 
-    def test_publisher_matches_full_freeze_after_rebase(self):
+    def test_publisher_matches_full_freeze_after_many_publishes(self):
         writer = _sharded_service(seed=5)
         writer.ingest(ROUNDS[0])
-        publisher = CowEpochPublisher(writer, rebase_fraction=0.0)  # rebase always
+        publisher = CowEpochPublisher(writer)
         publisher.materialize()
         frozen = None
         for batch in ROUNDS[1:]:
@@ -96,8 +98,28 @@ class TestCowFullParity:
             frozen = publisher.publish_delta(writer.freeze_delta(publisher.cursor))
         reference = _whole_state_copy(writer)
         assert frozen.top_k_pairs(k=20) == reference.top_k_pairs(k=20)
-        assert publisher.stats()["rebases"] >= 1
-        publisher.close()
+
+    def test_each_publish_applies_only_its_own_delta(self, monkeypatch):
+        applied: list[int] = []
+        real = PackedBitArray.apply_packed_words
+
+        def counting(self, word_indices, data, **kwargs):
+            applied.append(int(np.asarray(word_indices).size))
+            return real(self, word_indices, data, **kwargs)
+
+        monkeypatch.setattr(PackedBitArray, "apply_packed_words", counting)
+        writer = _sharded_service(seed=37)
+        writer.ingest(ROUNDS[0])
+        publisher = CowEpochPublisher(writer)
+        publisher.materialize()
+        for batch in ROUNDS[1:]:
+            writer.ingest(batch)
+            delta = writer.freeze_delta(publisher.cursor)
+            delta_words = sum(len(entry["words"]) for entry in delta["shards"])
+            assert delta_words > 0
+            applied.clear()
+            publisher.publish_delta(delta)
+            assert sum(applied) == delta_words
 
 
 class TestNoopPublish:
@@ -184,7 +206,6 @@ class TestEpochChangeTracking:
         for shard in frozen.sketch.row_shards():
             assert shard.shared_array._bits._stamps is None
             assert shard._counter_stamps == {}
-        publisher.close()
 
 
 class TestReaderIsolation:
@@ -199,22 +220,11 @@ class TestReaderIsolation:
                     client.ingest_batch(ROUNDS[1])
                     client.ingest_batch(ROUNDS[2])
                     assert client.epoch >= 3
-                # The pinned epoch still answers from its own overlay.
+                # The pinned epoch still answers from its own copy.
                 assert pinned.service.top_k_pairs(k=10) == old_pairs
                 assert pinned.service.stats()["users"] == old_users
                 assert not pinned.retired
             assert daemon.epochs.live_epochs == 1  # released epoch drained
-
-
-class TestLayeredCounts:
-    def test_mapping_semantics(self):
-        base = {"a": 3, "b": 1}
-        layered = LayeredCounts(base, {"b": 5, "c": 2})
-        assert layered["a"] == 3 and layered["b"] == 5 and layered["c"] == 2
-        assert layered.get("missing") is None
-        assert len(layered) == 3
-        assert sorted(layered) == ["a", "b", "c"]
-        assert dict(layered) == {"a": 3, "b": 5, "c": 2}
 
 
 class TestCarriedIndexTables:
@@ -281,4 +291,3 @@ class TestCarriedIndexTables:
             assert first.top_k(user, k=5, index="lsh") == (
                 first_reference.top_k(user, k=5, index="lsh")
             )
-        publisher.close()

@@ -179,7 +179,6 @@ def test_interleaved_consumers_each_see_every_change(tmp_path, seed):
     assert _shard_blobs(restored) == _shard_blobs(writer)
     frozen = publisher.publish_delta(writer.freeze_delta(publisher.cursor))
     assert _answers(frozen) == _answers(writer) == _answers(restored)
-    publisher.close()
 
 
 class TestShardDelta:
