@@ -1,11 +1,11 @@
 """Where benchmark result files (``BENCH_*.json``) are written.
 
-Historically every benchmark wrote its JSON next to the repository root.
-That remains the default, but ``REPRO_BENCH_DIR`` redirects the whole suite —
-CI jobs point it at a scratch directory they upload as an artifact, and local
-runs can keep experiment records out of the working tree::
+By default every benchmark writes its JSON under the git-ignored
+``.bench_build/bench/`` directory, so running the suite leaves the tracked
+records at the repository root untouched.  ``REPRO_BENCH_DIR`` redirects the
+whole suite; regenerate the tracked records on purpose with::
 
-    REPRO_BENCH_DIR=/tmp/bench PYTHONPATH=src python -m pytest benchmarks/
+    REPRO_BENCH_DIR=. PYTHONPATH=src python -m pytest benchmarks/
 
 The directory is created on first use.  Relative paths resolve against the
 current working directory.
@@ -16,13 +16,13 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
+_DEFAULT_DIR = Path(__file__).resolve().parent.parent / ".bench_build" / "bench"
 
 
 def bench_dir() -> Path:
-    """The directory results go to: ``$REPRO_BENCH_DIR`` or the repo root."""
+    """The directory results go to: ``$REPRO_BENCH_DIR`` or ``.bench_build/bench/``."""
     override = os.environ.get("REPRO_BENCH_DIR", "").strip()
-    return Path(override).resolve() if override else _REPO_ROOT
+    return Path(override).resolve() if override else _DEFAULT_DIR
 
 
 def results_path(name: str) -> Path:

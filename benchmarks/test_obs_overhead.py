@@ -29,7 +29,6 @@ try:  # pragma: no cover
 except ModuleNotFoundError:  # pragma: no cover
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
 import pytest
 
 from repro.core.memory import MemoryBudget
@@ -138,8 +137,9 @@ def test_instrumentation_parity_bit_identical(elements):
     finally:
         set_registry(previous)
     for shard_on, shard_off in zip(sketches["on"].shards, sketches["off"].shards):
-        assert np.array_equal(
-            shard_on.shared_array._bits._bits, shard_off.shared_array._bits._bits
+        assert (
+            shard_on.shared_array.to_packed_bytes()
+            == shard_off.shared_array.to_packed_bytes()
         )
         assert shard_on.shared_array.ones_count == shard_off.shared_array.ones_count
         assert shard_on._cardinalities == shard_off._cardinalities

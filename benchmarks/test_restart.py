@@ -16,7 +16,8 @@ lightly mutated clone-pair pool (20k users by default):
   and faster end-to-end (load + query) than the same restart without the
   persisted index.
 
-Results go to ``BENCH_restart.json`` at the repository root.  Set
+Results go to ``BENCH_restart.json`` under ``.bench_build/bench/``
+(``REPRO_BENCH_DIR=.`` refreshes the tracked record at the repository root).  Set
 ``REPRO_RESTART_BENCH_USERS`` to shrink the pool (CI smoke mode writes
 ``BENCH_restart_smoke.json`` instead so a shrunken run never clobbers the
 full-pool record).
@@ -127,8 +128,8 @@ def measurements(tmp_path_factory):
     restored = SimilarityService.load(snapshot)
     parity = {"arrays": True, "counters": True}
     for live, copy in zip(service.sketch.shards, restored.sketch.shards):
-        parity["arrays"] &= bool(
-            np.array_equal(live.shared_array._bits._bits, copy.shared_array._bits._bits)
+        parity["arrays"] &= (
+            live.shared_array.to_packed_bytes() == copy.shared_array.to_packed_bytes()
         )
         parity["counters"] &= live._cardinalities == copy._cardinalities
     live_top = pair_key_list(service.top_k_pairs(k=TOP_K, candidates="lsh"))

@@ -10,9 +10,10 @@ environment variables:
   (default 12,288 MB; the full 1M-user run is expected well below it)
 
 The full run (``REPRO_SOAK_USERS=1000000 REPRO_SOAK_ELEMENTS=100000000``)
-writes ``BENCH_scale.json`` at the repository root; anything smaller is smoke
-mode and writes ``BENCH_scale_smoke.json`` so CI never clobbers the full-run
-record.  One module-scoped fixture performs the whole sequence —
+writes ``BENCH_scale.json`` (under ``.bench_build/bench/``; pass
+``REPRO_BENCH_DIR=.`` to refresh the tracked record at the repository root);
+anything smaller is smoke mode and writes ``BENCH_scale_smoke.json`` so CI
+never clobbers the full-run record.  One module-scoped fixture performs the whole sequence —
 
 1. columnar ingest of the synthetic stream (throughput, timed),
 2. a full snapshot (``save``, bytes + seconds),
@@ -31,7 +32,9 @@ The synthetic stream is generated columnar-native (NumPy RNG straight into
 user popularity and ~5% same-batch insert-then-delete churn so the odd
 sketch's deletion path is exercised at scale.  The service runs with
 ``cache_positions=False``: position caches cost ~8k bytes/user, which at
-million-user scale would dwarf the shared sketch itself.
+million-user scale would dwarf the shared sketch itself.  The sketch is
+stored packed, so its resident size is the ``sketch_memory_bits`` the JSON
+records divided by 8 (plus under 64 pad bits per shard).
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ try:  # pragma: no cover
 except ModuleNotFoundError:  # pragma: no cover
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
 import pytest
 
 from repro.core.memory import MemoryBudget
@@ -92,8 +91,9 @@ def measurements(throughput_stream, budget):
 def test_batched_state_is_bit_identical(measurements):
     per_element, _ = measurements["per_element"]
     batched, _ = measurements["batched"]
-    assert np.array_equal(
-        per_element.shared_array._bits._bits, batched.shared_array._bits._bits
+    assert (
+        per_element.shared_array.to_packed_bytes()
+        == batched.shared_array.to_packed_bytes()
     )
     assert per_element.shared_array.ones_count == batched.shared_array.ones_count
     assert per_element._cardinalities == batched._cardinalities

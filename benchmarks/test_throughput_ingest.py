@@ -27,7 +27,6 @@ try:  # pragma: no cover
 except ModuleNotFoundError:  # pragma: no cover
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
 import pytest
 
 from repro.core.memory import MemoryBudget
@@ -164,8 +163,9 @@ def format_timings(ingest_stream_data, tmp_path_factory):
 
 def _assert_same_state(a: ShardedVOS, b: ShardedVOS) -> None:
     for shard_a, shard_b in zip(a.shards, b.shards):
-        assert np.array_equal(
-            shard_a.shared_array._bits._bits, shard_b.shared_array._bits._bits
+        assert (
+            shard_a.shared_array.to_packed_bytes()
+            == shard_b.shared_array.to_packed_bytes()
         )
         assert shard_a.shared_array.ones_count == shard_b.shared_array.ones_count
         assert shard_a._cardinalities == shard_b._cardinalities

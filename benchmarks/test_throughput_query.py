@@ -4,8 +4,9 @@ This is the query-side headline number, the counterpart of
 ``test_throughput_batch.py``: on a ~2k-user candidate pool the vectorized
 ``top_k_similar_pairs`` must (a) return *exactly* the ranking the per-pair
 scalar loop returns and (b) be at least 10x faster.  The measured figures are
-written to ``BENCH_query.json`` at the repository root so the performance
-trajectory accumulates across PRs.
+written to ``BENCH_query.json`` under ``.bench_build/bench/``; run with
+``REPRO_BENCH_DIR=.`` to refresh the tracked record at the repository root,
+where the performance trajectory accumulates.
 
 The per-pair loop over the full ~2M-pair pool would take minutes, so it is
 timed on a deterministic random sample of pairs and extrapolated; exact

@@ -51,14 +51,6 @@ from repro.hashing.universal import stable_hash64
 from repro.streams.batch import ElementBatch
 from repro.streams.edge import StreamElement, UserId
 
-# Backwards-compatible aliases: the popcount primitives moved into the kernel
-# tier package (PR 8), but callers and tests still patch/import them here.
-from repro.kernels.numpy_tier import (  # noqa: E402  (re-export)
-    _POPCOUNT8,
-    _bitwise_count,
-    _popcount_table,
-)
-
 
 def packed_row_bytes(sketch_size: int) -> int:
     """Bytes per bit-packed sketch row, padded to whole 64-bit words.
@@ -355,7 +347,7 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
     def _toggle(self, element: StreamElement) -> None:
         virtual_index = self._item_hash(element.item)
         position = self._position_of(element.user, virtual_index)
-        self._array.xor_bit(position, 1)
+        self._array.flip(position)
 
     def _process_insertion(self, element: StreamElement) -> None:
         self._toggle(element)
@@ -417,7 +409,7 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         if not self.has_user(user):
             raise UnknownUserError(user)
         positions = self._positions(user)
-        return self._array.read_bits(positions)
+        return self._array.gather(positions)
 
     # -- bulk queries ------------------------------------------------------------------
 
@@ -483,7 +475,7 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         packed = np.zeros((len(users), row_bytes), dtype=np.uint8)
         if users:
             positions = self._positions_matrix(list(users))
-            bits = np.packbits(self._array.read_bits(positions), axis=1)
+            bits = np.packbits(self._array.gather(positions), axis=1)
             packed[:, : bits.shape[1]] = bits
         return packed
 

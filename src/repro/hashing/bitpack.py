@@ -2,10 +2,11 @@
 
 Two storage primitives shared by the sketches:
 
-* :class:`PackedBitArray` — a dense array of single bits with O(1) get/flip
-  and an O(1) running count of set bits.  This backs both per-user odd
-  sketches and the VOS shared array ``A`` (where the running popcount is
-  exactly the paper's ``beta`` tracker, up to division by ``m``).
+* :class:`PackedBitArray` — a dense array of single bits, stored 8 per
+  byte, with O(1) get/flip and an O(1) running count of set bits.  This
+  backs both per-user odd sketches and the VOS shared array ``A`` (where the
+  running popcount is exactly the paper's ``beta`` tracker, up to division
+  by ``m``).
 * :class:`PackedRegisters` — an array of fixed-width unsigned registers
   (e.g. 32-bit MinHash registers, b-bit fingerprints) stored in a numpy
   vector, with explicit accounting of the memory they represent.  The
@@ -29,15 +30,34 @@ from repro.exceptions import ConfigurationError
 #: and comparable across every array and sketch in the process.
 next_stamp = itertools.count(1).__next__
 
+_POPCOUNT8 = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
+
+
+def _popcount_table(values: np.ndarray) -> np.ndarray:
+    """Per-element popcount via a byte table (fallback for numpy < 2.0).
+
+    Wide lanes (e.g. the ``uint64`` words the pair kernels operate on) are
+    reinterpreted as bytes first, so each element's count is spread over its
+    bytes — summing the last axis therefore gives the same totals as
+    ``np.bitwise_count``.
+    """
+    return _POPCOUNT8[np.ascontiguousarray(values).view(np.uint8)]
+
+
+# numpy >= 2.0 has a native popcount ufunc; the byte table is the fallback.
+_bitwise_count = getattr(np, "bitwise_count", _popcount_table)
+
 
 class PackedBitArray:
     """A mutable array of bits with an O(1) running population count.
 
-    Bits are stored in a ``numpy.uint8`` vector (one byte per bit: on
-    CPython the byte-per-bit layout is faster for the single-bit random
-    access pattern of the sketches than real bit packing, while the
-    *accounted* memory reported by :meth:`memory_bits` remains one bit per
-    position, matching the paper's cost model).
+    Bits are stored 8 per byte in ``np.packbits`` (big-endian) order — bit
+    ``i`` is mask ``0x80 >> (i & 7)`` of byte ``i >> 3`` — in a
+    ``numpy.uint8`` vector zero-padded to whole 64-bit words.  Those are the
+    bytes snapshots, journal deltas and epoch copies ship, so each of those
+    boundaries is a byte slice, and the array occupies the one bit per
+    position that :meth:`memory_bits` accounts for (plus under 64 pad bits,
+    which are always zero).
 
     Examples
     --------
@@ -50,38 +70,32 @@ class PackedBitArray:
     0.125
     """
 
-    __slots__ = ("_bits", "_ones", "_stamps", "_floor", "_latest")
+    __slots__ = ("_size", "_bytes", "_ones", "_stamps", "_floor", "_latest")
 
-    #: Bits per change-tracking word.  Matches the ``uint64`` lanes of the
-    #: packed representation, so one changed word maps to exactly 8 bytes of
-    #: :meth:`to_packed_bytes` output — the unit a shard delta ships.
+    #: Bits per change-tracking word: one changed word is exactly 8 bytes of
+    #: storage, the unit a shard delta ships.
     WORD_BITS = 64
 
     def __init__(self, size: int) -> None:
         if size <= 0:
             raise ConfigurationError(f"bit array size must be positive, got {size}")
-        self._bits = np.zeros(size, dtype=np.uint8)
+        self._size = size
+        self._bytes = np.zeros(8 * self.num_words, dtype=np.uint8)
         self._ones = 0
         self._reset_stamps(0)
 
-    @classmethod
-    def from_byte_buffer(cls, bits: np.ndarray, *, ones_count: int | None = None) -> "PackedBitArray":
-        """Wrap an existing byte-per-bit ``uint8`` buffer without copying.
+    def copy(self) -> "PackedBitArray":
+        """An untracked copy of the same class: equal bits, no stamp memory.
 
-        The copy-on-publish epoch path copies a shard's buffer and hands the
-        copy here, then patches it with ``apply_packed_words``.
-        ``ones_count`` skips the O(n) popcount when the caller already knows
-        it — downstream verification compares it against shipped counts.
+        The copy-on-publish epoch path copies a shard's array and patches
+        the copy with ``apply_packed_words(..., track=False)``.
         """
-        if not isinstance(bits, np.ndarray) or bits.dtype != np.uint8 or bits.ndim != 1:
-            raise ConfigurationError("from_byte_buffer expects a 1-d uint8 array")
-        if bits.size == 0:
-            raise ConfigurationError("bit array size must be positive, got 0")
-        array = cls.__new__(cls)
-        array._bits = bits
-        array._ones = int(bits.sum(dtype=np.int64)) if ones_count is None else int(ones_count)
-        array._reset_stamps(0)
-        return array
+        clone = object.__new__(type(self))
+        clone._size = self._size
+        clone._bytes = self._bytes.copy()
+        clone._ones = self._ones
+        clone._reset_stamps(0)
+        return clone
 
     # -- change tracking ---------------------------------------------------------
     #
@@ -110,14 +124,38 @@ class PackedBitArray:
         self._stamps[words] = stamp
         self._latest = stamp
 
+    def _locate(self, index: int) -> tuple[int, int]:
+        """Byte offset and bit mask of position ``index``.
+
+        Checked explicitly: the pad bytes past the last position are valid
+        numpy indices, and a negative index must not wrap around.
+        """
+        if not 0 <= index < self._size:
+            raise IndexError(f"bit index {index} out of range [0, {self._size})")
+        return index >> 3, 0x80 >> (index & 7)
+
+    def _check_positions(self, positions: np.ndarray, caller: str) -> None:
+        # One reduction: viewed as uint64, a negative position is huge.
+        if positions.size and int(positions.view(np.uint64).max()) >= self._size:
+            raise IndexError(
+                f"bit position out of range [0, {self._size}) in {caller}"
+            )
+
+    def _check_words(self, words: np.ndarray, caller: str) -> None:
+        if int(words.min()) < 0 or int(words.max()) >= self.num_words:
+            raise ConfigurationError(
+                f"word index out of range [0, {self.num_words}) in {caller}"
+            )
+
     def __len__(self) -> int:
-        return int(self._bits.shape[0])
+        return self._size
 
     def __getitem__(self, index: int) -> int:
-        return int(self._bits[index])
+        byte, mask = self._locate(index)
+        return 1 if self._bytes[byte] & mask else 0
 
     def __iter__(self) -> Iterator[int]:
-        return iter(int(b) for b in self._bits)
+        return iter(self.to_list())
 
     @property
     def ones_count(self) -> int:
@@ -127,7 +165,7 @@ class PackedBitArray:
     @property
     def fraction_of_ones(self) -> float:
         """Fraction of set bits — the quantity the paper calls ``beta``."""
-        return self._ones / len(self)
+        return self._ones / self._size
 
     @property
     def latest_stamp(self) -> int:
@@ -143,7 +181,7 @@ class PackedBitArray:
     @property
     def num_words(self) -> int:
         """Number of 64-bit words covering the array (``ceil(size / 64)``)."""
-        return (len(self._bits) + self.WORD_BITS - 1) // self.WORD_BITS
+        return (self._size + self.WORD_BITS - 1) // self.WORD_BITS
 
     def dirty_words(self, since: int) -> np.ndarray:
         """Sorted indices of the words changed after cursor ``since``.
@@ -161,30 +199,23 @@ class PackedBitArray:
         return np.flatnonzero(self._stamps > since)
 
     def packed_words(self, word_indices) -> bytes:
-        """The packed bytes of the listed 64-bit words (8 bytes per word).
+        """The stored bytes of the listed 64-bit words (8 bytes per word).
 
-        Word ``w`` covers bit positions ``[64w, 64w + 64)`` and serializes to
-        bytes ``[8w, 8w + 8)`` of :meth:`to_packed_bytes` output; positions
-        past the end of the array pack as zero pad bits, exactly as the full
-        serialization pads them.
+        Word ``w`` covers bit positions ``[64w, 64w + 64)`` and is bytes
+        ``[8w, 8w + 8)`` of the storage, which :meth:`to_packed_bytes`
+        prefixes; positions past the end of the array are zero pad bits.
         """
         words = np.asarray(word_indices, dtype=np.int64).ravel()
         if words.size == 0:
             return b""
-        if int(words.min()) < 0 or int(words.max()) >= self.num_words:
-            raise ConfigurationError(
-                f"word index out of range [0, {self.num_words}) in packed_words"
-            )
-        positions = words[:, None] * self.WORD_BITS + np.arange(self.WORD_BITS)
-        in_range = positions < len(self._bits)
-        bits = np.where(in_range, self._bits[np.minimum(positions, len(self._bits) - 1)], 0)
-        return np.packbits(bits.astype(np.uint8), axis=1).tobytes()
+        self._check_words(words, "packed_words")
+        return self._bytes.reshape(-1, 8)[words].tobytes()
 
     def apply_packed_words(self, word_indices, data: bytes, *, track: bool = True) -> None:
         """Overwrite the listed words from :meth:`packed_words` bytes.
 
         This is the delta-replay primitive: the popcount is re-derived from
-        the before/after bits of the touched words, so ``beta`` stays exact,
+        the before/after bytes of the touched words, so ``beta`` stays exact,
         and the words are stamped as changed.  ``track=False`` skips the
         per-word stamps: frozen copy-on-publish epochs are patched once and
         never read for changes, so they must not allocate stamp memory.
@@ -199,26 +230,20 @@ class PackedBitArray:
             )
         if words.size == 0:
             return
-        if int(words.min()) < 0 or int(words.max()) >= self.num_words:
-            raise ConfigurationError(
-                f"word index out of range [0, {self.num_words}) in apply_packed_words"
-            )
+        self._check_words(words, "apply_packed_words")
         if np.unique(words).size != words.size:
             raise ConfigurationError("apply_packed_words requires distinct word indices")
-        fresh = np.unpackbits(
-            np.frombuffer(data, dtype=np.uint8).reshape(words.size, 8), axis=1
-        )
-        positions = words[:, None] * self.WORD_BITS + np.arange(self.WORD_BITS)
-        in_range = positions < len(self._bits)
-        if int(fresh[~in_range].sum()) != 0:
+        fresh = np.frombuffer(data, dtype=np.uint8).reshape(words.size, 8)
+        valid = self._size - (self.num_words - 1) * self.WORD_BITS
+        pad = np.packbits(np.arange(self.WORD_BITS) >= valid)
+        if np.any(fresh[words == self.num_words - 1] & pad):
             raise ConfigurationError(
                 "packed word payload sets pad bits past the end of the array"
             )
-        flat_positions = positions[in_range]
-        flat_fresh = fresh[in_range]
-        before = int(self._bits[flat_positions].sum(dtype=np.int64))
-        self._bits[flat_positions] = flat_fresh
-        self._ones += int(flat_fresh.sum(dtype=np.int64)) - before
+        rows = self._bytes.reshape(-1, 8)
+        before = int(_bitwise_count(rows[words]).sum(dtype=np.int64))
+        rows[words] = fresh
+        self._ones += int(_bitwise_count(fresh).sum(dtype=np.int64)) - before
         if track:
             self._stamp_words(words)
         else:
@@ -226,17 +251,18 @@ class PackedBitArray:
 
     def set(self, index: int, value: int) -> None:
         """Set bit ``index`` to ``value`` (0 or 1), updating the popcount."""
-        value = 1 if value else 0
-        old = int(self._bits[index])
-        if old != value:
-            self._bits[index] = value
-            self._ones += value - old
+        byte, mask = self._locate(index)
+        if bool(self._bytes[byte] & mask) != bool(value):
+            self._bytes[byte] ^= mask
+            self._ones += 1 if value else -1
             self._stamp_words(index // self.WORD_BITS)
 
     def flip(self, index: int) -> int:
         """Xor bit ``index`` with 1 and return its new value."""
-        new = int(self._bits[index]) ^ 1
-        self._bits[index] = new
+        byte, mask = self._locate(index)
+        current = int(self._bytes[byte]) ^ mask
+        self._bytes[byte] = current
+        new = 1 if current & mask else 0
         self._ones += 1 if new else -1
         self._stamp_words(index // self.WORD_BITS)
         return new
@@ -245,10 +271,10 @@ class PackedBitArray:
         """Xor bit ``index`` with ``value`` (0 or 1) and return the new bit."""
         if value & 1:
             return self.flip(index)
-        return int(self._bits[index])
+        return self[index]
 
     def gather(self, indices: Iterable[int]) -> np.ndarray:
-        """Return the bits at ``indices`` as a ``numpy.uint8`` array.
+        """Return the bits at ``indices`` as a ``numpy.uint8`` array of 0/1.
 
         Accepts any iterable of positions; an index *array* of any shape takes
         a zero-copy fast path and the result preserves its shape, which is how
@@ -256,34 +282,42 @@ class PackedBitArray:
         one call.
         """
         if isinstance(indices, np.ndarray):
-            return self._bits[indices.astype(np.int64, copy=False)]
-        idx = np.fromiter(indices, dtype=np.int64)
-        return self._bits[idx]
+            positions = indices.astype(np.int64, copy=False)
+        else:
+            positions = np.fromiter(indices, dtype=np.int64)
+        self._check_positions(positions, "gather")
+        bits = np.take(self._bytes, positions >> 3)
+        shift = positions.astype(np.uint8)
+        shift &= 7
+        # uint8 shifts drop the bits above the wanted one, then bring it down.
+        bits <<= shift
+        bits >>= 7
+        return bits
 
     def xor_bulk(self, positions) -> int:
         """Xor 1 into every listed position at once, keeping the popcount exact.
 
         ``positions`` may contain repeats: toggling the same bit twice cancels,
         so repeated occurrences are folded modulo 2 (sort-based count fold)
-        before a single vectorized xor is applied.  This is the bulk analogue
+        before the byte masks are xored in.  This is the bulk analogue
         of calling :meth:`flip` once per position and leaves the array in a
         bit-identical state.  Returns the number of bits actually flipped.
         """
         pos = np.asarray(positions, dtype=np.int64).ravel()
         if pos.size == 0:
             return 0
-        if int(pos.min()) < 0 or int(pos.max()) >= len(self):
-            raise IndexError(
-                f"bit position out of range [0, {len(self)}) in xor_bulk"
-            )
+        self._check_positions(pos, "xor_bulk")
         # Sort-based fold: for the typical batch the position count is far
         # below the array length, so np.unique beats an array-length bincount.
         unique_positions, counts = np.unique(pos, return_counts=True)
         odd = unique_positions[(counts & 1).astype(bool)]
         if odd.size == 0:
             return 0
-        previously_set = int(self._bits[odd].sum(dtype=np.int64))
-        self._bits[odd] ^= 1
+        byte_index = odd >> 3
+        masks = np.right_shift(np.uint8(0x80), odd.astype(np.uint8) & 7)
+        previously_set = int(np.count_nonzero(self._bytes[byte_index] & masks))
+        # Distinct positions may share a byte: ``.at`` applies every mask.
+        np.bitwise_xor.at(self._bytes, byte_index, masks)
         self._ones += int(odd.size) - 2 * previously_set
         # Fancy-index assignment tolerates duplicate word indices, so no
         # dedup pass is needed on the per-batch hot path.
@@ -292,46 +326,44 @@ class PackedBitArray:
 
     def to_list(self) -> list[int]:
         """Return the bit values as a plain Python list."""
-        return [int(b) for b in self._bits]
+        return np.unpackbits(self._bytes, count=self._size).tolist()
 
     def clear(self) -> None:
         """Reset every bit to zero."""
-        self._bits[:] = 0
+        self._bytes[:] = 0
         self._ones = 0
         self._reset_stamps(next_stamp())
 
-    def bits_buffer(self) -> np.ndarray:
-        """The raw byte-per-bit backing store (no copy).
-
-        Exposed for the epoch publisher, which copies it into each published
-        shard.  Treat the returned array as read-only unless you own the
-        instance.
-        """
-        return self._bits
-
     def to_packed_bytes(self) -> bytes:
         """Serialize the bits 8-per-byte (``ceil(len/8)`` bytes, big-endian bit order)."""
-        return np.packbits(self._bits).tobytes()
+        return self._bytes[: (self._size + 7) // 8].tobytes()
 
     def load_packed_bytes(self, data: bytes) -> None:
         """Restore state previously produced by :meth:`to_packed_bytes`.
 
-        The byte string must describe exactly ``len(self)`` bits; the running
-        popcount is recomputed so the round trip is bit-exact.
+        The byte string must describe exactly ``len(self)`` bits, with the
+        pad bits of a ragged final byte zero; the running popcount is
+        recomputed so the round trip is bit-exact.
         """
-        expected = (len(self) + 7) // 8
+        expected = (self._size + 7) // 8
         if len(data) != expected:
             raise ConfigurationError(
                 f"packed payload holds {len(data)} bytes, expected {expected}"
             )
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=len(self))
-        self._bits = bits
-        self._ones = int(bits.sum(dtype=np.int64))
+        fresh = np.frombuffer(data, dtype=np.uint8)
+        tail = self._size & 7
+        if tail and fresh[-1] & (0xFF >> tail):
+            raise ConfigurationError(
+                "packed payload sets pad bits past the end of the array"
+            )
+        self._bytes[:expected] = fresh
+        self._bytes[expected:] = 0
+        self._ones = int(_bitwise_count(self._bytes).sum(dtype=np.int64))
         self._reset_stamps(next_stamp())
 
     def memory_bits(self) -> int:
         """Memory this array accounts for under the paper's cost model (1 bit/position)."""
-        return len(self)
+        return self._size
 
 
 class PackedRegisters:

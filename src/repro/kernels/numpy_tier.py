@@ -26,6 +26,8 @@ import os
 
 import numpy as np
 
+# The popcount lives in the leaf bit-array module; tests patch this module's name.
+from repro.hashing.bitpack import _bitwise_count, _popcount_table  # noqa: F401
 from repro.hashing.universal import (
     _GOLDEN,
     _affine_mod_mersenne,
@@ -43,22 +45,6 @@ __all__ = [
     "pair_counts",
 ]
 
-_POPCOUNT8 = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
-
-
-def _popcount_table(values: np.ndarray) -> np.ndarray:
-    """Per-element popcount via a byte table (fallback for numpy < 2.0).
-
-    Wide lanes (e.g. the ``uint64`` words :func:`pair_counts` operates on) are
-    reinterpreted as bytes first, so each element's count is spread over its
-    bytes — summing the last axis therefore gives the same totals as
-    ``np.bitwise_count``.
-    """
-    return _POPCOUNT8[np.ascontiguousarray(values).view(np.uint8)]
-
-
-# numpy >= 2.0 has a native popcount ufunc; the byte table is the fallback.
-_bitwise_count = getattr(np, "bitwise_count", _popcount_table)
 
 #: Target bytes per gather buffer in the blocked pair sweep.  Two gather
 #: buffers of this size plus the xor result (reusing one of them) fit in a

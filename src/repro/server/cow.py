@@ -4,8 +4,9 @@ Freezing the writer with a whole-state ``dumps_state`` → ``from_state_bytes``
 round trip serializes and re-parses every shard on every publish.  This
 module publishes at O(touched shards) instead:
 
-* **Materialize** — at daemon start each writer shard's byte-per-bit bits
-  and counter dict are copied once into a frozen view (the first epoch).
+* **Materialize** — at daemon start each writer shard's packed bits
+  (:meth:`~repro.hashing.bitpack.PackedBitArray.copy`) and counter dict are
+  copied once into a frozen view (the first epoch).
 * **Publish** — every publish takes the writer's
   :meth:`~repro.service.service.SimilarityService.freeze_delta` since the
   publisher's cursor (the shard deltas of :mod:`repro.service.delta`, the
@@ -15,8 +16,8 @@ module publishes at O(touched shards) instead:
   carried over by reference: the new epoch's shard *is* the previous
   epoch's object.
 
-The copy is a flat cost per touched shard (one byte per bit until the bits
-are stored packed); applying the delta is O(changed words).  Nothing
+The copy is a flat cost per touched shard (``m / 8`` bytes, the packed
+array); applying the delta is O(changed words).  Nothing
 accumulates across publishes, so the cost does not grow with run length.
 
 Exact-state guarantees: ``apply_packed_words`` re-derives the popcount from
@@ -30,30 +31,12 @@ the parity suite under both kernel tiers.
 
 from __future__ import annotations
 
-from repro.core.bitarray import SharedBitArray
 from repro.core.vos import VirtualOddSketch
 from repro.exceptions import SnapshotError
-from repro.hashing import PackedBitArray
 from repro.hashing.bitpack import next_stamp
 from repro.service.delta import delta_mismatch
 from repro.service.service import SimilarityService
 from repro.service.sharding import ShardedVOS
-
-
-def _copy_bits(source: VirtualOddSketch) -> PackedBitArray:
-    """A private, untracked copy of ``source``'s shared-array bits."""
-    array = source.shared_array
-    return PackedBitArray.from_byte_buffer(
-        array.bits_buffer().copy(), ones_count=array.ones_count
-    )
-
-
-def _frozen_view(
-    source: VirtualOddSketch, bits: PackedBitArray, counts: dict
-) -> VirtualOddSketch:
-    return VirtualOddSketch.cow_view(
-        source, SharedBitArray.from_packed_bits(bits), counts
-    )
 
 
 class CowEpochPublisher:
@@ -84,7 +67,9 @@ class CowEpochPublisher:
         """
         self.cursor = next_stamp()
         self._current_shards = [
-            _frozen_view(shard, _copy_bits(shard), dict(shard._cardinalities))
+            VirtualOddSketch.cow_view(
+                shard, shard.shared_array.copy(), dict(shard._cardinalities)
+            )
             for shard in self._writer.sketch.row_shards()
         ]
         service = self._assemble()
@@ -120,13 +105,13 @@ class CowEpochPublisher:
         for entry in delta["shards"]:
             index = entry["shard"]
             previous = self._current_shards[index]
-            bits = _copy_bits(previous)
+            bits = previous.shared_array.copy()
             # Untracked: frozen views are never read for changes, so they
             # carry no stamp memory.
             bits.apply_packed_words(entry["words"], entry["word_data"], track=False)
             counts = dict(previous._cardinalities)
             counts.update(zip(entry["counter_users"], entry["counter_counts"]))
-            frozen = _frozen_view(previous, bits, counts)
+            frozen = VirtualOddSketch.cow_view(previous, bits, counts)
             problem = delta_mismatch(frozen, entry)
             if problem is not None:
                 raise SnapshotError(

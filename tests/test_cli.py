@@ -238,13 +238,12 @@ class TestConvertAndIngestFormats:
             assert code == 0
         capsys.readouterr()
 
-        import numpy as np
-
         from_text = load_snapshot(text_snapshot)
         from_binary = load_snapshot(binary_snapshot)
         for shard_a, shard_b in zip(from_text.shards, from_binary.shards):
-            assert np.array_equal(
-                shard_a.shared_array._bits._bits, shard_b.shared_array._bits._bits
+            assert (
+                shard_a.shared_array.to_packed_bytes()
+                == shard_b.shared_array.to_packed_bytes()
             )
             assert shard_a._cardinalities == shard_b._cardinalities
 
@@ -265,8 +264,6 @@ class TestConvertAndIngestFormats:
         self, text_stream_file, tmp_path, capsys
     ):
         """--no-validate takes the chunked columnar path, same final state."""
-        import numpy as np
-
         from repro.service.snapshot import load_snapshot
 
         binary = tmp_path / "stream.vosstream"
@@ -293,8 +290,9 @@ class TestConvertAndIngestFormats:
         a = load_snapshot(validated)
         b = load_snapshot(streamed)
         for shard_a, shard_b in zip(a.shards, b.shards):
-            assert np.array_equal(
-                shard_a.shared_array._bits._bits, shard_b.shared_array._bits._bits
+            assert (
+                shard_a.shared_array.to_packed_bytes()
+                == shard_b.shared_array.to_packed_bytes()
             )
             assert shard_a._cardinalities == shard_b._cardinalities
 
@@ -499,11 +497,7 @@ class TestSnapshotCommands:
         restored = SimilarityService.load(snapshot)
         for a, b in zip(reference.sketch.shards, restored.sketch.shards):
             assert a._cardinalities == b._cardinalities
-            import numpy as np
-
-            assert np.array_equal(
-                a.shared_array._bits._bits, b.shared_array._bits._bits
-            )
+            assert a.shared_array.to_packed_bytes() == b.shared_array.to_packed_bytes()
 
     def test_compact_resets_the_journal(self, seeded, capsys):
         from repro.service.journal import default_journal_path

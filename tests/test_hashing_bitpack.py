@@ -53,6 +53,17 @@ class TestPackedBitArray:
         bits.flip(1)
         bits.flip(4)
         assert list(bits.gather([0, 1, 4, 5])) == [0, 1, 1, 0]
+        # A position matrix keeps its shape, across bytes and a ragged end.
+        import random
+
+        rng = random.Random(5)
+        bits = PackedBitArray(77)
+        for _ in range(60):
+            bits.flip(rng.randrange(77))
+        positions = np.array([[rng.randrange(77) for _ in range(9)] for _ in range(4)])
+        gathered = bits.gather(positions)
+        assert gathered.dtype == np.uint8
+        assert np.array_equal(gathered, np.array(bits.to_list(), np.uint8)[positions])
 
     def test_clear(self):
         bits = PackedBitArray(5)
@@ -72,6 +83,40 @@ class TestPackedBitArray:
     def test_invalid_size_raises(self):
         with pytest.raises(ConfigurationError):
             PackedBitArray(0)
+
+    def test_pad_region_and_negative_positions_raise(self):
+        # 77 bits live in 16 bytes: positions 77..127 are in-bounds numpy
+        # indices of the storage, so the range checks must be explicit.
+        bits = PackedBitArray(77)
+        with pytest.raises(IndexError):
+            bits[77]
+        with pytest.raises(IndexError):
+            bits.flip(77)
+        with pytest.raises(IndexError):
+            bits.set(100, 1)
+        with pytest.raises(IndexError):
+            bits.gather([77])
+        with pytest.raises(IndexError):
+            bits.gather([-1])
+        with pytest.raises(IndexError):
+            bits.gather(np.array([[0, 127]]))
+        with pytest.raises(IndexError):
+            bits.xor_bulk([77])
+        assert bits.ones_count == 0
+        assert bits.to_packed_bytes() == bytes(10)
+
+    def test_copy_is_independent_and_untracked(self):
+        bits = PackedBitArray(130)
+        bits.flip(3)
+        bits.flip(129)
+        clone = bits.copy()
+        assert type(clone) is PackedBitArray
+        assert clone.to_packed_bytes() == bits.to_packed_bytes()
+        assert clone.ones_count == 2
+        assert clone._stamps is None
+        assert clone.dirty_words(0).tolist() == []
+        clone.flip(3)
+        assert bits[3] == 1 and clone[3] == 0
 
     def test_ones_count_matches_recount_after_random_ops(self):
         import random
@@ -182,6 +227,17 @@ class TestPackedBytesRoundTrip:
         with pytest.raises(ConfigurationError):
             bits.load_packed_bytes(b"\x00")
 
+    def test_set_pad_bits_raise(self):
+        bits = PackedBitArray(77)  # the final byte holds 5 bits and 3 pad bits
+        data = bytearray(10)
+        data[-1] = 0x01
+        with pytest.raises(ConfigurationError, match="pad bits"):
+            bits.load_packed_bytes(bytes(data))
+        assert bits.ones_count == 0
+        data[-1] = 0xF8  # every real bit of the final byte, no pad bit
+        bits.load_packed_bytes(bytes(data))
+        assert bits.ones_count == 5
+
     def test_restored_array_is_writable(self):
         bits = PackedBitArray(8)
         bits.load_packed_bytes(bytes(1))
@@ -268,7 +324,7 @@ class TestChangeStamps:
         # Applied words are stamped for the target's own consumers ...
         assert target.dirty_words(target_cursor).tolist() == words.tolist()
         # ... unless the patch is untracked (frozen overlays).
-        frozen = PackedBitArray.from_byte_buffer(np.zeros(300, dtype=np.uint8))
+        frozen = PackedBitArray(300).copy()
         frozen.apply_packed_words(words, payload, track=False)
         assert frozen._stamps is None
         assert frozen.dirty_words(0).tolist() == []

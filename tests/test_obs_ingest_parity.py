@@ -7,7 +7,6 @@ counter totals must equal what the ingest report says it consumed.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.memory import MemoryBudget
@@ -67,8 +66,9 @@ class TestInstrumentationParity:
         enabled, _, _ = _ingest_under(True, elements, num_shards)
         disabled, _, _ = _ingest_under(False, elements, num_shards)
         for part_a, part_b in zip(_parts(enabled), _parts(disabled), strict=True):
-            assert np.array_equal(
-                part_a.shared_array._bits._bits, part_b.shared_array._bits._bits
+            assert (
+                part_a.shared_array.to_packed_bytes()
+                == part_b.shared_array.to_packed_bytes()
             )
             assert part_a.shared_array.ones_count == part_b.shared_array.ones_count
             assert part_a._cardinalities == part_b._cardinalities

@@ -59,6 +59,11 @@ ROUNDS = [
 ]
 
 
+def _unpacked_bits(shard: VirtualOddSketch) -> np.ndarray:
+    """The shard's shared array, one ``uint8`` entry per bit."""
+    return np.unpackbits(np.frombuffer(shard.shared_array.to_packed_bytes(), np.uint8))
+
+
 def _whole_state_copy(writer: SimilarityService) -> SimilarityService:
     """The reference epoch: the writer frozen through a full snapshot round trip."""
     return SimilarityService.from_state_bytes(
@@ -173,7 +178,7 @@ class TestEpochChangeTracking:
         service.ingest(ROUNDS[0])
         cursor = next_stamp()
         shards = list(service._sketch.row_shards())
-        before = [shard.shared_array.bits_buffer().copy() for shard in shards]
+        before = [_unpacked_bits(shard) for shard in shards]
         counts_before = [dict(shard._cardinalities) for shard in shards]
         # Delete-heavy batch: exact cancellation for users 0..9, then re-insert.
         service.ingest(ROUNDS[2])
@@ -182,8 +187,8 @@ class TestEpochChangeTracking:
         for index, (shard, old_bits, old_counts) in enumerate(
             zip(shards, before, counts_before)
         ):
-            new_bits = shard.shared_array.bits_buffer()
-            # The buffer is byte-per-bit, so bit index // 64 is the word.
+            new_bits = _unpacked_bits(shard)
+            # One entry per bit, so bit index // 64 is the word.
             changed = {
                 int(bit) // 64 for bit in np.flatnonzero(old_bits != new_bits)
             }
@@ -204,7 +209,7 @@ class TestEpochChangeTracking:
         writer.ingest(ROUNDS[1])
         frozen = publisher.publish_delta(writer.freeze_delta(publisher.cursor))
         for shard in frozen.sketch.row_shards():
-            assert shard.shared_array._bits._stamps is None
+            assert shard.shared_array._stamps is None
             assert shard._counter_stamps == {}
 
 

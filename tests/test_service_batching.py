@@ -7,7 +7,6 @@ bit-exact shared-array state for VOS, identical estimates for everyone.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.memory import MemoryBudget
@@ -91,8 +90,9 @@ class TestBatchParityEverySketch:
         for element in parity_stream:
             reference.process(element)
         ingest_stream(batched, parity_stream, batch_size=batch_size)
-        assert np.array_equal(
-            reference.shared_array._bits._bits, batched.shared_array._bits._bits
+        assert (
+            reference.shared_array.to_packed_bytes()
+            == batched.shared_array.to_packed_bytes()
         )
         assert reference.shared_array.ones_count == batched.shared_array.ones_count
         assert reference._cardinalities == batched._cardinalities
@@ -104,8 +104,9 @@ class TestBatchParityEverySketch:
             reference.process(element)
         ingest_stream(batched, parity_stream, batch_size=512)
         for shard_a, shard_b in zip(reference.shards, batched.shards):
-            assert np.array_equal(
-                shard_a.shared_array._bits._bits, shard_b.shared_array._bits._bits
+            assert (
+                shard_a.shared_array.to_packed_bytes()
+                == shard_b.shared_array.to_packed_bytes()
             )
             assert shard_a._cardinalities == shard_b._cardinalities
 
@@ -133,8 +134,9 @@ class TestBatchEdgeCases:
             reference.process(element)
         batched.process_batch(weird)
         assert reference._cardinalities == batched._cardinalities
-        assert np.array_equal(
-            reference.shared_array._bits._bits, batched.shared_array._bits._bits
+        assert (
+            reference.shared_array.to_packed_bytes()
+            == batched.shared_array.to_packed_bytes()
         )
 
     def test_non_integer_users_fall_back_to_per_element(self):
@@ -148,8 +150,9 @@ class TestBatchEdgeCases:
         for element in elements:
             reference.process(element)
         assert batched.process_batch(elements) == 3
-        assert np.array_equal(
-            reference.shared_array._bits._bits, batched.shared_array._bits._bits
+        assert (
+            reference.shared_array.to_packed_bytes()
+            == batched.shared_array.to_packed_bytes()
         )
         assert batched.estimate_jaccard("alice", "bob") == reference.estimate_jaccard(
             "alice", "bob"
@@ -172,13 +175,15 @@ class TestBatchEdgeCases:
         batched.process_batch(elements)
         sharded_batched.process_batch(elements)
         assert batched._cardinalities == reference._cardinalities == {1.5: 1, 1: 1, 2: 1}
-        assert np.array_equal(
-            reference.shared_array._bits._bits, batched.shared_array._bits._bits
+        assert (
+            reference.shared_array.to_packed_bytes()
+            == batched.shared_array.to_packed_bytes()
         )
         for shard_a, shard_b in zip(sharded_reference.shards, sharded_batched.shards):
             assert shard_a._cardinalities == shard_b._cardinalities
-            assert np.array_equal(
-                shard_a.shared_array._bits._bits, shard_b.shared_array._bits._bits
+            assert (
+                shard_a.shared_array.to_packed_bytes()
+                == shard_b.shared_array.to_packed_bytes()
             )
 
     def test_generator_input_is_accepted(self):
@@ -249,9 +254,9 @@ class TestIterBatchesArrayNative:
         ingest_stream(from_elements, parity_stream, batch_size=512)
         whole = ElementBatch.from_elements(list(parity_stream))
         ingest_stream(from_batches, whole, batch_size=512)
-        assert np.array_equal(
-            from_elements.shared_array._bits._bits,
-            from_batches.shared_array._bits._bits,
+        assert (
+            from_elements.shared_array.to_packed_bytes()
+            == from_batches.shared_array.to_packed_bytes()
         )
         assert from_elements._cardinalities == from_batches._cardinalities
 

@@ -92,7 +92,10 @@ class _Stream:
 
 def _state(service: SimilarityService) -> list[tuple[np.ndarray, dict]]:
     return [
-        (shard.shared_array.bits_buffer().copy(), dict(shard._cardinalities))
+        (
+            np.unpackbits(np.frombuffer(shard.shared_array.to_packed_bytes(), np.uint8)),
+            dict(shard._cardinalities),
+        )
         for shard in service.sketch.row_shards()
     ]
 

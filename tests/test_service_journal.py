@@ -55,7 +55,7 @@ def assert_same_sketch_state(live, restored):
     restored_shards = restored.row_shards()
     assert len(live_shards) == len(restored_shards)
     for a, b in zip(live_shards, restored_shards):
-        assert np.array_equal(a.shared_array._bits._bits, b.shared_array._bits._bits)
+        assert a.shared_array.to_packed_bytes() == b.shared_array.to_packed_bytes()
         assert a.shared_array.ones_count == b.shared_array.ones_count
         assert a._cardinalities == b._cardinalities
 
@@ -244,7 +244,7 @@ class TestJournalCorruption:
             }
         )
         assert untouched, "need a word the journal leaves alone"
-        shard.shared_array._bits.flip(untouched[0] * 64)
+        shard.shared_array.flip(untouched[0] * 64)
         with pytest.raises(SnapshotError, match="does not match this snapshot"):
             replay_journal(
                 state.sketch, journal, checkpoint_id=state.checkpoint_id
@@ -564,9 +564,7 @@ def test_numpy_integer_user_ids_snapshot(tmp_path):
         vos.process(StreamElement(np.int64(5), item, Action.INSERT))
     restored = loads_snapshot(dumps_snapshot(vos))
     assert restored.cardinality(5) == 10
-    assert np.array_equal(
-        vos.shared_array._bits._bits, restored.shared_array._bits._bits
-    )
+    assert vos.shared_array.to_packed_bytes() == restored.shared_array.to_packed_bytes()
 
 
 class TestGroupCommit:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.memory import MemoryBudget
@@ -64,8 +63,9 @@ class TestSingleShardEquivalence:
         for element in stream:
             plain.process(element)
             sharded.process(element)
-        assert np.array_equal(
-            plain.shared_array._bits._bits, sharded.shards[0].shared_array._bits._bits
+        assert (
+            plain.shared_array.to_packed_bytes()
+            == sharded.shards[0].shared_array.to_packed_bytes()
         )
         users = sorted(plain.users())[:8]
         for i, user_a in enumerate(users):

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import struct
+import zlib
 
-import numpy as np
 import pytest
 
 from repro.core.vos import VirtualOddSketch
@@ -15,6 +15,7 @@ from repro.service.snapshot import (
     dumps_snapshot,
     load_snapshot,
     loads_snapshot,
+    loads_snapshot_state,
     save_snapshot,
 )
 from repro.streams.edge import Action, StreamElement
@@ -37,7 +38,7 @@ def fed_sharded(small_dynamic_stream):
 
 
 def _assert_same_vos_state(a: VirtualOddSketch, b: VirtualOddSketch) -> None:
-    assert np.array_equal(a.shared_array._bits._bits, b.shared_array._bits._bits)
+    assert a.shared_array.to_packed_bytes() == b.shared_array.to_packed_bytes()
     assert a.shared_array.ones_count == b.shared_array.ones_count
     assert a._cardinalities == b._cardinalities
 
@@ -226,6 +227,24 @@ class TestHeaderCorruptionPaths:
         rebuilt = _rebuild_with_header(dumps_snapshot(fed_vos), shrink)
         with pytest.raises(SnapshotError, match="sections describe"):
             loads_snapshot(rebuilt)
+
+    def test_set_pad_bit_in_array_section(self):
+        """A ragged array's pad bits are zero; a set one is rejected, not masked."""
+        vos = VirtualOddSketch(shared_array_bits=77, virtual_sketch_size=16, seed=4)
+        vos.process(StreamElement(1, 2, Action.INSERT))
+        blob = dumps_snapshot(vos)
+        _, header_length = struct.unpack_from("<II", blob, len(MAGIC))
+        payload_start = len(MAGIC) + 8 + header_length
+        array_bytes = (77 + 7) // 8  # "array" is the first payload section
+        payload = bytearray(blob[payload_start:])
+        payload[array_bytes - 1] |= 0x01  # bit 79: past the 77th position
+
+        def recompute_crc(header):
+            header["crc32"] = zlib.crc32(bytes(payload))
+
+        rebuilt = _rebuild_with_header(blob[:payload_start], recompute_crc)
+        with pytest.raises(SnapshotError, match="pad bits"):
+            loads_snapshot_state(rebuilt + bytes(payload))
 
     def test_mismatched_shard_count(self, fed_sharded):
         def lie(header):
