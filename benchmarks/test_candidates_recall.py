@@ -81,7 +81,6 @@ def loaded_sketch(num_users: int) -> VirtualOddSketch:
         shared_array_bits=ARRAY_BITS_PER_USER * num_users,
         virtual_sketch_size=VIRTUAL_SKETCH_SIZE,
         seed=3,
-        sketch_cache_size=2 * num_users,
     )
     sketch.process_batch(clone_batch(num_users, seed=11))
     return sketch

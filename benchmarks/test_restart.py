@@ -122,9 +122,8 @@ def measurements(tmp_path_factory):
     delta_save_seconds = time.perf_counter() - start
 
     # Parity: full + journal replay vs the live sketch.  Each restored service
-    # is dropped as soon as its phase ends — every 20k-user instance pins
-    # hundreds of MB of position caches, and keeping several alive would turn
-    # the later timings into a memory-pressure benchmark.
+    # is dropped as soon as its phase ends, so the later timings measure one
+    # live instance at a time rather than memory pressure.
     restored = SimilarityService.load(snapshot)
     parity = {"arrays": True, "counters": True}
     for live, copy in zip(service.sketch.shards, restored.sketch.shards):

@@ -30,11 +30,12 @@ percentiles, delta much smaller than snapshot) before writing the JSON.
 The synthetic stream is generated columnar-native (NumPy RNG straight into
 :class:`~repro.streams.batch.ElementBatch`), with a mild power-law skew on
 user popularity and ~5% same-batch insert-then-delete churn so the odd
-sketch's deletion path is exercised at scale.  The service runs with
-``cache_positions=False``: position caches cost ~8k bytes/user, which at
-million-user scale would dwarf the shared sketch itself.  The sketch is
-stored packed, so its resident size is the ``sketch_memory_bits`` the JSON
-records divided by 8 (plus under 64 pad bits per shard).
+sketch's deletion path is exercised at scale.  The service runs with its
+defaults: rows are recovered by a fused hash-gather-pack kernel that builds
+no per-user position matrix, and the only per-user read state is the row
+memo of ``k / 8`` bytes per recovered user (192 B at k = 1536).  The sketch
+is stored packed, so its resident size is the ``sketch_memory_bits`` the
+JSON records divided by 8 (plus under 64 pad bits per shard).
 """
 
 from __future__ import annotations
@@ -119,8 +120,6 @@ def soak_results(tmp_path_factory):
         baseline_registers=24,
         num_shards=NUM_SHARDS,
         seed=7,
-        cache_positions=False,
-        sketch_cache_size=2048,
     )
     service = SimilarityService.from_config(config)
 

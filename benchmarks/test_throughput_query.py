@@ -94,9 +94,7 @@ def stream_elements():
 def _make_sketch(stream_elements) -> VirtualOddSketch:
     users = {element.user for element in stream_elements}
     budget = MemoryBudget(baseline_registers=24, num_users=len(users))
-    # Row cache sized for the whole pool so the warm-cache measurement really
-    # measures cache hits rather than LRU churn.
-    vos = VirtualOddSketch.from_budget(budget, seed=3, sketch_cache_size=2 * POOL_USERS)
+    vos = VirtualOddSketch.from_budget(budget, seed=3)
     vos.process_batch(stream_elements)
     return vos
 
@@ -143,9 +141,10 @@ def measurements(sketch, candidates, stream_elements):
     loop_sample_seconds = time.perf_counter() - start
     loop_seconds_estimate = loop_sample_seconds * (total_pairs / sample_size)
 
-    # -- vectorized path: cold (fresh sketch, empty caches) and warm (row cache
-    # hot) — best of two runs each, matching the ingest benchmark's policy of
-    # not letting one scheduler hiccup dominate a sub-second measurement.
+    # -- vectorized path: cold (fresh sketch, empty row memo) and warm (row
+    # memo hot) — best of two runs each, matching the ingest benchmark's
+    # policy of not letting one scheduler hiccup dominate a sub-second
+    # measurement.
     previous_registry = get_registry()
     registry = set_registry(MetricsRegistry())
     try:

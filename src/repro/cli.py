@@ -774,6 +774,11 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     rows_per_band = (row_bytes // 8) // bands
     coeff_a = (rng.integers(1, 1 << 60, size=bands + 1)).astype(np.uint64)
     coeff_b = (rng.integers(0, 1 << 60, size=bands + 1)).astype(np.uint64)
+    # Row recovery reads the random rows as one packed shared array.
+    shared = rows.ravel()
+    fingerprints = rng.integers(0, 1 << 63, size=args.users).astype(np.uint64)
+    hash_a = rng.integers(1, 1 << 60, size=args.sketch_size).astype(np.uint64)
+    hash_b = rng.integers(0, 1 << 60, size=args.sketch_size).astype(np.uint64)
     tiers = ["numpy"] + (["native"] if native.get("available") else [])
     bench_rows: list[list] = []
     baseline: dict[str, np.ndarray] = {}
@@ -788,16 +793,19 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
                 rows.view(np.uint64), bands, rows_per_band, coeff_a, coeff_b
             )
             band_seconds = time.perf_counter() - started
-        if "counts" in baseline:
-            if not np.array_equal(baseline["counts"], counts):
-                print("error: kernel tiers disagree on pair counts", file=sys.stderr)
+            started = time.perf_counter()
+            recovered = kernels.recover_rows(
+                fingerprints, hash_a, hash_b, shared, shared.size * 8, args.sketch_size
+            )
+            recover_seconds = time.perf_counter() - started
+        for name, value in (
+            ("pair counts", counts),
+            ("band signatures", signatures),
+            ("recovered rows", recovered),
+        ):
+            if not np.array_equal(baseline.setdefault(name, value), value):
+                print(f"error: kernel tiers disagree on {name}", file=sys.stderr)
                 return 2
-            if not np.array_equal(baseline["signatures"], signatures):
-                print("error: kernel tiers disagree on band signatures", file=sys.stderr)
-                return 2
-        else:
-            baseline["counts"] = counts
-            baseline["signatures"] = signatures
         bench_rows.append(
             [
                 tier,
@@ -805,9 +813,11 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
                 round(args.pairs / pair_seconds / 1e6, 2),
                 round(band_seconds * 1e3, 3),
                 round(args.users / band_seconds / 1e6, 2),
+                round(recover_seconds * 1e3, 3),
+                round(args.users / recover_seconds / 1e3, 1),
             ]
         )
-    headers = ["tier", "pair ms", "Mpairs/s", "band ms", "Musers/s"]
+    headers = ["tier", "pair ms", "Mpairs/s", "band ms", "Musers/s", "recover ms", "kusers/s"]
     print(
         f"# micro-timing: {args.pairs} pairs / {args.users} users at "
         f"k={args.sketch_size} ({row_bytes} B/row); tiers bit-identical"

@@ -27,7 +27,6 @@ closed-form estimators in :mod:`repro.core.estimators`.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from collections.abc import Sequence
 
 import numpy as np
@@ -47,19 +46,10 @@ from repro.exceptions import ConfigurationError, UnknownUserError
 from repro.hashing import HashFamily, UniversalHash
 from repro import kernels
 from repro.obs import get_registry
-from repro.hashing.universal import stable_hash64
-from repro.streams.batch import ElementBatch
+from repro.hashing.universal import fingerprint64, fingerprint64_array, stable_hash64
+from repro.kernels import packed_row_bytes
+from repro.streams.batch import ElementBatch, id_column
 from repro.streams.edge import StreamElement, UserId
-
-
-def packed_row_bytes(sketch_size: int) -> int:
-    """Bytes per bit-packed sketch row, padded to whole 64-bit words.
-
-    The padding lets :func:`pair_xor_counts` xor and popcount rows as
-    ``uint64`` lanes (8x fewer elementwise operations than per byte); pad bits
-    are zero in every row, so they never affect a count.
-    """
-    return ((sketch_size + 63) // 64) * 8
 
 
 def pair_xor_counts(rows: np.ndarray, index_a: np.ndarray, index_b: np.ndarray) -> np.ndarray:
@@ -151,12 +141,11 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
     of the user, one xor).  *Query cost* is O(k) because the two virtual
     sketches must be gathered from ``A``.
 
-    The per-user bit positions ``f_j(u)`` are cached the first time a user is
-    seen: this is a pure performance optimisation (positions are a
-    deterministic function of the user id) and is not counted towards the
-    sketch's memory under the paper's cost model, which charges only the
-    ``m``-bit array.  Pass ``cache_positions=False`` to disable the cache and
-    recompute positions on every access.
+    Recovered rows are memoised per user (bit-packed, ``k / 8`` bytes each)
+    for as long as the shared array is unchanged; any write invalidates the
+    whole memo, so memoised reads are exactly what a fresh recovery returns.
+    Like the hash coefficients, the memo is derived state that the paper's
+    cost model, which charges only the ``m``-bit array, does not count.
 
     Examples
     --------
@@ -177,8 +166,6 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         virtual_sketch_size: int,
         *,
         seed: int = 0,
-        cache_positions: bool = True,
-        sketch_cache_size: int = 1024,
     ) -> None:
         super().__init__()
         if shared_array_bits <= 0:
@@ -194,10 +181,6 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
                 "virtual_sketch_size cannot exceed shared_array_bits "
                 f"({virtual_sketch_size} > {shared_array_bits})"
             )
-        if sketch_cache_size < 0:
-            raise ConfigurationError(
-                f"sketch_cache_size must be non-negative, got {sketch_cache_size}"
-            )
         self.shared_array_bits = shared_array_bits
         self.virtual_sketch_size = virtual_sketch_size
         self.seed = seed
@@ -210,23 +193,17 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
             range_size=shared_array_bits,
             seed=stable_hash64(("vos-f", seed)),
         )
-        self._cache_positions = cache_positions
-        self._position_cache: dict[UserId, np.ndarray] = {}
-        # LRU cache of hot users' recovered virtual sketches, stored bit-packed
-        # (8 virtual bits per byte).  Entries are valid only for the shared
-        # array stamp they were read at; any write invalidates them all,
-        # which keeps query results indistinguishable from uncached reads.
-        self._sketch_cache_size = sketch_cache_size
-        self._sketch_cache: OrderedDict[UserId, np.ndarray] = OrderedDict()
-        self._sketch_cache_stamp = -1
-        self._sketch_cache_hits = 0
-        self._sketch_cache_misses = 0
-        # Guards the LRU bookkeeping only (lookups, insertions, eviction,
-        # hit/miss counters) so concurrent readers — the serving daemon runs
-        # many query threads against one published epoch — never interleave a
-        # ``move_to_end`` with another thread's eviction.  The expensive
-        # gather itself runs outside the lock.
-        self._sketch_cache_lock = threading.Lock()
+        self._reset_row_memo()
+
+    def _reset_row_memo(self) -> None:
+        # user -> packed row, valid while the array's latest stamp equals
+        # ``_rows_stamp``.  The lock guards only this bookkeeping (the serving
+        # daemon reads one epoch from many threads); recovery runs outside it.
+        self._rows: dict[UserId, np.ndarray] = {}
+        self._rows_stamp = -1
+        self._row_hits = 0
+        self._row_misses = 0
+        self._rows_lock = threading.Lock()
 
     # -- construction helpers --------------------------------------------------------
 
@@ -237,7 +214,6 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         *,
         size_multiplier: float = 2.0,
         seed: int = 0,
-        sketch_cache_size: int = 1024,
     ) -> "VirtualOddSketch":
         """Build a VOS instance under the paper's equal-memory budget.
 
@@ -249,7 +225,6 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
             shared_array_bits=parameters.shared_array_bits,
             virtual_sketch_size=parameters.virtual_sketch_size,
             seed=seed,
-            sketch_cache_size=sketch_cache_size,
         )
 
     @classmethod
@@ -266,10 +241,8 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         bits (already patched with the publish delta) and ``cardinalities``
         is the epoch's own dict of exact per-user counters.  Instead of
         rebuilding the ``k``-hash user family (tens of milliseconds at
-        service scale) the view shares ``source``'s hash objects and
-        position cache by reference — positions are a deterministic function
-        of (user, seed), so writer and views always agree on them.  The view
-        gets its own packed-row LRU: row bytes differ per epoch.
+        service scale) the view shares ``source``'s hash objects by
+        reference; it gets its own row memo, as row bytes differ per epoch.
 
         The view is a full :class:`VirtualOddSketch` for the read API but
         must never ingest; epoch services are frozen by contract.
@@ -288,66 +261,14 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         view._array = array
         view._item_hash = source._item_hash
         view._user_hashes = source._user_hashes
-        view._cache_positions = source._cache_positions
-        view._position_cache = source._position_cache
-        view._sketch_cache_size = source._sketch_cache_size
-        view._sketch_cache = OrderedDict()
-        view._sketch_cache_stamp = -1
-        view._sketch_cache_hits = 0
-        view._sketch_cache_misses = 0
-        view._sketch_cache_lock = threading.Lock()
+        view._reset_row_memo()
         return view
-
-    # -- position handling -------------------------------------------------------------
-
-    def _positions(self, user: UserId) -> np.ndarray:
-        """The shared-array positions of this user's ``k`` virtual bits."""
-        cached = self._position_cache.get(user)
-        if cached is not None:
-            return cached
-        positions = self._user_hashes.apply_all_array(user)
-        if self._cache_positions:
-            self._position_cache[user] = positions
-        return positions
-
-    def _position_of(self, user: UserId, virtual_index: int) -> int:
-        """The shared-array position of one virtual bit (O(1), no full gather)."""
-        cached = self._position_cache.get(user)
-        if cached is not None:
-            return int(cached[virtual_index])
-        return self._user_hashes[virtual_index](user)
-
-    def _positions_matrix(self, users: Sequence[UserId]) -> np.ndarray:
-        """The ``(len(users), k)`` matrix of the users' virtual-bit positions.
-
-        Rows of users already in the position cache are copied from it; all
-        remaining rows are computed in one vectorized family evaluation
-        (:meth:`~repro.hashing.families.HashFamily.apply_many_array`).
-        """
-        matrix = np.empty((len(users), self.virtual_sketch_size), dtype=np.int64)
-        missing: list[int] = []
-        for row, user in enumerate(users):
-            cached = self._position_cache.get(user)
-            if cached is None:
-                missing.append(row)
-            else:
-                matrix[row] = cached
-        if missing:
-            computed = self._user_hashes.apply_many_array(
-                [users[row] for row in missing]
-            )
-            matrix[missing] = computed
-            if self._cache_positions:
-                for offset, row in enumerate(missing):
-                    self._position_cache[users[row]] = computed[offset]
-        return matrix
 
     # -- streaming updates ----------------------------------------------------------------
 
     def _toggle(self, element: StreamElement) -> None:
         virtual_index = self._item_hash(element.item)
-        position = self._position_of(element.user, virtual_index)
-        self._array.flip(position)
+        self._array.flip(self._user_hashes[virtual_index](element.user))
 
     def _process_insertion(self, element: StreamElement) -> None:
         self._toggle(element)
@@ -406,60 +327,45 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
 
     def virtual_sketch(self, user: UserId) -> np.ndarray:
         """Recover the user's virtual odd sketch ``Ô_u`` as a uint8 vector."""
-        if not self.has_user(user):
-            raise UnknownUserError(user)
-        positions = self._positions(user)
-        return self._array.gather(positions)
+        return self.sketch_matrix([user])[0]
 
     # -- bulk queries ------------------------------------------------------------------
 
     def _packed_rows(self, users: Sequence[UserId]) -> np.ndarray:
-        """Bit-packed virtual sketches, one row per user, via the LRU row cache.
+        """Bit-packed virtual sketches, one row per user, through the row memo.
 
-        The cache is keyed on the shared array's latest change stamp: any ingest
-        since the rows were read invalidates every entry (a single xor can
-        land in any user's virtual bits), so cached reads are always exactly
-        what an uncached gather would return.  Missing rows are recovered with
-        one fancy-indexed read of the shared array and packed 8 bits/byte.
+        A write since the rows were recovered invalidates every entry (one
+        xor can land in any user's virtual bits); missing rows are recovered
+        in one :func:`repro.kernels.recover_rows` call.
         """
         for user in users:
             if user not in self._cardinalities:
                 raise UnknownUserError(user)
         stamp = self._array.latest_stamp
-        row_bytes = packed_row_bytes(self.virtual_sketch_size)
-        packed = np.zeros((len(users), row_bytes), dtype=np.uint8)
+        packed = np.empty((len(users), packed_row_bytes(self.virtual_sketch_size)), np.uint8)
         missing: list[int] = []
-        cache = self._sketch_cache
-        with self._sketch_cache_lock:
-            if stamp != self._sketch_cache_stamp:
-                cache.clear()
-                self._sketch_cache_stamp = stamp
+        with self._rows_lock:
+            if stamp != self._rows_stamp:
+                self._rows = {}
+                self._rows_stamp = stamp
             for row, user in enumerate(users):
-                cached = cache.get(user) if self._sketch_cache_size else None
+                cached = self._rows.get(user)
                 if cached is None:
                     missing.append(row)
                 else:
-                    cache.move_to_end(user)
-                    self._sketch_cache_hits += 1
                     packed[row] = cached
+            self._row_hits += len(users) - len(missing)
+            self._row_misses += len(missing)
         if missing:
             missing_users = [users[row] for row in missing]
-            fresh = self._gather_packed(missing_users)
+            fresh = self._recover_rows(missing_users)
             packed[missing] = fresh
-            with self._sketch_cache_lock:
-                self._sketch_cache_misses += len(missing)
-                # Only populate while the stamp still matches: an ingest
-                # racing this gather advanced the stamp, so these rows may
-                # describe a mix of old and new bits.
-                if self._sketch_cache_size and self._sketch_cache_stamp == stamp:
-                    for offset, user in enumerate(missing_users):
-                        # Copy the row out of the batch matrix: a cached view
-                        # would pin the whole gather result in memory for as
-                        # long as any one of its rows survives in the cache.
-                        cache[user] = fresh[offset].copy()
-                        cache.move_to_end(user)
-                    while len(cache) > self._sketch_cache_size:
-                        cache.popitem(last=False)
+            with self._rows_lock:
+                # A write racing this recovery moved the stamp, so the rows
+                # may mix old and new bits.  Memoised rows are views of
+                # ``fresh``, held and dropped as a whole.
+                if self._rows_stamp == stamp == self._array.latest_stamp:
+                    self._rows.update(zip(missing_users, fresh))
         registry = get_registry()
         if registry.enabled:
             hits = len(users) - len(missing)
@@ -469,37 +375,27 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
                 registry.inc("query.row_cache.misses", len(missing), unit="rows")
         return packed
 
-    def _gather_packed(self, users: Sequence[UserId]) -> np.ndarray:
-        """Uncached bulk gather of bit-packed rows (callers validate users)."""
-        row_bytes = packed_row_bytes(self.virtual_sketch_size)
-        packed = np.zeros((len(users), row_bytes), dtype=np.uint8)
-        if users:
-            positions = self._positions_matrix(list(users))
-            bits = np.packbits(self._array.gather(positions), axis=1)
-            packed[:, : bits.shape[1]] = bits
-        return packed
+    def _recover_rows(self, users: list[UserId]) -> np.ndarray:
+        """Packed rows recovered from the shared array (callers validate users)."""
+        ids = id_column(users)
+        fingerprints = (
+            fingerprint64_array(ids)
+            if ids.dtype == np.int64
+            else np.fromiter(map(fingerprint64, users), dtype=np.uint64, count=len(users))
+        )
+        return self._user_hashes.recover_rows(fingerprints, self._array.storage)
 
-    def packed_rows(
-        self, users: Sequence[UserId], *, cache: bool = True
-    ) -> np.ndarray:
+    def packed_rows(self, users: Sequence[UserId]) -> np.ndarray:
         """Bit-packed virtual sketch rows, one user per row (public form).
 
         Each row packs the user's recovered virtual sketch 8 bits per byte and
         is padded to whole 64-bit words (:func:`packed_row_bytes`), so callers
         may reinterpret the matrix as ``uint64`` lanes.  This is the row
         representation both the bulk pair scorer and the LSH banding index
-        (:mod:`repro.index`) consume.  With ``cache=True`` reads go through
-        the LRU row cache keyed on the shared array's latest change stamp;
-        pass ``cache=False`` for one-shot whole-population sweeps (e.g. index
-        rebuilds) so they neither churn nor evict the query-hot rows.
+        (:mod:`repro.index`) consume; every read goes through the row memo,
+        so rows an index rebuild recovers are hits for the queries after it.
         """
-        users = list(users)
-        if cache:
-            return self._packed_rows(users)
-        for user in users:
-            if user not in self._cardinalities:
-                raise UnknownUserError(user)
-        return self._gather_packed(users)
+        return self._packed_rows(list(users))
 
     def row_shards(self) -> list["VirtualOddSketch"]:
         """Row sources for index structures: a single-array sketch is one shard.
@@ -514,22 +410,15 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
     def sketch_matrix(self, users: Sequence[UserId]) -> np.ndarray:
         """Recover many users' virtual sketches as an ``(n, k)`` uint8 bit matrix.
 
-        Row ``i`` equals ``virtual_sketch(users[i])``; the whole matrix is
-        gathered with one fancy-indexed read of the shared array (plus the
-        packed-row cache for users queried recently).
+        Row ``i`` equals ``virtual_sketch(users[i])``: the packed rows
+        (:meth:`packed_rows`) unpacked, so both forms share one read path.
         """
-        users = list(users)
-        packed = self._packed_rows(users)
+        packed = self._packed_rows(list(users))
         return np.unpackbits(packed, axis=1, count=self.virtual_sketch_size)
 
     def sketch_cache_info(self) -> dict[str, int]:
-        """Occupancy and hit/miss counters of the packed-row LRU cache."""
-        return {
-            "entries": len(self._sketch_cache),
-            "capacity": self._sketch_cache_size,
-            "hits": self._sketch_cache_hits,
-            "misses": self._sketch_cache_misses,
-        }
+        """Occupancy and hit/miss counters of the row memo."""
+        return {"entries": len(self._rows), "hits": self._row_hits, "misses": self._row_misses}
 
     def _indexed_pair_arrays(
         self, users: Sequence[UserId], index_a: np.ndarray, index_b: np.ndarray
@@ -549,9 +438,8 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
 
     def pair_alpha(self, user_a: UserId, user_b: UserId) -> float:
         """The observed xor load ``alpha`` for a user pair."""
-        sketch_a = self.virtual_sketch(user_a)
-        sketch_b = self.virtual_sketch(user_b)
-        return float(np.count_nonzero(sketch_a != sketch_b)) / self.virtual_sketch_size
+        sketches = self.sketch_matrix([user_a, user_b])
+        return float(np.count_nonzero(sketches[0] != sketches[1])) / self.virtual_sketch_size
 
     def estimate_symmetric_difference(self, user_a: UserId, user_b: UserId) -> float:
         """Estimate ``n_Δ = |S_u Δ S_v|`` for the pair."""

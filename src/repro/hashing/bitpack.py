@@ -48,6 +48,17 @@ def _popcount_table(values: np.ndarray) -> np.ndarray:
 _bitwise_count = getattr(np, "bitwise_count", _popcount_table)
 
 
+def gather_bits(packed: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The bits of ``np.packbits``-order bytes at unchecked ``int64`` positions, as 0/1."""
+    bits = np.take(packed, positions >> 3)
+    shift = positions.astype(np.uint8)
+    shift &= 7
+    # uint8 shifts drop the bits above the wanted one, then bring it down.
+    bits <<= shift
+    bits >>= 7
+    return bits
+
+
 class PackedBitArray:
     """A mutable array of bits with an O(1) running population count.
 
@@ -172,11 +183,16 @@ class PackedBitArray:
         """The stamp of the newest mutation anywhere in the array.
 
         Every mutating method advances it, so readers that cache derived
-        views of the bits (the VOS packed-row cache, the LSH signature
+        views of the bits (the VOS row memo, the LSH signature
         tables) key them on it: two equal stamps guarantee the bits are
         unchanged; unequal stamps say nothing about how much changed.
         """
         return self._latest
+
+    @property
+    def storage(self) -> np.ndarray:
+        """The live ``uint8`` storage (read-only by contract: row recovery reads it)."""
+        return self._bytes
 
     @property
     def num_words(self) -> int:
@@ -277,22 +293,14 @@ class PackedBitArray:
         """Return the bits at ``indices`` as a ``numpy.uint8`` array of 0/1.
 
         Accepts any iterable of positions; an index *array* of any shape takes
-        a zero-copy fast path and the result preserves its shape, which is how
-        the bulk query path reads a whole ``(n_users, k)`` position matrix in
-        one call.
+        a zero-copy fast path and the result preserves its shape.
         """
         if isinstance(indices, np.ndarray):
             positions = indices.astype(np.int64, copy=False)
         else:
             positions = np.fromiter(indices, dtype=np.int64)
         self._check_positions(positions, "gather")
-        bits = np.take(self._bytes, positions >> 3)
-        shift = positions.astype(np.uint8)
-        shift &= 7
-        # uint8 shifts drop the bits above the wanted one, then bring it down.
-        bits <<= shift
-        bits >>= 7
-        return bits
+        return gather_bits(self._bytes, positions)
 
     def xor_bulk(self, positions) -> int:
         """Xor 1 into every listed position at once, keeping the popcount exact.

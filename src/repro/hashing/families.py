@@ -21,12 +21,8 @@ import numpy as np
 
 from repro import kernels
 from repro.exceptions import ConfigurationError
-from repro.hashing.universal import (
-    UniversalHash,
-    _affine_mod_mersenne,
-    fingerprint64,
-    stable_hash64,
-)
+from repro.hashing.universal import UniversalHash, fingerprint64, stable_hash64
+from repro.kernels import numpy_tier
 
 
 @dataclass(frozen=True)
@@ -124,38 +120,26 @@ class HashFamily:
         """Hash ``key`` with every member function and return the values in order."""
         return [member(key) for member in self._members]
 
-    def apply_all_array(self, key: object) -> np.ndarray:
-        """Vectorized :meth:`apply_all`: all member values for one key as ``int64``.
-
-        Bit-exact with the scalar members (``apply_all_array(k)[j] ==
-        self[j](k)``) but evaluates the whole family with a handful of numpy
-        operations, which is what makes gathering a user's ``k`` virtual-bit
-        positions cheap in the VOS hot paths.
-        """
-        fingerprint = np.uint64(fingerprint64(key))
-        wide = _affine_mod_mersenne(fingerprint, self._coeff_a, self._coeff_b)
-        return (wide % np.uint64(self.range_size)).astype(np.int64)
-
     def apply_many_array(self, keys) -> np.ndarray:
-        """Vectorized :meth:`apply_all` for many keys: an ``(n, size)`` matrix.
+        """Vectorized :meth:`apply_all` for many keys: an ``(n, size)`` ``int64`` matrix.
 
-        Row ``i`` is bit-exact with ``apply_all_array(keys[i])``.  Rows are
-        evaluated one vectorized affine step at a time rather than as a single
-        broadcast over the full ``(n, size)`` matrix: the affine reduction
-        needs ~20 elementwise passes, and keeping each pass within one
-        row-sized buffer is several times faster than streaming n-row
-        temporaries through memory.  Keys may be any hashable objects.
-        This is how the VOS bulk query path computes many users' ``k``
-        virtual-bit positions at once.
+        Row ``i`` is bit-exact with ``apply_all(keys[i])`` for any hashable
+        keys: the unfused parity reference for :meth:`recover_rows`.
         """
-        keys = list(keys)
-        matrix = np.empty((len(keys), self.size), dtype=np.int64)
-        range_size = np.uint64(self.range_size)
-        for row, key in enumerate(keys):
-            fingerprint = np.uint64(fingerprint64(key))
-            wide = _affine_mod_mersenne(fingerprint, self._coeff_a, self._coeff_b)
-            matrix[row] = (wide % range_size).astype(np.int64)
-        return matrix
+        fingerprints = np.fromiter(map(fingerprint64, keys), dtype=np.uint64)
+        return numpy_tier.affine_positions(
+            fingerprints[:, None], self._coeff_a, self._coeff_b, self.range_size
+        )
+
+    def recover_rows(self, fingerprints: np.ndarray, packed_bits: np.ndarray) -> np.ndarray:
+        """Packed rows of ``packed_bits`` at every member's position, one per fingerprint.
+
+        Row ``i`` packs ``bits[self[j](key)]`` for ``fingerprint64(key) ==
+        fingerprints[i]`` (:func:`repro.kernels.recover_rows`).
+        """
+        return kernels.recover_rows(
+            fingerprints, self._coeff_a, self._coeff_b, packed_bits, self.range_size, self.size
+        )
 
     def hash_pairs(self, keys, member_indices) -> np.ndarray:
         """Evaluate ``self[member_indices[i]](keys[i])`` for a whole batch at once.

@@ -521,7 +521,7 @@ class BandedSketchIndex:
                 np.empty((0, columns), dtype=bool),
                 key,
             )
-        rows = shard.packed_rows(users, cache=False)
+        rows = shard.packed_rows(users)
         # The fold, set-bit counts, and Carter-Wegman signature hashes all run
         # in the kernel tier (native C when available, blocked NumPy
         # otherwise) — bit-identical across tiers by the parity suite.

@@ -1,11 +1,12 @@
 """Runtime-selected kernel tiers for the read-path hot primitives.
 
-Every read-path milestone bottoms out in two primitives: the uint64
-xor+popcount sweep behind pair scoring and the banded hash fold behind LSH
-signature building.  The ingest path bottoms out in a third: seeded
-Carter-Wegman hashing of integer id columns (item hash, position hashes,
-shard router).  This package routes all three through a tier chosen at
-runtime::
+Every read-path milestone bottoms out in three primitives: row recovery
+(each user's ``k`` Carter-Wegman positions, their bits gathered from the
+packed shared array and packed into a row), the uint64 xor+popcount sweep
+behind pair scoring and the banded hash fold behind LSH signature building.
+The ingest path bottoms out in a fourth: seeded Carter-Wegman hashing of
+integer id columns (item hash, position hashes, shard router).  This
+package routes all four through a tier chosen at runtime::
 
                         REPRO_KERNEL=auto|numpy|native
                                      |
@@ -32,8 +33,9 @@ Tiers are bit-identical by contract and parity-tested
   compiler can never quietly lose the fast tier.
 
 Per-call observability lands in the metrics registry under
-``kernels.<tier>.pair_calls`` / ``pairs_scored`` / ``pair_seconds`` and
-``kernels.<tier>.band_calls`` / ``band_rows`` / ``band_seconds``.
+``kernels.<tier>.pair_calls`` / ``pairs_scored`` / ``pair_seconds``,
+``kernels.<tier>.band_calls`` / ``band_rows`` / ``band_seconds`` and
+``kernels.<tier>.recover_calls`` / ``recover_rows`` / ``recover_seconds``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from threading import Lock
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.hashing.universal import _MERSENNE_P
 from repro.kernels import numpy_tier
 from repro.kernels.numpy_tier import pair_block_pairs
 from repro.obs import get_registry
@@ -58,6 +61,8 @@ __all__ = [
     "kernel_info",
     "pair_block_pairs",
     "pair_counts",
+    "packed_row_bytes",
+    "recover_rows",
     "requested_tier",
     "reset_kernels",
     "use_tier",
@@ -313,3 +318,69 @@ def band_signatures(
         registry.inc(f"kernels.{tier}.band_rows", int(words.shape[0]), unit="rows")
         registry.observe(f"kernels.{tier}.band_seconds", elapsed)
     return signatures, set_bits
+
+
+def packed_row_bytes(sketch_size: int) -> int:
+    """Bytes per bit-packed sketch row, padded to whole 64-bit words.
+
+    The padding lets :func:`pair_counts` xor and popcount rows as ``uint64``
+    lanes (8x fewer elementwise operations than per byte); pad bits are zero
+    in every row, so they never affect a count.
+    """
+    return ((sketch_size + 63) // 64) * 8
+
+
+def recover_rows(
+    fingerprints: np.ndarray,
+    coeff_a: np.ndarray,
+    coeff_b: np.ndarray,
+    packed_bits: np.ndarray,
+    num_bits: int,
+    k: int,
+) -> np.ndarray:
+    """Dispatch packed virtual-sketch row recovery to the active tier.
+
+    Row ``u``, bit ``j`` (``np.packbits`` order) is bit
+    ``((coeff_a[j] * fingerprints[u] + coeff_b[j]) mod (2^61 - 1)) mod
+    num_bits`` of ``packed_bits`` (the shared array's packed storage); rows
+    are :func:`packed_row_bytes` wide with zero pad bits.  Every input is
+    checked here, before any pointer reaches native code.
+    """
+    for name, array, dtype in (
+        ("fingerprints", fingerprints, np.uint64),
+        ("coeff_a", coeff_a, np.uint64),
+        ("coeff_b", coeff_b, np.uint64),
+        ("packed_bits", packed_bits, np.uint8),
+    ):
+        if not (
+            isinstance(array, np.ndarray)
+            and array.dtype == dtype
+            and array.ndim == 1
+            and array.flags.c_contiguous
+        ):
+            raise ConfigurationError(
+                f"recover_rows needs a contiguous 1-d {np.dtype(dtype)} {name} array"
+            )
+    if not (isinstance(k, (int, np.integer)) and 0 < k <= len(coeff_a) == len(coeff_b)):
+        raise ConfigurationError(
+            f"recover_rows needs 0 < k <= len(coeff_a) == len(coeff_b), got k={k}"
+        )
+    if max(int(coeff_a.max()), int(coeff_b.max())) >= _MERSENNE_P:
+        raise ConfigurationError("recover_rows coefficients must be below 2^61 - 1")
+    if not (isinstance(num_bits, (int, np.integer)) and num_bits > 0):
+        raise ConfigurationError(f"num_bits must be a positive integer, got {num_bits}")
+    if len(packed_bits) < (num_bits + 7) // 8:
+        raise IndexError(f"{len(packed_bits)} packed bytes cannot hold {num_bits} bits")
+    native = _resolve()["native"]
+    registry = get_registry()
+    started = time.perf_counter() if registry.enabled else 0.0
+    tier, recover = ("numpy", numpy_tier) if native is None else ("native", native)
+    rows = recover.recover_rows(
+        fingerprints, coeff_a, coeff_b, packed_bits, num_bits, k, packed_row_bytes(k)
+    )
+    if registry.enabled:
+        elapsed = time.perf_counter() - started
+        registry.inc(f"kernels.{tier}.recover_calls", 1, unit="calls")
+        registry.inc(f"kernels.{tier}.recover_rows", rows.shape[0], unit="rows")
+        registry.observe(f"kernels.{tier}.recover_seconds", elapsed)
+    return rows

@@ -1,6 +1,6 @@
 """Native kernel tier: hardware-popcount C kernels compiled at first use.
 
-The hot primitives are implemented in ~70 lines of portable C11 and
+The hot primitives are implemented in ~130 lines of portable C11 and
 compiled with the host toolchain (``cc``/``gcc``/``clang``) into a shared
 object the first time the tier is requested.  The build is cached under
 ``REPRO_KERNEL_CACHE`` (default ``$XDG_CACHE_HOME/repro-kernels``) keyed on a
@@ -12,9 +12,9 @@ using the NumPy tier.
 
 Bit-identity contract: ``mix64`` is the same SplitMix64 finaliser as
 :func:`repro.hashing.universal._mix64` (uint64 wraparound in both), and the
-signature hash computes the exact 128-bit product ``a * x + b`` before one
-canonical reduction modulo the Mersenne prime ``2^61 - 1`` — the same residue
-class and canonical representative the limb-decomposed NumPy path
+signature hash computes the exact 128-bit product ``a * x + b`` and folds it
+to its canonical residue modulo the Mersenne prime ``2^61 - 1`` — the same
+residue class and canonical representative the limb-decomposed NumPy path
 (:func:`repro.hashing.universal._affine_mod_mersenne`) produces.  The parity
 suite (``tests/test_kernels.py``) asserts equality bit for bit.
 """
@@ -58,12 +58,18 @@ static inline uint64_t mix64(uint64_t x) {
     return x;
 }
 
-/* Canonical (a * x + b) mod (2^61 - 1): the 128-bit product is exact, so the
- * single reduction lands on the same canonical representative as the NumPy
- * limb decomposition in _affine_mod_mersenne. */
+/* Canonical (a * x + b) mod (2^61 - 1) for a, b < p and any 64-bit x, by
+ * Mersenne folds rather than a 128-bit `%` (a __umodti3 call): x folds
+ * below p, so t = a * x + b < p * 2^61; then t >> 61 < p and t's low 61
+ * bits are <= p, and one conditional subtraction of their sum lands on the
+ * same canonical representative as the NumPy limb decomposition in
+ * _affine_mod_mersenne. */
 static inline uint64_t affine_mod_p(uint64_t a, uint64_t b, uint64_t x) {
+    x = (x & MERSENNE_P) + (x >> 61);
+    if (x >= MERSENNE_P) x -= MERSENNE_P;
     unsigned __int128 t = (unsigned __int128)a * x + b;
-    return (uint64_t)(t % MERSENNE_P);
+    uint64_t r = ((uint64_t)t & MERSENNE_P) + (uint64_t)(t >> 61);
+    return r >= MERSENNE_P ? r - MERSENNE_P : r;
 }
 
 /* out[i] = ((a[m] * fingerprint64(keys[i]) + b[m]) mod p) mod range_size with
@@ -76,6 +82,41 @@ void repro_hash_keys(const uint64_t *keys, int64_t n, const uint64_t *coeff_a,
         int64_t m = members ? members[i] : 0;
         uint64_t wide = affine_mod_p(coeff_a[m], coeff_b[m], mix64(keys[i] ^ GOLDEN));
         out[i] = (int64_t)(wide % range_size);
+    }
+}
+
+/* x mod d by Lemire's direct remainder: with m = floor((2^128 - 1) / d) + 1
+ * the remainder is the high 64 bits of (m * x mod 2^128) * d, exact for
+ * every 64-bit x and d > 0.  Multiplies instead of a 64-bit divide per call. */
+static inline uint64_t fastmod(uint64_t x, unsigned __int128 m, uint64_t d) {
+    unsigned __int128 low = m * x;
+    unsigned __int128 high =
+        (low >> 64) * d + (((unsigned __int128)(uint64_t)low * d) >> 64);
+    return (uint64_t)(high >> 64);
+}
+
+/* Packed virtual-sketch rows: bit j of row u (np.packbits order) is bit
+ * ((a[j] * fps[u] + b[j]) mod p) mod num_bits of the packed array `bits`.
+ * Hash, gather and pack are fused, so no position matrix is built; each
+ * output byte is assembled in a register.  Pad bytes past ceil(k / 8) are
+ * left as the caller allocated them (zero). */
+void repro_recover_rows(const uint64_t *fps, int64_t n, const uint64_t *coeff_a,
+                        const uint64_t *coeff_b, int64_t k, const uint8_t *bits,
+                        uint64_t num_bits, int64_t row_bytes, uint8_t *out) {
+    unsigned __int128 inverse = ~(unsigned __int128)0 / num_bits + 1;
+    for (int64_t u = 0; u < n; ++u) {
+        const uint64_t x = fps[u];
+        uint8_t *row = out + u * row_bytes;
+        for (int64_t j = 0; j < k; j += 8) {
+            int64_t stop = j + 8 < k ? j + 8 : k;
+            unsigned acc = 0;
+            for (int64_t v = j; v < stop; ++v) {
+                uint64_t pos = fastmod(affine_mod_p(coeff_a[v], coeff_b[v], x),
+                                       inverse, num_bits);
+                acc |= ((bits[pos >> 3] >> (7 - (pos & 7))) & 1u) << (7 - (v - j));
+            }
+            row[j >> 3] = (uint8_t)acc;
+        }
     }
 }
 
@@ -130,8 +171,22 @@ _BASE_FLAGS = ["-O3", "-fPIC", "-shared", "-std=c11"]
 #: hardware instruction instead of a bit-twiddling sequence.
 _ARCH_FLAGS = ["-march=native", "-funroll-loops"]
 
-_UINT64_P = ctypes.POINTER(ctypes.c_uint64)
-_INT64_P = ctypes.POINTER(ctypes.c_int64)
+# Array arguments are typed ``ndpointer``s, so ctypes itself rejects a wrong
+# dtype or a non-contiguous array before the pointer reaches C.
+_U64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
+_I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_U8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+_INT, _UINT = ctypes.c_int64, ctypes.c_uint64
+#: Optional ``int64`` array: ``None`` passes a NULL pointer.
+_I64_OR_NULL = ctypes.POINTER(ctypes.c_int64)
+
+#: The argument types of every kernel the library exports.
+_SIGNATURES = {
+    "repro_pair_counts": [_U64, _INT, _I64, _I64, _INT, _I64],
+    "repro_hash_keys": [_U64, _INT, _U64, _U64, _I64_OR_NULL, _UINT, _I64],
+    "repro_recover_rows": [_U64, _INT, _U64, _U64, _INT, _U8, _UINT, _INT, _U8],
+    "repro_band_signatures": [_U64, _INT, _INT, _INT, _INT, _U64, _U64, _U64, _I64],
+}
 
 _lock = threading.Lock()
 _cached: "NativeKernels | None" = None
@@ -197,40 +252,11 @@ class NativeKernels:
 
     def __init__(self, lib: ctypes.CDLL, info: dict) -> None:
         self.info = info
-        self._pair = lib.repro_pair_counts
-        self._pair.restype = None
-        self._pair.argtypes = [
-            _UINT64_P,
-            ctypes.c_int64,
-            _INT64_P,
-            _INT64_P,
-            ctypes.c_int64,
-            _INT64_P,
-        ]
-        self._hash = lib.repro_hash_keys
-        self._hash.restype = None
-        self._hash.argtypes = [
-            _UINT64_P,
-            ctypes.c_int64,
-            _UINT64_P,
-            _UINT64_P,
-            _INT64_P,
-            ctypes.c_uint64,
-            _INT64_P,
-        ]
-        self._band = lib.repro_band_signatures
-        self._band.restype = None
-        self._band.argtypes = [
-            _UINT64_P,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            _UINT64_P,
-            _UINT64_P,
-            _UINT64_P,
-            _INT64_P,
-        ]
+        self._lib = lib
+        for name, argtypes in _SIGNATURES.items():
+            function = getattr(lib, name)
+            function.restype = None
+            function.argtypes = argtypes
 
     def pair_counts(
         self, words: np.ndarray, index_a: np.ndarray, index_b: np.ndarray
@@ -238,13 +264,8 @@ class NativeKernels:
         n_pairs = int(index_a.shape[0])
         counts = np.empty(n_pairs, dtype=np.int64)
         if n_pairs:
-            self._pair(
-                words.ctypes.data_as(_UINT64_P),
-                ctypes.c_int64(words.shape[1]),
-                index_a.ctypes.data_as(_INT64_P),
-                index_b.ctypes.data_as(_INT64_P),
-                ctypes.c_int64(n_pairs),
-                counts.ctypes.data_as(_INT64_P),
+            self._lib.repro_pair_counts(
+                words, words.shape[1], index_a, index_b, n_pairs, counts
             )
         return counts
 
@@ -259,16 +280,27 @@ class NativeKernels:
         n = int(keys.shape[0])
         out = np.empty(n, dtype=np.int64)
         if n:
-            self._hash(
-                keys.ctypes.data_as(_UINT64_P),
-                ctypes.c_int64(n),
-                coeff_a.ctypes.data_as(_UINT64_P),
-                coeff_b.ctypes.data_as(_UINT64_P),
-                None if members is None else members.ctypes.data_as(_INT64_P),
-                ctypes.c_uint64(range_size),
-                out.ctypes.data_as(_INT64_P),
-            )
+            members_p = None if members is None else members.ctypes.data_as(_I64_OR_NULL)
+            self._lib.repro_hash_keys(keys, n, coeff_a, coeff_b, members_p, range_size, out)
         return out
+
+    def recover_rows(
+        self,
+        fingerprints: np.ndarray,
+        coeff_a: np.ndarray,
+        coeff_b: np.ndarray,
+        packed_bits: np.ndarray,
+        num_bits: int,
+        k: int,
+        row_bytes: int,
+    ) -> np.ndarray:
+        n = int(fingerprints.shape[0])
+        rows = np.zeros((n, row_bytes), dtype=np.uint8)
+        if n:
+            self._lib.repro_recover_rows(
+                fingerprints, n, coeff_a, coeff_b, k, packed_bits, num_bits, row_bytes, rows
+            )
+        return rows
 
     def band_signatures(
         self,
@@ -282,16 +314,9 @@ class NativeKernels:
         signatures = np.empty((n_users, bands + 1), dtype=np.uint64)
         set_bits = np.empty((n_users, bands), dtype=np.int64)
         if n_users:
-            self._band(
-                words.ctypes.data_as(_UINT64_P),
-                ctypes.c_int64(n_users),
-                ctypes.c_int64(words.shape[1]),
-                ctypes.c_int64(bands),
-                ctypes.c_int64(rows_per_band),
-                coeff_a.ctypes.data_as(_UINT64_P),
-                coeff_b.ctypes.data_as(_UINT64_P),
-                signatures.ctypes.data_as(_UINT64_P),
-                set_bits.ctypes.data_as(_INT64_P),
+            self._lib.repro_band_signatures(
+                words, n_users, words.shape[1], bands, rows_per_band,
+                coeff_a, coeff_b, signatures, set_bits,
             )
         return signatures, set_bits
 

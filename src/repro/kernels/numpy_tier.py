@@ -8,6 +8,8 @@ behind the read and ingest paths (see :mod:`repro.kernels` for the dispatch laye
   buffers so the hot loop never allocates a fresh block-sized temporary.
 * :func:`hash_keys` — seeded Carter-Wegman hashing of an integer-key column
   (the ingest path's item and position hashes).
+* :func:`recover_rows` — packed virtual-sketch rows: a block of users'
+  positions (:func:`affine_positions`) gathered from the packed array.
 * :func:`band_signatures` — the LSH banding fold: per-band SplitMix64 chains,
   per-band set-bit counts, a whole-row residual fold, and the Carter-Wegman
   affine signature hash, all bit-identical to the scalar definitions in
@@ -28,6 +30,7 @@ import numpy as np
 
 # The popcount lives in the leaf bit-array module; tests patch this module's name.
 from repro.hashing.bitpack import _bitwise_count, _popcount_table  # noqa: F401
+from repro.hashing.bitpack import gather_bits
 from repro.hashing.universal import (
     _GOLDEN,
     _affine_mod_mersenne,
@@ -39,10 +42,12 @@ __all__ = [
     "MAX_BLOCK_PAIRS",
     "MIN_BLOCK_PAIRS",
     "TARGET_BLOCK_BYTES",
+    "affine_positions",
     "band_signatures",
     "hash_keys",
     "pair_block_pairs",
     "pair_counts",
+    "recover_rows",
 ]
 
 
@@ -83,7 +88,7 @@ def pair_counts(rows: np.ndarray, index_a: np.ndarray, index_b: np.ndarray) -> n
 
     ``rows`` is a matrix of bit-packed sketches (one user per row).  Rows
     padded to whole 64-bit words (see
-    :func:`repro.core.vos.packed_row_bytes`) are processed as ``uint64``
+    :func:`repro.kernels.packed_row_bytes`) are processed as ``uint64``
     lanes; byte widths that are not a multiple of 8 fall back to per-byte
     lanes, bit-identically.  Gather and xor reuse two preallocated scratch
     buffers across blocks, so the sweep's only per-block allocation is the
@@ -180,5 +185,44 @@ def hash_keys(
         coeff_a, coeff_b = coeff_a[members], coeff_b[members]
     else:
         coeff_a, coeff_b = coeff_a[0], coeff_b[0]
-    wide = _affine_mod_mersenne(fingerprint64_array(keys), coeff_a, coeff_b)
+    return affine_positions(fingerprint64_array(keys), coeff_a, coeff_b, range_size)
+
+
+def affine_positions(
+    fingerprints: np.ndarray, coeff_a: np.ndarray, coeff_b: np.ndarray, range_size: int
+) -> np.ndarray:
+    """``((a * fingerprint + b) mod p) mod range_size``, broadcast, as ``int64``.
+
+    Fingerprints shaped ``(n, 1)`` against ``k`` coefficients give the
+    ``(n, k)`` position matrix of a hash family.
+    """
+    wide = _affine_mod_mersenne(fingerprints, coeff_a, coeff_b)
     return (wide % np.uint64(range_size)).astype(np.int64)
+
+
+def recover_rows(
+    fingerprints: np.ndarray,
+    coeff_a: np.ndarray,
+    coeff_b: np.ndarray,
+    packed_bits: np.ndarray,
+    num_bits: int,
+    k: int,
+    row_bytes: int,
+) -> np.ndarray:
+    """Packed rows of the bits at :func:`affine_positions` over ``k`` coefficients.
+
+    Users go a block at a time, so the affine step's ~20 elementwise passes
+    each stay within a :data:`TARGET_BLOCK_BYTES` buffer.
+    """
+    n = fingerprints.shape[0]
+    rows = np.zeros((n, row_bytes), dtype=np.uint8)
+    coeff_a, coeff_b = coeff_a[:k], coeff_b[:k]
+    block = max(1, TARGET_BLOCK_BYTES // (8 * k))
+    for start in range(0, n, block):
+        positions = affine_positions(
+            fingerprints[start : start + block, None], coeff_a, coeff_b, num_bits
+        )
+        rows[start : start + block, : (k + 7) // 8] = np.packbits(
+            gather_bits(packed_bits, positions), axis=1
+        )
+    return rows

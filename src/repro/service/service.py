@@ -128,14 +128,6 @@ class ServiceConfig:
     size_multiplier: float = 2.0
     seed: int = 0
     batch_size: int = DEFAULT_BATCH_SIZE
-    #: Per-shard capacity of the packed-row LRU cache used by the bulk query
-    #: path (hot users' recovered virtual sketches); 0 disables caching.
-    sketch_cache_size: int = 1024
-    #: Cache each user's ``k`` bit positions after first computation.  A pure
-    #: speed/memory trade: positions cost ~``8k`` bytes per user (~12 KiB at
-    #: k = 1536), which at million-user scale dwarfs the sketch itself — the
-    #: scale soak runs with this off and recomputes positions per gather.
-    cache_positions: bool = True
     #: LSH banding layout used by ``candidates="lsh"`` queries.  The default
     #: auto-tunes the band count from the index's target threshold; the band
     #: seed is left at ``None`` so it flows from this config's ``seed`` (via
@@ -217,8 +209,6 @@ class SimilarityService:
             num_shards=config.num_shards,
             size_multiplier=config.size_multiplier,
             seed=config.seed,
-            sketch_cache_size=config.sketch_cache_size,
-            cache_positions=config.cache_positions,
         )
         return cls(
             sketch,

@@ -89,8 +89,6 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         virtual_sketch_size: int,
         *,
         seed: int = 0,
-        cache_positions: bool = True,
-        sketch_cache_size: int = 1024,
     ) -> None:
         super().__init__()
         if num_shards <= 0:
@@ -100,13 +98,7 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         self.virtual_sketch_size = virtual_sketch_size
         self.seed = seed
         self._shards = [
-            VirtualOddSketch(
-                shard_array_bits,
-                virtual_sketch_size,
-                seed=seed,
-                cache_positions=cache_positions,
-                sketch_cache_size=sketch_cache_size,
-            )
+            VirtualOddSketch(shard_array_bits, virtual_sketch_size, seed=seed)
             for _ in range(num_shards)
         ]
         self._router = UniversalHash(
@@ -152,30 +144,19 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         num_shards: int = 4,
         size_multiplier: float = 2.0,
         seed: int = 0,
-        sketch_cache_size: int = 1024,
-        cache_positions: bool = True,
     ) -> "ShardedVOS":
         """Split the paper's equal-memory budget evenly across ``num_shards``.
 
         The total ``m`` bits become ``N`` arrays of ``ceil(m / N)`` bits; the
         virtual sketch size follows the same λ rule as plain VOS, capped at
-        the per-shard array length.  ``cache_positions=False`` keeps memory
-        flat at million-user scale (positions are recomputed per gather
-        instead of memoised at ~8k bytes per user).
+        the per-shard array length.
         """
         if num_shards <= 0:
             raise ConfigurationError(f"num_shards must be positive, got {num_shards}")
         parameters = vos_parameters_for_budget(budget, size_multiplier=size_multiplier)
         shard_bits = math.ceil(parameters.shared_array_bits / num_shards)
         virtual_size = min(parameters.virtual_sketch_size, shard_bits)
-        return cls(
-            num_shards,
-            shard_bits,
-            virtual_size,
-            seed=seed,
-            sketch_cache_size=sketch_cache_size,
-            cache_positions=cache_positions,
-        )
+        return cls(num_shards, shard_bits, virtual_size, seed=seed)
 
     # -- routing ---------------------------------------------------------------------
 
@@ -360,7 +341,7 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         """Packed sketch rows, fill fractions and cardinalities per listed user.
 
         Users are grouped by owning shard so each shard performs one bulk
-        packed-row gather (hitting its own LRU row cache); the rows are then
+        packed-row read (through its own row memo); the rows are then
         scattered back into input order alongside each user's shard ``beta``
         and exact cardinality.  The shard assignment is one vectorized hash
         over the user column (scalar fallback for non-integer ids), matching
@@ -405,8 +386,8 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         )
 
     def sketch_cache_info(self) -> dict[str, int]:
-        """Aggregate packed-row cache counters over all shards."""
-        totals = {"entries": 0, "capacity": 0, "hits": 0, "misses": 0}
+        """Aggregate row memo counters over all shards."""
+        totals = {"entries": 0, "hits": 0, "misses": 0}
         for shard in self._shards:
             for key, value in shard.sketch_cache_info().items():
                 totals[key] += value

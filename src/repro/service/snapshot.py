@@ -149,7 +149,6 @@ def _vos_parameters(vos: VirtualOddSketch) -> dict:
         "shared_array_bits": vos.shared_array_bits,
         "virtual_sketch_size": vos.virtual_sketch_size,
         "seed": vos.seed,
-        "cache_positions": vos._cache_positions,
         "ones_count": vos.shared_array.ones_count,
         "num_users": len(vos._cardinalities),
     }
@@ -339,7 +338,6 @@ def _restore_vos(
         shared_array_bits=parameters["shared_array_bits"],
         virtual_sketch_size=parameters["virtual_sketch_size"],
         seed=parameters["seed"],
-        cache_positions=parameters.get("cache_positions", True),
     )
     try:
         vos.shared_array.load_packed_bytes(sections[f"{prefix}array"])

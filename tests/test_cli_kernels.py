@@ -83,3 +83,25 @@ def test_kernels_bench_small_sketch(capsys):
         == 0
     )
     assert "micro-timing" in capsys.readouterr().out
+
+
+def test_kernels_bench_times_row_recovery(capsys):
+    assert main(["kernels", "--bench", "--users", "32", "--pairs", "500", "--csv"]) == 0
+    assert "recover ms" in capsys.readouterr().out
+
+
+def test_kernels_bench_fails_when_recovered_rows_disagree(capsys, monkeypatch):
+    if not kernels.kernel_info()["native"]["available"]:
+        pytest.skip("no C compiler: only one tier to compare")
+    from repro.kernels import numpy_tier
+
+    honest = numpy_tier.recover_rows
+
+    def corrupted(*args):
+        rows = honest(*args)
+        rows[0, 0] ^= 1
+        return rows
+
+    monkeypatch.setattr(numpy_tier, "recover_rows", corrupted)
+    assert main(["kernels", "--bench", "--users", "32", "--pairs", "500"]) == 2
+    assert "disagree on recovered rows" in capsys.readouterr().err

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
+import numpy as np
 import pytest
 
 from repro.baselines.exact import ExactSimilarityTracker
@@ -85,14 +90,6 @@ class TestUpdates:
             sketch.process(StreamElement(item % 20, item, Action.INSERT))
         assert 0.0 < sketch.beta < 0.5
 
-    def test_position_cache_can_be_disabled(self):
-        cached = _make(k=64, m=2048, cache_positions=True)
-        uncached = _make(k=64, m=2048, cache_positions=False)
-        for sketch in (cached, uncached):
-            for item in range(30):
-                sketch.process(StreamElement(1, item, Action.INSERT))
-        assert list(cached.virtual_sketch(1)) == list(uncached.virtual_sketch(1))
-
 
 class TestQueries:
     def test_unknown_user_raises(self):
@@ -161,3 +158,74 @@ class TestQueries:
                     sketch.cardinality(user_a), sketch.cardinality(user_b)
                 )
                 assert 0.0 <= sketch.estimate_jaccard(user_a, user_b) <= 1.0
+
+
+class TestRowMemoConcurrency:
+    def test_readers_racing_a_writer_never_lose_counts_or_keep_stale_rows(self):
+        """Concurrent readers share one memo while a writer keeps moving the stamp.
+
+        Every requested row is counted exactly once (a lost counter update
+        breaks the total), and once the writer stops the memoised rows equal
+        a cold recovery: rows read across a write never outlive it.
+        """
+        sketch = _make(k=192, m=1 << 13, seed=12)
+        users = list(range(48))
+        sketch.process_batch(
+            [StreamElement(user, item, Action.INSERT) for user in users for item in range(8)]
+        )
+        requested = [0] * 8
+        errors: list[Exception] = []
+        done = threading.Barrier(len(requested) + 1)
+
+        def reader(slot: int) -> None:
+            try:
+                for _ in range(150):
+                    subset = users[slot % 3 :: 3]
+                    sketch.packed_rows(subset)
+                    requested[slot] += len(subset)
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+            done.wait(timeout=60)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            writes = 0
+            while done.n_waiting < len(threads) and writes < 10_000:
+                user = users[writes % len(users)]
+                sketch.process(StreamElement(user, 1000 + writes, Action.INSERT))
+                writes += 1
+                time.sleep(0.0005)
+            done.wait(timeout=60)
+        finally:
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        info = sketch.sketch_cache_info()
+        assert info["hits"] + info["misses"] == sum(requested)
+        served = sketch.packed_rows(users)
+        cold = VirtualOddSketch.cow_view(sketch, sketch.shared_array, sketch._cardinalities)
+        assert np.array_equal(served, cold.packed_rows(users))
+
+    def test_rows_recovered_across_a_write_are_not_memoised(self, monkeypatch):
+        sketch = _make(k=64, m=2048, seed=3)
+        _feed_sets(sketch, set(range(20)), set(range(10, 30)))
+        recover = sketch._recover_rows
+
+        def racing_recover(users):
+            rows = recover(users)
+            sketch.process(StreamElement(1, 999, Action.INSERT))  # lands mid-read
+            return rows
+
+        monkeypatch.setattr(sketch, "_recover_rows", racing_recover)
+        sketch.packed_rows([1, 2])
+        assert sketch.sketch_cache_info()["entries"] == 0
+        monkeypatch.undo()
+        cold = VirtualOddSketch.cow_view(sketch, sketch.shared_array, sketch._cardinalities)
+        assert np.array_equal(sketch.packed_rows([1, 2]), cold.packed_rows([1, 2]))
+        assert sketch.sketch_cache_info()["entries"] == 2

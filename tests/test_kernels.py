@@ -4,7 +4,9 @@ Every fast path in this repo ships with a bit-identity gate against its
 reference implementation; the kernel tiers get the same treatment.  The
 matrix covers sketch sizes {63, 64, 1024, 1536}, empty pair lists, odd
 (non-word-aligned) row widths against a scalar popcount loop, string-id
-pools, end-to-end rankings, LSH candidate generation, and the strict
+pools, row recovery against ``apply_many_array`` + gather + pack (edge
+fingerprints, ragged widths, array lengths, boundary checks), end-to-end
+rankings, LSH candidate generation, and the strict
 ``REPRO_KERNEL=native`` failure mode.  Native cases skip (never silently
 pass) when no compiler is available — CI runs this file under both
 ``REPRO_KERNEL=numpy`` and ``REPRO_KERNEL=native`` so a host with a compiler
@@ -21,7 +23,8 @@ from repro.core.memory import MemoryBudget
 from repro.core.vos import VirtualOddSketch, packed_row_bytes, pair_xor_counts
 from repro.exceptions import ConfigurationError
 from repro.hashing.families import HashFamily
-from repro.hashing.universal import _MERSENNE_P, UniversalHash, stable_hash64
+from repro.hashing.bitpack import PackedBitArray
+from repro.hashing.universal import _MERSENNE_P, UniversalHash, fingerprint64, stable_hash64
 from repro.index import BandedSketchIndex, IndexConfig
 from repro.kernels import numpy_tier
 from repro.service.sharding import ShardedVOS
@@ -238,6 +241,180 @@ class TestHashKeyParity:
                     kernels.hash_keys(keys, coeff, coeff, np.array([0, 1]), 10)
                 with pytest.raises(ConfigurationError):
                     kernels.hash_keys(np.array([1.5]), coeff, coeff, None, 10)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _unshift_xor(value: int, shift: int) -> int:
+    """Invert ``x ^ (x >> shift)`` on 64-bit words."""
+    result = value
+    for _ in range(64 // shift + 1):
+        result = value ^ (result >> shift)
+    return result & _MASK64
+
+
+def _key_with_fingerprint(fingerprint: int) -> int:
+    """An ``int64`` key whose :func:`fingerprint64` is ``fingerprint`` (mix64 inverted)."""
+    from repro.hashing.universal import _GOLDEN, _MIX_C1, _MIX_C2
+
+    x = _unshift_xor(fingerprint, 31)
+    x = (x * pow(_MIX_C2, -1, 1 << 64)) & _MASK64
+    x = _unshift_xor(x, 27)
+    x = (x * pow(_MIX_C1, -1, 1 << 64)) & _MASK64
+    x = _unshift_xor(x, 30) ^ _GOLDEN
+    return x - (1 << 64) if x >= 1 << 63 else x
+
+
+def _random_array(rng, num_bits: int) -> PackedBitArray:
+    array = PackedBitArray(num_bits)
+    data = rng.integers(0, 256, size=(num_bits + 7) // 8, dtype=np.uint8)
+    if num_bits % 8:
+        data[-1] &= 0xFF ^ (0xFF >> (num_bits % 8))
+    array.load_packed_bytes(data.tobytes())
+    return array
+
+
+def _reference_rows(family: HashFamily, keys, array: PackedBitArray, k: int) -> np.ndarray:
+    """``apply_many_array`` + gather + pack: the unfused definition of a row."""
+    bits = array.gather(family.apply_many_array(keys)[:, :k])
+    rows = np.zeros((len(keys), packed_row_bytes(k)), dtype=np.uint8)
+    rows[:, : (k + 7) // 8] = np.packbits(bits, axis=1)
+    return rows
+
+
+class TestRecoverRowParity:
+    EDGE_FINGERPRINTS = [
+        0, 1, _MERSENNE_P - 1, _MERSENNE_P, _MERSENNE_P + 1, 2 * _MERSENNE_P,
+        2**63, 2**64 - 2, 2**64 - 1,
+    ]
+
+    def _check(self, family, keys, array, k, fingerprints=None):
+        if fingerprints is None:
+            fingerprints = np.array([fingerprint64(key) for key in keys], dtype=np.uint64)
+        expected = _reference_rows(family, keys, array, k)
+        for tier in tiers():
+            with kernels.use_tier(tier):
+                rows = kernels.recover_rows(
+                    fingerprints, family._coeff_a, family._coeff_b,
+                    array.storage, len(array), k,
+                )
+            assert rows.dtype == np.uint8
+            assert np.array_equal(rows, expected), (tier, k, len(array))
+
+    def test_fingerprints_at_and_above_the_prime(self):
+        keys = [_key_with_fingerprint(fp) for fp in self.EDGE_FINGERPRINTS]
+        assert [fingerprint64(key) for key in keys] == self.EDGE_FINGERPRINTS
+        family = HashFamily(size=192, range_size=10_007, seed=3)
+        array = _random_array(np.random.default_rng(1), 10_007)
+        self._check(
+            family, keys, array, 192,
+            fingerprints=np.array(self.EDGE_FINGERPRINTS, dtype=np.uint64),
+        )
+
+    def test_coefficients_at_the_prime_boundary(self):
+        """Extreme ``a``/``b`` against edge fingerprints, checked with exact integers."""
+        # a = p - 1, b = 11 and fingerprint 2^64 - 1 give a * x + b with both
+        # 61-bit halves summing past 2p unless x is fully reduced first.
+        edges_a = [1, 2, _MERSENNE_P - 2, _MERSENNE_P - 1]
+        edges_b = [0, 11, _MERSENNE_P - 2, _MERSENNE_P - 1]
+        coeff_a = np.array([a for a in edges_a for _ in edges_b], dtype=np.uint64)
+        coeff_b = np.array([b for _ in edges_a for b in edges_b], dtype=np.uint64)
+        num_bits = 1009
+        array = _random_array(np.random.default_rng(3), num_bits)
+        bits = array.to_list()
+        expected = np.zeros((len(self.EDGE_FINGERPRINTS), packed_row_bytes(16)), np.uint8)
+        for row, fp in enumerate(self.EDGE_FINGERPRINTS):
+            positions = [
+                ((int(a) * fp + int(b)) % _MERSENNE_P) % num_bits
+                for a, b in zip(coeff_a, coeff_b)
+            ]
+            expected[row, :2] = np.packbits([bits[p] for p in positions])
+        for tier in tiers():
+            with kernels.use_tier(tier):
+                rows = kernels.recover_rows(
+                    np.array(self.EDGE_FINGERPRINTS, dtype=np.uint64),
+                    coeff_a, coeff_b, array.storage, num_bits, 16,
+                )
+            assert np.array_equal(rows, expected), tier
+
+    def test_string_and_mixed_ids(self):
+        keys = ["alice", "bob", ("tuple", 1), 2**70, -5, True, 7]
+        family = HashFamily(size=100, range_size=4096, seed=8)
+        self._check(family, keys, _random_array(np.random.default_rng(2), 4096), 100)
+
+    @pytest.mark.parametrize("k", [1, 7, 9, 63, 65, 100, 1536])
+    def test_ragged_widths_keep_pad_bits_zero(self, k):
+        rng = np.random.default_rng(k)
+        keys = rng.integers(-(2**63), 2**63 - 1, size=40, dtype=np.int64).tolist()
+        family = HashFamily(size=1536, range_size=50_000, seed=4)
+        array = _random_array(rng, 50_000)
+        self._check(family, keys, array, k)
+        array.load_packed_bytes(b"\xff" * (50_000 // 8))
+        self._check(family, keys, array, k)
+
+    @pytest.mark.parametrize("num_bits", [1, 3, 7_680_000])
+    def test_array_lengths(self, num_bits):
+        rng = np.random.default_rng(num_bits)
+        keys = list(range(-20, 20)) + [2**63 - 1, -(2**63)]
+        family = HashFamily(size=77, range_size=num_bits, seed=6)
+        self._check(family, keys, _random_array(rng, num_bits), 77)
+
+    def test_vos_rows_match_reference_for_every_tier(self):
+        sketch = _string_pool_sketch()
+        for shard in sketch.shards:
+            users = sorted(shard.users())
+            expected = _reference_rows(
+                shard._user_hashes, users, shard.shared_array, shard.virtual_sketch_size
+            )
+            for tier in tiers():
+                with kernels.use_tier(tier):
+                    fresh = VirtualOddSketch.cow_view(
+                        shard, shard.shared_array, shard._cardinalities
+                    )
+                    assert np.array_equal(fresh.packed_rows(users), expected), tier
+
+    def test_empty_user_list(self):
+        coeff = np.ones(8, dtype=np.uint64)
+        bits = np.zeros(8, dtype=np.uint8)
+        for tier in tiers():
+            with kernels.use_tier(tier):
+                rows = kernels.recover_rows(np.empty(0, np.uint64), coeff, coeff, bits, 64, 8)
+            assert rows.shape == (0, 8)
+
+    def test_bad_inputs_raise_before_native_code(self):
+        fps = np.arange(4, dtype=np.uint64)
+        coeff = np.arange(1, 9, dtype=np.uint64)
+        bits = np.zeros(8, dtype=np.uint8)
+        configuration_errors = [
+            (fps.astype(np.int64), coeff, coeff, bits, 64, 8),
+            (fps, coeff.astype(np.int64), coeff, bits, 64, 8),
+            (fps, coeff, coeff.astype(np.float64), bits, 64, 8),
+            (fps, coeff, coeff, bits.astype(np.uint64), 64, 8),
+            (fps.reshape(2, 2), coeff, coeff, bits, 64, 8),
+            (fps, coeff.reshape(2, 4), coeff.reshape(2, 4), bits, 64, 8),
+            (fps, coeff, coeff[:4], bits, 64, 4),
+            (fps, coeff, coeff, bits, 64, 9),
+            (fps, coeff, coeff, bits, 64, 0),
+            (fps, coeff, coeff, bits, 0, 8),
+            (fps, coeff, coeff, bits, -8, 8),
+            (fps, coeff, coeff, bits, 64.0, 8),
+            (np.arange(8, dtype=np.uint64)[::2], coeff, coeff, bits, 64, 8),
+            (fps, np.arange(16, dtype=np.uint64)[::2], coeff, bits, 64, 8),
+            (fps, coeff, coeff, np.zeros(16, dtype=np.uint8)[::2], 64, 8),
+            (fps, np.full(8, _MERSENNE_P, dtype=np.uint64), coeff, bits, 64, 8),
+            (fps, coeff, np.full(8, 2**64 - 1, dtype=np.uint64), bits, 64, 8),
+            (fps.tolist(), coeff, coeff, bits, 64, 8),
+        ]
+        for tier in tiers():
+            with kernels.use_tier(tier):
+                for arguments in configuration_errors:
+                    with pytest.raises(ConfigurationError):
+                        kernels.recover_rows(*arguments)
+                with pytest.raises(IndexError):
+                    kernels.recover_rows(fps, coeff, coeff, bits, 65, 8)
+                with pytest.raises(IndexError):
+                    kernels.recover_rows(fps, coeff, coeff, bits[:0], 1, 8)
 
 
 def _string_pool_sketch():

@@ -140,7 +140,7 @@ class TestFourSubsystemCoverage:
 class TestRowCacheCounters:
     def test_row_cache_hits_and_misses_counted(self, registry):
         budget = MemoryBudget(baseline_registers=24, num_users=64)
-        vos = VirtualOddSketch.from_budget(budget, seed=1, sketch_cache_size=128)
+        vos = VirtualOddSketch.from_budget(budget, seed=1)
         vos.process_batch(correlated_stream(users=10))
         users = sorted(vos.users())
         vos.estimate_jaccard_indexed(

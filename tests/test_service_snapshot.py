@@ -255,6 +255,35 @@ class TestHeaderCorruptionPaths:
             loads_snapshot(rebuilt)
 
 
+class TestRetiredParameters:
+    """Snapshots written before the row memo carried a ``cache_positions`` flag."""
+
+    def test_new_snapshots_do_not_write_cache_positions(self, fed_vos, fed_sharded):
+        for sketch in (fed_vos, fed_sharded):
+            blob = dumps_snapshot(sketch)
+            _, header_length = struct.unpack_from("<II", blob, len(MAGIC))
+            assert b"cache_positions" not in blob[: len(MAGIC) + 8 + header_length]
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_cache_positions_flag_is_ignored_on_load(self, fed_vos, fed_sharded, flag):
+        def add_flag(header):
+            parameters = header["parameters"]
+            for entry in parameters.get("shards", [parameters]):
+                entry["cache_positions"] = flag
+
+        restored = loads_snapshot(_rebuild_with_header(dumps_snapshot(fed_vos), add_flag))
+        _assert_same_vos_state(fed_vos, restored)
+        sharded = loads_snapshot(
+            _rebuild_with_header(dumps_snapshot(fed_sharded), add_flag)
+        )
+        for original, copy in zip(fed_sharded.shards, sharded.shards):
+            _assert_same_vos_state(original, copy)
+        for sketch, loaded in ((fed_vos, restored), (fed_sharded, sharded)):
+            users = sorted(sketch.users())[:8]
+            pairs = [(a, b) for i, a in enumerate(users) for b in users[i + 1 :]]
+            assert loaded.estimate_pairs(pairs) == sketch.estimate_pairs(pairs)
+
+
 class TestObjectUserIds:
     """String and mixed user ids persist via the JSON id-column encoding."""
 

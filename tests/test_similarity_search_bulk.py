@@ -18,6 +18,7 @@ import pytest
 from repro.baselines.exact import ExactSimilarityTracker
 from repro.core.memory import MemoryBudget
 from repro.core.vos import VirtualOddSketch
+from repro.service import SimilarityService
 from repro.service.sharding import ShardedVOS
 from repro.similarity.engine import sketch_registry
 from repro.similarity.search import (
@@ -332,34 +333,51 @@ class TestSketchRowCache:
         pairs = list(combinations(users, 2))
         columns = ([a for a, _ in pairs], [b for _, b in pairs])
         sketch.estimate_jaccard_many(*columns)
-        # A write (even a single element) must invalidate cached rows ...
+        assert sketch.sketch_cache_info()["entries"] == len(users)
+        # A write (even a single element) must invalidate memoised rows ...
         sketch.process(StreamElement(users[0], 987654, Action.INSERT))
+        assert sketch.sketch_cache_info()["entries"] == len(users)
+        misses_before = sketch.sketch_cache_info()["misses"]
         fresh = sketch.estimate_jaccard_many(*columns)
-        uncached = VirtualOddSketch.from_budget(BUDGET, seed=11, sketch_cache_size=0)
-        uncached.process_batch(small_dynamic_stream_module)
-        uncached.process(StreamElement(users[0], 987654, Action.INSERT))
-        # ... so the cached sketch agrees bitwise with a cache-free replay.
-        assert np.array_equal(fresh, uncached.estimate_jaccard_many(*columns))
+        assert sketch.sketch_cache_info()["misses"] == misses_before + len(users)
+        cold = VirtualOddSketch.from_budget(BUDGET, seed=11)
+        cold.process_batch(small_dynamic_stream_module)
+        cold.process(StreamElement(users[0], 987654, Action.INSERT))
+        # ... so the memoising sketch agrees bitwise with a cold replay.
+        assert np.array_equal(fresh, cold.estimate_jaccard_many(*columns))
+        assert cold.sketch_cache_info()["hits"] == 0
 
-    def test_disabled_cache_gives_identical_results(self, small_dynamic_stream_module):
-        cached = self._loaded(small_dynamic_stream_module)
-        uncached = self._loaded(small_dynamic_stream_module, sketch_cache_size=0)
-        users = _candidates(cached)
+    def test_memoised_rows_match_cold_reads(self, small_dynamic_stream_module):
+        warm = self._loaded(small_dynamic_stream_module)
+        users = _candidates(warm)
         pairs = list(combinations(users[:30], 2))
         columns = ([a for a, _ in pairs], [b for _, b in pairs])
-        assert np.array_equal(
-            cached.estimate_jaccard_many(*columns),
-            uncached.estimate_jaccard_many(*columns),
-        )
-        assert uncached.sketch_cache_info()["entries"] == 0
+        warm.estimate_jaccard_many(*columns)
+        served = warm.estimate_jaccard_many(*columns)
+        assert warm.sketch_cache_info()["hits"] == 30
+        cold = self._loaded(small_dynamic_stream_module)
+        assert np.array_equal(served, cold.estimate_jaccard_many(*columns))
+        assert cold.sketch_cache_info() == {"entries": 30, "hits": 0, "misses": 30}
 
-    def test_cache_evicts_least_recently_used(self, small_dynamic_stream_module):
-        sketch = self._loaded(small_dynamic_stream_module, sketch_cache_size=8)
-        users = _candidates(sketch)[:20]
-        sketch.sketch_matrix(users)
+    def test_index_refresh_rows_are_hits_for_the_next_query(
+        self, small_dynamic_stream_module
+    ):
+        """Rows an LSH rebuild recovers land in the memo the queries read."""
+        service = SimilarityService(ShardedVOS.from_budget(BUDGET, num_shards=2, seed=11))
+        service.ingest(small_dynamic_stream_module)
+        sketch = service.sketch
+        service.index().refresh()
+        after_refresh = sketch.sketch_cache_info()
+        assert after_refresh["misses"] == len(sketch.users())
+        assert after_refresh["entries"] == len(sketch.users())
+        users = _candidates(sketch)[:12]
+        estimates = service.estimate_many(combinations(users, 2))
         info = sketch.sketch_cache_info()
-        assert info["entries"] == 8
-        assert info["capacity"] == 8
+        assert info["hits"] == after_refresh["hits"] + len(users)
+        assert info["misses"] == after_refresh["misses"]
+        cold = ShardedVOS.from_budget(BUDGET, num_shards=2, seed=11)
+        cold.process_batch(small_dynamic_stream_module)
+        assert estimates == cold.estimate_pairs(combinations(users, 2))
 
     def test_sketch_matrix_rows_match_virtual_sketch(self, small_dynamic_stream_module):
         sketch = self._loaded(small_dynamic_stream_module)
@@ -377,7 +395,7 @@ class TestSketchRowCache:
         sketch.estimate_jaccard_many([a for a, _ in pairs], [b for _, b in pairs])
         info = sketch.sketch_cache_info()
         assert info["misses"] == len(users)
-        assert info["capacity"] == 4 * 1024
+        assert info["entries"] == len(users)
 
     def test_cache_invalidated_by_pure_deletion_batch(self, small_dynamic_stream_module):
         """The xor_bulk delete path must advance the change stamp like inserts do."""
@@ -397,11 +415,11 @@ class TestSketchRowCache:
         sketch.process_batch(deletions)
         assert sketch.shared_array.latest_stamp > stamp_before
         fresh = sketch.estimate_jaccard_many(*columns)
-        uncached = VirtualOddSketch.from_budget(BUDGET, seed=11, sketch_cache_size=0)
-        uncached.process_batch(small_dynamic_stream_module)
-        uncached.process_batch(inserts)
-        uncached.process_batch(deletions)
-        assert np.array_equal(fresh, uncached.estimate_jaccard_many(*columns))
+        cold = VirtualOddSketch.from_budget(BUDGET, seed=11)
+        cold.process_batch(small_dynamic_stream_module)
+        cold.process_batch(inserts)
+        cold.process_batch(deletions)
+        assert np.array_equal(fresh, cold.estimate_jaccard_many(*columns))
 
     def test_cancelling_deletion_batch_keeps_cached_rows_valid(
         self, small_dynamic_stream_module
@@ -410,8 +428,8 @@ class TestSketchRowCache:
 
         ``xor_bulk`` folds the two toggles modulo 2, flips nothing and leaves
         the change stamp untouched — so the cached rows are still exactly
-        what an uncached gather would return, and the second query may serve
-        every row from the cache.
+        what a cold recovery would return, and the second query may serve
+        every row from the memo.
         """
         sketch = self._loaded(small_dynamic_stream_module)
         users = _candidates(sketch)[:10]
@@ -429,12 +447,12 @@ class TestSketchRowCache:
         assert sketch.shared_array.latest_stamp == stamp_before
         fresh = sketch.estimate_jaccard_many(*columns)
         assert sketch.sketch_cache_info()["hits"] == hits_before + len(users)
-        uncached = VirtualOddSketch.from_budget(BUDGET, seed=11, sketch_cache_size=0)
-        uncached.process_batch(small_dynamic_stream_module)
-        uncached.process_batch(
+        cold = VirtualOddSketch.from_budget(BUDGET, seed=11)
+        cold.process_batch(small_dynamic_stream_module)
+        cold.process_batch(
             [
                 StreamElement(users[0], 31337, Action.INSERT),
                 StreamElement(users[0], 31337, Action.DELETE),
             ]
         )
-        assert np.array_equal(fresh, uncached.estimate_jaccard_many(*columns))
+        assert np.array_equal(fresh, cold.estimate_jaccard_many(*columns))
