@@ -142,7 +142,7 @@ def test_instrumentation_parity_bit_identical(elements):
             == shard_off.shared_array.to_packed_bytes()
         )
         assert shard_on.shared_array.ones_count == shard_off.shared_array.ones_count
-        assert shard_on._cardinalities == shard_off._cardinalities
+        assert shard_on.counters() == shard_off.counters()
     assert results["on"] == results["off"]
 
 

@@ -130,7 +130,7 @@ def measurements(tmp_path_factory):
         parity["arrays"] &= (
             live.shared_array.to_packed_bytes() == copy.shared_array.to_packed_bytes()
         )
-        parity["counters"] &= live._cardinalities == copy._cardinalities
+        parity["counters"] &= live.counters() == copy.counters()
     live_top = pair_key_list(service.top_k_pairs(k=TOP_K, candidates="lsh"))
     restored_top = pair_key_list(restored.top_k_pairs(k=TOP_K, candidates="lsh"))
     parity["lsh_top_k"] = live_top == restored_top

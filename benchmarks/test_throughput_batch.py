@@ -96,7 +96,7 @@ def test_batched_state_is_bit_identical(measurements):
         == batched.shared_array.to_packed_bytes()
     )
     assert per_element.shared_array.ones_count == batched.shared_array.ones_count
-    assert per_element._cardinalities == batched._cardinalities
+    assert per_element.counters() == batched.counters()
 
 
 def test_batched_ingest_at_least_10x_faster(measurements):

@@ -168,7 +168,7 @@ def _assert_same_state(a: ShardedVOS, b: ShardedVOS) -> None:
             == shard_b.shared_array.to_packed_bytes()
         )
         assert shard_a.shared_array.ones_count == shard_b.shared_array.ones_count
-        assert shard_a._cardinalities == shard_b._cardinalities
+        assert shard_a.counters() == shard_b.counters()
 
 
 def test_columnar_serial_state_matches_element_loop(measurements):

@@ -17,12 +17,11 @@ from __future__ import annotations
 import abc
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, UnknownUserError
-from repro.hashing.bitpack import next_stamp
+from repro.baselines.users import UserTable
+from repro.exceptions import ConfigurationError
 from repro.streams.edge import StreamElement, UserId
 
 
@@ -122,38 +121,33 @@ class SimilaritySketch(abc.ABC):
     """Abstract base class for all streaming similarity sketches.
 
     Subclasses implement :meth:`_process_insertion`, :meth:`_process_deletion`
-    and the two estimators.  The base class maintains the exact per-user item
+    and the two estimators.  The base class keeps the exact per-user item
     counters ``n_u`` (the paper explicitly keeps these as plain counters for
-    every method) and tracks the set of users ever seen.
+    every method) and the users ever seen in one
+    :class:`~repro.baselines.users.UserTable`.
     """
 
     #: Human-readable method name used in reports; subclasses override.
     name: str = "sketch"
 
     def __init__(self) -> None:
-        self._cardinalities: dict[UserId, int] = {}
-        # When each user's counter last changed, as a stamp of the shared
-        # change clock (:func:`repro.hashing.bitpack.next_stamp`) — the
-        # counter analogue of the shared array's per-word stamps.  A changed
-        # user is re-inserted at the end, so the dict stays ordered by stamp
-        # and :meth:`changed_users` reads newest-first, stopping at the first
-        # stamp at or before the cursor: O(changed users), not O(users).
-        self._counter_stamps: dict[UserId, int] = {}
+        self._user_table = UserTable()
+
+    @property
+    def user_table(self) -> UserTable:
+        """The per-user ids, exact counters and change stamps (:mod:`repro.baselines.users`)."""
+        return self._user_table
 
     # -- stream consumption --------------------------------------------------------
 
     def process(self, element: StreamElement) -> None:
         """Consume one stream element, updating counters and the sketch."""
-        user = element.user
         if element.is_insertion:
-            self._cardinalities[user] = self._cardinalities.get(user, 0) + 1
+            self._user_table.add(element.user, 1)
             self._process_insertion(element)
         else:
-            self._cardinalities[user] = max(0, self._cardinalities.get(user, 0) - 1)
+            self._user_table.add(element.user, -1)
             self._process_deletion(element)
-        stamps = self._counter_stamps
-        stamps.pop(user, None)
-        stamps[user] = next_stamp()
 
     def process_stream(self, elements: Iterable[StreamElement]) -> None:
         """Consume every element of an iterable (convenience wrapper)."""
@@ -176,51 +170,6 @@ class SimilaritySketch(abc.ABC):
             count += 1
         return count
 
-    def _fold_cardinality_deltas(
-        self,
-        unique_users: np.ndarray,
-        inverse: np.ndarray,
-        deltas: np.ndarray,
-    ) -> None:
-        """Apply a batch of per-element cardinality deltas exactly.
-
-        ``unique_users``/``inverse`` come from ``np.unique(users,
-        return_inverse=True)`` over the batch's user column and ``deltas`` is
-        ``+1`` per insertion / ``-1`` per deletion in batch order.  The
-        per-element recurrence is ``c := c + 1`` on insert and ``c := max(0, c
-        - 1)`` on delete; the fold applies each user's net delta in one shot
-        and only replays the rare users whose running counter would have been
-        clamped at zero mid-batch, so the result is identical to the
-        per-element loop for every input.
-        """
-        counts = np.bincount(inverse)
-        # The narrowest dtype holding every group id: at most 2^16 groups
-        # take NumPy's O(n) radix sort instead of an O(n log n) merge sort,
-        # and any stable sort yields the same order.
-        group_ids = inverse.astype(np.min_scalar_type(max(len(counts) - 1, 0)))
-        order = np.argsort(group_ids, kind="stable")
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        sorted_deltas = deltas[order]
-        prefix = np.cumsum(sorted_deltas)
-        group_base = np.concatenate(([0], prefix[ends[:-1] - 1]))
-        within = prefix - np.repeat(group_base, counts)
-        minima = np.minimum.reduceat(within, starts)
-        totals = within[ends - 1]
-        users_list = unique_users.tolist()
-        initial = np.fromiter(
-            map(self._cardinalities.get, users_list, repeat(0)),
-            dtype=np.int64,
-            count=len(users_list),
-        )
-        finals = initial + totals
-        for index in np.flatnonzero(initial + minima < 0).tolist():
-            value = int(initial[index])
-            for delta in sorted_deltas[starts[index] : ends[index]].tolist():
-                value = value + delta if delta > 0 else max(0, value + delta)
-            finals[index] = value
-        self.overwrite_cardinalities(users_list, finals.tolist())
-
     @abc.abstractmethod
     def _process_insertion(self, element: StreamElement) -> None:
         """Handle a subscription event."""
@@ -233,48 +182,28 @@ class SimilaritySketch(abc.ABC):
 
     def cardinality(self, user: UserId) -> int:
         """Exact number of items currently subscribed by ``user`` (``n_u``)."""
-        if user not in self._cardinalities:
-            raise UnknownUserError(user)
-        return self._cardinalities[user]
+        return self._user_table.count(user)
 
     def cardinalities(self, users: Sequence[UserId]) -> np.ndarray:
         """:meth:`cardinality` of every listed user, as one ``int64`` array."""
-        counts = self._cardinalities
-        try:
-            return np.fromiter(
-                (counts[user] for user in users), dtype=np.int64, count=len(users)
-            )
-        except KeyError as error:
-            raise UnknownUserError(error.args[0]) from None
+        return self._user_table.counts(self._user_table.ordinals(users))
 
     def has_user(self, user: UserId) -> bool:
         """Whether ``user`` has ever appeared in the stream."""
-        return user in self._cardinalities
+        return user in self._user_table.keys()
 
     def users(self) -> set[UserId]:
         """All users ever observed."""
-        return set(self._cardinalities)
+        return set(self._user_table.keys())
 
-    def overwrite_cardinalities(self, users: list, counts: list) -> None:
-        """Set the listed users' counters to absolute values and stamp them changed.
+    @property
+    def num_users(self) -> int:
+        """How many users have ever appeared, in O(1)."""
+        return len(self._user_table)
 
-        The batch fold and shard-delta replay both land counters here, so
-        every counter write is visible to :meth:`changed_users`.
-        """
-        self._cardinalities.update(zip(users, counts))
-        pop = self._counter_stamps.pop
-        for user in users:
-            pop(user, None)
-        self._counter_stamps.update(dict.fromkeys(users, next_stamp()))
-
-    def changed_users(self, since: int) -> list[UserId]:
-        """Users whose counter changed after cursor ``since``, newest first."""
-        changed = []
-        for user, stamp in reversed(self._counter_stamps.items()):
-            if stamp <= since:
-                break
-            changed.append(user)
-        return changed
+    def counters(self) -> dict[UserId, int]:
+        """Every user's exact counter, as a new dict."""
+        return self._user_table.as_dict()
 
     @abc.abstractmethod
     def estimate_common_items(self, user_a: UserId, user_b: UserId) -> float:
@@ -396,4 +325,4 @@ class SimilaritySketch(abc.ABC):
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} name={self.name!r} users={len(self._cardinalities)}>"
+        return f"<{type(self).__name__} name={self.name!r} users={self.num_users}>"

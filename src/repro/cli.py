@@ -533,7 +533,7 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
         ["file bytes", info["file_bytes"]],
         ["sections", len(info["sections"])],
         ["index persisted", "index/banding" in info["extra_sections"]],
-        ["users", len(service.sketch.users())],
+        ["users", service.sketch.num_users],
     ]
     headers = ["field", "value"]
     print(f"# wrote full checkpoint {checkpoint_id} (journal reset)")
@@ -672,7 +672,7 @@ def _exercise_metrics(args: argparse.Namespace) -> SimilarityService:
     service = SimilarityService.load(args.snapshot)
     if getattr(args, "stream", None):
         service.ingest(iter_stream_batches(args.stream))
-    if len(service.sketch.users()) >= 2:
+    if service.sketch.num_users >= 2:
         service.top_k_pairs(k=args.k, candidates="lsh")
     return service
 

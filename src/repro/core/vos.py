@@ -228,18 +228,14 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         )
 
     @classmethod
-    def cow_view(
-        cls,
-        source: "VirtualOddSketch",
-        array: SharedBitArray,
-        cardinalities,
-    ) -> "VirtualOddSketch":
-        """A frozen read view over ``array``, sharing ``source``'s hash state.
+    def cow_view(cls, source: "VirtualOddSketch") -> "VirtualOddSketch":
+        """A frozen copy of ``source``: its own bits and user table, shared hashes.
 
         The serving daemon's epoch publisher calls this for each shard a
-        publish touches: ``array`` wraps the epoch's own copy of the shard
-        bits (already patched with the publish delta) and ``cardinalities``
-        is the epoch's own dict of exact per-user counters.  Instead of
+        publish touches, then patches the copy with the publish delta.  The
+        bits and user table are untracked copies
+        (:meth:`~repro.hashing.bitpack.PackedBitArray.copy`,
+        :meth:`~repro.baselines.users.UserTable.copy`).  Instead of
         rebuilding the ``k``-hash user family (tens of milliseconds at
         service scale) the view shares ``source``'s hash objects by
         reference; it gets its own row memo, as row bytes differ per epoch.
@@ -247,18 +243,12 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         The view is a full :class:`VirtualOddSketch` for the read API but
         must never ingest; epoch services are frozen by contract.
         """
-        if len(array) != source.shared_array_bits:
-            raise ConfigurationError(
-                f"cow_view array holds {len(array)} bits, "
-                f"expected {source.shared_array_bits}"
-            )
         view = cls.__new__(cls)
-        SimilaritySketch.__init__(view)
-        view._cardinalities = cardinalities
+        view._user_table = source.user_table.copy()
         view.shared_array_bits = source.shared_array_bits
         view.virtual_sketch_size = source.virtual_sketch_size
         view.seed = source.seed
-        view._array = array
+        view._array = source.shared_array.copy()
         view._item_hash = source._item_hash
         view._user_hashes = source._user_hashes
         view._reset_row_memo()
@@ -307,8 +297,7 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
                 self.process(element)
             return count
         users = batch.users
-        unique_users, inverse = np.unique(users, return_inverse=True)
-        self._fold_cardinality_deltas(unique_users, inverse, batch.deltas())
+        self._user_table.add_many(users, batch.deltas())
         virtual_indices = self._item_hash.hash_array(batch.items)
         self._array.xor_bulk(self._user_hashes.hash_pairs(users, virtual_indices))
         return count
@@ -338,8 +327,9 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         xor can land in any user's virtual bits); missing rows are recovered
         in one :func:`repro.kernels.recover_rows` call.
         """
+        known = self._user_table.keys()
         for user in users:
-            if user not in self._cardinalities:
+            if user not in known:
                 raise UnknownUserError(user)
         stamp = self._array.latest_stamp
         packed = np.empty((len(users), packed_row_bytes(self.virtual_sketch_size)), np.uint8)
@@ -464,15 +454,6 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
             self.cardinality(user_a),
             self.cardinality(user_b),
         )
-
-    # -- change tracking -------------------------------------------------------------------------
-
-    def dirty_info(self, since: int) -> dict[str, int]:
-        """State changed after cursor ``since``: 64-bit words and counters."""
-        return {
-            "dirty_words": int(self._array.dirty_words(since).size),
-            "dirty_counters": len(self.changed_users(since)),
-        }
 
     # -- accounting ------------------------------------------------------------------------------
 

@@ -99,11 +99,6 @@ class IndexConfig:
         Users with no band at the floor are bucketed by their whole row
         instead (identical rows stay co-candidates); lower the floor to 1 for
         very sparse users whose signal is spread one bit per band.
-    max_bucket:
-        If positive, buckets holding more than this many users are skipped
-        when generating pairs (an escape hatch against adversarial bucket
-        blowup).  ``0`` disables the cap; note that a cap voids the guarantee
-        that identical rows are always co-candidates.
     """
 
     bands: int = 0
@@ -112,7 +107,6 @@ class IndexConfig:
     target_threshold: float = 0.5
     confidence: float = 0.995
     min_band_bits: int = 2
-    max_bucket: int = 0
 
     def __post_init__(self) -> None:
         if self.bands < 0:
@@ -128,10 +122,6 @@ class IndexConfig:
         if self.min_band_bits <= 0:
             raise ConfigurationError(
                 f"min_band_bits must be positive, got {self.min_band_bits}"
-            )
-        if self.max_bucket < 0:
-            raise ConfigurationError(
-                f"max_bucket must be non-negative, got {self.max_bucket}"
             )
 
 
@@ -203,10 +193,9 @@ def _shard_key(shard) -> tuple[int, int]:
 
     Any write may change *any* user's recovered row (a single xor can land in
     anyone's virtual bits), so the array's latest change stamp covers the
-    bits.  Users are never removed, so the count covers the user set;
-    ``len(_cardinalities)`` reads it in O(1) where ``users()`` builds a set.
+    bits.  Users are never removed, so the count covers the user set.
     """
-    return (shard.shared_array.latest_stamp, len(shard._cardinalities))
+    return (shard.shared_array.latest_stamp, shard.num_users)
 
 
 @dataclass(frozen=True)
@@ -282,8 +271,8 @@ class _ShardSignatures:
 
 
 def _pairs_within_groups(
-    sorted_ordinals: np.ndarray, sorted_keys: np.ndarray, max_bucket: int
-) -> tuple[np.ndarray, np.ndarray]:
+    sorted_ordinals: np.ndarray, sorted_keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All within-bucket pairs of one band, given key-sorted ordinals.
 
     Groups are runs of equal keys; pairs are expanded one distinct group *size*
@@ -291,6 +280,7 @@ def _pairs_within_groups(
     and expand through one ``triu_indices`` fancy-index), so the whole band is
     a handful of vectorized operations.  The stable sort keeps ordinals
     ascending within a bucket, so every emitted pair satisfies ``a < b``.
+    Returns ``(pair_a, pair_b, bucket sizes)``.
     """
     change = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
     starts = np.concatenate((np.zeros(1, dtype=np.int64), change))
@@ -298,7 +288,7 @@ def _pairs_within_groups(
     out_a: list[np.ndarray] = []
     out_b: list[np.ndarray] = []
     for size in np.unique(sizes).tolist():
-        if size < 2 or (max_bucket and size > max_bucket):
+        if size < 2:
             continue
         group_starts = starts[sizes == size]
         members = sorted_ordinals[group_starts[:, None] + np.arange(size)]
@@ -307,8 +297,8 @@ def _pairs_within_groups(
         out_b.append(members[:, upper_b].ravel())
     if not out_a:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    return np.concatenate(out_a), np.concatenate(out_b)
+        return empty, empty.copy(), sizes
+    return np.concatenate(out_a), np.concatenate(out_b), sizes
 
 
 class BandedSketchIndex:
@@ -441,12 +431,12 @@ class BandedSketchIndex:
             return self._config.bands
         available = max(1, self._row_words // self._config.rows_per_band)
         sketch = self._sketch
-        users = list(sketch.users())
+        shards = sketch.row_shards()
+        users = sum(shard.num_users for shard in shards)
         # An exact integer sum, so the mean (and the band count) is the same
-        # whichever order the users come in.
-        mean_cardinality = (
-            int(sketch.cardinalities(users).sum()) / len(users) if users else 0.0
-        )
+        # whichever order the shards and users come in.
+        total = sum(shard.user_table.total() for shard in shards)
+        mean_cardinality = total / users if users else 0.0
         beta = sketch.beta
         size = sketch.virtual_sketch_size
         alpha = alpha_at_threshold(
@@ -511,7 +501,8 @@ class BandedSketchIndex:
 
     def _build_table(self, shard, key: tuple[int, int]) -> _ShardSignatures:
         """Every user's band signatures and validity masks (one gather + hash)."""
-        users = tuple(sorted(shard.users(), key=user_sort_key))
+        table = shard.user_table
+        users = tuple(table.ids(table.key_order()).tolist())
         bands = self._bands
         columns = bands + 1
         if not users:
@@ -739,27 +730,21 @@ class BandedSketchIndex:
             return empty, empty.copy()
         signatures, valid = self._gather(pool)
         key_blocks: list[np.ndarray] = []
+        size_blocks: list[np.ndarray] = []
         for band in range(self._bands + 1):
             ordinals = np.flatnonzero(valid[:, band])
             if ordinals.shape[0] < 2:
                 continue
             keys = signatures[ordinals, band]
             order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            if registry.enabled:
-                # Bucket sizes are the runs of equal keys — the same grouping
-                # _pairs_within_groups expands, recomputed here only when the
-                # registry wants the distribution.
-                change = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-                sizes = np.diff(
-                    np.concatenate(([0], change, [sorted_keys.shape[0]]))
-                )
-                registry.observe_many("index.bucket_size", sizes, unit="users")
-            pair_a, pair_b = _pairs_within_groups(
-                ordinals[order], sorted_keys, self._config.max_bucket
-            )
+            pair_a, pair_b, sizes = _pairs_within_groups(ordinals[order], keys[order])
+            size_blocks.append(sizes)
             if pair_a.size:
                 key_blocks.append(pair_a * n + pair_b)
+        if registry.enabled and size_blocks:
+            registry.observe_many(
+                "index.bucket_size", np.concatenate(size_blocks), unit="users"
+            )
         if not key_blocks:
             self._last_candidate_pairs = 0
             return empty, empty.copy()

@@ -5,14 +5,16 @@ round trip serializes and re-parses every shard on every publish.  This
 module publishes at O(touched shards) instead:
 
 * **Materialize** — at daemon start each writer shard's packed bits
-  (:meth:`~repro.hashing.bitpack.PackedBitArray.copy`) and counter dict are
-  copied once into a frozen view (the first epoch).
+  (:meth:`~repro.hashing.bitpack.PackedBitArray.copy`) and user table
+  (:meth:`~repro.baselines.users.UserTable.copy`) are copied once into a
+  frozen view (the first epoch).
 * **Publish** — every publish takes the writer's
   :meth:`~repro.service.service.SimilarityService.freeze_delta` since the
   publisher's cursor (the shard deltas of :mod:`repro.service.delta`, the
   record the journal ships too).  For each shard in the delta it copies the
-  *previous epoch's* bits and counters, applies only this delta's words and
-  counters, and verifies the result.  Shards the delta does not touch are
+  *previous epoch's* bits and user table, applies only this delta's words and
+  counters untracked (:func:`~repro.service.delta.apply_shard_delta`), and
+  verifies the result.  Shards the delta does not touch are
   carried over by reference: the new epoch's shard *is* the previous
   epoch's object.
 
@@ -22,8 +24,10 @@ accumulates across publishes, so the cost does not grow with run length.
 
 Exact-state guarantees: ``apply_packed_words`` re-derives the popcount from
 the before/after bits and rejects out-of-range, repeated or pad-setting
-words, and the publisher checks every copied shard's popcount and user count
-against the writer's values shipped in the delta (:func:`delta_mismatch`).
+words, the user table refuses repeated users and negative counters, and the
+publisher checks every copied shard's popcount and user count against the
+writer's values shipped in the delta
+(:func:`~repro.service.delta.delta_mismatch`).
 A published epoch therefore answers ``top_k_pairs`` / ``nearest`` /
 ``estimate_many`` bit-identically to a whole-state frozen copy — asserted by
 the parity suite under both kernel tiers.
@@ -34,7 +38,7 @@ from __future__ import annotations
 from repro.core.vos import VirtualOddSketch
 from repro.exceptions import SnapshotError
 from repro.hashing.bitpack import next_stamp
-from repro.service.delta import delta_mismatch
+from repro.service.delta import apply_shard_delta
 from repro.service.service import SimilarityService
 from repro.service.sharding import ShardedVOS
 
@@ -67,9 +71,7 @@ class CowEpochPublisher:
         """
         self.cursor = next_stamp()
         self._current_shards = [
-            VirtualOddSketch.cow_view(
-                shard, shard.shared_array.copy(), dict(shard._cardinalities)
-            )
+            VirtualOddSketch.cow_view(shard)
             for shard in self._writer.sketch.row_shards()
         ]
         service = self._assemble()
@@ -104,15 +106,10 @@ class CowEpochPublisher:
         stale_shards: list[int] = []
         for entry in delta["shards"]:
             index = entry["shard"]
-            previous = self._current_shards[index]
-            bits = previous.shared_array.copy()
+            frozen = VirtualOddSketch.cow_view(self._current_shards[index])
             # Untracked: frozen views are never read for changes, so they
             # carry no stamp memory.
-            bits.apply_packed_words(entry["words"], entry["word_data"], track=False)
-            counts = dict(previous._cardinalities)
-            counts.update(zip(entry["counter_users"], entry["counter_counts"]))
-            frozen = VirtualOddSketch.cow_view(previous, bits, counts)
-            problem = delta_mismatch(frozen, entry)
+            problem = apply_shard_delta(frozen, entry, track=False)
             if problem is not None:
                 raise SnapshotError(
                     f"cow copy {problem} — writer and epoch diverged"

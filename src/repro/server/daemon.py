@@ -526,7 +526,7 @@ class ServingDaemon:
             "elements": report.elements,
             "batches": report.batches,
             "seconds": report.seconds,
-            "users": len(self._writer.sketch.users()),
+            "users": self._writer.sketch.num_users,
         }
 
     def _op_snapshot(self, request: dict) -> dict:

@@ -129,7 +129,7 @@ def _encode_record(
     shard_seq: int,
     word_indices: np.ndarray,
     word_data: bytes,
-    counter_users: list,
+    counter_users,
     counter_counts: np.ndarray,
     ones_count: int,
     num_users: int,
@@ -537,7 +537,7 @@ class JournalWriter:
         shard: int,
         word_indices,
         word_data: bytes,
-        counter_users: list,
+        counter_users,
         counter_counts,
         *,
         ones_count: int,
@@ -566,7 +566,7 @@ class JournalWriter:
             shard_seq,
             word_indices,
             word_data,
-            list(counter_users),
+            counter_users,
             counter_counts,
             ones_count,
             num_users,

@@ -367,7 +367,7 @@ class SimilarityService:
             "elements_ingested": self._elements_ingested,
             "batches_ingested": self._batches_ingested,
             "batch_size": self._batch_size,
-            "users": len(sketch.users()),
+            "users": sketch.num_users,
             "memory_bits": sketch.memory_bits(),
             "beta": sketch.beta,
         }
@@ -381,6 +381,7 @@ class SimilarityService:
         # restored-from-snapshot tables, last candidate fraction) appear once
         # an ``lsh`` query created — or a snapshot load restored — the index.
         stats["index"] = None if self._index is None else self._index.stats()
+        shards, cursor = sketch.row_shards(), self._journal_cursor
         stats["persistence"] = {
             "snapshot_path": None if self._snapshot_path is None else str(self._snapshot_path),
             "checkpoint_id": self._checkpoint_id,
@@ -390,7 +391,15 @@ class SimilarityService:
             "deltas_written": self._deltas_written,
             "compactions": self._compactions,
             "journal_bytes": self._journal_size_bytes(),
-            "dirty": sketch.dirty_info(self._journal_cursor),
+            "dirty": {
+                # What the next save_delta would ship: changed words, counters.
+                "dirty_words": sum(
+                    int(shard.shared_array.dirty_words(cursor).size) for shard in shards
+                ),
+                "dirty_counters": sum(
+                    int(shard.user_table.changed(cursor).size) for shard in shards
+                ),
+            },
         }
         # Which kernel tier (native C popcount vs NumPy fallback) is scoring
         # pairs and hashing bands, plus probe/compile status (see README

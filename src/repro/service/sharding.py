@@ -278,10 +278,18 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         return self.shard_for(user).has_user(user)
 
     def users(self) -> set[UserId]:
-        seen: set[UserId] = set()
+        return set().union(*(shard.user_table.keys() for shard in self._shards))
+
+    @property
+    def num_users(self) -> int:
+        """Users over all shards, in O(shards): shards partition the users."""
+        return sum(shard.num_users for shard in self._shards)
+
+    def counters(self) -> dict[UserId, int]:
+        merged: dict[UserId, int] = {}
         for shard in self._shards:
-            seen |= shard.users()
-        return seen
+            merged.update(shard.counters())
+        return merged
 
     # -- queries ---------------------------------------------------------------------
 
@@ -393,16 +401,6 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
                 totals[key] += value
         return totals
 
-    # -- change tracking -------------------------------------------------------------
-
-    def dirty_info(self, since: int) -> dict[str, int]:
-        """State changed after cursor ``since``, summed over shards."""
-        totals = {"dirty_words": 0, "dirty_counters": 0}
-        for shard in self._shards:
-            for key, value in shard.dirty_info(since).items():
-                totals[key] += value
-        return totals
-
     # -- accounting ------------------------------------------------------------------
 
     def memory_bits(self) -> int:
@@ -417,7 +415,7 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
             report.append(
                 {
                     "shard": index,
-                    "users": len(shard.users()),
+                    "users": shard.num_users,
                     "ones": shard.shared_array.ones_count,
                     "beta": shard.beta,
                     "memory_bits": shard.memory_bits(),

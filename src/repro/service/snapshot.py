@@ -58,14 +58,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.vos import VirtualOddSketch
-from repro.exceptions import SnapshotError
+from repro.exceptions import ConfigurationError, SnapshotError
 from repro.service.sharding import ShardedVOS
 
 # The id-column codec (raw int64 or JSON fallback) lives in the leaf batch
 # module so the journal and the banding index share it without import cycles;
 # re-exported here because it is part of the snapshot format's public surface.
 from repro.streams.batch import decode_id_column, encode_id_column  # noqa: F401
-from repro.streams.edge import user_sort_key
 
 MAGIC = b"VOSSNAP\x00"
 FORMAT_VERSION = 2
@@ -125,22 +124,16 @@ def registered_snapshot_sections() -> tuple[str, ...]:
 # -- serialization ------------------------------------------------------------------
 
 
-def _counter_arrays(vos: VirtualOddSketch) -> tuple[bytes, bytes, str]:
-    """Serialize the per-user counters; returns (users, counts, users encoding)."""
-    pairs = sorted(vos._cardinalities.items(), key=lambda pair: user_sort_key(pair[0]))
-    users_bytes, encoding = encode_id_column([user for user, _ in pairs])
-    counts = np.array([count for _, count in pairs], dtype=np.int64)
-    return users_bytes, counts.tobytes(), encoding
-
-
 def _vos_sections(
     vos: VirtualOddSketch, prefix: str = ""
 ) -> list[tuple[str, bytes, str | None]]:
-    users_bytes, counts_bytes, users_encoding = _counter_arrays(vos)
+    table = vos.user_table
+    order = table.key_order()
+    users_bytes, users_encoding = encode_id_column(table.ids(order))
     return [
         (f"{prefix}array", vos.shared_array.to_packed_bytes(), None),
         (f"{prefix}card_users", users_bytes, users_encoding),
-        (f"{prefix}card_counts", counts_bytes, None),
+        (f"{prefix}card_counts", table.counts(order).astype("<i8").tobytes(), None),
     ]
 
 
@@ -150,7 +143,7 @@ def _vos_parameters(vos: VirtualOddSketch) -> dict:
         "virtual_sketch_size": vos.virtual_sketch_size,
         "seed": vos.seed,
         "ones_count": vos.shared_array.ones_count,
-        "num_users": len(vos._cardinalities),
+        "num_users": vos.num_users,
     }
 
 
@@ -360,7 +353,11 @@ def _restore_vos(
         )
     if len(users) != counts.size or counts.size != parameters["num_users"]:
         raise SnapshotError("cardinality sections disagree with recorded user count")
-    vos._cardinalities = dict(zip(users, counts.tolist()))
+    try:
+        # Untracked: a loaded snapshot is the journal's base, not a change.
+        vos.user_table.assign(users, counts, track=False)
+    except ConfigurationError as error:
+        raise SnapshotError(f"snapshot counters are invalid: {error}") from error
     return vos
 
 

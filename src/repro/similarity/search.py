@@ -87,21 +87,22 @@ def _at_least(
 class _SketchUsers:
     """Every user of a VOS-family sketch as a filter, without building a set.
 
-    ``in`` and ``len`` read the row shards' counter dicts: O(shards) per call,
-    where ``sketch.users()`` is O(users).  This is the pool a bucket lookup
-    filters by when the caller names no candidates.
+    ``in`` probes each row shard's user table at dict speed and ``len`` sums
+    their sizes: O(shards) per call, where ``sketch.users()`` is O(users).
+    This is the pool a bucket lookup filters by when the caller names no
+    candidates.
     """
 
-    __slots__ = ("_shards",)
+    __slots__ = ("_users",)
 
     def __init__(self, sketch) -> None:
-        self._shards = sketch.row_shards()
+        self._users = [shard.user_table.keys() for shard in sketch.row_shards()]
 
     def __contains__(self, user) -> bool:
-        return any(user in shard._cardinalities for shard in self._shards)
+        return any(user in users for users in self._users)
 
     def __len__(self) -> int:
-        return sum(len(shard._cardinalities) for shard in self._shards)
+        return sum(map(len, self._users))
 
 
 def _size_ratio_bound(size_a: int, size_b: int) -> float:

@@ -34,8 +34,8 @@ from repro.streams.edge import Action, StreamElement
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def encode_id_column(values: list) -> tuple[bytes, str]:
-    """Serialize an id list for persistence; returns ``(bytes, encoding)``.
+def encode_id_column(values) -> tuple[bytes, str]:
+    """Serialize an id list or id column for persistence; returns ``(bytes, encoding)``.
 
     Integer populations write a raw little-endian ``int64`` column; anything
     else falls back to a UTF-8 JSON array, so string/float/big-int ids
@@ -44,6 +44,8 @@ def encode_id_column(values: list) -> tuple[bytes, str]:
     shared by the snapshot counter sections, the journal's delta records and
     the banding index's persisted user columns.
     """
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values.astype("<i8").tobytes(), "int64"
     if all(
         isinstance(value, numbers.Integral) and not isinstance(value, bool)
         for value in values

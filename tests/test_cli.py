@@ -245,7 +245,7 @@ class TestConvertAndIngestFormats:
                 shard_a.shared_array.to_packed_bytes()
                 == shard_b.shared_array.to_packed_bytes()
             )
-            assert shard_a._cardinalities == shard_b._cardinalities
+            assert shard_a.counters() == shard_b.counters()
 
     def test_ingest_has_no_workers_flag(self, text_stream_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
@@ -294,7 +294,7 @@ class TestConvertAndIngestFormats:
                 shard_a.shared_array.to_packed_bytes()
                 == shard_b.shared_array.to_packed_bytes()
             )
-            assert shard_a._cardinalities == shard_b._cardinalities
+            assert shard_a.counters() == shard_b.counters()
 
     def test_string_id_stream_ingest_fails_fast_with_exit_2(self, tmp_path, capsys):
         """Snapshots need int users: string-id ingest must not traceback."""
@@ -496,7 +496,7 @@ class TestSnapshotCommands:
         reference.ingest(iter_stream_batches(more))
         restored = SimilarityService.load(snapshot)
         for a, b in zip(reference.sketch.shards, restored.sketch.shards):
-            assert a._cardinalities == b._cardinalities
+            assert a.counters() == b.counters()
             assert a.shared_array.to_packed_bytes() == b.shared_array.to_packed_bytes()
 
     def test_compact_resets_the_journal(self, seeded, capsys):

@@ -209,7 +209,7 @@ class TestRowMemoConcurrency:
         info = sketch.sketch_cache_info()
         assert info["hits"] + info["misses"] == sum(requested)
         served = sketch.packed_rows(users)
-        cold = VirtualOddSketch.cow_view(sketch, sketch.shared_array, sketch._cardinalities)
+        cold = VirtualOddSketch.cow_view(sketch)
         assert np.array_equal(served, cold.packed_rows(users))
 
     def test_rows_recovered_across_a_write_are_not_memoised(self, monkeypatch):
@@ -226,6 +226,6 @@ class TestRowMemoConcurrency:
         sketch.packed_rows([1, 2])
         assert sketch.sketch_cache_info()["entries"] == 0
         monkeypatch.undo()
-        cold = VirtualOddSketch.cow_view(sketch, sketch.shared_array, sketch._cardinalities)
+        cold = VirtualOddSketch.cow_view(sketch)
         assert np.array_equal(sketch.packed_rows([1, 2]), cold.packed_rows([1, 2]))
         assert sketch.sketch_cache_info()["entries"] == 2

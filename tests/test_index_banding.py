@@ -11,6 +11,7 @@ from repro.core.vos import VirtualOddSketch, packed_row_bytes
 from repro.exceptions import ConfigurationError, UnknownUserError
 from repro.index import BandedSketchIndex, IndexConfig, required_bands
 from repro.index.banding import _ShardSignatures, alpha_at_threshold
+from repro.obs import MetricsRegistry, get_registry, set_registry
 from repro.service import ServiceConfig, ShardedVOS, SimilarityService
 from repro.similarity.search import (
     nearest_neighbours,
@@ -63,8 +64,6 @@ class TestIndexConfig:
             IndexConfig(confidence=1.0)
         with pytest.raises(ConfigurationError):
             IndexConfig(min_band_bits=0)
-        with pytest.raises(ConfigurationError):
-            IndexConfig(max_bucket=-3)
 
     def test_band_layout_must_fit_the_row(self, clone_vos):
         row_words = packed_row_bytes(clone_vos.virtual_sketch_size) // 8
@@ -144,12 +143,6 @@ class TestCandidatePairs:
         with pytest.raises(UnknownUserError):
             index.candidate_pairs([0, 1, 10**9])
 
-    def test_max_bucket_skips_overfull_buckets(self, clone_vos):
-        pool = sorted(clone_vos.users())
-        capped = BandedSketchIndex(clone_vos, IndexConfig(max_bucket=1))
-        index_a, _ = capped.candidate_pairs(pool)
-        assert index_a.size == 0
-
     def test_multi_word_bands_still_find_clones(self, clone_vos):
         index = BandedSketchIndex(clone_vos, IndexConfig(rows_per_band=2))
         pool = sorted(clone_vos.users())
@@ -165,6 +158,40 @@ class TestCandidatePairs:
         index.refresh()
         assert index.bands == 4
         assert index.stats()["auto_bands"] is False
+
+
+class TestBucketSizeMetric:
+    def test_one_observation_per_query_with_every_band_size(self, clone_vos, monkeypatch):
+        previous = get_registry()
+        registry = set_registry(MetricsRegistry())
+        try:
+            names = []
+            observe_many = registry.observe_many
+
+            def recording(name, values, unit=""):
+                names.append(name)
+                observe_many(name, values, unit=unit)
+
+            monkeypatch.setattr(registry, "observe_many", recording)
+            index = BandedSketchIndex(clone_vos)
+            pool = sorted(clone_vos.users())[:120]
+            index.candidate_pairs(pool)
+            index.candidate_pairs(pool)
+            assert names.count("index.bucket_size") == 2
+            # Per band with at least two entries: the sizes of its buckets.
+            signatures, valid = index._gather(pool)
+            sizes = np.concatenate(
+                [
+                    np.unique(signatures[valid[:, band], band], return_counts=True)[1]
+                    for band in range(index.bands + 1)
+                    if np.count_nonzero(valid[:, band]) >= 2
+                ]
+            )
+            histogram = registry.snapshot()["histograms"]["index.bucket_size"]
+            assert histogram["count"] == 2 * sizes.size
+            assert histogram["sum"] == 2 * int(sizes.sum())
+        finally:
+            set_registry(previous)
 
 
 class TestIncrementalMaintenance:

@@ -369,9 +369,7 @@ class TestRecoverRowParity:
             )
             for tier in tiers():
                 with kernels.use_tier(tier):
-                    fresh = VirtualOddSketch.cow_view(
-                        shard, shard.shared_array, shard._cardinalities
-                    )
+                    fresh = VirtualOddSketch.cow_view(shard)
                     assert np.array_equal(fresh.packed_rows(users), expected), tier
 
     def test_empty_user_list(self):

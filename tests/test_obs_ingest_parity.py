@@ -71,7 +71,7 @@ class TestInstrumentationParity:
                 == part_b.shared_array.to_packed_bytes()
             )
             assert part_a.shared_array.ones_count == part_b.shared_array.ones_count
-            assert part_a._cardinalities == part_b._cardinalities
+            assert part_a.counters() == part_b.counters()
 
     def test_query_results_bit_identical(self, elements, num_shards):
         results = {}

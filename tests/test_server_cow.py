@@ -179,7 +179,7 @@ class TestEpochChangeTracking:
         cursor = next_stamp()
         shards = list(service._sketch.row_shards())
         before = [_unpacked_bits(shard) for shard in shards]
-        counts_before = [dict(shard._cardinalities) for shard in shards]
+        counts_before = [shard.counters() for shard in shards]
         # Delete-heavy batch: exact cancellation for users 0..9, then re-insert.
         service.ingest(ROUNDS[2])
         service.ingest(ROUNDS[3])
@@ -194,10 +194,11 @@ class TestEpochChangeTracking:
             }
             entry = deltas.get(index, {"words": [], "counter_users": []})
             assert changed <= {int(word) for word in entry["words"]}
+            new_counts = shard.counters()
             changed_counters = {
                 user
-                for user in set(old_counts) | set(shard._cardinalities)
-                if old_counts.get(user) != shard._cardinalities.get(user)
+                for user in set(old_counts) | set(new_counts)
+                if old_counts.get(user) != new_counts.get(user)
             }
             assert changed_counters <= set(entry["counter_users"])
 
@@ -210,7 +211,7 @@ class TestEpochChangeTracking:
         frozen = publisher.publish_delta(writer.freeze_delta(publisher.cursor))
         for shard in frozen.sketch.row_shards():
             assert shard.shared_array._stamps is None
-            assert shard._counter_stamps == {}
+            assert shard.user_table._stamps is None
 
 
 class TestReaderIsolation:

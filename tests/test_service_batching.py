@@ -95,7 +95,7 @@ class TestBatchParityEverySketch:
             == batched.shared_array.to_packed_bytes()
         )
         assert reference.shared_array.ones_count == batched.shared_array.ones_count
-        assert reference._cardinalities == batched._cardinalities
+        assert reference.counters() == batched.counters()
 
     def test_sharded_vos_bit_exact(self, parity_stream):
         reference = ShardedVOS(4, 4096, 128, seed=9)
@@ -108,7 +108,7 @@ class TestBatchParityEverySketch:
                 shard_a.shared_array.to_packed_bytes()
                 == shard_b.shared_array.to_packed_bytes()
             )
-            assert shard_a._cardinalities == shard_b._cardinalities
+            assert shard_a.counters() == shard_b.counters()
 
 
 class TestBatchEdgeCases:
@@ -133,7 +133,7 @@ class TestBatchEdgeCases:
         for element in weird:
             reference.process(element)
         batched.process_batch(weird)
-        assert reference._cardinalities == batched._cardinalities
+        assert reference.counters() == batched.counters()
         assert (
             reference.shared_array.to_packed_bytes()
             == batched.shared_array.to_packed_bytes()
@@ -174,13 +174,13 @@ class TestBatchEdgeCases:
             sharded_reference.process(element)
         batched.process_batch(elements)
         sharded_batched.process_batch(elements)
-        assert batched._cardinalities == reference._cardinalities == {1.5: 1, 1: 1, 2: 1}
+        assert batched.counters() == reference.counters() == {1.5: 1, 1: 1, 2: 1}
         assert (
             reference.shared_array.to_packed_bytes()
             == batched.shared_array.to_packed_bytes()
         )
         for shard_a, shard_b in zip(sharded_reference.shards, sharded_batched.shards):
-            assert shard_a._cardinalities == shard_b._cardinalities
+            assert shard_a.counters() == shard_b.counters()
             assert (
                 shard_a.shared_array.to_packed_bytes()
                 == shard_b.shared_array.to_packed_bytes()
@@ -258,7 +258,7 @@ class TestIterBatchesArrayNative:
             from_elements.shared_array.to_packed_bytes()
             == from_batches.shared_array.to_packed_bytes()
         )
-        assert from_elements._cardinalities == from_batches._cardinalities
+        assert from_elements.counters() == from_batches.counters()
 
 
 class TestIngestReportPhases:

@@ -94,7 +94,7 @@ def _state(service: SimilarityService) -> list[tuple[np.ndarray, dict]]:
     return [
         (
             np.unpackbits(np.frombuffer(shard.shared_array.to_packed_bytes(), np.uint8)),
-            dict(shard._cardinalities),
+            shard.counters(),
         )
         for shard in service.sketch.row_shards()
     ]
@@ -208,7 +208,9 @@ class TestShardDelta:
             if delta is not None:
                 assert apply_shard_delta(twin, delta) is None
                 # Applied changes are stamped for the target's own consumers.
-                assert sorted(twin.changed_users(target_cursor), key=str) == sorted(
+                table = twin.user_table
+                changed = table.ids(table.changed(target_cursor)).tolist()
+                assert sorted(changed, key=str) == sorted(
                     delta["counter_users"], key=str
                 )
         assert _shard_blobs(source) == _shard_blobs(target)

@@ -70,8 +70,11 @@ def _assert_same_state(a: ShardedVOS, b: ShardedVOS) -> None:
     """Bit-identical arrays and counters, and the same users marked changed."""
     assert _shard_blobs(a) == _shard_blobs(b)
     for shard_a, shard_b in zip(a.shards, b.shards, strict=True):
-        assert shard_a._cardinalities == shard_b._cardinalities
-        assert set(shard_a.changed_users(0)) == set(shard_b.changed_users(0))
+        assert shard_a.counters() == shard_b.counters()
+        table_a, table_b = shard_a.user_table, shard_b.user_table
+        assert set(table_a.ids(table_a.changed(0)).tolist()) == set(
+            table_b.ids(table_b.changed(0)).tolist()
+        )
 
 
 class TestShardedParity:
@@ -242,7 +245,7 @@ class TestServiceIngest:
         # ingest; compare the bits and counters.
         assert _shard_blobs(restored.sketch) == _shard_blobs(service.sketch)
         for shard_a, shard_b in zip(service.sketch.shards, restored.sketch.shards):
-            assert shard_a._cardinalities == shard_b._cardinalities
+            assert shard_a.counters() == shard_b.counters()
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_split_ingest_matches_one_call(self, parity_stream, num_shards):

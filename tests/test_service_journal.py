@@ -57,7 +57,7 @@ def assert_same_sketch_state(live, restored):
     for a, b in zip(live_shards, restored_shards):
         assert a.shared_array.to_packed_bytes() == b.shared_array.to_packed_bytes()
         assert a.shared_array.ones_count == b.shared_array.ones_count
-        assert a._cardinalities == b._cardinalities
+        assert a.counters() == b.counters()
 
 
 class TestReplayParity:

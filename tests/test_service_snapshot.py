@@ -40,7 +40,7 @@ def fed_sharded(small_dynamic_stream):
 def _assert_same_vos_state(a: VirtualOddSketch, b: VirtualOddSketch) -> None:
     assert a.shared_array.to_packed_bytes() == b.shared_array.to_packed_bytes()
     assert a.shared_array.ones_count == b.shared_array.ones_count
-    assert a._cardinalities == b._cardinalities
+    assert a.counters() == b.counters()
 
 
 class TestVosRoundTrip:
@@ -310,7 +310,7 @@ class TestObjectUserIds:
         for user in users:
             assert restored.cardinality(user) == vos.cardinality(user)
             assert type(user) in (int, str)  # sanity: ids keep their types
-            assert user in restored._cardinalities
+            assert restored.has_user(user)
 
     def test_sharded_string_ids_round_trip(self, tmp_path):
         sketch = ShardedVOS(3, 2048, 64, seed=5)
