@@ -19,6 +19,7 @@ ordinals are stable.  Three columns indexed by ordinal grow by doubling:
 
 from __future__ import annotations
 
+import sys
 from itertools import repeat
 
 import numpy as np
@@ -70,6 +71,12 @@ class UserTable:
 
     def __len__(self) -> int:
         return len(self._ordinals)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the columns and the id dict's own table (not the ids it references)."""
+        stamps = 0 if self._stamps is None else self._stamps.nbytes
+        return self._ids.nbytes + self._counts.nbytes + stamps + sys.getsizeof(self._ordinals)
 
     def keys(self):
         """A live read-only view of the users; ``in`` on it runs at dict speed."""

@@ -42,13 +42,13 @@ from repro.core.estimators import (
     jaccard_from_common_arrays,
 )
 from repro.core.memory import MemoryBudget, vos_parameters_for_budget
-from repro.exceptions import ConfigurationError, UnknownUserError
+from repro.exceptions import ConfigurationError
 from repro.hashing import HashFamily, UniversalHash
 from repro import kernels
 from repro.obs import get_registry
 from repro.hashing.universal import fingerprint64, fingerprint64_array, stable_hash64
 from repro.kernels import packed_row_bytes
-from repro.streams.batch import ElementBatch, id_column
+from repro.streams.batch import ElementBatch
 from repro.streams.edge import StreamElement, UserId
 
 
@@ -84,43 +84,31 @@ class VectorizedPairQueries:
     ) -> tuple[np.ndarray, ...]:
         raise NotImplementedError  # pragma: no cover - provided by subclasses
 
+    def _estimator_inputs(self, users: Sequence[UserId], index_a, index_b) -> tuple:
+        """``(alphas, betas_a, betas_b, k, cards_a, cards_b)``: the array estimators' input."""
+        index_a, index_b = normalize_pair_indices(index_a, index_b)
+        alphas, betas_a, betas_b, cards_a, cards_b = self._indexed_pair_arrays(
+            list(users), index_a, index_b
+        )
+        return alphas, betas_a, betas_b, self.virtual_sketch_size, cards_a, cards_b
+
     def estimate_jaccard_indexed(
         self, users: Sequence[UserId], index_a, index_b
     ) -> np.ndarray:
-        users = list(users)
-        index_a, index_b = normalize_pair_indices(index_a, index_b)
-        alphas, betas_a, betas_b, cards_a, cards_b = self._indexed_pair_arrays(
-            users, index_a, index_b
-        )
-        return estimate_jaccard_arrays(
-            alphas, betas_a, betas_b, self.virtual_sketch_size, cards_a, cards_b
-        )
+        return estimate_jaccard_arrays(*self._estimator_inputs(users, index_a, index_b))
 
     def estimate_common_items_indexed(
         self, users: Sequence[UserId], index_a, index_b
     ) -> np.ndarray:
-        users = list(users)
-        index_a, index_b = normalize_pair_indices(index_a, index_b)
-        alphas, betas_a, betas_b, cards_a, cards_b = self._indexed_pair_arrays(
-            users, index_a, index_b
-        )
-        return estimate_common_items_arrays(
-            alphas, betas_a, betas_b, self.virtual_sketch_size, cards_a, cards_b
-        )
+        return estimate_common_items_arrays(*self._estimator_inputs(users, index_a, index_b))
 
     def estimate_common_and_jaccard_indexed(
         self, users: Sequence[UserId], index_a, index_b
     ) -> tuple[np.ndarray, np.ndarray]:
         """One xor pass feeds both estimators; Jaccard derives from the commons."""
-        users = list(users)
-        index_a, index_b = normalize_pair_indices(index_a, index_b)
-        alphas, betas_a, betas_b, cards_a, cards_b = self._indexed_pair_arrays(
-            users, index_a, index_b
-        )
-        commons = estimate_common_items_arrays(
-            alphas, betas_a, betas_b, self.virtual_sketch_size, cards_a, cards_b
-        )
-        return commons, jaccard_from_common_arrays(commons, cards_a, cards_b)
+        inputs = self._estimator_inputs(users, index_a, index_b)
+        commons = estimate_common_items_arrays(*inputs)
+        return commons, jaccard_from_common_arrays(commons, inputs[4], inputs[5])
 
 
 class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
@@ -141,9 +129,10 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
     of the user, one xor).  *Query cost* is O(k) because the two virtual
     sketches must be gathered from ``A``.
 
-    Recovered rows are memoised per user (bit-packed, ``k / 8`` bytes each)
-    for as long as the shared array is unchanged; any write invalidates the
-    whole memo, so memoised reads are exactly what a fresh recovery returns.
+    Recovered rows are memoised by user ordinal (bit-packed, ``k / 8`` bytes
+    each, one matrix row per user) for as long as the shared array is
+    unchanged; any write invalidates every row, so memoised reads are exactly
+    what a fresh recovery returns.
     Like the hash coefficients, the memo is derived state that the paper's
     cost model, which charges only the ``m``-bit array, does not count.
 
@@ -196,10 +185,13 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         self._reset_row_memo()
 
     def _reset_row_memo(self) -> None:
-        # user -> packed row, valid while the array's latest stamp equals
-        # ``_rows_stamp``.  The lock guards only this bookkeeping (the serving
-        # daemon reads one epoch from many threads); recovery runs outside it.
-        self._rows: dict[UserId, np.ndarray] = {}
+        # Memo row ``r`` is user ordinal ``r``'s packed row, valid while its
+        # stamp equals the array's latest stamp; grown on reads.  ``entries``
+        # counts rows valid at ``_rows_stamp``, the newest stamp read.  The
+        # lock guards only this bookkeeping (the serving daemon reads one
+        # epoch from many threads); recovery runs outside it.
+        self._rows = np.empty((0, packed_row_bytes(self.virtual_sketch_size)), np.uint8)
+        self._row_stamps = np.empty(0, dtype=np.int64)
         self._rows_stamp = -1
         self._row_hits = 0
         self._row_misses = 0
@@ -238,7 +230,8 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         :meth:`~repro.baselines.users.UserTable.copy`).  Instead of
         rebuilding the ``k``-hash user family (tens of milliseconds at
         service scale) the view shares ``source``'s hash objects by
-        reference; it gets its own row memo, as row bytes differ per epoch.
+        reference; its row memo is its own and empty until the first read,
+        as row bytes differ per epoch.
 
         The view is a full :class:`VirtualOddSketch` for the read API but
         must never ingest; epoch services are frozen by contract.
@@ -323,55 +316,50 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
     def _packed_rows(self, users: Sequence[UserId]) -> np.ndarray:
         """Bit-packed virtual sketches, one row per user, through the row memo.
 
-        A write since the rows were recovered invalidates every entry (one
-        xor can land in any user's virtual bits); missing rows are recovered
-        in one :func:`repro.kernels.recover_rows` call.
+        A write since a row was recovered invalidates it (one xor can land in
+        any user's virtual bits); missing rows are recovered in one
+        :func:`repro.kernels.recover_rows` call.
         """
-        known = self._user_table.keys()
-        for user in users:
-            if user not in known:
-                raise UnknownUserError(user)
+        ordinals = self._user_table.ordinals(users)
         stamp = self._array.latest_stamp
-        packed = np.empty((len(users), packed_row_bytes(self.virtual_sketch_size)), np.uint8)
-        missing: list[int] = []
         with self._rows_lock:
-            if stamp != self._rows_stamp:
-                self._rows = {}
-                self._rows_stamp = stamp
-            for row, user in enumerate(users):
-                cached = self._rows.get(user)
-                if cached is None:
-                    missing.append(row)
-                else:
-                    packed[row] = cached
-            self._row_hits += len(users) - len(missing)
-            self._row_misses += len(missing)
-        if missing:
-            missing_users = [users[row] for row in missing]
-            fresh = self._recover_rows(missing_users)
+            have = self._row_stamps.shape[0]
+            if have < len(self._user_table):
+                extra = max(len(self._user_table), 2 * have) - have
+                blank = np.empty((extra, self._rows.shape[1]), np.uint8)
+                self._rows = np.concatenate((self._rows, blank))
+                self._row_stamps = np.concatenate((self._row_stamps, np.full(extra, -1)))
+            self._rows_stamp = max(self._rows_stamp, stamp)
+            packed = self._rows.take(ordinals, axis=0)
+            (missing,) = (self._row_stamps.take(ordinals) != stamp).nonzero()
+            self._row_hits += len(ordinals) - missing.size
+            self._row_misses += missing.size
+        if missing.size:
+            missing_ordinals = ordinals[missing]
+            fresh = self._recover_rows(missing_ordinals)
             packed[missing] = fresh
             with self._rows_lock:
                 # A write racing this recovery moved the stamp, so the rows
-                # may mix old and new bits.  Memoised rows are views of
-                # ``fresh``, held and dropped as a whole.
-                if self._rows_stamp == stamp == self._array.latest_stamp:
-                    self._rows.update(zip(missing_users, fresh))
+                # may mix old and new bits: keep them out of the memo.
+                if stamp == self._array.latest_stamp:
+                    self._rows[missing_ordinals] = fresh
+                    self._row_stamps[missing_ordinals] = stamp
         registry = get_registry()
         if registry.enabled:
-            hits = len(users) - len(missing)
+            hits = len(ordinals) - missing.size
             if hits:
                 registry.inc("query.row_cache.hits", hits, unit="rows")
-            if missing:
-                registry.inc("query.row_cache.misses", len(missing), unit="rows")
+            if missing.size:
+                registry.inc("query.row_cache.misses", missing.size, unit="rows")
         return packed
 
-    def _recover_rows(self, users: list[UserId]) -> np.ndarray:
-        """Packed rows recovered from the shared array (callers validate users)."""
-        ids = id_column(users)
+    def _recover_rows(self, ordinals: np.ndarray) -> np.ndarray:
+        """Packed rows of user ``ordinals`` recovered from the shared array."""
+        ids = self._user_table.ids(ordinals)
         fingerprints = (
             fingerprint64_array(ids)
             if ids.dtype == np.int64
-            else np.fromiter(map(fingerprint64, users), dtype=np.uint64, count=len(users))
+            else np.fromiter(map(fingerprint64, ids), dtype=np.uint64, count=len(ids))
         )
         return self._user_hashes.recover_rows(fingerprints, self._array.storage)
 
@@ -386,6 +374,15 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         so rows an index rebuild recovers are hits for the queries after it.
         """
         return self._packed_rows(list(users))
+
+    def shard_of(self, user: UserId) -> int:
+        """The row shard owning ``user``: a single-array sketch is its own shard 0."""
+        return 0
+
+    def route(self, users: Sequence[UserId]):
+        """:meth:`~repro.service.sharding.ShardedVOS.route` for one array: all shard 0's."""
+        users = list(users)
+        yield 0, np.arange(len(users)), users
 
     def row_shards(self) -> list["VirtualOddSketch"]:
         """Row sources for index structures: a single-array sketch is one shard.
@@ -408,7 +405,8 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
 
     def sketch_cache_info(self) -> dict[str, int]:
         """Occupancy and hit/miss counters of the row memo."""
-        return {"entries": len(self._rows), "hits": self._row_hits, "misses": self._row_misses}
+        entries = int(np.count_nonzero(self._row_stamps == self._rows_stamp))
+        return {"entries": entries, "hits": self._row_hits, "misses": self._row_misses}
 
     def _indexed_pair_arrays(
         self, users: Sequence[UserId], index_a: np.ndarray, index_b: np.ndarray
@@ -460,3 +458,11 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
     def memory_bits(self) -> int:
         """The paper's cost model charges VOS exactly the ``m`` bits of ``A``."""
         return self._array.memory_bits()
+
+    def memory_bytes(self) -> dict[str, int]:
+        """Bytes held per layer: the shared array, the user table and the row memo."""
+        return {
+            "array": self._array.nbytes,
+            "user_table": self._user_table.nbytes,
+            "row_memo": self._rows.nbytes + self._row_stamps.nbytes,
+        }

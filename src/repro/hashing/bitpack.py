@@ -190,6 +190,11 @@ class PackedBitArray:
         return self._latest
 
     @property
+    def nbytes(self) -> int:
+        """Bytes held: the packed storage plus the word stamps, once allocated."""
+        return self._bytes.nbytes + (0 if self._stamps is None else self._stamps.nbytes)
+
+    @property
     def storage(self) -> np.ndarray:
         """The live ``uint8`` storage (read-only by contract: row recovery reads it)."""
         return self._bytes

@@ -202,6 +202,9 @@ def _shard_key(shard) -> tuple[int, int]:
 class _ShardSignatures:
     """Band signatures of one shard's users: an immutable value.
 
+    Row ``r`` belongs to the user of ordinal ``r`` in the shard's
+    :class:`~repro.baselines.users.UserTable`; ordinals are stable, so a
+    table stays valid for its rows while users are added.
     ``key`` is the :func:`_shard_key` the table was built or adopted at; the
     table describes its shard exactly while the two are equal, and a refresh
     replaces it with a rebuild once they differ.  No table is ever mutated,
@@ -210,8 +213,6 @@ class _ShardSignatures:
     Construct tables with :meth:`of`, which derives the bucket lookup arrays.
     """
 
-    users: tuple[UserId, ...]
-    ordinal: dict[UserId, int]
     #: One signature column per band plus the residual whole-row column
     #: (valid only for users with no band at the set-bit floor).
     signatures: np.ndarray
@@ -226,18 +227,15 @@ class _ShardSignatures:
     @classmethod
     def of(
         cls,
-        users: tuple[UserId, ...],
         signatures: np.ndarray,
         valid: np.ndarray,
         key: tuple[int, int] | None = None,
     ) -> "_ShardSignatures":
-        """A table over ``users`` (in row order) with its lookup arrays."""
+        """A table over ordinals ``0 .. len(signatures) - 1`` with its lookup arrays."""
         rows, columns = np.nonzero(valid)
         entries = signatures[rows, columns]
         order = np.argsort(entries)
         return cls(
-            users,
-            {user: row for row, user in enumerate(users)},
             signatures,
             valid,
             entries[order],
@@ -268,6 +266,19 @@ class _ShardSignatures:
         hits = np.repeat(starts - offsets, counts) + np.arange(total)
         same_column = self.bucket_columns[hits] == np.repeat(columns, counts)
         return np.unique(self.bucket_rows[hits[same_column]])
+
+
+def _restored_table(user_table, users, signatures, valid) -> _ShardSignatures | None:
+    """A persisted table scattered into ordinal order, or ``None`` unless its
+    rows name exactly the users of ordinals ``0 .. n - 1``, each once."""
+    try:
+        ordinals = user_table.ordinals(users)
+    except (UnknownUserError, TypeError):  # TypeError: an unhashable id
+        return None
+    order = np.argsort(ordinals)
+    if not np.array_equal(ordinals[order], np.arange(len(users))):
+        return None
+    return _ShardSignatures.of(signatures[order], valid[order])
 
 
 def _pairs_within_groups(
@@ -500,19 +511,10 @@ class BandedSketchIndex:
         self.refresh()
 
     def _build_table(self, shard, key: tuple[int, int]) -> _ShardSignatures:
-        """Every user's band signatures and validity masks (one gather + hash)."""
-        table = shard.user_table
-        users = tuple(table.ids(table.key_order()).tolist())
+        """Every user's band signatures and validity masks, in ordinal order."""
+        count = key[1]  # the user count the table is keyed to
         bands = self._bands
-        columns = bands + 1
-        if not users:
-            return _ShardSignatures.of(
-                users,
-                np.empty((0, columns), dtype=np.uint64),
-                np.empty((0, columns), dtype=bool),
-                key,
-            )
-        rows = shard.packed_rows(users)
+        rows = shard.packed_rows(shard.user_table.ids(np.arange(count)).tolist())
         # The fold, set-bit counts, and Carter-Wegman signature hashes all run
         # in the kernel tier (native C when available, blocked NumPy
         # otherwise) — bit-identical across tiers by the parity suite.
@@ -529,10 +531,10 @@ class BandedSketchIndex:
         # band at the floor get the residual column instead: a hash of the
         # whole row, so identical rows — all-zero ones included — are still
         # always co-candidates.
-        valid = np.empty((len(users), columns), dtype=bool)
+        valid = np.empty((count, bands + 1), dtype=bool)
         valid[:, :bands] = set_bits >= self._config.min_band_bits
         valid[:, bands] = ~valid[:, :bands].any(axis=1)
-        return _ShardSignatures.of(users, signatures, valid, key)
+        return _ShardSignatures.of(signatures, valid, key)
 
     # -- persistence ------------------------------------------------------------------
     #
@@ -548,22 +550,27 @@ class BandedSketchIndex:
         Returns a plain state dict (layout parameters plus per-shard users,
         signatures and validity masks) that :func:`encode_index_state` turns
         into section bytes.  The index is refreshed first, so the exported
-        tables always describe the sketch's current bits.
+        tables always describe the sketch's current bits.  Rows are written
+        in :func:`~repro.streams.edge.user_sort_key` order of their users, so
+        the bytes do not depend on the order users were first seen in.
         """
         self.refresh()
+        shards = []
+        for shard, table in zip(self._sketch.row_shards(), self._shard_signatures):
+            order = shard.user_table.key_order(np.arange(len(table.signatures)))
+            shards.append(
+                {
+                    "users": shard.user_table.ids(order).tolist(),
+                    "signatures": table.signatures[order],
+                    "valid": table.valid[order],
+                }
+            )
         return {
             "bands": self._bands,
             "rows_per_band": self._config.rows_per_band,
             "min_band_bits": self._config.min_band_bits,
             "seed": self._seed,
-            "shards": [
-                {
-                    "users": list(table.users),
-                    "signatures": table.signatures,
-                    "valid": table.valid,
-                }
-                for table in self._shard_signatures
-            ],
+            "shards": shards,
         }
 
     def _adopt(
@@ -586,7 +593,7 @@ class BandedSketchIndex:
         adopted: list[_ShardSignatures | None] = []
         for position, (shard, table) in enumerate(zip(shards, tables)):
             if table is not None and position not in stale:
-                key = (shard.shared_array.latest_stamp, len(table.users))
+                key = (shard.shared_array.latest_stamp, len(table.signatures))
                 table = replace(table, key=key)
             else:
                 table = None
@@ -604,10 +611,12 @@ class BandedSketchIndex:
         index's configuration (band count unless auto-tuned, band width,
         set-bit floor, seed) and the sketch's shard count; on any mismatch
         the method returns ``False`` and the index simply rebuilds on demand.
-        Shards listed in ``stale_shards`` (journal replay changed them, so
-        their persisted signatures may no longer describe the shard) are not
-        adopted, so their next query rebuilds just those tables.  Returns
-        ``True`` when the tables were adopted.
+        Each shard's rows are scattered into ordinal order; a shard whose user
+        column does not name exactly ordinals ``0 .. n - 1`` is not adopted,
+        nor is one listed in ``stale_shards`` (journal replay changed them, so
+        their persisted signatures may no longer describe the shard): those
+        rebuild on their next query.  Returns ``True`` when the layout was
+        adopted.
         """
         bands = state["bands"]
         if self._config.bands and self._config.bands != bands:
@@ -622,14 +631,14 @@ class BandedSketchIndex:
         if len(state["shards"]) != len(self._sketch.row_shards()):
             return False
         columns = bands + 1
-        tables: list[_ShardSignatures] = []
-        for entry in state["shards"]:
-            users = tuple(entry["users"])
+        tables: list[_ShardSignatures | None] = []
+        for shard, entry in zip(self._sketch.row_shards(), state["shards"]):
+            users = list(entry["users"])
             signatures = np.asarray(entry["signatures"], dtype=np.uint64)
             valid = np.asarray(entry["valid"], dtype=bool)
             if signatures.shape != (len(users), columns) or valid.shape != signatures.shape:
                 return False
-            tables.append(_ShardSignatures.of(users, signatures, valid))
+            tables.append(_restored_table(shard.user_table, users, signatures, valid))
         self._restored += self._adopt(bands, tables, stale_shards)
         return True
 
@@ -663,28 +672,17 @@ class BandedSketchIndex:
     # -- queries ----------------------------------------------------------------------
 
     def _gather(self, users: Sequence[UserId]) -> tuple[np.ndarray, np.ndarray]:
-        """Signature and validity rows for ``users``, in input order."""
+        """Signature and validity rows for ``users``, in input order: the sketch
+        routes each user to its shard, whose table row is the user's ordinal."""
         columns = self._bands + 1
         signatures = np.empty((len(users), columns), dtype=np.uint64)
-        valid = np.zeros((len(users), columns), dtype=bool)
-        found = np.zeros(len(users), dtype=bool)
-        for table in self._shard_signatures:
-            ordinal = table.ordinal
-            positions = [
-                position for position, user in enumerate(users) if user in ordinal
-            ]
-            if not positions:
-                continue
-            rows = np.fromiter(
-                (ordinal[users[position]] for position in positions),
-                dtype=np.int64,
-                count=len(positions),
-            )
+        valid = np.empty((len(users), columns), dtype=bool)
+        shards = self._sketch.row_shards()
+        for shard_index, positions, members in self._sketch.route(users):
+            rows = shards[shard_index].user_table.ordinals(members)
+            table = self._shard_signatures[shard_index]
             signatures[positions] = table.signatures[rows]
             valid[positions] = table.valid[rows]
-            found[positions] = True
-        if not found.all():
-            raise UnknownUserError(users[int(np.flatnonzero(~found)[0])])
         return signatures, valid
 
     def candidate_pairs(
@@ -768,36 +766,20 @@ class BandedSketchIndex:
         registry = get_registry()
         with trace("index.neighbour_candidates", registry):
             self.refresh()
-            if not pool:
-                members: list[UserId] = []
-            else:
-                members = [
-                    user
-                    for user in self._bucket_members(target)
-                    if user != target and user in pool
-                ]
+            members: list[UserId] = []
+            if pool:
+                shards = self._sketch.row_shards()
+                home = self._sketch.shard_of(target)
+                (row,) = shards[home].user_table.ordinals([target])
+                columns = np.flatnonzero(self._shard_signatures[home].valid[row])
+                keys = self._shard_signatures[home].signatures[row, columns]
+                for shard, table in zip(shards, self._shard_signatures):
+                    mates = shard.user_table.ids(table.bucket_mates(keys, columns))
+                    members.extend(
+                        user for user in mates.tolist() if user != target and user in pool
+                    )
+                members.sort(key=user_sort_key)
         self._last_neighbour_candidates = len(members)
-        return members
-
-    def _bucket_members(self, target: UserId) -> list[UserId]:
-        """Users sharing a bucket with ``target`` (itself included), sorted."""
-        for home in self._shard_signatures:
-            target_row = home.ordinal.get(target)
-            if target_row is not None:
-                break
-        else:
-            raise UnknownUserError(target)
-        columns = np.flatnonzero(home.valid[target_row])
-        keys = home.signatures[target_row, columns]
-        members: list[UserId] = []
-        for table in self._shard_signatures:
-            users = table.users
-            members.extend(
-                users[row] for row in table.bucket_mates(keys, columns).tolist()
-            )
-        # Shards partition the users, so only the merge across tables can
-        # leave the per-table row (= sort key) order.
-        members.sort(key=user_sort_key)
         return members
 
     # -- accounting -------------------------------------------------------------------
@@ -810,7 +792,7 @@ class BandedSketchIndex:
         (1.0 would mean no pruning at all).
         """
         tables = [table for table in self._shard_signatures if table is not None]
-        users_indexed = sum(len(table.users) for table in tables)
+        users_indexed = sum(len(table.signatures) for table in tables)
         fraction = (
             self._last_candidate_pairs / self._last_pool_pairs
             if self._last_candidate_pairs is not None and self._last_pool_pairs

@@ -20,6 +20,7 @@ up exactly where the previous one stopped.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -381,6 +382,14 @@ class SimilarityService:
         # restored-from-snapshot tables, last candidate fraction) appear once
         # an ``lsh`` query created — or a snapshot load restored — the index.
         stats["index"] = None if self._index is None else self._index.stats()
+        # Bytes held per layer; the paper's cost model charges only "array".
+        memory: Counter = Counter()
+        for shard in sketch.row_shards():
+            memory.update(shard.memory_bytes())
+        memory["index"] = stats["index"]["signature_bytes"] if stats["index"] else 0
+        users = stats["users"]
+        memory["per_user"] = sum(memory.values()) / users if users else None
+        stats["memory_bytes"] = dict(memory)
         shards, cursor = sketch.row_shards(), self._journal_cursor
         stats["persistence"] = {
             "snapshot_path": None if self._snapshot_path is None else str(self._snapshot_path),

@@ -196,16 +196,31 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
 
         Integer columns are routed with one vectorized hash (bit-exact with
         the scalar router); ``object`` columns fall back to scalar hashing per
-        value, so routing works for every hashable id.
+        value, so routing works for every hashable id; so do columns of at most
+        16 ids, where the kernel call's fixed ~20 µs exceeds ~1 µs per id.
         """
         users = np.asarray(users)
-        if users.dtype.kind in "iu":
+        if users.dtype.kind in "iu" and users.shape[0] > 16:
             return self._router.hash_array(users)
         return np.fromiter(
             (self._router(user) for user in users.tolist()),
             dtype=np.int64,
             count=users.shape[0],
         )
+
+    def _by_shard(self, assignment: np.ndarray):
+        """Yield ``(shard_index, positions)`` per shard present in ``assignment``."""
+        # A stable sort groups positions by shard with each group in input
+        # order; the narrow dtype gets NumPy's O(n) radix sort.
+        counts = np.bincount(assignment, minlength=self.num_shards)
+        order = np.argsort(
+            assignment.astype(np.min_scalar_type(self.num_shards - 1)), kind="stable"
+        )
+        start = 0
+        for shard_index, count in enumerate(counts.tolist()):
+            if count:
+                yield shard_index, order[start : start + count]
+                start += count
 
     def split_by_shard(self, batch: ElementBatch):
         """Yield ``(shard_index, sub_batch)`` pairs, order preserved per shard.
@@ -217,17 +232,17 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         stream order, which is what makes batch ingest state-identical to
         per-element routing.
         """
-        assignment = self.shard_assignment(batch.users)
-        counts = np.bincount(assignment, minlength=self.num_shards)
-        # A stable sort groups rows by shard with each group in batch order;
-        # the narrow dtype gets NumPy's O(n) radix sort.
-        order = np.argsort(
-            assignment.astype(np.min_scalar_type(self.num_shards - 1)), kind="stable"
-        )
-        ends = np.cumsum(counts)
-        for shard_index in np.flatnonzero(counts).tolist():
-            start = ends[shard_index] - counts[shard_index]
-            yield shard_index, batch.select(order[start : ends[shard_index]])
+        for shard_index, positions in self._by_shard(self.shard_assignment(batch.users)):
+            yield shard_index, batch.select(positions)
+
+    def route(self, users: Sequence[UserId]):
+        """Yield ``(shard_index, positions, users)`` per owning shard, input order kept.
+
+        One :meth:`shard_assignment`, grouped as :meth:`split_by_shard` groups a batch.
+        """
+        column = id_column(list(users))
+        for shard_index, positions in self._by_shard(self.shard_assignment(column)):
+            yield shard_index, positions, column[positions].tolist()
 
     def process_batch(self, elements) -> int:
         """Vectorized batch ingest: route by user, one sub-batch per shard.
@@ -261,17 +276,11 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         return self.shard_for(user).cardinality(user)
 
     def cardinalities(self, users: Sequence[UserId]) -> np.ndarray:
-        """Bulk :meth:`cardinality`: one :meth:`shard_assignment` routes every user."""
+        """Bulk :meth:`cardinality`: one :meth:`route` groups every user."""
         users = list(users)
         counts = np.empty(len(users), dtype=np.int64)
-        if not users:
-            return counts
-        assignment = self.shard_assignment(id_column(users))
-        for shard_index in np.unique(assignment).tolist():
-            rows = np.flatnonzero(assignment == shard_index)
-            counts[rows] = self._shards[shard_index].cardinalities(
-                [users[row] for row in rows.tolist()]
-            )
+        for shard_index, positions, members in self.route(users):
+            counts[positions] = self._shards[shard_index].cardinalities(members)
         return counts
 
     def has_user(self, user: UserId) -> bool:
@@ -343,46 +352,28 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
 
     # -- bulk queries ----------------------------------------------------------------
 
-    def _user_rows(
-        self, users: Sequence[UserId]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Packed sketch rows, fill fractions and cardinalities per listed user.
-
-        Users are grouped by owning shard so each shard performs one bulk
-        packed-row read (through its own row memo); the rows are then
-        scattered back into input order alongside each user's shard ``beta``
-        and exact cardinality.  The shard assignment is one vectorized hash
-        over the user column (scalar fallback for non-integer ids), matching
-        how :meth:`process_batch` routes.
-        """
-        users = list(users)
-        rows = np.empty(
-            (len(users), packed_row_bytes(self.virtual_sketch_size)), dtype=np.uint8
-        )
-        betas = np.empty(len(users), dtype=np.float64)
-        cardinalities = np.empty(len(users), dtype=np.int64)
-        shard_of_user = self.shard_assignment(id_column(users)).tolist()
-        for shard_index in sorted(set(shard_of_user)):
-            member_rows = [
-                row for row, owner in enumerate(shard_of_user) if owner == shard_index
-            ]
-            shard = self._shards[shard_index]
-            member_users = [users[row] for row in member_rows]
-            rows[member_rows] = shard._packed_rows(member_users)
-            betas[member_rows] = shard.beta
-            cardinalities[member_rows] = shard.cardinalities(member_users)
-        return rows, betas, cardinalities
-
     def _indexed_pair_arrays(
         self, users: Sequence[UserId], index_a: np.ndarray, index_b: np.ndarray
     ) -> tuple[np.ndarray, ...]:
         """The :class:`~repro.core.vos.VectorizedPairQueries` hook across shards.
 
+        One :meth:`route` groups the users by owning shard, so each shard
+        performs one bulk packed-row read (through its own row memo); rows,
+        fill fractions and cardinalities are scattered back into input order.
         Each pair side carries the fill fraction of the shard its user lives
         on, so the shared estimator entry points evaluate the two-array
         (cross-shard) generalization pair by pair.
         """
-        rows, betas, cardinalities = self._user_rows(users)
+        rows = np.empty(
+            (len(users), packed_row_bytes(self.virtual_sketch_size)), dtype=np.uint8
+        )
+        betas = np.empty(len(users), dtype=np.float64)
+        cardinalities = np.empty(len(users), dtype=np.int64)
+        for shard_index, positions, members in self.route(users):
+            shard = self._shards[shard_index]
+            rows[positions] = shard._packed_rows(members)
+            betas[positions] = shard.beta
+            cardinalities[positions] = shard.cardinalities(members)
         counts = pair_xor_counts(rows, index_a, index_b)
         alphas = counts.astype(np.float64) / self.virtual_sketch_size
         return (

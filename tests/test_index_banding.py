@@ -345,7 +345,6 @@ class TestSearchIntegration:
         # Rows 0 and 1 hold the same two signatures in swapped columns, so
         # they share no bucket; row 2 shares column 0 with row 0.
         table = _ShardSignatures.of(
-            ("a", "b", "c"),
             np.array([[5, 7], [7, 5], [5, 9]], dtype=np.uint64),
             np.ones((3, 2), dtype=bool),
         )
@@ -552,6 +551,34 @@ class TestIndexPersistence:
         assert got_a.tolist() == live_a.tolist()
         assert got_b.tolist() == live_b.tolist()
         assert missing in restored.neighbour_candidates(missing - 1, pool)
+
+    def test_section_naming_a_user_the_shard_lacks_is_not_adopted(self, tmp_path):
+        from repro.index import INDEX_SNAPSHOT_SECTION
+        from repro.service.snapshot import dumps_snapshot
+
+        service = SimilarityService.from_config(
+            ServiceConfig(expected_users=200, num_shards=2, seed=6)
+        )
+        service.ingest(clone_pool_elements(num_users=120))
+        state = service.index().export_state()
+        # A CRC-valid section whose column names 999999 in place of user 11.
+        home = service.sketch.shard_of(11)
+        users = state["shards"][home]["users"]
+        users[users.index(11)] = 999999
+        path = tmp_path / "state.vos"
+        path.write_bytes(
+            dumps_snapshot(service.sketch, extras={INDEX_SNAPSHOT_SECTION: state})
+        )
+        restored = SimilarityService.load(path)
+        assert restored.stats()["index"]["restored"] == 1
+        fresh = SimilarityService.from_state_bytes(
+            service.dumps_state(include_index=False)
+        )
+        answers = {user: fresh.top_k(user, k=5, index="lsh") for user in (11, 118, 4, 5)}
+        assert answers[11] and answers[4]
+        for user, expected in answers.items():
+            assert restored.top_k(user, k=5, index="lsh") == expected
+        assert restored.stats()["index"]["rebuilds"] == 1
 
     def test_cancelled_batch_restart_rebuilds_one_shard(self, tmp_path):
         service = SimilarityService.from_config(

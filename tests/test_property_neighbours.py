@@ -81,8 +81,14 @@ def _reference_candidates(index, sketch, target, candidates, minimum_cardinality
         return []
     rows = []
     for user in [target, *others]:
-        table = next(t for t in index._shard_signatures if user in t.ordinal)
-        row = table.ordinal[user]
+        # Table row r is the owning shard's user ordinal r.
+        position, shard = next(
+            (position, shard)
+            for position, shard in enumerate(sketch.row_shards())
+            if user in shard.user_table.keys()
+        )
+        table = index._shard_signatures[position]
+        (row,) = shard.user_table.ordinals([user])
         rows.append((table.signatures[row], table.valid[row]))
     signatures = np.stack([signature for signature, _ in rows])
     valid = np.stack([mask for _, mask in rows])

@@ -250,14 +250,16 @@ class TestCarriedIndexTables:
         first_reference = _whole_state_copy(writer)
         first_index = first.index()
         first_index.refresh()
+        # Table row r describes the user of ordinal r in its shard.
         tables = [
             (
-                tuple(table.users),
-                dict(table.ordinal),
+                shard.user_table.ids(np.arange(len(table.signatures))).tolist(),
                 table.signatures.copy(),
                 table.valid.copy(),
             )
-            for table in first_index._shard_signatures
+            for shard, table in zip(
+                first.sketch.row_shards(), first_index._shard_signatures
+            )
         ]
         users_indexed = first_index.stats()["users_indexed"]
         shapes = [
@@ -269,6 +271,13 @@ class TestCarriedIndexTables:
         delta = writer.freeze_delta(publisher.cursor)
         assert delta["shards"] and not any(len(e["words"]) for e in delta["shards"])
         second = publisher.publish_delta(delta, previous_service=first)
+        # Carried tables are re-keyed, not copied: they share the arrays.
+        assert all(
+            carried.signatures is table.signatures and carried.valid is table.valid
+            for carried, table in zip(
+                second.index()._shard_signatures, first_index._shard_signatures
+            )
+        )
         second_reference = _whole_state_copy(writer)
         assert second.top_k_pairs(k=10, candidates="lsh") == (
             second_reference.top_k_pairs(k=10, candidates="lsh")
@@ -278,11 +287,11 @@ class TestCarriedIndexTables:
         )
         assert second.index().stats()["users_indexed"] == users_indexed + 1
 
-        for table, (users, ordinal, signatures, valid) in zip(
-            first_index._shard_signatures, tables
+        for shard, table, (users, signatures, valid) in zip(
+            first.sketch.row_shards(), first_index._shard_signatures, tables
         ):
-            assert tuple(table.users) == users
-            assert table.ordinal == ordinal
+            rows = np.arange(len(table.signatures))
+            assert shard.user_table.ids(rows).tolist() == users
             assert np.array_equal(table.signatures, signatures)
             assert np.array_equal(table.valid, valid)
         assert first_index.stats()["users_indexed"] == users_indexed

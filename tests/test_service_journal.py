@@ -336,8 +336,13 @@ def _journal_with_legacy_index_rows(tmp_path):
     assert service.save_delta()["records"] == 1
     index = service.index()
     index.refresh()
-    table = next(t for t in index._shard_signatures if 9001 in t.ordinal)
-    rows = [table.ordinal[9001]]
+    position, shard = next(
+        (position, shard)
+        for position, shard in enumerate(service.sketch.row_shards())
+        if shard.has_user(9001)
+    )
+    table = index._shard_signatures[position]
+    rows = shard.user_table.ordinals([9001])
     signatures = table.signatures[rows]
     valid = table.valid[rows]
     users_blob, users_encoding = encode_id_column([9001])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.vos import packed_row_bytes
 from repro.exceptions import ConfigurationError
 from repro.service import ServiceConfig, SimilarityService
 from repro.service.sharding import ShardedVOS
@@ -74,6 +75,28 @@ class TestIngestAndQuery:
         assert stats["num_shards"] == 4
         assert len(stats["shard_betas"]) == 4
         assert stats["memory_bits"] == fed_service.sketch.memory_bits()
+
+    def test_memory_bytes_per_layer(self, small_dynamic_stream):
+        service = SimilarityService.from_config(
+            ServiceConfig(expected_users=500, num_shards=4, seed=3)
+        )
+        service.ingest(small_dynamic_stream)
+        shards = service.sketch.row_shards()
+        cold = service.stats()["memory_bytes"]
+        assert set(cold) == {"array", "user_table", "row_memo", "index", "per_user"}
+        # Packed bits plus the word stamps the tracked ingest allocated.
+        assert cold["array"] == sum(2 * shard.shared_array.storage.nbytes for shard in shards)
+        assert cold["user_table"] > 16 * service.stats()["users"]  # two int64 columns
+        assert cold["row_memo"] == cold["index"] == 0
+        service.top_k_pairs(k=3, candidates="lsh")
+        stats = service.stats()
+        warm = stats["memory_bytes"]
+        row_bytes = packed_row_bytes(service.sketch.virtual_sketch_size)
+        assert warm["row_memo"] == (row_bytes + 8) * stats["users"]
+        assert warm["index"] == stats["index"]["signature_bytes"] > 0
+        layers = ("array", "user_table", "row_memo", "index")
+        assert warm["per_user"] == sum(warm[layer] for layer in layers) / stats["users"]
+        assert stats["sketch_cache"].keys() == {"entries", "hits", "misses"}
 
 
 class TestPersistence:
