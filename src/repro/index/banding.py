@@ -39,19 +39,22 @@ sub-quadratic on sparse sketches:
   when that shard's array change stamp or user count moves) and merges all
   tables at query time, so cross-shard pairs are proposed exactly like
   same-shard pairs.
+
+The signature tables persist in a snapshot's ``index/banding`` section
+(:func:`encode_index_state` / :func:`decode_index_state`), a
+:mod:`repro.framing` block whose declared counts are checked before they
+size anything.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from collections.abc import Container, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro import kernels
+from repro import framing, kernels
 from repro.core.vos import packed_row_bytes
 from repro.exceptions import ConfigurationError, SnapshotError, UnknownUserError
 from repro.obs import get_registry, trace
@@ -825,11 +828,13 @@ class BandedSketchIndex:
 #
 # The header records the band layout and, per shard, the row count and the
 # byte lengths/encodings of its three payloads: the user column (raw int64 or
-# a UTF-8 JSON array — the same id-column scheme as ``.vosstream``), the
+# a UTF-8 JSON array — the id-column codec ``.vosstream`` uses too), the
 # signature matrix (row-major little-endian uint64, ``bands + 1`` columns) and
 # the validity mask (``np.packbits`` of the flattened boolean matrix).  The
-# snapshot's payload CRC already covers these bytes, so the codec validates
-# structure only.
+# block is the shared :mod:`repro.framing` block.  The snapshot's payload CRC
+# already covers these bytes, so the codec validates structure only: every
+# declared count must be a non-negative JSON integer that agrees with the
+# bytes that follow.
 
 
 def encode_index_state(state: dict) -> bytes:
@@ -860,65 +865,43 @@ def encode_index_state(state: dict) -> bytes:
         "seed": state["seed"],
         "shards": shard_entries,
     }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return struct.pack("<I", len(header_bytes)) + header_bytes + b"".join(payloads)
+    return framing.pack_block(header, *payloads)
 
 
 def decode_index_state(data: bytes) -> dict:
     """Inverse of :func:`encode_index_state`; raises :class:`SnapshotError` on damage."""
-    if len(data) < 4:
-        raise SnapshotError("index section is truncated (no header)")
-    (header_length,) = struct.unpack_from("<I", data)
-    header_bytes = data[4 : 4 + header_length]
-    if len(header_bytes) != header_length:
-        raise SnapshotError("index section is truncated (incomplete header)")
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-        bands = header["bands"]
-        shard_entries = header["shards"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as error:
-        raise SnapshotError(f"index section header is corrupt: {error!r}") from error
-    if not isinstance(bands, int) or bands < 0 or not isinstance(shard_entries, list):
-        raise SnapshotError("index section header is corrupt: bad bands/shards")
+    header, payload = framing.read_block(data, SnapshotError, "index section")
+    what = "index section header"
+    bands = framing.count(header, "bands", SnapshotError, what)
+    rows_per_band = framing.count(header, "rows_per_band", SnapshotError, what, 1)
+    min_band_bits = framing.count(header, "min_band_bits", SnapshotError, what, 2)
+    seed = header.get("seed", 0)
+    if type(seed) is not int:
+        raise SnapshotError(f"{what} field 'seed' is {seed!r}, not an integer")
     columns = bands + 1
-    offset = 4 + header_length
+    if columns * 8 > np.iinfo(np.intp).max:  # no array can have such a row
+        raise SnapshotError(f"index section declares {bands} bands per row")
     shards: list[dict] = []
-    try:
-        for entry in shard_entries:
-            rows = entry["rows"]
-            users_blob = data[offset : offset + entry["users_bytes"]]
-            offset += entry["users_bytes"]
-            signatures_blob = data[offset : offset + entry["signatures_bytes"]]
-            offset += entry["signatures_bytes"]
-            valid_blob = data[offset : offset + entry["valid_bytes"]]
-            offset += entry["valid_bytes"]
-            if (
-                len(signatures_blob) != rows * columns * 8
-                or len(valid_blob) != (rows * columns + 7) // 8
-            ):
-                raise SnapshotError("index section payload disagrees with its header")
-            users = decode_id_column(users_blob, entry["users_encoding"], rows)
-            signatures = (
-                np.frombuffer(signatures_blob, dtype="<u8")
-                .astype(np.uint64)
-                .reshape(rows, columns)
-            )
-            valid = (
-                np.unpackbits(
-                    np.frombuffer(valid_blob, dtype=np.uint8), count=rows * columns
-                )
-                .astype(bool)
-                .reshape(rows, columns)
-            )
-            shards.append({"users": users, "signatures": signatures, "valid": valid})
-    except (KeyError, TypeError) as error:
-        raise SnapshotError(f"index section header is corrupt: {error!r}") from error
-    if offset != len(data):
-        raise SnapshotError("index section payload disagrees with its header")
-    return {
-        "bands": bands,
-        "rows_per_band": header.get("rows_per_band", 1),
-        "min_band_bits": header.get("min_band_bits", 2),
-        "seed": header.get("seed", 0),
-        "shards": shards,
-    }
+    for entry in framing.mappings(header, "shards", SnapshotError, what):
+        rows = framing.count(entry, "rows", SnapshotError, f"{what} shard")
+        cells = rows * columns
+        users_blob = payload.take(entry.get("users_bytes"), "users")
+        signatures_blob = payload.take(entry.get("signatures_bytes"), "signatures")
+        valid_blob = payload.take(entry.get("valid_bytes"), "validity bits")
+        if len(signatures_blob) != cells * 8 or len(valid_blob) != (cells + 7) // 8:
+            raise SnapshotError("index section payload disagrees with its header")
+        users = decode_id_column(users_blob, entry.get("users_encoding"), rows)
+        signatures = (
+            np.frombuffer(signatures_blob, dtype="<u8")
+            .astype(np.uint64)
+            .reshape(rows, columns)
+        )
+        valid = (
+            np.unpackbits(np.frombuffer(valid_blob, dtype=np.uint8), count=cells)
+            .astype(bool)
+            .reshape(rows, columns)
+        )
+        shards.append({"users": users.tolist(), "signatures": signatures, "valid": valid})
+    payload.finish()
+    layout = {"rows_per_band": rows_per_band, "min_band_bits": min_band_bits, "seed": seed}
+    return {"bands": bands, **layout, "shards": shards}

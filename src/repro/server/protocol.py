@@ -2,7 +2,8 @@
 
 Every message between :class:`~repro.server.client.ServingClient` and
 :class:`~repro.server.daemon.ServingDaemon` is one *frame* over a stream
-socket (little-endian, mirroring the ``.vosstream`` and journal framing)::
+socket — the :mod:`repro.framing` frame the journal's records use too
+(little-endian)::
 
     offset  size  field
     0       4     body length N (u32; ceiling MAX_FRAME_BYTES)
@@ -37,14 +38,12 @@ compare equal (``==``) to in-process answers, including string user ids.
 
 from __future__ import annotations
 
-import json
 import socket
-import struct
-import zlib
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from repro import framing
 from repro._version import __version__
 from repro.baselines.base import PairEstimate
 from repro.exceptions import ProtocolError
@@ -74,8 +73,6 @@ REQUEST_OPS = (
     "shutdown",
 )
 
-_FRAME = struct.Struct("<II")  # (body length, body CRC-32)
-
 
 def _json_default(value: object) -> object:
     """JSON encoder fallback: numpy scalars/arrays and sets, exactly."""
@@ -91,9 +88,7 @@ def _json_default(value: object) -> object:
 def encode_frame(payload: dict) -> bytes:
     """One wire frame for a JSON-serializable payload dict."""
     try:
-        body = json.dumps(
-            payload, separators=(",", ":"), default=_json_default
-        ).encode("utf-8")
+        body = framing.json_bytes(payload, default=_json_default)
     except TypeError as error:
         raise ProtocolError(str(error)) from error
     if len(body) > MAX_FRAME_BYTES:
@@ -101,7 +96,7 @@ def encode_frame(payload: dict) -> bytes:
             f"frame body of {len(body)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte frame ceiling"
         )
-    return _FRAME.pack(len(body), zlib.crc32(body)) + body
+    return framing.pack_frame(body)
 
 
 def send_frame(sock: socket.socket, payload: dict) -> int:
@@ -131,10 +126,10 @@ def _recv_exact(sock: socket.socket, length: int) -> bytes | None:
 
 def recv_frame(sock: socket.socket) -> dict | None:
     """Receive one frame; ``None`` when the peer closed at a frame boundary."""
-    prefix = _recv_exact(sock, _FRAME.size)
+    prefix = _recv_exact(sock, framing.FRAME.size)
     if prefix is None:
         return None
-    length, crc = _FRAME.unpack(prefix)
+    length, crc = framing.FRAME.unpack(prefix)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame declares {length} bytes, over the {MAX_FRAME_BYTES}-byte ceiling"
@@ -142,17 +137,8 @@ def recv_frame(sock: socket.socket) -> dict | None:
     body = _recv_exact(sock, length)
     if body is None:
         raise ProtocolError("connection closed between frame prefix and body")
-    if zlib.crc32(body) != crc:
-        raise ProtocolError("frame CRC mismatch: body corrupted in transit")
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ProtocolError(f"frame body is not valid JSON: {error}") from error
-    if not isinstance(payload, dict):
-        raise ProtocolError(
-            f"frame body must be a JSON object, got {type(payload).__name__}"
-        )
-    return payload
+    framing.check_crc(body, crc, ProtocolError, "frame body (corrupted in transit)")
+    return framing.json_object(body, ProtocolError, "frame body")
 
 
 # -- handshake -----------------------------------------------------------------------

@@ -10,18 +10,19 @@ system component.  These pieces compose:
 * :mod:`repro.service.snapshot` — versioned, checksummed binary save/load of
   sketch state with a bit-exact round-trip guarantee, atomic writes, and a
   pluggable extra-section registry (the banding index persists its signature
-  tables through it);
+  tables through it), framed by :mod:`repro.framing` like every other
+  binary format;
 * :mod:`repro.service.delta` — the shard delta, the one record of what a
   shard changed after a consumer's cursor (journal checkpoints and epoch
   publishes both ship it);
 * :mod:`repro.service.journal` — the write-ahead shard journal: CRC-framed
-  shard deltas (plus index signature appends) between full checkpoints,
-  replayed on load;
+  shard deltas between full checkpoints, replayed on load;
 * :mod:`repro.service.service` — :class:`SimilarityService`, the facade that
   owns a sharded sketch and exposes ``ingest`` / ``estimate`` / ``top_k`` plus
   full/delta checkpointing and journal compaction under a
-  :class:`CheckpointPolicy` (wired to the ``repro ingest`` / ``repro topk`` /
-  ``repro snapshot`` CLI).
+  :class:`CheckpointPolicy` (set through :class:`ServiceConfig`; the
+  ``repro ingest`` / ``topk`` / ``snapshot`` CLI reads and writes snapshots
+  but sets no policy).
 """
 
 from repro.service.batching import (

@@ -32,20 +32,22 @@ A *cleanly truncated tail* — the crash-mid-append case, where the file ends
 before a record's declared length — is not an error: replay stops at the last
 complete record and reports the truncation, and the writer trims the torn
 tail before appending again.
+
+The file header, record frames and record bodies are :mod:`repro.framing`'s
+file header, frame and block.
 """
 
 from __future__ import annotations
 
-import json
+import io
 import logging
 import os
-import struct
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from repro import framing
 from repro.exceptions import SnapshotError
 from repro.obs import get_registry, kv, timed
 from repro.service.delta import apply_shard_delta
@@ -60,9 +62,11 @@ logger = logging.getLogger(__name__)
 JOURNAL_MAGIC = b"VOSJRNL\x00"
 JOURNAL_FORMAT_VERSION = 1
 
-_PREFIX = struct.Struct("<II")  # (format version, header length)
-_FRAME = struct.Struct("<II")  # (body length, body CRC-32)
-_U32 = struct.Struct("<I")
+#: The counts every record header declares, in the order the decoder reads them.
+_RECORD_COUNTS = (
+    "seq", "shard", "shard_seq", "words", "counters", "counter_users_bytes", "ones_count",
+    "num_users",
+)
 
 
 def default_journal_path(snapshot_path: str | Path) -> Path:
@@ -123,123 +127,44 @@ class JournalContents:
     end_offset: int = 0
 
 
-def _encode_record(
-    seq: int,
-    shard: int,
-    shard_seq: int,
-    word_indices: np.ndarray,
-    word_data: bytes,
-    counter_users,
-    counter_counts: np.ndarray,
-    ones_count: int,
-    num_users: int,
-) -> bytes:
-    users_blob, users_encoding = encode_id_column(counter_users)
-    header: dict = {
-        "seq": seq,
-        "shard": shard,
-        "shard_seq": shard_seq,
-        "words": int(word_indices.size),
-        "counters": len(counter_users),
-        "counter_encoding": users_encoding,
-        "counter_users_bytes": len(users_blob),
-        "ones_count": ones_count,
-        "num_users": num_users,
-    }
-    payload_parts = [
-        word_indices.astype("<i8").tobytes(),
-        word_data,
-        users_blob,
-        counter_counts.astype("<i8").tobytes(),
-    ]
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    body = _U32.pack(len(header_bytes)) + header_bytes + b"".join(payload_parts)
-    return _FRAME.pack(len(body), zlib.crc32(body)) + body
-
-
 def _decode_record(body: bytes, frame_index: int) -> DeltaRecord:
     """Decode one record body (its CRC has already been verified)."""
-
-    def corrupt(reason: str) -> SnapshotError:
-        return SnapshotError(f"journal record {frame_index} is corrupt: {reason}")
-
-    if len(body) < _U32.size:
-        raise corrupt("no record header")
-    (header_length,) = _U32.unpack_from(body)
-    header_bytes = body[_U32.size : _U32.size + header_length]
-    if len(header_bytes) != header_length:
-        raise corrupt("incomplete record header")
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise corrupt(repr(error)) from error
-    if not isinstance(header, dict):
-        raise corrupt("record header is not a JSON object")
-
-    def count(name: str, default: int | None = None) -> int:
-        if default is None and name not in header:
-            raise corrupt(f"record header lacks {name!r}")
-        value = header.get(name, default)
-        # ``type`` rather than ``isinstance``: JSON ``true`` is a bool, which
-        # is an int subclass and must not pass as shard 1.
-        if type(value) is not int or value < 0:
-            raise corrupt(f"record header field {name!r} is {value!r}, not a count")
-        return value
-
-    seq = count("seq")
-    shard = count("shard")
-    shard_seq = count("shard_seq")
-    words = count("words")
-    counters = count("counters")
-    counter_users_bytes = count("counter_users_bytes")
-    ones_count = count("ones_count")
-    num_users = count("num_users")
-    offset = _U32.size + header_length
-
-    def take(length: int, what: str) -> bytes:
-        nonlocal offset
-        blob = body[offset : offset + length]
-        if len(blob) != length:
-            raise corrupt(f"payload is missing {what}")
-        offset += length
-        return blob
-
-    try:
-        word_indices = np.frombuffer(
-            take(words * 8, "word indices"), dtype="<i8"
-        ).astype(np.int64)
-        word_data = take(words * 8, "word data")
-        counter_users = decode_id_column(
-            take(counter_users_bytes, "counter users"),
-            header.get("counter_encoding"),
-            counters,
+    what = f"journal record {frame_index}"
+    header, payload = framing.read_block(body, SnapshotError, what)
+    what += " header"
+    seq, shard, shard_seq, words, counters, users_bytes, ones_count, num_users = (
+        framing.count(header, name, SnapshotError, what) for name in _RECORD_COUNTS
+    )
+    word_indices = np.frombuffer(payload.take(words * 8, "word indices"), dtype="<i8")
+    word_data = payload.take(words * 8, "word data")
+    counter_users = decode_id_column(
+        payload.take(users_bytes, "counter users"), header.get("counter_encoding"), counters
+    ).tolist()
+    counter_counts = np.frombuffer(
+        payload.take(counters * 8, "counter values"), dtype="<i8"
+    ).tolist()
+    # Older writers could append LSH signature rows (users, signatures,
+    # validity bits) to a record.  Their header counts, user column and
+    # lengths are still checked, but the rows are dropped: replay marks
+    # the shard stale and its index table rebuilds on the first query.
+    index_rows = framing.count(header, "index_rows", SnapshotError, what, 0)
+    if index_rows:
+        cells = index_rows * framing.count(header, "index_columns", SnapshotError, what)
+        decode_id_column(
+            payload.take(
+                framing.count(header, "index_users_bytes", SnapshotError, what), "index users"
+            ),
+            header.get("index_users_encoding"),
+            index_rows,
         )
-        counter_counts = np.frombuffer(
-            take(counters * 8, "counter values"), dtype="<i8"
-        ).tolist()
-        # Older writers could append LSH signature rows (users, signatures,
-        # validity bits) to a record.  Their header counts, user column and
-        # lengths are still checked, but the rows are dropped: replay marks
-        # the shard stale and its index table rebuilds on the first query.
-        index_rows = count("index_rows", 0)
-        if index_rows:
-            cells = index_rows * count("index_columns")
-            decode_id_column(
-                take(count("index_users_bytes"), "index users"),
-                header.get("index_users_encoding"),
-                index_rows,
-            )
-            take(cells * 8 + (cells + 7) // 8, "index signature rows")
-    except (TypeError, ValueError) as error:
-        raise corrupt(repr(error)) from error
-    if offset != len(body):
-        raise corrupt("payload holds trailing bytes its header does not describe")
+        payload.take(cells * 8 + (cells + 7) // 8, "index signature rows")
+    payload.finish()
     return DeltaRecord(
         seq=seq,
         shard_seq=shard_seq,
         delta={
             "shard": shard,
-            "words": word_indices,
+            "words": word_indices.astype(np.int64),
             "word_data": word_data,
             "counter_users": counter_users,
             "counter_counts": counter_counts,
@@ -252,29 +177,14 @@ def _decode_record(body: bytes, frame_index: int) -> DeltaRecord:
 # -- reading -------------------------------------------------------------------------
 
 
-def _journal_header_length(prefix: bytes) -> int:
-    """Validate a journal's magic + version prefix; returns the header length."""
-    if len(prefix) < len(JOURNAL_MAGIC) + _PREFIX.size:
-        raise SnapshotError("journal is truncated (no header)")
-    if prefix[: len(JOURNAL_MAGIC)] != JOURNAL_MAGIC:
-        raise SnapshotError("not a VOS journal (bad magic)")
-    version, header_length = _PREFIX.unpack_from(prefix, len(JOURNAL_MAGIC))
-    if version != JOURNAL_FORMAT_VERSION:
-        raise SnapshotError(
-            f"unsupported journal version {version} (this build reads "
-            f"version {JOURNAL_FORMAT_VERSION})"
-        )
-    return header_length
-
-
-def _journal_checkpoint_from(header_bytes: bytes, header_length: int) -> str:
-    """Parse a journal's JSON header; returns its checkpoint id."""
-    if len(header_bytes) != header_length:
-        raise SnapshotError("journal is truncated (incomplete header)")
-    try:
-        return str(json.loads(header_bytes.decode("utf-8"))["checkpoint_id"])
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as error:
-        raise SnapshotError(f"journal header is corrupt: {error!r}") from error
+def _read_header(stream) -> str:
+    """Check a journal's file header; returns the checkpoint id it binds to."""
+    _, header = framing.read_file_header(
+        stream, JOURNAL_MAGIC, (JOURNAL_FORMAT_VERSION,), SnapshotError, "journal"
+    )
+    if "checkpoint_id" not in header:
+        raise SnapshotError("journal header lacks 'checkpoint_id'")
+    return str(header["checkpoint_id"])
 
 
 def read_journal(path: str | Path) -> JournalContents:
@@ -288,34 +198,23 @@ def read_journal(path: str | Path) -> JournalContents:
     if not source.exists():
         raise SnapshotError(f"journal file not found: {source}")
     data = source.read_bytes()
-    header_length = _journal_header_length(data[: len(JOURNAL_MAGIC) + _PREFIX.size])
-    header_start = len(JOURNAL_MAGIC) + _PREFIX.size
-    checkpoint_id = _journal_checkpoint_from(
-        data[header_start : header_start + header_length], header_length
-    )
-    contents = JournalContents(checkpoint_id=checkpoint_id)
-    offset = header_start + header_length
+    stream = io.BytesIO(data)
+    contents = JournalContents(checkpoint_id=_read_header(stream))
     # A torn FIRST record must leave end_offset at the end of the file
     # header, not 0 — the writer trims to end_offset on resume, and
     # truncating to 0 would destroy the header itself.
-    contents.end_offset = offset
+    offset = contents.end_offset = stream.tell()
     shard_seqs: dict[int, int] = {}
     frame_index = 0
     while offset < len(data):
         frame_index += 1
-        frame = data[offset : offset + _FRAME.size]
-        if len(frame) < _FRAME.size:
+        frame = framing.read_frame(
+            data, offset, SnapshotError, f"journal record {frame_index}"
+        )
+        if frame is None:
             contents.truncated_tail = True
             break
-        body_length, crc = _FRAME.unpack(frame)
-        body = data[offset + _FRAME.size : offset + _FRAME.size + body_length]
-        if len(body) != body_length:
-            contents.truncated_tail = True
-            break
-        if zlib.crc32(body) != crc:
-            raise SnapshotError(
-                f"journal record {frame_index} failed its CRC-32 check"
-            )
+        body, offset = frame
         record = _decode_record(body, frame_index)
         if record.seq != frame_index:
             raise SnapshotError(
@@ -331,10 +230,7 @@ def read_journal(path: str | Path) -> JournalContents:
             )
         shard_seqs[record.shard] = record.shard_seq
         contents.records.append(record)
-        offset += _FRAME.size + body_length
         contents.end_offset = offset
-    if not contents.truncated_tail:
-        contents.end_offset = len(data)
     return contents
 
 
@@ -430,11 +326,7 @@ def journal_checkpoint_id(path: str | Path) -> str:
     if not source.exists():
         raise SnapshotError(f"journal file not found: {source}")
     with source.open("rb") as handle:
-        header_length = _journal_header_length(
-            handle.read(len(JOURNAL_MAGIC) + _PREFIX.size)
-        )
-        header_bytes = handle.read(header_length)
-    return _journal_checkpoint_from(header_bytes, header_length)
+        return _read_header(handle)
 
 
 def journal_info(path: str | Path) -> dict:
@@ -501,17 +393,16 @@ class JournalWriter:
             for record in contents.records:
                 self._shard_seqs[record.shard] = record.shard_seq
         else:
-            header = json.dumps(
-                {"checkpoint_id": checkpoint_id}, separators=(",", ":")
-            ).encode("utf-8")
             # Atomic + fsynced: a crash during creation must not leave a torn
             # header that bricks every subsequent load (torn *records* are
             # tolerated; a torn file header cannot be).
             atomic_write_bytes(
                 self._path,
-                JOURNAL_MAGIC
-                + _PREFIX.pack(JOURNAL_FORMAT_VERSION, len(header))
-                + header,
+                framing.pack_file_header(
+                    JOURNAL_MAGIC,
+                    JOURNAL_FORMAT_VERSION,
+                    {"checkpoint_id": checkpoint_id},
+                ),
             )
 
     @property
@@ -560,16 +451,26 @@ class JournalWriter:
             raise SnapshotError("delta counter columns differ in length")
         self._seq += 1
         shard_seq = self._shard_seqs.get(shard, 0) + 1
-        record = _encode_record(
-            self._seq,
-            shard,
-            shard_seq,
-            word_indices,
-            word_data,
-            counter_users,
-            counter_counts,
-            ones_count,
-            num_users,
+        users_blob, users_encoding = encode_id_column(counter_users)
+        header = {
+            "seq": self._seq,
+            "shard": shard,
+            "shard_seq": shard_seq,
+            "words": int(word_indices.size),
+            "counters": len(counter_users),
+            "counter_encoding": users_encoding,
+            "counter_users_bytes": len(users_blob),
+            "ones_count": ones_count,
+            "num_users": num_users,
+        }
+        record = framing.pack_frame(
+            framing.pack_block(
+                header,
+                word_indices.astype("<i8").tobytes(),
+                word_data,
+                users_blob,
+                counter_counts.astype("<i8").tobytes(),
+            )
         )
         registry = get_registry()
         with timed("persistence.journal.append", registry):

@@ -90,7 +90,7 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         *,
         seed: int = 0,
     ) -> None:
-        super().__init__()
+        # No SimilaritySketch.__init__: each shard owns its users' table.
         if num_shards <= 0:
             raise ConfigurationError(f"num_shards must be positive, got {num_shards}")
         self.num_shards = num_shards
@@ -125,7 +125,6 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
             raise ConfigurationError("from_shards requires at least one shard")
         first = shards[0]
         wrapper = cls.__new__(cls)
-        SimilaritySketch.__init__(wrapper)
         wrapper.num_shards = len(shards)
         wrapper.shard_array_bits = first.shared_array_bits
         wrapper.virtual_sketch_size = first.virtual_sketch_size
@@ -271,6 +270,13 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         raise NotImplementedError("ShardedVOS routes whole elements via process()")
 
     # -- per-user bookkeeping (delegated to the owning shard) ------------------------
+
+    @property
+    def user_table(self):
+        """Not available: users are partitioned across the shards' tables."""
+        raise ConfigurationError(
+            "a ShardedVOS keeps one user table per shard; read shards[i].user_table"
+        )
 
     def cardinality(self, user: UserId) -> int:
         return self.shard_for(user).cardinality(user)

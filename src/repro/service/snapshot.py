@@ -21,7 +21,10 @@ The header's section table records each core section's name, byte length and
 (for id columns) encoding in payload order; the CRC-32 of the whole payload is
 verified on load, so flipped bits and truncation surface as
 :class:`~repro.exceptions.SnapshotError` rather than silently corrupted
-estimates.
+estimates.  The CRC does not cover the header (a :mod:`repro.framing` file
+header), so every parameter and length it declares is checked before it
+sizes anything: an ``m``-bit array is built only once its section holds
+exactly ``ceil(m / 8)`` bytes.
 
 **What's new in v2** over the v1 format (whose core sections are unchanged,
 which is why v1 files still load):
@@ -45,9 +48,8 @@ which is why v1 files still load):
 
 from __future__ import annotations
 
-import json
+import io
 import os
-import struct
 import tempfile
 import uuid
 import zlib
@@ -57,6 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import framing
 from repro.core.vos import VirtualOddSketch
 from repro.exceptions import ConfigurationError, SnapshotError
 from repro.service.sharding import ShardedVOS
@@ -213,13 +216,7 @@ def dumps_snapshot(
         "extras": extra_entries,
         "crc32": zlib.crc32(payload),
     }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return (
-        MAGIC
-        + struct.pack("<II", FORMAT_VERSION, len(header_bytes))
-        + header_bytes
-        + payload
-    )
+    return framing.pack_file_header(MAGIC, FORMAT_VERSION, header) + payload
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -297,28 +294,43 @@ class SnapshotState:
     unknown_extras: tuple[str, ...] = ()
 
 
+def _section_bytes(entries: list[dict], default: int | None = None) -> int:
+    """Total bytes a section table declares."""
+    what = "snapshot section"
+    return sum(framing.count(e, "bytes", SnapshotError, what, default) for e in entries)
+
+
 def _split_sections(
     header: dict, payload: bytes
 ) -> tuple[dict[str, bytes], dict[str, str | None], dict[str, bytes]]:
     """Slice the payload into core sections, their encodings, and extras."""
-    sections: dict[str, bytes] = {}
-    encodings: dict[str, str | None] = {}
-    offset = 0
-    for entry in header["sections"]:
-        length = entry["bytes"]
-        sections[entry["name"]] = payload[offset : offset + length]
-        encodings[entry["name"]] = entry.get("encoding")
-        offset += length
-    extras: dict[str, bytes] = {}
-    for entry in header.get("extras", []):
-        length = entry["bytes"]
-        extras[entry["name"]] = payload[offset : offset + length]
-        offset += length
-    if offset != len(payload):
+    core, extra = (
+        framing.mappings(header, name, SnapshotError, "snapshot header")
+        for name in ("sections", "extras")
+    )
+    described = _section_bytes(core + extra)
+    if described != len(payload):
         raise SnapshotError(
-            f"payload holds {len(payload)} bytes but sections describe {offset}"
+            f"payload holds {len(payload)} bytes but sections describe {described}"
         )
+    cursor = framing.Cursor(payload, SnapshotError, "snapshot payload")
+    sections = {str(entry.get("name")): cursor.take(entry["bytes"], "a section") for entry in core}
+    extras = {str(entry.get("name")): cursor.take(entry["bytes"], "a section") for entry in extra}
+    encodings = {str(entry.get("name")): entry.get("encoding") for entry in core}
     return sections, encodings, extras
+
+
+def _sketch_parameters(parameters: dict, bits: str) -> tuple[int, int, int]:
+    """``(array bits, virtual sketch size, seed)``, checked before any allocation."""
+    seed = parameters.get("seed")
+    if type(seed) is not int:
+        raise SnapshotError(f"snapshot parameter 'seed' is {seed!r}, not an integer")
+    what = "snapshot parameters"
+    return (
+        framing.count(parameters, bits, SnapshotError, what),
+        framing.count(parameters, "virtual_sketch_size", SnapshotError, what),
+        seed,
+    )
 
 
 def _restore_vos(
@@ -327,32 +339,36 @@ def _restore_vos(
     encodings: dict[str, str | None],
     prefix: str = "",
 ) -> VirtualOddSketch:
-    vos = VirtualOddSketch(
-        shared_array_bits=parameters["shared_array_bits"],
-        virtual_sketch_size=parameters["virtual_sketch_size"],
-        seed=parameters["seed"],
-    )
+    bits, size, seed = _sketch_parameters(parameters, "shared_array_bits")
+    ones_count = framing.count(parameters, "ones_count", SnapshotError, "snapshot parameters")
+    num_users = framing.count(parameters, "num_users", SnapshotError, "snapshot parameters")
     try:
-        vos.shared_array.load_packed_bytes(sections[f"{prefix}array"])
-        users = decode_id_column(
-            sections[f"{prefix}card_users"],
-            encodings.get(f"{prefix}card_users"),
-            parameters["num_users"],
+        array, users_blob, counts_blob = (
+            sections[prefix + name] for name in ("array", "card_users", "card_counts")
         )
-        counts = np.frombuffer(sections[f"{prefix}card_counts"], dtype=np.int64)
     except KeyError as error:
-        raise SnapshotError(f"snapshot is missing section {error}") from error
-    except SnapshotError:
-        raise
-    except Exception as error:
-        raise SnapshotError(f"snapshot payload is corrupt: {error}") from error
-    if vos.shared_array.ones_count != parameters["ones_count"]:
+        raise SnapshotError(f"snapshot is missing section {error}") from None
+    # The header is outside the CRC: match ``bits`` to the file's bytes
+    # before allocating that many bits.
+    if len(array) != (bits + 7) // 8:
+        raise SnapshotError(
+            f"snapshot array section holds {len(array)} bytes, but "
+            f"{bits} bits pack into {(bits + 7) // 8}"
+        )
+    if len(counts_blob) != num_users * 8:
+        raise SnapshotError("cardinality sections disagree with recorded user count")
+    try:
+        vos = VirtualOddSketch(shared_array_bits=bits, virtual_sketch_size=size, seed=seed)
+        vos.shared_array.load_packed_bytes(array)
+    except ConfigurationError as error:
+        raise SnapshotError(f"snapshot state is invalid: {error}") from error
+    users = decode_id_column(users_blob, encodings.get(f"{prefix}card_users"), num_users)
+    counts = np.frombuffer(counts_blob, dtype="<i8")
+    if vos.shared_array.ones_count != ones_count:
         raise SnapshotError(
             "restored array popcount "
-            f"{vos.shared_array.ones_count} != recorded {parameters['ones_count']}"
+            f"{vos.shared_array.ones_count} != recorded {ones_count}"
         )
-    if len(users) != counts.size or counts.size != parameters["num_users"]:
-        raise SnapshotError("cardinality sections disagree with recorded user count")
     try:
         # Untracked: a loaded snapshot is the journal's base, not a change.
         vos.user_table.assign(users, counts, track=False)
@@ -361,33 +377,22 @@ def _restore_vos(
     return vos
 
 
-def _parse_snapshot_prefix(prefix: bytes) -> tuple[int, int]:
-    """Validate magic + version; returns ``(version, header length)``."""
-    if len(prefix) < len(MAGIC) + 8:
-        raise SnapshotError("snapshot is truncated (no header)")
-    if prefix[: len(MAGIC)] != MAGIC:
-        raise SnapshotError("not a VOS snapshot (bad magic)")
-    version, header_length = struct.unpack_from("<II", prefix, len(MAGIC))
-    if version not in SUPPORTED_VERSIONS:
-        supported = ", ".join(str(v) for v in SUPPORTED_VERSIONS)
-        raise SnapshotError(
-            f"unsupported snapshot version {version} (this build reads "
-            f"versions {supported})"
-        )
-    return version, header_length
-
-
-def _parse_snapshot_header(header_bytes: bytes, header_length: int) -> dict:
-    """Parse the JSON header, rejecting truncation and non-object payloads."""
-    if len(header_bytes) != header_length:
-        raise SnapshotError("snapshot is truncated (incomplete header)")
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise SnapshotError(f"snapshot header is corrupt: {error}") from error
-    if not isinstance(header, dict):
-        raise SnapshotError("snapshot header is not a JSON object")
-    return header
+def _restore_sharded(
+    parameters: dict, sections: dict[str, bytes], encodings: dict[str, str | None]
+) -> ShardedVOS:
+    num_shards = framing.count(parameters, "num_shards", SnapshotError, "snapshot parameters")
+    layout = _sketch_parameters(parameters, "shard_array_bits")
+    shard_parameters = framing.mappings(parameters, "shards", SnapshotError, "snapshot parameters")
+    if len(shard_parameters) != num_shards or not num_shards:
+        raise SnapshotError("snapshot records a mismatched shard count")
+    shards = [
+        _restore_vos(entry, sections, encodings, prefix=f"shard{index}/")
+        for index, entry in enumerate(shard_parameters)
+    ]
+    for index, shard in enumerate(shards):
+        if (shard.shared_array_bits, shard.virtual_sketch_size, shard.seed) != layout:
+            raise SnapshotError(f"snapshot shard {index} parameters differ from the sketch's")
+    return ShardedVOS.from_shards(shards, seed=layout[2])
 
 
 def loads_snapshot_state(data: bytes) -> SnapshotState:
@@ -396,43 +401,26 @@ def loads_snapshot_state(data: bytes) -> SnapshotState:
     This is the full-fidelity load; :func:`loads_snapshot` is the
     sketch-only convenience wrapper.
     """
-    version, header_length = _parse_snapshot_prefix(data[: len(MAGIC) + 8])
-    header_start = len(MAGIC) + 8
-    header = _parse_snapshot_header(
-        data[header_start : header_start + header_length], header_length
+    stream = io.BytesIO(data)
+    version, header = framing.read_file_header(
+        stream, MAGIC, SUPPORTED_VERSIONS, SnapshotError, "snapshot"
     )
-    payload = data[header_start + header_length :]
-    if zlib.crc32(payload) != header.get("crc32"):
-        raise SnapshotError("snapshot payload failed its CRC-32 check")
-    # The CRC covers only the payload, so a structurally valid but wrong
-    # header (missing keys, wrong value types) must still land on
-    # SnapshotError rather than leak KeyError/TypeError to callers.
-    try:
-        sections, encodings, extra_blobs = _split_sections(header, payload)
-        parameters = header["parameters"]
-        kind = header["kind"]
-        checkpoint_id = str(header.get("checkpoint_id", ""))
-        if kind == _KIND_VOS:
-            sketch: VirtualOddSketch | ShardedVOS = _restore_vos(
-                parameters, sections, encodings
-            )
-        elif kind == _KIND_SHARDED:
-            if len(parameters["shards"]) != parameters["num_shards"]:
-                raise SnapshotError("snapshot records a mismatched shard count")
-            sketch = ShardedVOS(
-                parameters["num_shards"],
-                parameters["shard_array_bits"],
-                parameters["virtual_sketch_size"],
-                seed=parameters["seed"],
-            )
-            for index, shard_parameters in enumerate(parameters["shards"]):
-                sketch.shards[index] = _restore_vos(
-                    shard_parameters, sections, encodings, prefix=f"shard{index}/"
-                )
-        else:
-            raise SnapshotError(f"unknown snapshot kind {kind!r}")
-    except (KeyError, TypeError, AttributeError) as error:
-        raise SnapshotError(f"snapshot header is malformed: {error!r}") from error
+    payload = data[stream.tell() :]
+    framing.check_crc(payload, header.get("crc32"), SnapshotError, "snapshot payload")
+    # The CRC covers only the payload, so every header field is checked
+    # before it sizes a slice or an allocation.
+    sections, encodings, extra_blobs = _split_sections(header, payload)
+    what = "malformed snapshot header: 'parameters'"
+    parameters = framing.mapping(header.get("parameters"), SnapshotError, what)
+    kind = header.get("kind")
+    if kind == _KIND_VOS:
+        sketch: VirtualOddSketch | ShardedVOS = _restore_vos(
+            parameters, sections, encodings
+        )
+    elif kind == _KIND_SHARDED:
+        sketch = _restore_sharded(parameters, sections, encodings)
+    else:
+        raise SnapshotError(f"unknown snapshot kind {kind!r}")
     extras: dict[str, object] = {}
     unknown: list[str] = []
     for name, blob in extra_blobs.items():
@@ -444,7 +432,7 @@ def loads_snapshot_state(data: bytes) -> SnapshotState:
     return SnapshotState(
         sketch=sketch,
         version=version,
-        checkpoint_id=checkpoint_id,
+        checkpoint_id=str(header.get("checkpoint_id", "")),
         extras=extras,
         unknown_extras=tuple(unknown),
     )
@@ -479,12 +467,16 @@ def snapshot_info(path: str | Path) -> dict:
     if not source.exists():
         raise SnapshotError(f"snapshot file not found: {source}")
     with source.open("rb") as handle:
-        version, header_length = _parse_snapshot_prefix(handle.read(len(MAGIC) + 8))
-        header_bytes = handle.read(header_length)
-    header = _parse_snapshot_header(header_bytes, header_length)
-    parameters = header.get("parameters", {})
-    sections = header.get("sections", [])
-    extras = header.get("extras", [])
+        version, header = framing.read_file_header(
+            handle, MAGIC, SUPPORTED_VERSIONS, SnapshotError, "snapshot"
+        )
+    parameters = framing.mapping(
+        header.get("parameters", {}), SnapshotError, "snapshot parameters"
+    )
+    sections, extras = (
+        framing.mappings(header, name, SnapshotError, "snapshot header")
+        for name in ("sections", "extras")
+    )
     return {
         "path": str(source),
         "file_bytes": source.stat().st_size,
@@ -495,7 +487,7 @@ def snapshot_info(path: str | Path) -> dict:
         "seed": parameters.get("seed"),
         "virtual_sketch_size": parameters.get("virtual_sketch_size"),
         "sections": [entry.get("name") for entry in sections],
-        "section_bytes": sum(entry.get("bytes", 0) for entry in sections),
+        "section_bytes": _section_bytes(sections, 0),
         "extra_sections": [entry.get("name") for entry in extras],
-        "extra_bytes": sum(entry.get("bytes", 0) for entry in extras),
+        "extra_bytes": _section_bytes(extras, 0),
     }

@@ -28,21 +28,24 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, SnapshotError
+from repro.exceptions import ConfigurationError, ReproError, SnapshotError
 from repro.streams.edge import Action, StreamElement
 
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def encode_id_column(values) -> tuple[bytes, str]:
+def encode_id_column(
+    values, error: type[ReproError] = SnapshotError, what: str = "user id"
+) -> tuple[bytes, str]:
     """Serialize an id list or id column for persistence; returns ``(bytes, encoding)``.
 
     Integer populations write a raw little-endian ``int64`` column; anything
     else falls back to a UTF-8 JSON array, so string/float/big-int ids
-    round-trip exactly.  ``bool`` and arbitrary objects are rejected — they
-    would not survive a JSON round trip.  This is the one id-column codec
-    shared by the snapshot counter sections, the journal's delta records and
-    the banding index's persisted user columns.
+    round-trip exactly.  ``bool`` and arbitrary objects are rejected with
+    ``error`` (naming each value a ``what``) — they would not survive a
+    JSON round trip.  This is the one id-column codec: the snapshot counter
+    sections, the journal's delta records, the banding index's persisted
+    user columns and the ``.vosstream`` id columns all use it.
     """
     if isinstance(values, np.ndarray) and values.dtype == np.int64:
         return values.astype("<i8").tobytes(), "int64"
@@ -68,29 +71,37 @@ def encode_id_column(values) -> tuple[bytes, str]:
         elif isinstance(value, numbers.Real):
             normalized.append(float(value))
             continue
-        raise SnapshotError(
-            f"cannot persist user id {value!r}: persisted id columns "
+        raise error(
+            f"cannot persist {what} {value!r}: persisted id columns "
             "support int, str and float identifiers"
         )
     return json.dumps(normalized).encode("utf-8"), "json"
 
 
-def decode_id_column(data: bytes, encoding: str | None, expected: int) -> list:
-    """Inverse of :func:`encode_id_column` (``None`` encoding means ``int64``)."""
+def decode_id_column(
+    data: bytes,
+    encoding: object,
+    expected: int,
+    error: type[ReproError] = SnapshotError,
+    what: str = "user id",
+) -> np.ndarray:
+    """Inverse of :func:`encode_id_column` (``None`` encoding means ``int64``):
+    an :func:`id_column` of exactly ``expected`` ids, or ``error``."""
     if encoding in (None, "int64"):
         if len(data) != expected * 8:
-            raise SnapshotError("user-id column disagrees with recorded user count")
-        column = np.frombuffer(data, dtype="<i8").astype(np.int64).tolist()
-        return column
-    if encoding == "json":
-        try:
-            values = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise SnapshotError(f"user-id column is corrupt: {error}") from error
-        if not isinstance(values, list) or len(values) != expected:
-            raise SnapshotError("user-id column disagrees with recorded user count")
-        return values
-    raise SnapshotError(f"unknown user-id column encoding {encoding!r}")
+            raise error(f"{what} column disagrees with its recorded count")
+        return np.frombuffer(data, dtype="<i8").astype(np.int64, copy=False)
+    if encoding != "json":
+        raise error(f"unknown {what} column encoding {encoding!r}")
+    try:
+        values = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # as in repro.framing.json_object
+        raise error(f"{what} column is corrupt: {exc}") from exc
+    if not isinstance(values, list) or len(values) != expected:
+        raise error(f"{what} column disagrees with its recorded count")
+    if not set(map(type, values)) <= {int, str, float}:
+        raise error(f"{what} column holds values that are not int, str or float")
+    return id_column(values)
 
 
 def id_column(values: Sequence[object]) -> np.ndarray:

@@ -22,9 +22,12 @@ line.  Layout (little-endian)::
     16+H    ...   payload: the concatenated column encodings
 
 Integer id columns are raw ``int64`` little-endian; non-integer id columns
-(string ids and such) are stored as a UTF-8 JSON array.  Each column records
-its CRC-32 in the header, so flipped bits and truncation surface as
-:class:`~repro.exceptions.DatasetError` instead of silently corrupt streams.
+(string ids and such) are stored as a UTF-8 JSON array — the id-column codec
+of :mod:`repro.streams.batch` that snapshots and journals use too.  Each
+column records its CRC-32 in the header, so flipped bits and truncation
+surface as :class:`~repro.exceptions.DatasetError` instead of silently
+corrupt streams.  The prefix and header are the shared :mod:`repro.framing`
+file header.
 
 :func:`iter_stream_batches` is the scale entry point: it yields
 :class:`~repro.streams.batch.ElementBatch` chunks straight off the file —
@@ -34,16 +37,15 @@ text — without ever materializing the whole stream in memory.
 
 from __future__ import annotations
 
-import json
-import struct
 import zlib
 from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
+from repro import framing
 from repro.exceptions import ConfigurationError, DatasetError
-from repro.streams.batch import ElementBatch, id_column
+from repro.streams.batch import ElementBatch, decode_id_column, encode_id_column, id_column
 from repro.streams.edge import Action, StreamElement
 from repro.streams.stream import GraphStream
 
@@ -53,8 +55,6 @@ STREAM_FORMAT_VERSION = 1
 #: Default chunk size of :func:`iter_stream_batches`.
 DEFAULT_READ_BATCH_SIZE = 8192
 
-_PREFIX = struct.Struct("<II")
-_PREFIX_BYTES = len(STREAM_MAGIC) + _PREFIX.size
 _COLUMN_NAMES = ("users", "items", "signs")
 _FORMATS = ("auto", "text", "binary")
 
@@ -213,26 +213,14 @@ def _iter_text_batches(
 # -- binary columnar format ----------------------------------------------------------
 
 
-def _encode_id_column(column: np.ndarray, name: str, path: Path) -> tuple[str, bytes]:
-    if column.dtype == np.int64:
-        return "int64", column.astype("<i8").tobytes()
-    for value in column.tolist():
-        if not isinstance(value, (int, str, float)) or isinstance(value, bool):
-            raise DatasetError(
-                f"cannot write {name} id {value!r} to {path}: the binary format "
-                "supports int, str and float identifiers"
-            )
-    return "json", json.dumps(column.tolist()).encode("utf-8")
-
-
 def _write_binary(stream: GraphStream, target: Path) -> None:
     batch = ElementBatch.from_elements(
         stream.elements if isinstance(stream, GraphStream) else list(stream)
     )
     encodings = [
-        ("users", *_encode_id_column(batch.users, "user", target)),
-        ("items", *_encode_id_column(batch.items, "item", target)),
-        ("signs", "int8", batch.signs.astype("<i1").tobytes()),
+        ("users", *encode_id_column(batch.users, DatasetError, f"{target} user id")),
+        ("items", *encode_id_column(batch.items, DatasetError, f"{target} item id")),
+        ("signs", batch.signs.astype("<i1").tobytes(), "int8"),
     ]
     header = {
         "name": getattr(stream, "name", target.stem),
@@ -244,111 +232,46 @@ def _write_binary(stream: GraphStream, target: Path) -> None:
                 "bytes": len(data),
                 "crc32": zlib.crc32(data),
             }
-            for name, encoding, data in encodings
+            for name, data, encoding in encodings
         ],
     }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     target.write_bytes(
-        STREAM_MAGIC
-        + _PREFIX.pack(STREAM_FORMAT_VERSION, len(header_bytes))
-        + header_bytes
-        + b"".join(data for _, _, data in encodings)
+        framing.pack_file_header(STREAM_MAGIC, STREAM_FORMAT_VERSION, header)
+        + b"".join(data for _, data, _ in encodings)
     )
 
 
-def _parse_binary_header(prefix: bytes, header_bytes: bytes, source: Path) -> dict:
-    """Validate the fixed prefix + JSON header and return the header dict."""
-    if len(prefix) < _PREFIX_BYTES:
-        raise DatasetError(f"{source}: truncated stream file (no header)")
-    if prefix[: len(STREAM_MAGIC)] != STREAM_MAGIC:
-        raise DatasetError(f"{source}: not a binary .vosstream file (bad magic)")
-    version, header_length = _PREFIX.unpack_from(prefix, len(STREAM_MAGIC))
-    if version != STREAM_FORMAT_VERSION:
-        raise DatasetError(
-            f"{source}: unsupported .vosstream version {version} "
-            f"(this build reads version {STREAM_FORMAT_VERSION})"
-        )
-    if len(header_bytes) != header_length:
-        raise DatasetError(f"{source}: truncated stream file (incomplete header)")
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise DatasetError(f"{source}: stream header is corrupt: {error}") from error
-    try:
-        count = header["count"]
-        columns = {entry["name"]: entry for entry in header["columns"]}
-    except (KeyError, TypeError) as error:
-        raise DatasetError(f"{source}: stream header is malformed: {error!r}") from error
-    if not isinstance(count, int) or count < 0:
-        raise DatasetError(f"{source}: stream header records a bad count: {count!r}")
-    for name in columns:
-        if name not in _COLUMN_NAMES:
-            raise DatasetError(f"{source}: unknown stream column {name!r}")
-    for name in _COLUMN_NAMES:
-        if name not in columns:
-            raise DatasetError(f"{source}: stream header is missing column {name!r}")
-    return header
-
-
-def _header_length(prefix: bytes, source: Path) -> int:
-    if len(prefix) < _PREFIX_BYTES:
-        raise DatasetError(f"{source}: truncated stream file (no header)")
-    return _PREFIX.unpack_from(prefix, len(STREAM_MAGIC))[1]
-
-
-def _decode_id_column(entry: dict, data: bytes, count: int, source: Path) -> np.ndarray:
-    if zlib.crc32(data) != entry.get("crc32"):
-        raise DatasetError(
-            f"{source}: column {entry['name']!r} failed its CRC-32 check"
-        )
-    encoding = entry.get("encoding")
-    if encoding == "int64":
-        column = np.frombuffer(data, dtype="<i8").astype(np.int64, copy=False)
-    elif encoding == "json":
-        try:
-            values = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise DatasetError(
-                f"{source}: column {entry['name']!r} is corrupt: {error}"
-            ) from error
-        column = id_column(values)
-    else:
-        raise DatasetError(f"{source}: unknown column encoding {encoding!r}")
-    if column.shape[0] != count:
-        raise DatasetError(
-            f"{source}: column {entry['name']!r} holds {column.shape[0]} values "
-            f"but the header records {count}"
-        )
-    return column
+def _read_binary_header(handle, source: Path) -> tuple[dict, int, list[dict]]:
+    """Check the file header; returns ``(header, row count, column entries)``
+    and leaves ``handle`` at the first payload byte."""
+    what = f"stream file {source}"
+    _, header = framing.read_file_header(
+        handle, STREAM_MAGIC, (STREAM_FORMAT_VERSION,), DatasetError, what
+    )
+    count = framing.count(header, "count", DatasetError, f"{what} header")
+    entries = framing.mappings(header, "columns", DatasetError, f"{what} header")
+    names = [entry.get("name") for entry in entries]
+    if sorted(map(str, names)) != sorted(_COLUMN_NAMES):
+        raise DatasetError(f"{source}: stream columns are {names}, not {_COLUMN_NAMES}")
+    return header, count, entries
 
 
 def _read_binary_batch(source: Path, require_int: bool) -> tuple[ElementBatch, str]:
     """Read a whole binary stream file into one batch; returns (batch, name)."""
-    data = source.read_bytes()
-    prefix = data[:_PREFIX_BYTES]
-    header_length = _header_length(prefix, source)
-    header = _parse_binary_header(
-        prefix, data[_PREFIX_BYTES : _PREFIX_BYTES + header_length], source
-    )
-    count = header["count"]
-    offset = _PREFIX_BYTES + header_length
+    with source.open("rb") as handle:
+        header, count, entries = _read_binary_header(handle, source)
+        payload = framing.Cursor(handle.read(), DatasetError, f"stream file {source}")
     decoded: dict[str, np.ndarray] = {}
-    for entry in header["columns"]:
-        length = entry.get("bytes")
-        if not isinstance(length, int) or length < 0:
-            raise DatasetError(f"{source}: stream header records bad column sizes")
-        payload = data[offset : offset + length]
-        if len(payload) != length:
-            raise DatasetError(f"{source}: truncated stream file (incomplete payload)")
-        offset += length
-        if entry["name"] == "signs":
-            if zlib.crc32(payload) != entry.get("crc32"):
-                raise DatasetError(f"{source}: column 'signs' failed its CRC-32 check")
-            decoded["signs"] = np.frombuffer(payload, dtype="<i1").astype(
-                np.int8, copy=False
-            )
+    for entry in entries:
+        name = entry["name"]
+        data = payload.take(entry.get("bytes"), f"column {name!r}")
+        framing.check_crc(data, entry.get("crc32"), DatasetError, f"{source}: column {name!r}")
+        if name == "signs":
+            decoded[name] = np.frombuffer(data, dtype="<i1").astype(np.int8, copy=False)
         else:
-            decoded[entry["name"]] = _decode_id_column(entry, payload, count, source)
+            decoded[name] = decode_id_column(
+                data, entry.get("encoding"), count, DatasetError, f"{source}: {name!r}"
+            )
     if decoded["signs"].shape[0] != count:
         raise DatasetError(f"{source}: truncated stream file (short signs column)")
     if require_int and (
@@ -366,11 +289,7 @@ def _iter_binary_batches(
     source: Path, batch_size: int, require_int: bool
 ) -> Iterator[ElementBatch]:
     with source.open("rb") as handle:
-        prefix = handle.read(_PREFIX_BYTES)
-        header_bytes = handle.read(_header_length(prefix, source))
-        header = _parse_binary_header(prefix, header_bytes, source)
-        count = header["count"]
-        entries = header["columns"]
+        _, count, entries = _read_binary_header(handle, source)
         if any(entry.get("encoding") == "json" for entry in entries):
             # Object columns are one JSON document; load them fully, then chunk.
             batch, _ = _read_binary_batch(source, require_int)
@@ -380,7 +299,7 @@ def _iter_binary_batches(
         offsets: dict[str, int] = {}
         item_sizes = {"users": 8, "items": 8, "signs": 1}
         dtypes = {"users": "<i8", "items": "<i8", "signs": "<i1"}
-        position = _PREFIX_BYTES + len(header_bytes)
+        position = handle.tell()
         for entry in entries:
             expected = count * item_sizes[entry["name"]]
             if entry.get("bytes") != expected:

@@ -26,6 +26,21 @@ def pair() -> tuple[socket.socket, socket.socket]:
 
 
 class TestFraming:
+    @pytest.mark.parametrize(
+        "payload, frame",
+        [
+            ({"op": "ping"}, b'\r\x00\x00\x00H\xe4i\xf3{"op":"ping"}'),
+            (
+                {"op": "nearest", "user": "ü", "k": 3, "x": [1.5, None, True]},
+                b':\x00\x00\x00>\xa3\x83F{"op":"nearest","user":"\\u00fc","k":3,'
+                b'"x":[1.5,null,true]}',
+            ),
+        ],
+    )
+    def test_frame_bytes_are_pinned(self, payload, frame):
+        """u32 length | u32 CRC-32 | compact ASCII-escaped JSON, byte for byte."""
+        assert protocol.encode_frame(payload) == frame
+
     def test_round_trip(self, pair):
         left, right = pair
         payload = {"op": "ping", "values": [1, 2.5, "x"], "nested": {"a": None}}

@@ -103,6 +103,18 @@ class TestDelegatedBookkeeping:
         assert sum(entry["users"] for entry in report) == 50
         assert all(entry["memory_bits"] == 1024 for entry in report)
 
+    @pytest.mark.parametrize("build", ["init", "from_shards"])
+    def test_users_live_only_in_the_shard_tables(self, build):
+        """A sharded sketch keeps no table of its own that writes never reach."""
+        sketch = ShardedVOS(4, 4096, 256)
+        if build == "from_shards":
+            sketch = ShardedVOS.from_shards(sketch.shards, seed=0)
+        sketch.process(StreamElement(1, 2, Action.INSERT))
+        assert sketch.num_users == sum(len(s.user_table) for s in sketch.shards) == 1
+        assert "_user_table" not in vars(sketch)
+        with pytest.raises(ConfigurationError, match=r"shards\[i\]\.user_table"):
+            sketch.user_table
+
 
 class TestCrossShardEstimates:
     def test_cross_shard_pairs_track_true_jaccard(self, small_dynamic_stream):

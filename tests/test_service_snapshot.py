@@ -254,6 +254,109 @@ class TestHeaderCorruptionPaths:
         with pytest.raises(SnapshotError, match="shard count"):
             loads_snapshot(rebuilt)
 
+    @pytest.mark.parametrize(
+        "target, field, value",
+        [
+            ("vos", "shared_array_bits", 10**12),
+            ("vos", "shared_array_bits", 2**70),
+            ("vos", "seed", "x"),
+            ("vos", "seed", 1e308),
+            ("vos", "virtual_sketch_size", -1),
+            ("vos", "virtual_sketch_size", 10**6),
+            ("vos", "ones_count", 0.5),
+            ("vos", "num_users", True),
+            ("sharded", "shard_array_bits", 10**12),
+            ("sharded", "num_shards", 0),
+            ("sharded", "seed", "x"),
+            ("sharded", "virtual_sketch_size", 64),
+            ("shard", "shared_array_bits", 10**12),
+            ("shard", "seed", 5),
+        ],
+        ids=repr,
+    )
+    def test_parameters_are_checked_before_allocation(
+        self, fed_vos, fed_sharded, target, field, value
+    ):
+        """The CRC covers only the payload, so the header's sketch parameters
+        (here rewritten with the payload and its CRC left intact) must be
+        plain integers that agree with the sections before anything is
+        allocated: a lying ``shared_array_bits`` once asked for 116 GiB."""
+        sketch = fed_vos if target == "vos" else fed_sharded
+
+        def lie(header):
+            parameters = header["parameters"]
+            (parameters["shards"][0] if target == "shard" else parameters)[field] = value
+
+        rebuilt = _rebuild_with_header(dumps_snapshot(sketch), lie)
+        with pytest.raises(SnapshotError):
+            loads_snapshot(rebuilt)
+
+
+def _rewrite_index_section(blob: bytes, rewrite) -> bytes:
+    """Re-pack a snapshot whose ``index/banding`` section bytes ``rewrite``
+    replaces, with the extras table and the payload CRC updated to match."""
+    import json
+
+    _, header_length = struct.unpack_from("<II", blob, len(MAGIC))
+    payload_start = len(MAGIC) + 8 + header_length
+    header = json.loads(blob[len(MAGIC) + 8 : payload_start])
+    payload = blob[payload_start:]
+    start = sum(entry["bytes"] for entry in header["sections"])
+    for entry in header["extras"]:
+        if entry["name"] == "index/banding":
+            break
+        start += entry["bytes"]
+    section = rewrite(payload[start : start + entry["bytes"]])
+    new_payload = payload[:start] + section + payload[start + entry["bytes"] :]
+
+    def resize(header):
+        entry = next(e for e in header["extras"] if e["name"] == "index/banding")
+        entry["bytes"] = len(section)
+        header["crc32"] = zlib.crc32(new_payload)
+
+    return _rebuild_with_header(blob[:payload_start], resize) + new_payload
+
+
+def test_fractional_index_row_count_is_snapshot_error(tmp_path):
+    """A CRC-valid ``index/banding`` section declaring ``"rows": 0.5`` for a
+    shard, with byte lengths that agree with that count (4 bytes of users,
+    ``0.5 * 3 * 8`` of signatures for 3 columns), fails the load with
+    SnapshotError; it once escaped as a bare ValueError from ``frombuffer``."""
+    import json
+
+    from repro.index.banding import IndexConfig
+    from repro.service import SimilarityService
+
+    service = SimilarityService(
+        ShardedVOS(2, 4096, 128, seed=4), index_config=IndexConfig(bands=2)
+    )
+    service.ingest(
+        [StreamElement(user, item, Action.INSERT) for user in range(12) for item in range(6)]
+    )
+    path = tmp_path / "state.vos"
+    service.save(path, include_index=True)
+
+    def forge(section: bytes) -> bytes:
+        (length,) = struct.unpack_from("<I", section)
+        index_header = json.loads(section[4 : 4 + length])
+        first = index_header["shards"][0]
+        shard_bytes = first["users_bytes"] + first["signatures_bytes"] + first["valid_bytes"]
+        assert index_header["bands"] + 1 == 3
+        first.update(
+            rows=0.5, users_encoding="int64", users_bytes=4, signatures_bytes=12, valid_bytes=1
+        )
+        new_header = json.dumps(index_header, separators=(",", ":")).encode("utf-8")
+        return (
+            struct.pack("<I", len(new_header))
+            + new_header
+            + bytes(17)
+            + section[4 + length + shard_bytes :]
+        )
+
+    path.write_bytes(_rewrite_index_section(path.read_bytes(), forge))
+    with pytest.raises(SnapshotError):
+        SimilarityService.load(path)
+
 
 class TestRetiredParameters:
     """Snapshots written before the row memo carried a ``cache_positions`` flag."""
