@@ -127,8 +127,9 @@ def _read_block_header(stream: BinaryIO, error: ErrorType, what: str) -> dict:
 
 
 def read_block(data: bytes, error: ErrorType, what: str) -> tuple[dict, Cursor]:
-    """Split a block into its JSON header and a cursor over its payload."""
-    stream = io.BytesIO(data)
+    """Split a block into its JSON header (copied) and a cursor over ``data``."""
+    end = _U32.size + (_U32.unpack_from(data)[0] if len(data) >= _U32.size else 0)
+    stream = io.BytesIO(bytes(data[:end]))
     header = _read_block_header(stream, error, what)
     return header, Cursor(data, error, what, stream.tell())
 

@@ -40,7 +40,10 @@ sub-quadratic on sparse sketches:
   tables at query time, so cross-shard pairs are proposed exactly like
   same-shard pairs.
 
-The signature tables persist in a snapshot's ``index/banding`` section
+A shard's table is only its valid ``(row, column)`` entries sorted by
+signature; a table build, a candidate-pair pool and an export derive band keys
+from packed rows (:meth:`BandedSketchIndex._band_keys`).  The tables persist
+in a snapshot's ``index/banding`` section
 (:func:`encode_index_state` / :func:`decode_index_state`), a
 :mod:`repro.framing` block whose declared counts are checked before they
 size anything.
@@ -203,28 +206,26 @@ def _shard_key(shard) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _ShardSignatures:
-    """Band signatures of one shard's users: an immutable value.
+    """The band buckets of one shard's users: an immutable value.
 
-    Row ``r`` belongs to the user of ordinal ``r`` in the shard's
-    :class:`~repro.baselines.users.UserTable`; ordinals are stable, so a
-    table stays valid for its rows while users are added.
-    ``key`` is the :func:`_shard_key` the table was built or adopted at; the
-    table describes its shard exactly while the two are equal, and a refresh
-    replaces it with a rebuild once they differ.  No table is ever mutated,
-    so indexes over different epochs or restored copies share them by
-    reference (``replace`` re-keys a table without copying its arrays).
-    Construct tables with :meth:`of`, which derives the bucket lookup arrays.
+    A table is its valid ``(row, column)`` entries sorted by signature; the
+    columns are the bands plus the residual whole-row column (valid only for
+    users with no band at the set-bit floor).  Row ``r`` belongs to the user
+    of ordinal ``r`` in the shard's :class:`~repro.baselines.users.UserTable`;
+    ordinals are stable, so a table stays valid for its ``rows`` while users
+    are added.  ``key`` is the :func:`_shard_key` the table was built or
+    adopted at; the table describes its shard exactly while the two are equal,
+    and a refresh replaces it with a rebuild once they differ.  No table is
+    ever mutated, so indexes over different epochs or restored copies share
+    them by reference (``replace`` re-keys a table without copying its arrays).
+    Construct tables with :meth:`of`, which sorts the entries.
     """
 
-    #: One signature column per band plus the residual whole-row column
-    #: (valid only for users with no band at the set-bit floor).
-    signatures: np.ndarray
-    valid: np.ndarray
-    #: Every valid ``(row, column)`` entry, sorted by signature: a bucket is
-    #: a run of equal ``bucket_signatures`` restricted to one column.
+    #: A bucket is a run of equal ``bucket_signatures`` restricted to one column.
     bucket_signatures: np.ndarray
     bucket_rows: np.ndarray
     bucket_columns: np.ndarray
+    rows: int
     key: tuple[int, int] | None = None
 
     @classmethod
@@ -234,27 +235,17 @@ class _ShardSignatures:
         valid: np.ndarray,
         key: tuple[int, int] | None = None,
     ) -> "_ShardSignatures":
-        """A table over ordinals ``0 .. len(signatures) - 1`` with its lookup arrays."""
+        """The table over ordinals ``0 .. len(signatures) - 1`` of the dense
+        ``(rows, bands + 1)`` keys, which it does not keep."""
         rows, columns = np.nonzero(valid)
         entries = signatures[rows, columns]
         order = np.argsort(entries)
-        return cls(
-            signatures,
-            valid,
-            entries[order],
-            rows[order].astype(np.int32),
-            columns[order].astype(np.int32),
-            key,
-        )
+        rows, columns = rows[order].astype(np.int32), columns[order].astype(np.int32)
+        return cls(entries[order], rows, columns, len(signatures), key)
 
     def memory_bytes(self) -> int:
-        return int(
-            self.signatures.nbytes
-            + self.valid.nbytes
-            + self.bucket_signatures.nbytes
-            + self.bucket_rows.nbytes
-            + self.bucket_columns.nbytes
-        )
+        arrays = (self.bucket_signatures, self.bucket_rows, self.bucket_columns)
+        return sum(array.nbytes for array in arrays)
 
     def bucket_mates(self, keys: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """Sorted rows sharing a bucket with any ``(keys[i], columns[i])``."""
@@ -513,14 +504,11 @@ class BandedSketchIndex:
         self._tuning_state = None
         self.refresh()
 
-    def _build_table(self, shard, key: tuple[int, int]) -> _ShardSignatures:
-        """Every user's band signatures and validity masks, in ordinal order."""
-        count = key[1]  # the user count the table is keyed to
+    def _band_keys(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(rows, bands + 1)`` signatures and validity masks of packed
+        rows: the one place band keys are derived, in the kernel tier (native
+        C or blocked NumPy, bit-identical by the parity suite)."""
         bands = self._bands
-        rows = shard.packed_rows(shard.user_table.ids(np.arange(count)).tolist())
-        # The fold, set-bit counts, and Carter-Wegman signature hashes all run
-        # in the kernel tier (native C when available, blocked NumPy
-        # otherwise) — bit-identical across tiers by the parity suite.
         signatures, set_bits = kernels.band_signatures(
             rows.view(np.uint64),
             bands,
@@ -534,18 +522,24 @@ class BandedSketchIndex:
         # band at the floor get the residual column instead: a hash of the
         # whole row, so identical rows — all-zero ones included — are still
         # always co-candidates.
-        valid = np.empty((count, bands + 1), dtype=bool)
+        valid = np.empty((rows.shape[0], bands + 1), dtype=bool)
         valid[:, :bands] = set_bits >= self._config.min_band_bits
         valid[:, bands] = ~valid[:, :bands].any(axis=1)
-        return _ShardSignatures.of(signatures, valid, key)
+        return signatures, valid
+
+    def _build_table(self, shard, key: tuple[int, int]) -> _ShardSignatures:
+        """The table of every user the shard held at ``key``, in ordinal order."""
+        count = key[1]  # the user count the table is keyed to
+        rows = shard.packed_rows(shard.user_table.ids(np.arange(count)).tolist())
+        return _ShardSignatures.of(*self._band_keys(rows), key)
 
     # -- persistence ------------------------------------------------------------------
     #
-    # The signature tables are the index's only state (band buckets are
-    # derived per query by sorting signatures), so persisting them inside a
-    # snapshot's ``index/banding`` extra section makes restart-to-first-query
+    # The bucket tables are the index's only state, so persisting them inside
+    # a snapshot's ``index/banding`` extra section makes restart-to-first-query
     # O(1): a restored table is keyed to its shard's current bits and the next
-    # refresh finds nothing to rebuild.
+    # refresh finds nothing to rebuild.  The section stays dense (every slot's
+    # hash, valid or not): an export derives the keys from packed rows again.
 
     def export_state(self) -> dict:
         """Capture the synced signature tables for snapshot persistence.
@@ -553,21 +547,18 @@ class BandedSketchIndex:
         Returns a plain state dict (layout parameters plus per-shard users,
         signatures and validity masks) that :func:`encode_index_state` turns
         into section bytes.  The index is refreshed first, so the exported
-        tables always describe the sketch's current bits.  Rows are written
-        in :func:`~repro.streams.edge.user_sort_key` order of their users, so
-        the bytes do not depend on the order users were first seen in.
+        tables always describe the sketch's current bits, and each table's
+        keys are derived from its users' packed rows.  Rows are written in
+        :func:`~repro.streams.edge.user_sort_key` order of their users, so the
+        bytes do not depend on the order users were first seen in.
         """
         self.refresh()
         shards = []
         for shard, table in zip(self._sketch.row_shards(), self._shard_signatures):
-            order = shard.user_table.key_order(np.arange(len(table.signatures)))
-            shards.append(
-                {
-                    "users": shard.user_table.ids(order).tolist(),
-                    "signatures": table.signatures[order],
-                    "valid": table.valid[order],
-                }
-            )
+            order = shard.user_table.key_order(np.arange(table.rows))
+            users = shard.user_table.ids(order).tolist()
+            signatures, valid = self._band_keys(shard.packed_rows(users))
+            shards.append({"users": users, "signatures": signatures, "valid": valid})
         return {
             "bands": self._bands,
             "rows_per_band": self._config.rows_per_band,
@@ -596,7 +587,7 @@ class BandedSketchIndex:
         adopted: list[_ShardSignatures | None] = []
         for position, (shard, table) in enumerate(zip(shards, tables)):
             if table is not None and position not in stale:
-                key = (shard.shared_array.latest_stamp, len(table.signatures))
+                key = (shard.shared_array.latest_stamp, table.rows)
                 table = replace(table, key=key)
             else:
                 table = None
@@ -675,18 +666,13 @@ class BandedSketchIndex:
     # -- queries ----------------------------------------------------------------------
 
     def _gather(self, users: Sequence[UserId]) -> tuple[np.ndarray, np.ndarray]:
-        """Signature and validity rows for ``users``, in input order: the sketch
-        routes each user to its shard, whose table row is the user's ordinal."""
-        columns = self._bands + 1
-        signatures = np.empty((len(users), columns), dtype=np.uint64)
-        valid = np.empty((len(users), columns), dtype=bool)
+        """Signature and validity rows for ``users``, in input order, derived
+        from their packed rows (the sketch routes each user to its shard)."""
+        rows = np.empty((len(users), 8 * self._row_words), dtype=np.uint8)
         shards = self._sketch.row_shards()
         for shard_index, positions, members in self._sketch.route(users):
-            rows = shards[shard_index].user_table.ordinals(members)
-            table = self._shard_signatures[shard_index]
-            signatures[positions] = table.signatures[rows]
-            valid[positions] = table.valid[rows]
-        return signatures, valid
+            rows[positions] = shards[shard_index].packed_rows(members)
+        return self._band_keys(rows)
 
     def candidate_pairs(
         self, pool: Sequence[UserId]
@@ -759,11 +745,12 @@ class BandedSketchIndex:
         """Members of ``pool`` sharing at least one band bucket with ``target``.
 
         The nearest-neighbour analogue of :meth:`candidate_pairs`, costing
-        O(bucket members) rather than O(pool): each table looks the target's
-        valid band signatures up in its sorted bucket arrays.  ``pool`` is
-        only a filter (anything supporting ``in``; pass a set or a view, not
-        a long list).  Results come in :func:`~repro.streams.edge.user_sort_key`
-        order, each user once, never ``target`` itself.  Each call is traced
+        O(bucket members) rather than O(pool): the target's valid band
+        entries are read off its home table, and each table looks them up in
+        its sorted bucket arrays.  ``pool`` is only a filter (anything
+        supporting ``in``; pass a set or a view, not a long list).  Results
+        come in :func:`~repro.streams.edge.user_sort_key` order, each user
+        once, never ``target`` itself.  Each call is traced
         (``index.neighbour_candidates``).
         """
         registry = get_registry()
@@ -774,8 +761,9 @@ class BandedSketchIndex:
                 shards = self._sketch.row_shards()
                 home = self._sketch.shard_of(target)
                 (row,) = shards[home].user_table.ordinals([target])
-                columns = np.flatnonzero(self._shard_signatures[home].valid[row])
-                keys = self._shard_signatures[home].signatures[row, columns]
+                table = self._shard_signatures[home]
+                own = table.bucket_rows == row
+                keys, columns = table.bucket_signatures[own], table.bucket_columns[own]
                 for shard, table in zip(shards, self._shard_signatures):
                     mates = shard.user_table.ids(table.bucket_mates(keys, columns))
                     members.extend(
@@ -795,7 +783,7 @@ class BandedSketchIndex:
         (1.0 would mean no pruning at all).
         """
         tables = [table for table in self._shard_signatures if table is not None]
-        users_indexed = sum(len(table.signatures) for table in tables)
+        users_indexed = sum(table.rows for table in tables)
         fraction = (
             self._last_candidate_pairs / self._last_pool_pairs
             if self._last_candidate_pairs is not None and self._last_pool_pairs

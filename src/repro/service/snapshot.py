@@ -405,7 +405,8 @@ def loads_snapshot_state(data: bytes) -> SnapshotState:
     version, header = framing.read_file_header(
         stream, MAGIC, SUPPORTED_VERSIONS, SnapshotError, "snapshot"
     )
-    payload = data[stream.tell() :]
+    # Sections are views into ``data``: the payload is never copied whole.
+    payload = memoryview(data)[stream.tell() :]
     framing.check_crc(payload, header.get("crc32"), SnapshotError, "snapshot payload")
     # The CRC covers only the payload, so every header field is checked
     # before it sizes a slice or an allocation.

@@ -94,7 +94,7 @@ def decode_id_column(
     if encoding != "json":
         raise error(f"unknown {what} column encoding {encoding!r}")
     try:
-        values = json.loads(data.decode("utf-8"))
+        values = json.loads(str(data, "utf-8"))
     except (ValueError, RecursionError) as exc:  # as in repro.framing.json_object
         raise error(f"{what} column is corrupt: {exc}") from exc
     if not isinstance(values, list) or len(values) != expected:

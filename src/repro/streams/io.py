@@ -24,10 +24,10 @@ line.  Layout (little-endian)::
 Integer id columns are raw ``int64`` little-endian; non-integer id columns
 (string ids and such) are stored as a UTF-8 JSON array — the id-column codec
 of :mod:`repro.streams.batch` that snapshots and journals use too.  Each
-column records its CRC-32 in the header, so flipped bits and truncation
-surface as :class:`~repro.exceptions.DatasetError` instead of silently
-corrupt streams.  The prefix and header are the shared :mod:`repro.framing`
-file header.
+column records its CRC-32 and byte length in the header, so flipped bits,
+truncation and bytes past the last column surface as
+:class:`~repro.exceptions.DatasetError` instead of silently corrupt streams.
+The prefix and header are the shared :mod:`repro.framing` file header.
 
 :func:`iter_stream_batches` is the scale entry point: it yields
 :class:`~repro.streams.batch.ElementBatch` chunks straight off the file —
@@ -37,6 +37,7 @@ text — without ever materializing the whole stream in memory.
 
 from __future__ import annotations
 
+import os
 import zlib
 from collections.abc import Iterator
 from pathlib import Path
@@ -272,6 +273,7 @@ def _read_binary_batch(source: Path, require_int: bool) -> tuple[ElementBatch, s
             decoded[name] = decode_id_column(
                 data, entry.get("encoding"), count, DatasetError, f"{source}: {name!r}"
             )
+    payload.finish()
     if decoded["signs"].shape[0] != count:
         raise DatasetError(f"{source}: truncated stream file (short signs column)")
     if require_int and (
@@ -309,6 +311,9 @@ def _iter_binary_batches(
                 )
             offsets[entry["name"]] = position
             position += expected
+        size = os.fstat(handle.fileno()).st_size
+        if size != position:
+            raise DatasetError(f"{source}: {size} bytes, but its columns end at {position}")
         running_crc = {name: 0 for name in _COLUMN_NAMES}
         recorded_crc = {entry["name"]: entry.get("crc32") for entry in entries}
 

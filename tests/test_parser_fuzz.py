@@ -38,7 +38,7 @@ from collections.abc import Callable, Iterator
 import pytest
 
 from repro.core.vos import VirtualOddSketch
-from repro.exceptions import ProtocolError, ReproError
+from repro.exceptions import DatasetError, ProtocolError, ReproError
 from repro.index.banding import (
     BandedSketchIndex,
     IndexConfig,
@@ -279,6 +279,22 @@ def test_stream_parsers(tmp_path, ids):
     version, header, payload = _split_file(blob, STREAM_MAGIC)
     sites = [(header, lambda lie: _file(STREAM_MAGIC, version, lie, payload))]
     assert assert_only_repro_errors(parse, blob, sites)
+
+
+@pytest.mark.parametrize("user", [1, "alice"])
+@pytest.mark.parametrize("reader", ["read_stream", "iter_stream_batches"])
+def test_stream_bytes_past_the_last_column_are_rejected(tmp_path, user, reader):
+    """A one-element stream with 8 junk bytes appended is not a stream."""
+    source = tmp_path / "sample.vosstream"
+    write_stream(GraphStream([StreamElement(user, 2, Action.INSERT)], name="tail"), source)
+    read = {
+        "read_stream": read_stream,
+        "iter_stream_batches": lambda path: list(iter_stream_batches(path)),
+    }[reader]
+    assert len(read(source)) == 1
+    source.write_bytes(source.read_bytes() + b"\x00" * 8)
+    with pytest.raises(DatasetError):
+        read(source)
 
 
 def test_index_section_parser():

@@ -79,19 +79,8 @@ def _reference_candidates(index, sketch, target, candidates, minimum_cardinality
     index.refresh()
     if not others:
         return []
-    rows = []
-    for user in [target, *others]:
-        # Table row r is the owning shard's user ordinal r.
-        position, shard = next(
-            (position, shard)
-            for position, shard in enumerate(sketch.row_shards())
-            if user in shard.user_table.keys()
-        )
-        table = index._shard_signatures[position]
-        (row,) = shard.user_table.ordinals([user])
-        rows.append((table.signatures[row], table.valid[row]))
-    signatures = np.stack([signature for signature, _ in rows])
-    valid = np.stack([mask for _, mask in rows])
+    # Every key row, target first, derived from the users' packed rows.
+    signatures, valid = index._gather([target, *others])
     matches = ((signatures[1:] == signatures[0]) & valid[1:] & valid[0]).any(axis=1)
     return [user for user, keep in zip(others, matches.tolist()) if keep]
 
@@ -226,3 +215,97 @@ def test_carried_tables_equal_pool_scan(scenario):
     for minimum in (1, _large_minimum(successor)):
         for target in [10**6, *rng.choice(users, size=min(3, len(users))).tolist()]:
             _assert_matches_reference(carried, successor, target, None, minimum)
+
+
+def _toggles(rng: np.random.Generator, live: set, users: int) -> list[StreamElement]:
+    """A small fully dynamic batch over ``users`` (new ones included): each
+    element deletes a live edge of ``live`` or inserts an absent one."""
+    elements = []
+    for _ in range(int(rng.integers(1, 12))):
+        edge = (int(rng.integers(users + 3)), int(rng.integers(3000, 3040)))
+        action = Action.DELETE if edge in live else Action.INSERT
+        live.symmetric_difference_update({edge})
+        elements.append(StreamElement(*edge, action))
+    return elements
+
+
+def _shards_of(sketch, batch: list[StreamElement]) -> list[int]:
+    if isinstance(sketch, VirtualOddSketch):
+        return [0]
+    users = np.array([element.user for element in batch])
+    return np.unique(sketch.shard_assignment(users)).tolist()
+
+
+def _assert_equals_fresh_build(index, sketch, config) -> None:
+    """Every table's entries, and the exported section bytes, are a
+    from-scratch build's (the export pins the hashes of invalid slots)."""
+    index.refresh()
+    fresh = BandedSketchIndex(sketch, config)
+    fresh.refresh()
+    assert index.bands == fresh.bands
+    tables = zip(index._shard_signatures, fresh._shard_signatures, strict=True)
+    for table, expected in tables:
+        assert table.rows == expected.rows
+        for name in ("bucket_signatures", "bucket_rows", "bucket_columns"):
+            assert np.array_equal(getattr(table, name), getattr(expected, name))
+    assert encode_index_state(index.export_state()) == encode_index_state(
+        fresh.export_state()
+    )
+
+
+steps = st.lists(st.sampled_from(["ingest", "publish", "restore"]), min_size=1, max_size=5)
+
+
+@given(scenario=scenarios, plan=steps, round_trip=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_tables_equal_fresh_builds_across_ingest_publish_restore(
+    scenario, plan, round_trip
+):
+    """Tables kept by lazy rebuilds, ``carry_forward`` and ``restore_state``
+    stay ``==`` a from-scratch build after every step.
+
+    Band counts are fixed here: an adopted auto-tuned count stands until the
+    shards change again, so a fresh build could resolve another one.
+    """
+    rng, sketch, config = _build(scenario)
+    if not config.bands:
+        config = IndexConfig(bands=2, min_band_bits=config.min_band_bits)
+    users = scenario["users"]
+    live: set[tuple[int, int]] = set()  # items 3000+ are not in the base stream
+    batches: list[list[StreamElement]] = []
+    index = BandedSketchIndex(sketch, config)
+    _assert_equals_fresh_build(index, sketch, config)
+    for step in plan:
+        if step == "restore" and rng.random() < 0.5:
+            batch = []  # restore onto the exported bits: every shard is adopted
+        else:
+            batch = _toggles(rng, live, users)
+        if step == "ingest":
+            sketch.process_batch(batch)  # the next refresh rebuilds lazily
+        elif step == "publish":
+            # A successor holding the same bits plus one publish, as an epoch
+            # publisher produces: replay every batch in order (same ordinals).
+            successor = _make_sketch(scenario["shards"], scenario["seed"] % 97)
+            base = _churned_stream(np.random.default_rng(scenario["seed"]), users)
+            successor.process_batch(base)
+            for previous in batches:
+                successor.process_batch(previous)
+            successor.process_batch(batch)
+            stale = _shards_of(successor, batch)
+            index = index.carry_forward(successor, stale_shards=stale)
+            assert index is not None
+            sketch = successor
+        else:
+            state = index.export_state()
+            if round_trip:
+                state = decode_index_state(encode_index_state(state))
+            stale = _shards_of(sketch, batch) if batch else []
+            if batch:
+                sketch.process_batch(batch)
+            index = BandedSketchIndex(sketch, config)
+            assert index.restore_state(state, stale_shards=stale)
+            if not stale:
+                # A restored index re-exports the bytes it was restored from.
+                assert encode_index_state(index.export_state()) == encode_index_state(state)
+        batches.append(batch)
+        _assert_equals_fresh_build(index, sketch, config)

@@ -20,6 +20,7 @@ import pytest
 from repro.core.vos import VirtualOddSketch
 from repro.hashing import PackedBitArray
 from repro.hashing.bitpack import next_stamp
+from repro.index import encode_index_state
 from repro.obs import get_registry
 from repro.server import CowEpochPublisher, ServingClient, ServingDaemon
 from repro.service import ServiceConfig
@@ -47,6 +48,9 @@ def _plain_service(seed: int = 19) -> SimilarityService:
     )
     return SimilarityService(sketch)
 
+
+#: The arrays a carried LSH table consists of.
+ENTRY_ARRAYS = ("bucket_signatures", "bucket_rows", "bucket_columns")
 
 #: Ingest rounds covering the hard cases: plain growth, a delete-heavy batch
 #: that cancels earlier inserts exactly, and users re-inserted after deletion.
@@ -253,18 +257,18 @@ class TestCarriedIndexTables:
         # Table row r describes the user of ordinal r in its shard.
         tables = [
             (
-                shard.user_table.ids(np.arange(len(table.signatures))).tolist(),
-                table.signatures.copy(),
-                table.valid.copy(),
+                shard.user_table.ids(np.arange(table.rows)).tolist(),
+                [getattr(table, name).copy() for name in ENTRY_ARRAYS],
             )
             for shard, table in zip(
                 first.sketch.row_shards(), first_index._shard_signatures
             )
         ]
         users_indexed = first_index.stats()["users_indexed"]
+        exported = first_index.export_state()
         shapes = [
             (len(entry["users"]), entry["signatures"].shape, entry["valid"].shape)
-            for entry in first_index.export_state()["shards"]
+            for entry in exported["shards"]
         ]
 
         writer.ingest(_inserts([999], [7]) + _deletes([999], [7]))
@@ -273,10 +277,11 @@ class TestCarriedIndexTables:
         second = publisher.publish_delta(delta, previous_service=first)
         # Carried tables are re-keyed, not copied: they share the arrays.
         assert all(
-            carried.signatures is table.signatures and carried.valid is table.valid
+            getattr(carried, name) is getattr(table, name)
             for carried, table in zip(
                 second.index()._shard_signatures, first_index._shard_signatures
             )
+            for name in ENTRY_ARRAYS
         )
         second_reference = _whole_state_copy(writer)
         assert second.top_k_pairs(k=10, candidates="lsh") == (
@@ -287,18 +292,20 @@ class TestCarriedIndexTables:
         )
         assert second.index().stats()["users_indexed"] == users_indexed + 1
 
-        for shard, table, (users, signatures, valid) in zip(
+        for shard, table, (users, arrays) in zip(
             first.sketch.row_shards(), first_index._shard_signatures, tables
         ):
-            rows = np.arange(len(table.signatures))
+            rows = np.arange(table.rows)
             assert shard.user_table.ids(rows).tolist() == users
-            assert np.array_equal(table.signatures, signatures)
-            assert np.array_equal(table.valid, valid)
+            for name, array in zip(ENTRY_ARRAYS, arrays):
+                assert np.array_equal(getattr(table, name), array)
         assert first_index.stats()["users_indexed"] == users_indexed
+        again = first_index.export_state()
         assert [
             (len(entry["users"]), entry["signatures"].shape, entry["valid"].shape)
-            for entry in first_index.export_state()["shards"]
+            for entry in again["shards"]
         ] == shapes
+        assert encode_index_state(again) == encode_index_state(exported)
         assert first.top_k_pairs(k=10, candidates="lsh") == (
             first_reference.top_k_pairs(k=10, candidates="lsh")
         )

@@ -336,15 +336,7 @@ def _journal_with_legacy_index_rows(tmp_path):
     assert service.save_delta()["records"] == 1
     index = service.index()
     index.refresh()
-    position, shard = next(
-        (position, shard)
-        for position, shard in enumerate(service.sketch.row_shards())
-        if shard.has_user(9001)
-    )
-    table = index._shard_signatures[position]
-    rows = shard.user_table.ordinals([9001])
-    signatures = table.signatures[rows]
-    valid = table.valid[rows]
+    signatures, valid = index._gather([9001])
     users_blob, users_encoding = encode_id_column([9001])
 
     journal = default_journal_path(path)

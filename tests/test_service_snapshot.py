@@ -91,6 +91,33 @@ class TestShardedRoundTrip:
                     user_a, user_b
                 ) == restored.estimate_jaccard(user_a, user_b)
 
+    def test_restore_does_not_copy_the_payload(self):
+        """The load's transient allocations stay under half the snapshot:
+        sections are read through views of the bytes, not copies of them."""
+        import tracemalloc
+
+        import repro.service  # noqa: F401  (registers the index section codec)
+        from repro.index import INDEX_SNAPSHOT_SECTION, BandedSketchIndex
+
+        sketch = ShardedVOS(8, shard_array_bits=1 << 23, virtual_sketch_size=256, seed=4)
+        users = [*range(400), *(f"u{n}" for n in range(100))]
+        sketch.process_batch(
+            [StreamElement(user, item, Action.INSERT) for user in users for item in range(20)]
+        )
+        index = BandedSketchIndex(sketch)
+        blob = dumps_snapshot(
+            sketch, extras={INDEX_SNAPSHOT_SECTION: index.export_state()}, checkpoint_id="x"
+        )
+        tracemalloc.start()
+        try:
+            state = loads_snapshot_state(blob)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert INDEX_SNAPSHOT_SECTION in state.extras
+        assert state.sketch.num_users == len(users)
+        assert peak - retained < len(blob) / 2
+
 
 class TestCorruptionPaths:
     def test_bad_magic(self, fed_vos):
