@@ -188,6 +188,10 @@ class SimilaritySketch(abc.ABC):
         """:meth:`cardinality` of every listed user, as one ``int64`` array."""
         return self._user_table.counts(self._user_table.ordinals(users))
 
+    def known_cardinalities(self, users: Sequence[UserId]) -> np.ndarray:
+        """:meth:`cardinalities` with ``-1`` for a user never seen instead of an error."""
+        return self._user_table.known_counts(users)
+
     def has_user(self, user: UserId) -> bool:
         """Whether ``user`` has ever appeared in the stream."""
         return user in self._user_table.keys()

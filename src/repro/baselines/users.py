@@ -118,6 +118,16 @@ class UserTable:
             self._ordinals.update(fresh)
         return found
 
+    def known_counts(self, users) -> np.ndarray:
+        """Counters of ``users``, ``-1`` for a user never seen (one dict probe each)."""
+        ordinals = np.fromiter(
+            map(self._ordinals.get, users, repeat(-1)), dtype=np.int64, count=len(users)
+        )
+        counts = np.full(len(users), -1, dtype=np.int64)
+        found = ordinals >= 0
+        counts[found] = self._counts[ordinals[found]]
+        return counts
+
     def ids(self, ordinals) -> np.ndarray:
         return self._ids[ordinals]
 

@@ -471,6 +471,7 @@ def _cmd_index_stats(args: argparse.Namespace) -> int:
             args.snapshot, index_config=_index_config_from_args(args)
         )
         index = service.index()
+        index.refresh()  # the tables the stats below describe
         pool = sorted(service.sketch.users())
         index_a, _ = index.candidate_pairs(pool)
     except ReproError as error:
@@ -519,8 +520,8 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
     try:
         service = _load_snapshot_service(args)
         elements = _ingest_stream_file(service, args)
-        # include_index=True builds or refreshes through export_state(): a
-        # restored index stays adopted, only stale tables are recomputed.
+        # include_index=True builds or refreshes through export_state():
+        # restored tables stay attached, only stale ones are recomputed.
         checkpoint_id = service.save(include_index=True if args.with_index else None)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -779,6 +780,9 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     fingerprints = rng.integers(0, 1 << 63, size=args.users).astype(np.uint64)
     hash_a = rng.integers(1, 1 << 60, size=args.sketch_size).astype(np.uint64)
     hash_b = rng.integers(0, 1 << 60, size=args.sketch_size).astype(np.uint64)
+    # Ingest hashing: one member coefficient pair per key, as hash_pairs does.
+    keys = rng.integers(-(1 << 62), 1 << 62, size=args.pairs)
+    members = rng.integers(0, args.sketch_size, size=args.pairs)
     tiers = ["numpy"] + (["native"] if native.get("available") else [])
     bench_rows: list[list] = []
     baseline: dict[str, np.ndarray] = {}
@@ -798,10 +802,14 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
                 fingerprints, hash_a, hash_b, shared, shared.size * 8, args.sketch_size
             )
             recover_seconds = time.perf_counter() - started
+            started = time.perf_counter()
+            positions = kernels.hash_keys(keys, hash_a, hash_b, members, shared.size * 8)
+            hash_seconds = time.perf_counter() - started
         for name, value in (
             ("pair counts", counts),
             ("band signatures", signatures),
             ("recovered rows", recovered),
+            ("hashed keys", positions),
         ):
             if not np.array_equal(baseline.setdefault(name, value), value):
                 print(f"error: kernel tiers disagree on {name}", file=sys.stderr)
@@ -815,11 +823,16 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
                 round(args.users / band_seconds / 1e6, 2),
                 round(recover_seconds * 1e3, 3),
                 round(args.users / recover_seconds / 1e3, 1),
+                round(hash_seconds * 1e3, 3),
+                round(args.pairs / hash_seconds / 1e6, 2),
             ]
         )
-    headers = ["tier", "pair ms", "Mpairs/s", "band ms", "Musers/s", "recover ms", "kusers/s"]
+    headers = [
+        "tier", "pair ms", "Mpairs/s", "band ms", "Musers/s", "recover ms", "kusers/s",
+        "hash ms", "Mkeys/s",
+    ]
     print(
-        f"# micro-timing: {args.pairs} pairs / {args.users} users at "
+        f"# micro-timing: {args.pairs} pairs and keys / {args.users} users at "
         f"k={args.sketch_size} ({row_bytes} B/row); tiers bit-identical"
     )
     print(render_csv(headers, bench_rows) if args.csv else render_table(headers, bench_rows))

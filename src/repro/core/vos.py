@@ -132,8 +132,10 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
     Recovered rows are memoised by user ordinal (bit-packed, ``k / 8`` bytes
     each, one matrix row per user) for as long as the shared array is
     unchanged; any write invalidates every row, so memoised reads are exactly
-    what a fresh recovery returns.
-    Like the hash coefficients, the memo is derived state that the paper's
+    what a fresh recovery returns.  Beside the memo the sketch holds
+    ``index_table``: the LSH bucket table :mod:`repro.index` derives from
+    those rows, keyed (like the memo) to the array's change stamp.
+    Like the hash coefficients, both are derived state that the paper's
     cost model, which charges only the ``m``-bit array, does not count.
 
     Examples
@@ -183,6 +185,9 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
             seed=stable_hash64(("vos-f", seed)),
         )
         self._reset_row_memo()
+        #: The shard's LSH bucket table, owned by :mod:`repro.index.banding`
+        #: (``None`` until an index builds or restores one).
+        self.index_table = None
 
     def _reset_row_memo(self) -> None:
         # Memo row ``r`` is user ordinal ``r``'s packed row, valid while its
@@ -231,7 +236,9 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         rebuilding the ``k``-hash user family (tens of milliseconds at
         service scale) the view shares ``source``'s hash objects by
         reference; its row memo is its own and empty until the first read,
-        as row bytes differ per epoch.
+        as row bytes differ per epoch.  It also takes ``source``'s LSH table:
+        the copied array keeps ``source``'s change stamp (the bits are equal),
+        so the table stays valid until the copy is patched.
 
         The view is a full :class:`VirtualOddSketch` for the read API but
         must never ingest; epoch services are frozen by contract.
@@ -245,6 +252,7 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         view._item_hash = source._item_hash
         view._user_hashes = source._user_hashes
         view._reset_row_memo()
+        view.index_table = source.index_table
         return view
 
     # -- streaming updates ----------------------------------------------------------------
@@ -460,9 +468,12 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         return self._array.memory_bits()
 
     def memory_bytes(self) -> dict[str, int]:
-        """Bytes held per layer: the shared array, the user table and the row memo."""
+        """Bytes held per layer: the shared array, the user table, the row memo
+        and the LSH table."""
+        table = self.index_table
         return {
             "array": self._array.nbytes,
             "user_table": self._user_table.nbytes,
             "row_memo": self._rows.nbytes + self._row_stamps.nbytes,
+            "index": 0 if table is None else table.memory_bytes(),
         }

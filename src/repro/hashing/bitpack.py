@@ -98,14 +98,18 @@ class PackedBitArray:
     def copy(self) -> "PackedBitArray":
         """An untracked copy of the same class: equal bits, no stamp memory.
 
-        The copy-on-publish epoch path copies a shard's array and patches
-        the copy with ``apply_packed_words(..., track=False)``.
+        The copy keeps the source's :attr:`latest_stamp`, which is truthful
+        because the bits are equal, so views derived from the source's bits
+        stay valid for the copy until it is written.  The copy-on-publish
+        epoch path copies a shard's array and patches the copy with
+        ``apply_packed_words(..., track=False)``.
         """
         clone = object.__new__(type(self))
         clone._size = self._size
         clone._bytes = self._bytes.copy()
         clone._ones = self._ones
         clone._reset_stamps(0)
+        clone._latest = self._latest
         return clone
 
     # -- change tracking ---------------------------------------------------------

@@ -35,10 +35,10 @@ sub-quadratic on sparse sketches:
 * **Shards partition users, not bands.**  Every shard of a
   :class:`~repro.service.sharding.ShardedVOS` uses the same seed, so virtual
   bit ``j`` means the same thing everywhere and band signatures are comparable
-  *across* shards.  The index keeps one signature table per shard (rebuilt
-  when that shard's array change stamp or user count moves) and merges all
-  tables at query time, so cross-shard pairs are proposed exactly like
-  same-shard pairs.
+  *across* shards.  Each shard keeps one signature table beside its row
+  memo (rebuilt when that shard's array change stamp, user count or the band
+  layout moves) and the index merges all tables at query time, so
+  cross-shard pairs are proposed exactly like same-shard pairs.
 
 A shard's table is only its valid ``(row, column)`` entries sorted by
 signature; a table build, a candidate-pair pool and an export derive band keys
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Container, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,14 +194,17 @@ def required_bands(
     return max(1, math.ceil(needed))
 
 
-def _shard_key(shard) -> tuple[int, int]:
-    """What a shard's signature table depends on: ``(array stamp, user count)``.
+def _shard_key(shard, layout: tuple, rows: int | None = None) -> tuple:
+    """What a shard's signature table depends on: ``(array stamp, user count,
+    band layout)``, for ``rows`` users (default: all of the shard's).
 
     Any write may change *any* user's recovered row (a single xor can land in
     anyone's virtual bits), so the array's latest change stamp covers the
-    bits.  Users are never removed, so the count covers the user set.
+    bits.  Users are never removed, so the count covers the user set.  The
+    layout (band count, band width, set-bit floor, seed) covers the hashes.
     """
-    return (shard.shared_array.latest_stamp, shard.num_users)
+    rows = shard.num_users if rows is None else rows
+    return (shard.shared_array.latest_stamp, rows, layout)
 
 
 @dataclass(frozen=True)
@@ -211,14 +214,14 @@ class _ShardSignatures:
     A table is its valid ``(row, column)`` entries sorted by signature; the
     columns are the bands plus the residual whole-row column (valid only for
     users with no band at the set-bit floor).  Row ``r`` belongs to the user
-    of ordinal ``r`` in the shard's :class:`~repro.baselines.users.UserTable`;
-    ordinals are stable, so a table stays valid for its ``rows`` while users
-    are added.  ``key`` is the :func:`_shard_key` the table was built or
-    adopted at; the table describes its shard exactly while the two are equal,
-    and a refresh replaces it with a rebuild once they differ.  No table is
-    ever mutated, so indexes over different epochs or restored copies share
-    them by reference (``replace`` re-keys a table without copying its arrays).
-    Construct tables with :meth:`of`, which sorts the entries.
+    of ordinal ``r`` in the shard's :class:`~repro.baselines.users.UserTable`.
+    ``key`` is the :func:`_shard_key` the table was built or restored at; the
+    table describes its shard exactly while the two are equal, and a refresh
+    replaces it with a rebuild once they differ.  A shard holds its table as
+    ``index_table``, beside its row memo.  No table is ever mutated, so
+    epochs sharing a shard object, and the copies
+    :meth:`~repro.core.vos.VirtualOddSketch.cow_view` makes, share it by
+    reference.  Construct tables with :meth:`of`, which sorts the entries.
     """
 
     #: A bucket is a run of equal ``bucket_signatures`` restricted to one column.
@@ -226,14 +229,11 @@ class _ShardSignatures:
     bucket_rows: np.ndarray
     bucket_columns: np.ndarray
     rows: int
-    key: tuple[int, int] | None = None
+    key: tuple | None = None
 
     @classmethod
     def of(
-        cls,
-        signatures: np.ndarray,
-        valid: np.ndarray,
-        key: tuple[int, int] | None = None,
+        cls, signatures: np.ndarray, valid: np.ndarray, key: tuple | None = None
     ) -> "_ShardSignatures":
         """The table over ordinals ``0 .. len(signatures) - 1`` of the dense
         ``(rows, bands + 1)`` keys, which it does not keep."""
@@ -262,17 +262,19 @@ class _ShardSignatures:
         return np.unique(self.bucket_rows[hits[same_column]])
 
 
-def _restored_table(user_table, users, signatures, valid) -> _ShardSignatures | None:
-    """A persisted table scattered into ordinal order, or ``None`` unless its
-    rows name exactly the users of ordinals ``0 .. n - 1``, each once."""
+def _restored_table(shard, users, signatures, valid, layout) -> _ShardSignatures | None:
+    """A persisted table scattered into ordinal order and keyed to the shard's
+    current bits, or ``None`` unless its rows name exactly the users of
+    ordinals ``0 .. n - 1``, each once."""
     try:
-        ordinals = user_table.ordinals(users)
+        ordinals = shard.user_table.ordinals(users)
     except (UnknownUserError, TypeError):  # TypeError: an unhashable id
         return None
     order = np.argsort(ordinals)
     if not np.array_equal(ordinals[order], np.arange(len(users))):
         return None
-    return _ShardSignatures.of(signatures[order], valid[order])
+    key = _shard_key(shard, layout, rows=len(users))
+    return _ShardSignatures.of(signatures[order], valid[order], key)
 
 
 def _pairs_within_groups(
@@ -319,10 +321,12 @@ class BandedSketchIndex:
         :class:`IndexConfig`; defaults to auto-tuned bands with the sketch's
         own seed.
 
-    The index is maintained *on demand*: every query calls :meth:`refresh`,
-    which rebuilds a shard's signature table only when that shard's array
-    change stamp or user count moved.  Between ingests, repeated queries
-    reuse the tables untouched.
+    The index holds no tables itself: each shard keeps its own, and every
+    bucket lookup calls :meth:`refresh`, which rebuilds a shard's table only
+    when that shard's array change stamp, user count or the band layout
+    moved.  Between ingests, repeated queries reuse the tables untouched, and
+    every index over the same shard objects (another epoch's, a restored
+    one's) reads the same tables.
 
     Examples
     --------
@@ -367,12 +371,10 @@ class BandedSketchIndex:
             else getattr(sketch, "seed", 0)
         )
         self._bands = self._config.bands
-        # Carter-Wegman coefficients of the kernel-tier band fold for the
-        # current band count (set by _set_layout).
+        # The layout tables are keyed to and the Carter-Wegman coefficients of
+        # the kernel-tier band fold (set by _set_layout); None until resolved.
+        self._layout: tuple | None = None
         self._coeff_a = self._coeff_b = np.empty(0, dtype=np.uint64)
-        # One table per shard; None until the shard's first (re)build.
-        self._shard_signatures: list[_ShardSignatures | None] = []
-        self._tuning_state: tuple | None = None
         self._rebuilds = 0
         self._restored = 0
         self._last_candidate_pairs: int | None = None
@@ -401,8 +403,8 @@ class BandedSketchIndex:
 
     @property
     def is_built(self) -> bool:
-        """Whether signature tables exist (built, synced or restored)."""
-        return bool(self._shard_signatures)
+        """Whether the index has resolved a layout (queried, synced or restored)."""
+        return self._layout is not None
 
     def _set_layout(self, bands: int) -> None:
         """Adopt ``bands`` and derive the hash coefficients of its columns.
@@ -410,6 +412,8 @@ class BandedSketchIndex:
         One seeded hash per band column plus the residual whole-row hash in
         the last slot; every table built afterwards uses this layout.
         """
+        if self._layout is not None and bands == self._bands:
+            return
         hashes = [
             UniversalHash(
                 range_size=_MERSENNE_P,
@@ -430,6 +434,18 @@ class BandedSketchIndex:
         self._coeff_b = np.array(
             [hash_fn._coefficients[1] for hash_fn in hashes], dtype=np.uint64
         )
+        config = self._config
+        self._layout = (bands, config.rows_per_band, config.min_band_bits, self._seed)
+
+    def _resolve_layout(self) -> tuple:
+        """Adopt the band count the sketch's current state resolves to.
+
+        A pure function of the state: auto-tuned counts depend on the live
+        fill fraction and mean cardinality (an O(shards) sum), so a changed
+        count re-layouts every table.  Returns the layout tables are keyed to.
+        """
+        self._set_layout(self._resolve_bands())
+        return self._layout
 
     def _resolve_bands(self) -> int:
         if self._config.bands:
@@ -463,45 +479,38 @@ class BandedSketchIndex:
 
     # -- maintenance ------------------------------------------------------------------
 
-    def refresh(self) -> None:
-        """Bring the index in sync with the sketch (rebuild-on-demand).
+    def refresh(self) -> list[_ShardSignatures]:
+        """Bring every shard's table in sync with its shard (rebuild-on-demand).
 
-        Auto-tuned band counts are re-resolved first — they depend on the
-        sketch's live fill fraction and mean cardinality, so a changed count
-        re-layouts every signature table.  The resolution itself is memoized
-        on the shards' :func:`_shard_key` state, so repeated queries between
-        ingests skip its O(users) cardinality scan.  Each shard's table is
-        then rebuilt when its key no longer matches the shard's.
+        The layout is resolved first (:meth:`_resolve_layout`).  Each shard's
+        ``index_table`` is then rebuilt on that shard when its key no longer
+        matches the shard's :func:`_shard_key`.  Returns the tables, one per
+        shard: a query reads these, not the shards' attributes, so another
+        index rebuilding a shared shard under another layout cannot swap a
+        table out from under it.
         """
-        shards = self._sketch.row_shards()
-        keys = tuple(_shard_key(shard) for shard in shards)
-        if self._config.bands:
-            bands = self._config.bands
-        elif self._shard_signatures and keys == self._tuning_state:
-            bands = self._bands
-        else:
-            bands = self._resolve_bands()
-            self._tuning_state = keys
-        if bands != self._bands or not self._shard_signatures:
-            self._set_layout(bands)
-            self._shard_signatures = [None] * len(shards)
+        layout = self._resolve_layout()
         registry = get_registry()
-        for position, (shard, key) in enumerate(zip(shards, keys)):
+        tables = []
+        for shard in self._sketch.row_shards():
             with trace("index.sync", registry) as span:
-                table = self._shard_signatures[position]
+                key = _shard_key(shard, layout)
+                table = shard.index_table
                 stale = table is None or table.key != key
                 if stale:
-                    self._shard_signatures[position] = self._build_table(shard, key)
+                    table = shard.index_table = self._build_table(shard, key)
+            tables.append(table)
             if stale:
                 self._rebuilds += 1
                 if registry.enabled:
                     registry.inc("index.rebuilds", 1, unit="tables")
                     registry.observe("index.rebuild_seconds", span.seconds)
+        return tables
 
     def build(self) -> None:
         """Force a full rebuild of every shard's signature table."""
-        self._shard_signatures = []
-        self._tuning_state = None
+        for shard in self._sketch.row_shards():
+            shard.index_table = None
         self.refresh()
 
     def _band_keys(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -527,7 +536,7 @@ class BandedSketchIndex:
         valid[:, bands] = ~valid[:, :bands].any(axis=1)
         return signatures, valid
 
-    def _build_table(self, shard, key: tuple[int, int]) -> _ShardSignatures:
+    def _build_table(self, shard, key: tuple) -> _ShardSignatures:
         """The table of every user the shard held at ``key``, in ordinal order."""
         count = key[1]  # the user count the table is keyed to
         rows = shard.packed_rows(shard.user_table.ids(np.arange(count)).tolist())
@@ -535,11 +544,12 @@ class BandedSketchIndex:
 
     # -- persistence ------------------------------------------------------------------
     #
-    # The bucket tables are the index's only state, so persisting them inside
-    # a snapshot's ``index/banding`` extra section makes restart-to-first-query
-    # O(1): a restored table is keyed to its shard's current bits and the next
-    # refresh finds nothing to rebuild.  The section stays dense (every slot's
-    # hash, valid or not): an export derives the keys from packed rows again.
+    # Persisting the bucket tables inside a snapshot's ``index/banding`` extra
+    # section makes restart-to-first-query O(1): a restored table is keyed to
+    # its shard's bits as loaded, so the next refresh finds nothing to rebuild
+    # unless journal replay has since moved them.  The section stays dense
+    # (every slot's hash, valid or not): an export derives the keys from
+    # packed rows again.
 
     def export_state(self) -> dict:
         """Capture the synced signature tables for snapshot persistence.
@@ -552,9 +562,9 @@ class BandedSketchIndex:
         :func:`~repro.streams.edge.user_sort_key` order of their users, so the
         bytes do not depend on the order users were first seen in.
         """
-        self.refresh()
+        tables = self.refresh()
         shards = []
-        for shard, table in zip(self._sketch.row_shards(), self._shard_signatures):
+        for shard, table in zip(self._sketch.row_shards(), tables):
             order = shard.user_table.key_order(np.arange(table.rows))
             users = shard.user_table.ids(order).tolist()
             signatures, valid = self._band_keys(shard.packed_rows(users))
@@ -567,50 +577,21 @@ class BandedSketchIndex:
             "shards": shards,
         }
 
-    def _adopt(
-        self,
-        bands: int,
-        tables: Sequence[_ShardSignatures | None],
-        stale_shards: Sequence[int],
-    ) -> int:
-        """Install ``tables`` (one per shard, shared by reference) under ``bands``.
+    def restore_state(self, state: dict) -> bool:
+        """Attach signature tables captured by :meth:`export_state` to the shards.
 
-        Each adopted table must describe its shard's current bits for the
-        users it holds.  It is keyed to the shard's current change stamp and
-        to its *own* user count, so a shard that has gained users since the
-        table was built rebuilds on its next refresh.  Shards listed in
-        ``stale_shards`` get no table and rebuild too.  Returns the number of
-        tables adopted.
-        """
-        shards = self._sketch.row_shards()
-        stale = set(stale_shards)
-        adopted: list[_ShardSignatures | None] = []
-        for position, (shard, table) in enumerate(zip(shards, tables)):
-            if table is not None and position not in stale:
-                key = (shard.shared_array.latest_stamp, table.rows)
-                table = replace(table, key=key)
-            else:
-                table = None
-            adopted.append(table)
-        self._set_layout(bands)
-        self._shard_signatures = adopted
-        # The adopted band count stands until the shards change.
-        self._tuning_state = tuple(_shard_key(shard) for shard in shards)
-        return sum(table is not None for table in adopted)
-
-    def restore_state(self, state: dict, *, stale_shards: Sequence[int] = ()) -> bool:
-        """Reinstate signature tables captured by :meth:`export_state`.
-
-        Tables are restored only when the persisted layout matches this
-        index's configuration (band count unless auto-tuned, band width,
-        set-bit floor, seed) and the sketch's shard count; on any mismatch
-        the method returns ``False`` and the index simply rebuilds on demand.
-        Each shard's rows are scattered into ordinal order; a shard whose user
-        column does not name exactly ordinals ``0 .. n - 1`` is not adopted,
-        nor is one listed in ``stale_shards`` (journal replay changed them, so
-        their persisted signatures may no longer describe the shard): those
-        rebuild on their next query.  Returns ``True`` when the layout was
-        adopted.
+        The shards must hold the bits the state was exported from, as a
+        snapshot's shards do right after loading: each table is keyed to its
+        shard's current change stamp, so a later write (journal replay
+        included) makes it fail the key check and rebuild.  Tables are
+        restored only when the persisted layout matches this index's
+        configuration (band count unless auto-tuned, band width, set-bit
+        floor, seed) and the sketch's shard count; on any mismatch the method
+        returns ``False`` and the index simply rebuilds on demand.  Each
+        shard's rows are scattered into ordinal order; a shard whose user
+        column does not name exactly ordinals ``0 .. n - 1`` gets no table.
+        ``stats()["restored"]`` counts the tables attached.  Returns ``True``
+        when the layout was adopted.
         """
         bands = state["bands"]
         if self._config.bands and self._config.bands != bands:
@@ -625,43 +606,19 @@ class BandedSketchIndex:
         if len(state["shards"]) != len(self._sketch.row_shards()):
             return False
         columns = bands + 1
-        tables: list[_ShardSignatures | None] = []
-        for shard, entry in zip(self._sketch.row_shards(), state["shards"]):
+        entries = []
+        for entry in state["shards"]:
             users = list(entry["users"])
             signatures = np.asarray(entry["signatures"], dtype=np.uint64)
             valid = np.asarray(entry["valid"], dtype=bool)
             if signatures.shape != (len(users), columns) or valid.shape != signatures.shape:
                 return False
-            tables.append(_restored_table(shard.user_table, users, signatures, valid))
-        self._restored += self._adopt(bands, tables, stale_shards)
+            entries.append((users, signatures, valid))
+        self._set_layout(bands)
+        for shard, entry in zip(self._sketch.row_shards(), entries):
+            shard.index_table = _restored_table(shard, *entry, self._layout)
+            self._restored += shard.index_table is not None
         return True
-
-    def carry_forward(
-        self, sketch, *, stale_shards: Sequence[int] = ()
-    ) -> "BandedSketchIndex | None":
-        """A new index over ``sketch`` sharing this index's tables by reference.
-
-        The serving daemon's epoch publisher calls this so an epoch's lazy
-        LSH build does not recompute signatures for shards the publish did
-        not touch: ``sketch`` must hold the same bits as this index's sketch
-        on every shard not listed in ``stale_shards``, and each shard's table
-        must already describe those bits (refresh first when in doubt).
-        Tables are immutable, so whichever index rebuilds a shard later does
-        not disturb the other.  Returns ``None`` when no tables exist yet or
-        the successor's layout differs; callers then fall back to a lazy
-        build.
-        """
-        if not self._shard_signatures or not self._bands:
-            return None
-        if len(sketch.row_shards()) != len(self._shard_signatures):
-            return None
-        clone = BandedSketchIndex(sketch, self._config)
-        if clone._seed != self._seed:
-            return None
-        clone._restored = clone._adopt(
-            self._bands, self._shard_signatures, stale_shards
-        )
-        return clone
 
     # -- queries ----------------------------------------------------------------------
 
@@ -707,7 +664,8 @@ class BandedSketchIndex:
     def _propose_pairs(
         self, pool: Sequence[UserId], registry
     ) -> tuple[np.ndarray, np.ndarray]:
-        self.refresh()
+        # The pool's keys come from its packed rows: no table is read.
+        self._resolve_layout()
         pool = list(pool)
         n = len(pool)
         self._last_pool_pairs = n * (n - 1) // 2
@@ -755,16 +713,16 @@ class BandedSketchIndex:
         """
         registry = get_registry()
         with trace("index.neighbour_candidates", registry):
-            self.refresh()
+            tables = self.refresh()
             members: list[UserId] = []
             if pool:
                 shards = self._sketch.row_shards()
                 home = self._sketch.shard_of(target)
                 (row,) = shards[home].user_table.ordinals([target])
-                table = self._shard_signatures[home]
+                table = tables[home]
                 own = table.bucket_rows == row
                 keys, columns = table.bucket_signatures[own], table.bucket_columns[own]
-                for shard, table in zip(shards, self._shard_signatures):
+                for shard, table in zip(shards, tables):
                     mates = shard.user_table.ids(table.bucket_mates(keys, columns))
                     members.extend(
                         user for user in mates.tolist() if user != target and user in pool
@@ -780,9 +738,11 @@ class BandedSketchIndex:
 
         ``last_candidate_fraction`` is the proposed share of the last query's
         full pair pool — the knob-tuning signal for the recall/speed tradeoff
-        (1.0 would mean no pruning at all).
+        (1.0 would mean no pruning at all).  Table counts cover the tables the
+        shards hold, whichever index built them.
         """
-        tables = [table for table in self._shard_signatures if table is not None]
+        shards = self._sketch.row_shards()
+        tables = [shard.index_table for shard in shards if shard.index_table is not None]
         users_indexed = sum(table.rows for table in tables)
         fraction = (
             self._last_candidate_pairs / self._last_pool_pairs
@@ -796,7 +756,7 @@ class BandedSketchIndex:
             "min_band_bits": self._config.min_band_bits,
             "auto_bands": self._config.bands == 0,
             "seed": self._seed,
-            "shards": len(self._shard_signatures),
+            "shards": len(shards),
             "users_indexed": users_indexed,
             "signature_bytes": sum(table.memory_bytes() for table in tables),
             "rebuilds": self._rebuilds,

@@ -72,6 +72,14 @@ static inline uint64_t affine_mod_p(uint64_t a, uint64_t b, uint64_t x) {
     return r >= MERSENNE_P ? r - MERSENNE_P : r;
 }
 
+/* ((a * x + b) mod p) mod range for a mixed key x: the one position hash
+ * of ingest (repro_hash_keys) and row recovery (repro_recover_rows).  The
+ * hardware 64-bit `%` measured faster than a 128-bit multiply-based
+ * remainder inside recover_rows. */
+static inline uint64_t position(uint64_t a, uint64_t b, uint64_t x, uint64_t range) {
+    return affine_mod_p(a, b, x) % range;
+}
+
 /* out[i] = ((a[m] * fingerprint64(keys[i]) + b[m]) mod p) mod range_size with
  * m = members[i] (0 when members is NULL): HashFamily.hash_pairs and
  * UniversalHash.hash_array over an integer-key column in one pass. */
@@ -80,19 +88,9 @@ void repro_hash_keys(const uint64_t *keys, int64_t n, const uint64_t *coeff_a,
                      uint64_t range_size, int64_t *out) {
     for (int64_t i = 0; i < n; ++i) {
         int64_t m = members ? members[i] : 0;
-        uint64_t wide = affine_mod_p(coeff_a[m], coeff_b[m], mix64(keys[i] ^ GOLDEN));
-        out[i] = (int64_t)(wide % range_size);
+        out[i] = (int64_t)position(coeff_a[m], coeff_b[m], mix64(keys[i] ^ GOLDEN),
+                                   range_size);
     }
-}
-
-/* x mod d by Lemire's direct remainder: with m = floor((2^128 - 1) / d) + 1
- * the remainder is the high 64 bits of (m * x mod 2^128) * d, exact for
- * every 64-bit x and d > 0.  Multiplies instead of a 64-bit divide per call. */
-static inline uint64_t fastmod(uint64_t x, unsigned __int128 m, uint64_t d) {
-    unsigned __int128 low = m * x;
-    unsigned __int128 high =
-        (low >> 64) * d + (((unsigned __int128)(uint64_t)low * d) >> 64);
-    return (uint64_t)(high >> 64);
 }
 
 /* Packed virtual-sketch rows: bit j of row u (np.packbits order) is bit
@@ -103,7 +101,6 @@ static inline uint64_t fastmod(uint64_t x, unsigned __int128 m, uint64_t d) {
 void repro_recover_rows(const uint64_t *fps, int64_t n, const uint64_t *coeff_a,
                         const uint64_t *coeff_b, int64_t k, const uint8_t *bits,
                         uint64_t num_bits, int64_t row_bytes, uint8_t *out) {
-    unsigned __int128 inverse = ~(unsigned __int128)0 / num_bits + 1;
     for (int64_t u = 0; u < n; ++u) {
         const uint64_t x = fps[u];
         uint8_t *row = out + u * row_bytes;
@@ -111,8 +108,7 @@ void repro_recover_rows(const uint64_t *fps, int64_t n, const uint64_t *coeff_a,
             int64_t stop = j + 8 < k ? j + 8 : k;
             unsigned acc = 0;
             for (int64_t v = j; v < stop; ++v) {
-                uint64_t pos = fastmod(affine_mod_p(coeff_a[v], coeff_b[v], x),
-                                       inverse, num_bits);
+                uint64_t pos = position(coeff_a[v], coeff_b[v], x, num_bits);
                 acc |= ((bits[pos >> 3] >> (7 - (pos & 7))) & 1u) << (7 - (v - j));
             }
             row[j >> 3] = (uint8_t)acc;

@@ -18,6 +18,13 @@ module publishes at O(touched shards) instead:
   carried over by reference: the new epoch's shard *is* the previous
   epoch's object.
 
+LSH tables need no code here: each shard holds its own
+(``VirtualOddSketch.index_table``, keyed to the array's change stamp).  An
+untouched shard brings its table along with the object, and a touched
+shard's copy starts with its source's table, which the patch then makes
+stale, so the new epoch's first ``lsh`` read rebuilds exactly the shards
+this publish changed.
+
 The copy is a flat cost per touched shard (``m / 8`` bytes, the packed
 array); applying the delta is O(changed words).  Nothing
 accumulates across publishes, so the cost does not grow with run length.
@@ -74,36 +81,16 @@ class CowEpochPublisher:
             VirtualOddSketch.cow_view(shard)
             for shard in self._writer.sketch.row_shards()
         ]
-        service = self._assemble()
-        # Adopt the writer's built tables by reference, refreshed first so
-        # they describe the bits just copied.  Tables are immutable: the
-        # writer's later rebuilds replace its own, never this epoch's.
-        writer_index = self._writer._index
-        if writer_index is not None and writer_index.is_built:
-            writer_index.refresh()
-            service._index = writer_index.carry_forward(service.sketch)
-        return service
+        return self._assemble()
 
-    def publish_delta(
-        self,
-        delta: dict,
-        *,
-        previous_service: SimilarityService | None = None,
-        previous_index_lock=None,
-    ) -> SimilarityService:
+    def publish_delta(self, delta: dict) -> SimilarityService:
         """Build the next frozen epoch from a ``freeze_delta`` payload.
 
         The payload's ``cursor`` becomes this publisher's cursor.  Only
         shards the delta touches get a new copy and a new sketch view;
         every other shard of the new epoch *is* the previous epoch's shard
-        object.  ``previous_service`` (the current epoch's) donates its
-        LSH signature tables for untouched shards via
-        :meth:`~repro.index.banding.BandedSketchIndex.carry_forward`;
-        ``previous_index_lock`` is acquired non-blocking for that read — on
-        contention (a reader is mid-build on the old epoch) the carry is
-        skipped and the new epoch simply builds lazily.
+        object, LSH table included.
         """
-        stale_shards: list[int] = []
         for entry in delta["shards"]:
             index = entry["shard"]
             frozen = VirtualOddSketch.cow_view(self._current_shards[index])
@@ -115,16 +102,11 @@ class CowEpochPublisher:
                     f"cow copy {problem} — writer and epoch diverged"
                 )
             self._current_shards[index] = frozen
-            if len(entry["words"]):
-                stale_shards.append(index)
         service = self._assemble(
             elements=delta["elements_ingested"], batches=delta["batches_ingested"]
         )
         self.cursor = delta["cursor"]
         self._publishes += 1
-        self._carry_index(
-            service, stale_shards, previous_service, previous_index_lock
-        )
         return service
 
     def stats(self) -> dict:
@@ -157,29 +139,3 @@ class CowEpochPublisher:
             self._writer._batches_ingested if batches is None else batches
         )
         return service
-
-    def _carry_index(
-        self,
-        service: SimilarityService,
-        stale_shards: list[int],
-        previous_service: SimilarityService | None,
-        previous_index_lock,
-    ) -> None:
-        if previous_service is None:
-            return
-        previous_index = previous_service._index
-        if previous_index is None or not previous_index.is_built:
-            return
-        if previous_index_lock is not None and not previous_index_lock.acquire(
-            blocking=False
-        ):
-            return
-        try:
-            carried = previous_index.carry_forward(
-                service.sketch, stale_shards=stale_shards
-            )
-        finally:
-            if previous_index_lock is not None:
-                previous_index_lock.release()
-        if carried is not None:
-            service._index = carried

@@ -13,7 +13,9 @@
   atomically swapped in as the next epoch.  Readers pin whatever epoch is
   current when their request arrives, so a query never observes a
   half-applied batch and an epoch swap never tears, drops, or errors an
-  in-flight request.
+  in-flight request.  Each shard holds its own LSH table, so an untouched
+  shard brings its table into the new epoch and the epoch's first ``lsh``
+  read rebuilds only the shards that publish changed.
 
 Threading model: one acceptor thread spawns a thread per live connection
 (bounded by ``backlog``; connections beyond it are shed, never silently
@@ -271,12 +273,7 @@ class ServingDaemon:
         if not delta["shards"]:
             return self.epochs.note_noop(), "noop"
         delta_words = sum(len(entry["words"]) for entry in delta["shards"])
-        current = self.epochs.current
-        frozen = self._publisher.publish_delta(
-            delta,
-            previous_service=current.service,
-            previous_index_lock=current.index_lock,
-        )
+        frozen = self._publisher.publish_delta(delta)
         epoch = self.epochs.publish(frozen, delta_words=delta_words)
         seconds = time.perf_counter() - started
         if registry.enabled:
@@ -493,12 +490,12 @@ class ServingDaemon:
         }
 
     def _ensure_index(self, epoch) -> None:
-        """Build the epoch's banding index exactly once across reader threads.
+        """Sync the epoch's banding index once across reader threads.
 
         An epoch's service is immutable, so after the first synchronization
-        every later ``lsh`` query finds fresh signature tables and skips the
-        rebuild; the per-epoch lock only serializes that first build (lazy
-        rebuild-on-demand is not thread-safe on a shared index).
+        every later ``lsh`` query finds its shards' tables fresh and skips
+        the rebuild; the per-epoch lock only serializes that first sync, so
+        concurrent readers never build the same stale table twice.
         """
         with epoch.index_lock:
             epoch.service.index().refresh()

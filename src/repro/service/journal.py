@@ -241,10 +241,6 @@ class JournalReplay:
     records: int = 0
     words_applied: int = 0
     counters_applied: int = 0
-    #: Shards with any replayed record, whether it changed words or only
-    #: counters — persisted index signatures for them may no longer describe
-    #: the shard (changed bits, or users the table lacks).
-    shards_touched: set[int] = field(default_factory=set)
     truncated_tail: bool = False
 
 
@@ -277,7 +273,6 @@ def replay_journal(
                     f"but the snapshot holds {len(shards)} shard(s)"
                 )
             replay.words_applied += len(record.delta["words"])
-            replay.shards_touched.add(record.shard)
             replay.counters_applied += len(record.delta["counter_users"])
             problem = apply_shard_delta(shards[record.shard], record.delta)
             if problem is not None:
@@ -311,7 +306,6 @@ def replay_journal(
             records=replay.records,
             words=replay.words_applied,
             counters=replay.counters_applied,
-            shards_touched=len(replay.shards_touched),
             last_seq=replay.records,
             truncated_tail=replay.truncated_tail,
             seconds=round(span.seconds, 6),

@@ -386,7 +386,6 @@ class SimilarityService:
         memory: Counter = Counter()
         for shard in sketch.row_shards():
             memory.update(shard.memory_bytes())
-        memory["index"] = stats["index"]["signature_bytes"] if stats["index"] else 0
         users = stats["users"]
         memory["per_user"] = sum(memory.values()) / users if users else None
         stats["memory_bytes"] = dict(memory)
@@ -642,7 +641,7 @@ class SimilarityService:
 
         The restored service has no snapshot/journal binding (it is a frozen
         read copy, not a resumed persistence lineage).  A persisted
-        ``index/banding`` section is adopted, so the copy answers its first
+        ``index/banding`` section is attached, so the copy answers its first
         ``lsh`` query without a signature rebuild.  ``elements_ingested`` /
         ``batches_ingested`` carry the source service's ingest counters so
         the copy's :meth:`stats` reflect the stream position it was frozen
@@ -652,11 +651,7 @@ class SimilarityService:
         service = cls(state.sketch, batch_size=batch_size, index_config=index_config)
         service._elements_ingested = elements_ingested
         service._batches_ingested = batches_ingested
-        index_state = state.extras.get(INDEX_SNAPSHOT_SECTION)
-        if index_state is not None:
-            index = BandedSketchIndex(state.sketch, service._index_config)
-            if index.restore_state(index_state):
-                service._index = index
+        service._index = _restored_index(state, service.index_config)
         return service
 
     def compact(self) -> str:
@@ -720,10 +715,11 @@ class SimilarityService:
         (binding mismatches raise :class:`~repro.exceptions.SnapshotError`),
         or ``None`` to ignore journals entirely.
 
-        When the snapshot carries an ``index/banding`` section, the banding
-        index is restored with it: shards untouched by journal replay answer
-        their first ``lsh`` query without any signature rebuild
-        (``stats()["index"]["restored"]`` counts the adopted tables).
+        When the snapshot carries an ``index/banding`` section, its tables
+        are attached to the shards before journal replay: shards the replay
+        leaves unchanged answer their first ``lsh`` query without any
+        signature rebuild (``stats()["index"]["restored"]`` counts the
+        attached tables), and the rest fail their key check and rebuild.
         """
         registry = get_registry()
         with timed("persistence.snapshot.load", registry) as span:
@@ -738,7 +734,11 @@ class SimilarityService:
                 seconds=round(span.seconds, 6),
             ),
         )
-        replay = None
+        # Attached before replay: a replayed record moves the change stamp
+        # of the shard it changes, so that shard's table goes stale.
+        index = _restored_index(
+            state, index_config if index_config is not None else IndexConfig()
+        )
         journal_path: Path | None = None
         unreplayed = False
         if journal is not None:
@@ -748,7 +748,7 @@ class SimilarityService:
             if candidate.exists():
                 bound_to = journal_checkpoint_id(candidate)
                 if bound_to == state.checkpoint_id and state.checkpoint_id:
-                    replay = replay_journal(
+                    replay_journal(
                         state.sketch, candidate, checkpoint_id=state.checkpoint_id
                     )
                     journal_path = candidate
@@ -784,10 +784,15 @@ class SimilarityService:
         service._journal_path = journal_path or default_journal_path(path)
         service._checkpoint_id = state.checkpoint_id or None
         service._unreplayed_journal = unreplayed
-        index_state = state.extras.get(INDEX_SNAPSHOT_SECTION)
-        if index_state is not None:
-            index = BandedSketchIndex(state.sketch, service._index_config)
-            stale = replay.shards_touched if replay is not None else set()
-            if index.restore_state(index_state, stale_shards=stale):
-                service._index = index
+        service._index = index
         return service
+
+
+def _restored_index(state, config: IndexConfig) -> BandedSketchIndex | None:
+    """An index over a loaded snapshot's sketch with its ``index/banding``
+    tables attached to the shards, or ``None`` when there are none to adopt."""
+    index_state = state.extras.get(INDEX_SNAPSHOT_SECTION)
+    if index_state is None:
+        return None
+    index = BandedSketchIndex(state.sketch, config)
+    return index if index.restore_state(index_state) else None

@@ -283,10 +283,18 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
 
     def cardinalities(self, users: Sequence[UserId]) -> np.ndarray:
         """Bulk :meth:`cardinality`: one :meth:`route` groups every user."""
+        return self._routed_counts("cardinalities", users)
+
+    def known_cardinalities(self, users: Sequence[UserId]) -> np.ndarray:
+        """Bulk membership and cardinality (``-1`` for a user never seen) in
+        one :meth:`route`."""
+        return self._routed_counts("known_cardinalities", users)
+
+    def _routed_counts(self, method: str, users: Sequence[UserId]) -> np.ndarray:
         users = list(users)
         counts = np.empty(len(users), dtype=np.int64)
         for shard_index, positions, members in self.route(users):
-            counts[positions] = self._shards[shard_index].cardinalities(members)
+            counts[positions] = getattr(self._shards[shard_index], method)(members)
         return counts
 
     def has_user(self, user: UserId) -> bool:

@@ -67,12 +67,14 @@ class ScoredPair:
 def _candidate_users(
     sketch: SimilaritySketch, users: Iterable[UserId] | None, minimum_cardinality: int
 ) -> list[UserId]:
-    if users is None:
-        pool = list(sketch.users())
-    else:
-        pool = [user for user in users if sketch.has_user(user)]
+    """``users`` (default: all) the sketch has seen holding at least
+    ``minimum_cardinality`` items, sorted.  Membership and cardinality come
+    from one bulk read, which a sharded sketch routes once."""
+    pool = list(sketch.users()) if users is None else list(users)
+    counts = sketch.known_cardinalities(pool).tolist()
+    floor = max(minimum_cardinality, 0)
     return sorted(
-        _at_least(sketch, pool, minimum_cardinality), key=_user_sort_key
+        (user for user, count in zip(pool, counts) if count >= floor), key=_user_sort_key
     )
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -251,7 +254,7 @@ class TestIncrementalMaintenance:
         assert stats["signature_bytes"] > 0
         assert stats["users_indexed"] == 100
         assert stats["bands"] == 16
-        (table,) = index._shard_signatures
+        (table,) = index.refresh()
         lookup = sum(
             array.nbytes
             for array in (
@@ -264,6 +267,46 @@ class TestIncrementalMaintenance:
         # A table is its sorted entries: nothing else is charged.
         assert stats["signature_bytes"] == lookup
         assert table.rows == 100
+
+
+class TestSharedShardTables:
+    def test_indexes_of_two_layouts_sharing_shards_answer_exactly(self):
+        """Two indexes whose layouts differ thrash the tables of the shards
+        they share, as epochs with different band counts may; every answer
+        must still be its own layout's, because a query reads the tables its
+        refresh returned, never a table swapped in after."""
+        sketch = ShardedVOS(2, shard_array_bits=1 << 16, virtual_sketch_size=512, seed=4)
+        sketch.process_batch(clone_pool_elements(num_users=60, items_per_user=20))
+        pool = set(sketch.users())
+        targets = sorted(pool)[:6]
+        configs = [IndexConfig(bands=2), IndexConfig(bands=4, min_band_bits=1)]
+        expected = [
+            [BandedSketchIndex(sketch, config).neighbour_candidates(t, pool) for t in targets]
+            for config in configs
+        ]
+        errors: list[Exception] = []
+
+        def reader(slot: int) -> None:
+            index = BandedSketchIndex(sketch, configs[slot % 2])
+            try:
+                for _ in range(40):
+                    got = [index.neighbour_candidates(t, pool) for t in targets]
+                    assert got == expected[slot % 2]
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(6)]
+        try:
+            for thread in threads:
+                thread.start()
+        finally:
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestShardedIndex:
@@ -412,7 +455,12 @@ class TestServiceIntegration:
         index_stats = service.stats()["index"]
         assert index_stats is not None
         assert index_stats["last_candidate_pairs"] is not None
+        # A pair search keys its pool from packed rows: it builds no table.
+        assert index_stats["signature_bytes"] == index_stats["rebuilds"] == 0
+        service.top_k(0, k=5, index="lsh")
+        index_stats = service.stats()["index"]
         assert index_stats["signature_bytes"] > 0
+        assert index_stats["rebuilds"] == 2  # one per shard
 
     def test_lsh_top_k_pairs_matches_exhaustive(self, service):
         exact = service.top_k_pairs(k=20)
@@ -496,6 +544,23 @@ class TestIndexPersistence:
         # The restored tables answered without any signature rebuild.
         assert restored_index.stats()["rebuilds"] == 0
 
+    def test_cold_candidate_pairs_build_no_table(self, clone_sharded):
+        """A pair search keys its pool from packed rows: no shard's table is
+        built, and the pairs equal those of an index whose tables are built."""
+        from repro.service.snapshot import dumps_snapshot, loads_snapshot
+
+        pool = sorted(clone_sharded.users())[:192]
+        cold_sketch = loads_snapshot(dumps_snapshot(clone_sharded))
+        cold = BandedSketchIndex(cold_sketch)
+        got_a, got_b = cold.candidate_pairs(pool)
+        assert cold.stats()["rebuilds"] == 0
+        assert all(shard.index_table is None for shard in cold_sketch.row_shards())
+        warm = BandedSketchIndex(loads_snapshot(dumps_snapshot(clone_sharded)))
+        warm.refresh()
+        live_a, live_b = warm.candidate_pairs(pool)
+        assert got_a.size > 0
+        assert (got_a.tolist(), got_b.tolist()) == (live_a.tolist(), live_b.tolist())
+
     def test_restore_rejects_mismatched_layouts(self, clone_vos):
         index = BandedSketchIndex(clone_vos, IndexConfig(bands=4))
         index.build()
@@ -509,23 +574,28 @@ class TestIndexPersistence:
         )
         assert wrong_width.restore_state(state) is False
 
-    def test_stale_shards_rebuild_on_demand(self, clone_sharded):
+    def test_shard_written_after_restore_rebuilds_on_demand(self, clone_sharded):
         from repro.service.snapshot import dumps_snapshot, loads_snapshot
 
-        index = BandedSketchIndex(clone_sharded)
-        pool = sorted(clone_sharded.users())
-        index.candidate_pairs(pool)
+        config = IndexConfig(bands=4)
+        live_sketch = loads_snapshot(dumps_snapshot(clone_sharded))
+        index = BandedSketchIndex(live_sketch, config)
         state = index.export_state()
-        restored_sketch = loads_snapshot(dumps_snapshot(clone_sharded))
-        restored_index = BandedSketchIndex(restored_sketch)
-        assert restored_index.restore_state(state, stale_shards=[1]) is True
-        stats = restored_index.stats()
-        assert stats["restored"] == clone_sharded.num_shards - 1
-        got_a, got_b = restored_index.candidate_pairs(pool)
-        live_a, live_b = index.candidate_pairs(pool)
-        assert got_a.tolist() == live_a.tolist()
-        assert got_b.tolist() == live_b.tolist()
-        # Exactly the stale shard's table was rebuilt.
+        restored_sketch = loads_snapshot(dumps_snapshot(live_sketch))
+        restored_index = BandedSketchIndex(restored_sketch, config)
+        assert restored_index.restore_state(state) is True
+        assert restored_index.stats()["restored"] == clone_sharded.num_shards
+        # A write landing after the restore, as journal replay makes, moves
+        # shard 1's change stamp: its restored table no longer describes it.
+        pool = sorted(clone_sharded.users())
+        user = next(user for user in pool if clone_sharded.shard_of(user) == 1)
+        for sketch in (live_sketch, restored_sketch):
+            sketch.process(StreamElement(user, 10**6, Action.INSERT))
+        for target in (user, pool[0], pool[1]):
+            assert restored_index.neighbour_candidates(target, set(pool)) == (
+                index.neighbour_candidates(target, set(pool))
+            )
+        # Exactly the written shard's table was rebuilt.
         assert restored_index.stats()["rebuilds"] == 1
 
     def test_restored_table_missing_a_user_rebuilds(self, clone_vos):
@@ -546,11 +616,11 @@ class TestIndexPersistence:
         assert restored.restore_state(dict(state, shards=[short])) is True
         assert restored.stats()["restored"] == 1
         got_a, got_b = restored.candidate_pairs(pool)
-        assert restored.stats()["rebuilds"] == 1
-        assert restored.stats()["users_indexed"] == len(pool)
         assert got_a.tolist() == live_a.tolist()
         assert got_b.tolist() == live_b.tolist()
         assert missing in restored.neighbour_candidates(missing - 1, pool)
+        assert restored.stats()["rebuilds"] == 1
+        assert restored.stats()["users_indexed"] == len(pool)
 
     def test_section_naming_a_user_the_shard_lacks_is_not_adopted(self, tmp_path):
         from repro.index import INDEX_SNAPSHOT_SECTION
@@ -598,15 +668,17 @@ class TestIndexPersistence:
         )
         assert service.save_delta()["records"] == 1
         restored = SimilarityService.load(path)
-        assert restored.stats()["index"]["restored"] == 4 - 1
+        # Every persisted table is attached; the replayed record adds a user
+        # to one shard, so that shard's table fails its key check.
+        assert restored.stats()["index"]["restored"] == 4
         assert restored.top_k_pairs(k=10, candidates="lsh") == service.top_k_pairs(
             k=10, candidates="lsh"
         )
-        assert restored.stats()["index"]["rebuilds"] == 1
         for user in (0, 1, 57, 9001):
             assert restored.top_k(user, k=5, index="lsh") == service.top_k(
                 user, k=5, index="lsh"
             )
+        assert restored.stats()["index"]["rebuilds"] == 1
         assert restored.stats()["index"]["users_indexed"] == 121
 
     def test_service_save_load_restores_index(self, tmp_path):

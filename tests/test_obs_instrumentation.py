@@ -89,6 +89,11 @@ class TestFourSubsystemCoverage:
         assert snap["counters"]["index.queries"]["value"] == 1
         assert snap["histograms"]["index.candidate_yield"]["count"] == 1
         assert snap["histograms"]["index.bucket_size"]["count"] > 0
+        # A pair search keys its pool from packed rows; a bucket lookup
+        # builds every shard's table.
+        assert "index.rebuilds" not in snap["counters"]
+        service.top_k(pairs[0].user_a, k=5, index="lsh")
+        snap = registry.snapshot()
         assert snap["counters"]["index.rebuilds"]["value"] == 4  # one per shard
 
     def test_cancelled_batch_rebuild_metrics(self, registry):

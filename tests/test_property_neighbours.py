@@ -7,8 +7,9 @@ signature row and compare it with the target's row column by column.  Both
 must give ``==`` candidate lists and ``==`` answers on churned streams, on a
 single-array sketch and on 1- and 4-shard sketches, with small and large
 ``minimum_cardinality``, explicit candidate pools in shuffled order, and
-tables adopted through ``restore_state`` (stale shards included) and
-``carry_forward``.
+tables each shard keeps across restores, journal replay and copy-on-write
+publishes.  Those shard-held tables must also stay ``==`` a from-scratch build
+over a copy of the bits after every step.
 """
 
 from __future__ import annotations
@@ -18,9 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.vos import VirtualOddSketch
+from repro.hashing.bitpack import next_stamp
 from repro.index import BandedSketchIndex, IndexConfig
 from repro.index.banding import decode_index_state, encode_index_state
+from repro.service.delta import apply_shard_delta, shard_delta
 from repro.service.sharding import ShardedVOS
+from repro.service.snapshot import dumps_snapshot, loads_snapshot
 from repro.similarity.search import nearest_neighbours
 from repro.streams.edge import Action, StreamElement, user_sort_key
 
@@ -160,61 +164,107 @@ def test_bucket_lookup_equals_pool_scan(scenario):
             _assert_matches_reference(index, sketch, target, pool, minimum)
 
 
+def _bits_copy(sketch):
+    """The same bits and users in new shard objects that hold no LSH table."""
+    return loads_snapshot(dumps_snapshot(sketch))
+
+
+def _shard_states(sketch) -> list[tuple[bytes, int]]:
+    return [
+        (shard.shared_array.to_packed_bytes(), shard.num_users)
+        for shard in sketch.row_shards()
+    ]
+
+
+def _replay(writer, target, batch) -> int:
+    """Ingest ``batch`` on ``writer`` and replay its shard deltas onto
+    ``target`` as journal replay does; returns how many of ``target``'s shards
+    changed bits or users."""
+    before = _shard_states(target)
+    cursor = next_stamp()
+    writer.process_batch(batch)
+    for position, shard in enumerate(writer.row_shards()):
+        delta = shard_delta(shard, position, cursor)
+        if delta is not None:
+            assert apply_shard_delta(target.row_shards()[position], delta) is None
+    after = _shard_states(target)
+    return sum(old != new for old, new in zip(before, after))
+
+
+def _extra_batch(rng, users: int) -> list[StreamElement]:
+    """New users, and new items for old ones."""
+    extra_users = rng.integers(users + 3, size=20)
+    return [
+        StreamElement(user, 3000 + item, Action.INSERT)
+        for item, user in enumerate(extra_users.tolist())
+    ]
+
+
 @given(scenario=scenarios, round_trip=st.booleans())
 @settings(max_examples=25, deadline=None)
 def test_restored_tables_equal_pool_scan(scenario, round_trip):
+    """A section restored onto a loaded copy, then a replayed batch: the
+    shards the batch changed rebuild, the rest answer from restored tables."""
     rng, sketch, config = _build(scenario)
     live = BandedSketchIndex(sketch, config)
     state = live.export_state()
     if round_trip:
         state = decode_index_state(encode_index_state(state))
-    # Ingest after the export (new users, and new items for old ones): the
-    # shards it touches are stale in the persisted state and must be
-    # rebuilt, the rest adopted.
-    extra_users = rng.integers(scenario["users"] + 3, size=20)
-    extra = [
-        StreamElement(user, 3000 + item, Action.INSERT)
-        for item, user in enumerate(extra_users.tolist())
-    ]
-    sketch.process_batch(extra)
-    touched = (
-        np.unique(sketch.shard_assignment(extra_users)).tolist()
-        if scenario["shards"]
-        else [0]
-    )
-    restored = BandedSketchIndex(sketch, config)
-    assert restored.restore_state(state, stale_shards=touched)
-    assert restored.stats()["restored"] == len(state["shards"]) - len(touched)
-    users = sorted(sketch.users(), key=user_sort_key)
-    for minimum in (1, _large_minimum(sketch)):
+    restored_sketch = _bits_copy(sketch)
+    restored = BandedSketchIndex(restored_sketch, config)
+    assert restored.restore_state(state)
+    assert restored.stats()["restored"] == len(state["shards"])
+    bands = restored.bands
+    changed = _replay(sketch, restored_sketch, _extra_batch(rng, scenario["users"]))
+    restored.refresh()
+    expected = changed if restored.bands == bands else len(state["shards"])
+    assert restored.stats()["rebuilds"] == expected
+    users = sorted(restored_sketch.users(), key=user_sort_key)
+    for minimum in (1, _large_minimum(restored_sketch)):
         for target in rng.choice(users, size=min(4, len(users)), replace=False).tolist():
-            _assert_matches_reference(restored, sketch, target, None, minimum)
+            _assert_matches_reference(restored, restored_sketch, target, None, minimum)
 
 
 @given(scenario=scenarios)
 @settings(max_examples=25, deadline=None)
-def test_carried_tables_equal_pool_scan(scenario):
+def test_published_tables_equal_pool_scan(scenario):
+    """Tables handed to a copy-on-write epoch answer like a pool scan."""
     rng, writer, config = _build(scenario)
-    # A successor holding the same bits, as an epoch publish produces.
-    successor = _make_sketch(scenario["shards"], scenario["seed"] % 97)
-    successor.process_batch(
-        _churned_stream(np.random.default_rng(scenario["seed"]), scenario["users"])
+    BandedSketchIndex(writer, config).refresh()
+    # The epoch publisher: copy each shard (table included), then patch the
+    # copies of the shards the writer changed since the copy.
+    epoch_shards = [VirtualOddSketch.cow_view(shard) for shard in writer.row_shards()]
+    assert all(
+        shard.index_table is source.index_table is not None
+        for shard, source in zip(epoch_shards, writer.row_shards())
     )
-    index = BandedSketchIndex(writer, config)
-    index.refresh()
-    extra = [StreamElement(10**6, item, Action.INSERT) for item in range(30)]
-    successor.process_batch(extra)
-    touched = (
-        successor.shard_assignment(np.array([10**6])).tolist()
-        if scenario["shards"]
-        else [0]
-    )
-    carried = index.carry_forward(successor, stale_shards=touched)
-    assert carried is not None
-    users = sorted(successor.users(), key=user_sort_key)
-    for minimum in (1, _large_minimum(successor)):
+    cursor = next_stamp()
+    writer.process_batch([StreamElement(10**6, item, Action.INSERT) for item in range(30)])
+    epoch_shards = _published(writer, epoch_shards, cursor)
+    epoch = _assembled(writer, epoch_shards)
+    index = BandedSketchIndex(epoch, config)
+    users = sorted(epoch.users(), key=user_sort_key)
+    for minimum in (1, _large_minimum(epoch)):
         for target in [10**6, *rng.choice(users, size=min(3, len(users))).tolist()]:
-            _assert_matches_reference(carried, successor, target, None, minimum)
+            _assert_matches_reference(index, epoch, target, None, minimum)
+
+
+def _published(writer, shards: list, cursor: int) -> list:
+    """The next epoch's shards: every shard the writer changed after
+    ``cursor`` copied and patched untracked, every other one the same object."""
+    shards = list(shards)
+    for position, shard in enumerate(writer.row_shards()):
+        delta = shard_delta(shard, position, cursor)
+        if delta is not None:
+            shards[position] = VirtualOddSketch.cow_view(shards[position])
+            assert apply_shard_delta(shards[position], delta, track=False) is None
+    return shards
+
+
+def _assembled(writer, shards: list):
+    if isinstance(writer, VirtualOddSketch):
+        return shards[0]
+    return ShardedVOS.from_shards(shards, seed=writer.seed)
 
 
 def _toggles(rng: np.random.Generator, live: set, users: int) -> list[StreamElement]:
@@ -229,31 +279,41 @@ def _toggles(rng: np.random.Generator, live: set, users: int) -> list[StreamElem
     return elements
 
 
-def _shards_of(sketch, batch: list[StreamElement]) -> list[int]:
-    if isinstance(sketch, VirtualOddSketch):
-        return [0]
-    users = np.array([element.user for element in batch])
-    return np.unique(sketch.shard_assignment(users)).tolist()
+def _entries(shard, table) -> list[tuple]:
+    """A table's ``(signature, column, user)`` entries, independent of ordinals."""
+    users = shard.user_table.ids(table.bucket_rows).tolist()
+    return sorted(
+        zip(
+            table.bucket_signatures.tolist(),
+            table.bucket_columns.tolist(),
+            map(user_sort_key, users),
+        )
+    )
 
 
 def _assert_equals_fresh_build(index, sketch, config) -> None:
-    """Every table's entries, and the exported section bytes, are a
-    from-scratch build's (the export pins the hashes of invalid slots)."""
-    index.refresh()
-    fresh = BandedSketchIndex(sketch, config)
-    fresh.refresh()
+    """Every shard's table, and the exported section bytes, are a
+    from-scratch build's over a copy of the bits (the export pins the
+    hashes of invalid slots)."""
+    tables = index.refresh()
+    fresh = BandedSketchIndex(_bits_copy(sketch), config)
+    expected_tables = fresh.refresh()
     assert index.bands == fresh.bands
-    tables = zip(index._shard_signatures, fresh._shard_signatures, strict=True)
-    for table, expected in tables:
-        assert table.rows == expected.rows
-        for name in ("bucket_signatures", "bucket_rows", "bucket_columns"):
-            assert np.array_equal(getattr(table, name), getattr(expected, name))
+    shards = zip(
+        sketch.row_shards(), tables, fresh._sketch.row_shards(), expected_tables, strict=True
+    )
+    for shard, table, copy, expected in shards:
+        assert shard.index_table is table
+        assert table.rows == expected.rows == shard.num_users
+        assert _entries(shard, table) == _entries(copy, expected)
     assert encode_index_state(index.export_state()) == encode_index_state(
         fresh.export_state()
     )
 
 
-steps = st.lists(st.sampled_from(["ingest", "publish", "restore"]), min_size=1, max_size=5)
+steps = st.lists(
+    st.sampled_from(["ingest", "publish", "signup", "restore"]), min_size=1, max_size=5
+)
 
 
 @given(scenario=scenarios, plan=steps, round_trip=st.booleans())
@@ -261,51 +321,62 @@ steps = st.lists(st.sampled_from(["ingest", "publish", "restore"]), min_size=1, 
 def test_tables_equal_fresh_builds_across_ingest_publish_restore(
     scenario, plan, round_trip
 ):
-    """Tables kept by lazy rebuilds, ``carry_forward`` and ``restore_state``
-    stay ``==`` a from-scratch build after every step.
+    """Shard-held tables stay ``==`` a from-scratch build after every step.
 
-    Band counts are fixed here: an adopted auto-tuned count stands until the
-    shards change again, so a fresh build could resolve another one.
+    A writer ingests every batch; an epoch chain publishes the writer's
+    changes copy-on-write (``signup``: a new user inserting and deleting one
+    item, a counter-only publish that adds a user); ``restore`` reloads the
+    writer from its snapshot and section, replays the step's batch as a
+    journal would, and restarts the epoch chain from it.  Band counts are
+    fixed here, so a replay rebuilds exactly the shards it changed.
     """
-    rng, sketch, config = _build(scenario)
+    rng, writer, config = _build(scenario)
     if not config.bands:
         config = IndexConfig(bands=2, min_band_bits=config.min_band_bits)
     users = scenario["users"]
     live: set[tuple[int, int]] = set()  # items 3000+ are not in the base stream
-    batches: list[list[StreamElement]] = []
-    index = BandedSketchIndex(sketch, config)
-    _assert_equals_fresh_build(index, sketch, config)
-    for step in plan:
+    writer_index = BandedSketchIndex(writer, config)
+    _assert_equals_fresh_build(writer_index, writer, config)
+    epoch_shards = [VirtualOddSketch.cow_view(shard) for shard in writer.row_shards()]
+    cursor = next_stamp()
+    for number, step in enumerate(plan):
         if step == "restore" and rng.random() < 0.5:
-            batch = []  # restore onto the exported bits: every shard is adopted
+            batch = []  # restore onto the exported bits: no shard rebuilds
+        elif step == "signup":
+            newcomer = 10**6 + number
+            batch = [
+                StreamElement(newcomer, 5, Action.INSERT),
+                StreamElement(newcomer, 5, Action.DELETE),
+            ]
         else:
             batch = _toggles(rng, live, users)
-        if step == "ingest":
-            sketch.process_batch(batch)  # the next refresh rebuilds lazily
-        elif step == "publish":
-            # A successor holding the same bits plus one publish, as an epoch
-            # publisher produces: replay every batch in order (same ordinals).
-            successor = _make_sketch(scenario["shards"], scenario["seed"] % 97)
-            base = _churned_stream(np.random.default_rng(scenario["seed"]), users)
-            successor.process_batch(base)
-            for previous in batches:
-                successor.process_batch(previous)
-            successor.process_batch(batch)
-            stale = _shards_of(successor, batch)
-            index = index.carry_forward(successor, stale_shards=stale)
-            assert index is not None
-            sketch = successor
-        else:
-            state = index.export_state()
+        if step == "restore":
+            state = writer_index.export_state()
             if round_trip:
                 state = decode_index_state(encode_index_state(state))
-            stale = _shards_of(sketch, batch) if batch else []
-            if batch:
-                sketch.process_batch(batch)
-            index = BandedSketchIndex(sketch, config)
-            assert index.restore_state(state, stale_shards=stale)
-            if not stale:
+            restored = _bits_copy(writer)
+            writer_index = BandedSketchIndex(restored, config)
+            assert writer_index.restore_state(state)
+            changed = _replay(writer, restored, batch)
+            writer_index.refresh()
+            assert writer_index.stats()["rebuilds"] == changed
+            if not batch:
                 # A restored index re-exports the bytes it was restored from.
-                assert encode_index_state(index.export_state()) == encode_index_state(state)
-        batches.append(batch)
-        _assert_equals_fresh_build(index, sketch, config)
+                assert encode_index_state(writer_index.export_state()) == (
+                    encode_index_state(state)
+                )
+            writer = restored
+            epoch_shards = [VirtualOddSketch.cow_view(shard) for shard in writer.row_shards()]
+            cursor = next_stamp()
+        else:
+            writer.process_batch(batch)  # the writer's next refresh rebuilds lazily
+        _assert_equals_fresh_build(writer_index, writer, config)
+        if step in ("publish", "signup"):
+            previous = epoch_shards
+            epoch_shards = _published(writer, epoch_shards, cursor)
+            cursor = next_stamp()
+            for old, new in zip(previous, epoch_shards):
+                if new is old:  # untouched: the epochs share the shard and its table
+                    assert new.index_table is old.index_table
+            epoch = _assembled(writer, epoch_shards)
+            _assert_equals_fresh_build(BandedSketchIndex(epoch, config), epoch, config)

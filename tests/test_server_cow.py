@@ -49,7 +49,7 @@ def _plain_service(seed: int = 19) -> SimilarityService:
     return SimilarityService(sketch)
 
 
-#: The arrays a carried LSH table consists of.
+#: The arrays an LSH table consists of.
 ENTRY_ARRAYS = ("bucket_signatures", "bucket_rows", "bucket_columns")
 
 #: Ingest rounds covering the hard cases: plain growth, a delete-heavy batch
@@ -237,52 +237,39 @@ class TestReaderIsolation:
             assert daemon.epochs.live_epochs == 1  # released epoch drained
 
 
-class TestCarriedIndexTables:
-    def test_counter_only_publish_leaves_previous_epoch_tables_intact(self):
-        """Epochs share LSH tables by reference; rebuilding one never edits another.
+class TestEpochIndexTables:
+    def test_counter_only_publish_shares_untouched_tables(self):
+        """Epochs share an untouched shard object, and with it its LSH table.
 
         A new user inserting and deleting the same item in one batch changes
-        counters but no array word, so the publish carries every table
-        forward; epoch N+1's first ``lsh`` query must then leave epoch N's
-        tables exactly as they were.
+        counters but no array word, and adds a user to one shard.  That
+        shard's copy fails its key check and rebuilds; every other table of
+        the new epoch *is* the previous epoch's, and epoch N+1's rebuild
+        leaves epoch N's tables exactly as they were.
         """
         writer = _sharded_service(seed=31)
         writer.ingest(ROUNDS[0])
-        writer.top_k_pairs(k=5, candidates="lsh")
+        writer.top_k(3, k=5, index="lsh")  # builds the writer's tables
         publisher = CowEpochPublisher(writer)
         first = publisher.materialize()
+        # The first epoch's copies start out with the writer's tables.
+        assert all(
+            shard.index_table is source.index_table is not None
+            for shard, source in zip(first.sketch.row_shards(), writer.sketch.row_shards())
+        )
         first_reference = _whole_state_copy(writer)
         first_index = first.index()
-        first_index.refresh()
-        # Table row r describes the user of ordinal r in its shard.
-        tables = [
-            (
-                shard.user_table.ids(np.arange(table.rows)).tolist(),
-                [getattr(table, name).copy() for name in ENTRY_ARRAYS],
-            )
-            for shard, table in zip(
-                first.sketch.row_shards(), first_index._shard_signatures
-            )
-        ]
+        first_tables = first_index.refresh()
+        assert first_index.stats()["rebuilds"] == 0
+        arrays = [[getattr(table, name).copy() for name in ENTRY_ARRAYS] for table in first_tables]
         users_indexed = first_index.stats()["users_indexed"]
-        exported = first_index.export_state()
-        shapes = [
-            (len(entry["users"]), entry["signatures"].shape, entry["valid"].shape)
-            for entry in exported["shards"]
-        ]
+        exported = encode_index_state(first_index.export_state())
 
         writer.ingest(_inserts([999], [7]) + _deletes([999], [7]))
         delta = writer.freeze_delta(publisher.cursor)
         assert delta["shards"] and not any(len(e["words"]) for e in delta["shards"])
-        second = publisher.publish_delta(delta, previous_service=first)
-        # Carried tables are re-keyed, not copied: they share the arrays.
-        assert all(
-            getattr(carried, name) is getattr(table, name)
-            for carried, table in zip(
-                second.index()._shard_signatures, first_index._shard_signatures
-            )
-            for name in ENTRY_ARRAYS
-        )
+        (touched,) = [entry["shard"] for entry in delta["shards"]]
+        second = publisher.publish_delta(delta)
         second_reference = _whole_state_copy(writer)
         assert second.top_k_pairs(k=10, candidates="lsh") == (
             second_reference.top_k_pairs(k=10, candidates="lsh")
@@ -290,22 +277,23 @@ class TestCarriedIndexTables:
         assert second.top_k(999, k=5, index="lsh") == (
             second_reference.top_k(999, k=5, index="lsh")
         )
-        assert second.index().stats()["users_indexed"] == users_indexed + 1
+        second_index = second.index()
+        assert second_index.bands == first_index.bands
+        assert second_index.stats()["rebuilds"] == 1
+        assert second_index.stats()["users_indexed"] == users_indexed + 1
+        for position, (old, new) in enumerate(zip(first_tables, second_index.refresh())):
+            if position == touched:
+                assert new is not old and new.rows == old.rows + 1
+            else:
+                assert new is old
 
-        for shard, table, (users, arrays) in zip(
-            first.sketch.row_shards(), first_index._shard_signatures, tables
-        ):
-            rows = np.arange(table.rows)
-            assert shard.user_table.ids(rows).tolist() == users
-            for name, array in zip(ENTRY_ARRAYS, arrays):
+        for shard, table, saved in zip(first.sketch.row_shards(), first_tables, arrays):
+            assert shard.index_table is table
+            for name, array in zip(ENTRY_ARRAYS, saved):
                 assert np.array_equal(getattr(table, name), array)
         assert first_index.stats()["users_indexed"] == users_indexed
-        again = first_index.export_state()
-        assert [
-            (len(entry["users"]), entry["signatures"].shape, entry["valid"].shape)
-            for entry in again["shards"]
-        ] == shapes
-        assert encode_index_state(again) == encode_index_state(exported)
+        assert encode_index_state(first_index.export_state()) == exported
+        assert first_index.stats()["rebuilds"] == 0
         assert first.top_k_pairs(k=10, candidates="lsh") == (
             first_reference.top_k_pairs(k=10, candidates="lsh")
         )

@@ -89,6 +89,8 @@ class TestIngestAndQuery:
         assert cold["user_table"] > 16 * service.stats()["users"]  # two int64 columns
         assert cold["row_memo"] == cold["index"] == 0
         service.top_k_pairs(k=3, candidates="lsh")
+        assert service.stats()["memory_bytes"]["index"] == 0  # pair searches build no table
+        service.top_k(next(iter(service.sketch.users())), k=3, index="lsh")
         stats = service.stats()
         warm = stats["memory_bytes"]
         row_bytes = packed_row_bytes(service.sketch.virtual_sketch_size)

@@ -9,8 +9,9 @@ delta key order) and after a snapshot round trip with the index (which
 interns every user in key order), on each kernel tier:
 
 * every memoised packed row equals a cold recovery (a fresh ``cow_view``);
-* the maintained index proposes exactly the candidate pairs and neighbour
-  candidates a freshly built :class:`BandedSketchIndex` proposes.
+* the shard-held tables propose exactly the candidate pairs and neighbour
+  candidates a :class:`BandedSketchIndex` built over a snapshot copy of the
+  bits (new shard objects, so no table is shared) proposes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.index import BandedSketchIndex
 from repro.service.delta import apply_shard_delta, shard_delta
 from repro.service.service import SimilarityService
 from repro.service.sharding import ShardedVOS
+from repro.service.snapshot import dumps_snapshot, loads_snapshot
 from repro.streams import Action, StreamElement
 from repro.streams.edge import user_sort_key
 
@@ -93,7 +95,7 @@ def _check(sketch, index: BandedSketchIndex) -> tuple:
                 hits = shard.sketch_cache_info()["hits"]
                 assert np.array_equal(shard.packed_rows(members[::-1]), cold[::-1])
                 assert shard.sketch_cache_info()["hits"] == hits + len(members)
-            fresh = BandedSketchIndex(sketch)
+            fresh = BandedSketchIndex(loads_snapshot(dumps_snapshot(sketch)))
             pairs = [array.tolist() for array in index.candidate_pairs(pool)]
             assert pairs == [array.tolist() for array in fresh.candidate_pairs(pool)]
             neighbours = [index.neighbour_candidates(t, set(pool)) for t in targets]
@@ -122,25 +124,21 @@ def test_ordinal_keyed_rows_and_tables_match_fresh_builds(kind):
     writer.process_batch(_churn(rng, first))
     _check(writer, index)
 
-    # Copy-on-publish epochs: each view copies its predecessor and applies
-    # the writer's delta untracked; the index is carried forward.
+    # Copy-on-publish epochs: each view copies its predecessor (and its
+    # table) and applies the writer's delta untracked; each epoch gets its
+    # own index over the shards, as an epoch service does.
     shards = [VirtualOddSketch.cow_view(shard) for shard in writer.row_shards()]
-    epoch_index = index
     for batch in (_clone_elements(rng, users[90:]), _churn(rng, first)):
         cursor = next_stamp()
         writer.process_batch(batch)
-        stale = []
         for position, shard in enumerate(writer.row_shards()):
             delta = shard_delta(shard, position, cursor)
             if delta is None:
                 continue
             shards[position] = VirtualOddSketch.cow_view(shards[position])
             assert apply_shard_delta(shards[position], delta, track=False) is None
-            if len(delta["words"]):
-                stale.append(position)
         epoch = shards[0] if kind == "vos" else ShardedVOS.from_shards(shards, seed=7)
-        epoch_index = epoch_index.carry_forward(epoch, stale_shards=stale)
-        assert epoch_index is not None
+        epoch_index = BandedSketchIndex(epoch)
         assert _check(epoch, epoch_index) == _check(writer, BandedSketchIndex(writer))
 
     # Snapshot round trip with the index: the restored tables are adopted
