@@ -753,6 +753,7 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
         ["compiler", native.get("compiler", "")],
         ["library", native.get("library", "")],
         ["build flags", " ".join(native.get("flags", []))],
+        ["vector lanes", native.get("vector_lanes", "")],
         ["probe error", native.get("error") or info.get("error") or ""],
         ["numpy popcount", info.get("numpy_popcount", "")],
         ["block target bytes", block.get("target_bytes", "")],
@@ -831,9 +832,10 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
         "tier", "pair ms", "Mpairs/s", "band ms", "Musers/s", "recover ms", "kusers/s",
         "hash ms", "Mkeys/s",
     ]
+    lanes = f"; native vector lanes {native['vector_lanes']}" if "native" in tiers else ""
     print(
         f"# micro-timing: {args.pairs} pairs and keys / {args.users} users at "
-        f"k={args.sketch_size} ({row_bytes} B/row); tiers bit-identical"
+        f"k={args.sketch_size} ({row_bytes} B/row); tiers bit-identical{lanes}"
     )
     print(render_csv(headers, bench_rows) if args.csv else render_table(headers, bench_rows))
     return 0

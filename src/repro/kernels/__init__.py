@@ -190,6 +190,35 @@ def kernel_info() -> dict:
     return info
 
 
+def _require(kernel: str, name: str, array, dtype, ndim: int) -> None:
+    """Raise :class:`ConfigurationError` unless ``array`` is a C-contiguous
+    ``ndim``-d ``dtype`` ndarray: the shape of memory the native tier reads
+    through a raw pointer."""
+    if not (
+        isinstance(array, np.ndarray)
+        and array.dtype == dtype
+        and array.ndim == ndim
+        and array.flags.c_contiguous
+    ):
+        raise ConfigurationError(
+            f"{kernel} needs a contiguous {ndim}-d {np.dtype(dtype)} {name} array"
+        )
+
+
+def _index_array(kernel: str, name: str, values, limit: int) -> np.ndarray:
+    """``values`` as a contiguous ``int64`` array, checked to lie in ``[0, limit)``."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"{kernel} needs integer {name}, got dtype {values.dtype}"
+        )
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    # One pass: a negative ordinal is a huge unsigned one.
+    if values.size and int(values.view(np.uint64).max()) >= limit:
+        raise IndexError(f"{name} outside [0, {limit}) in {kernel}")
+    return values
+
+
 def pair_counts(
     rows: np.ndarray, index_a: np.ndarray, index_b: np.ndarray
 ) -> np.ndarray:
@@ -199,17 +228,24 @@ def pair_counts(
     are ``(index_a[t], index_b[t])`` row ordinals.  Word-aligned rows go to
     the active tier; odd byte widths always use the NumPy byte-lane path
     (bit-identical, just slower) since the native kernel reads uint64 lanes.
+    ``rows`` must be a contiguous ``uint8`` matrix and the ordinals integers
+    in range; both are checked before any pointer reaches native code.
     """
+    _require("pair_counts", "rows", rows, np.uint8, 2)
+    index_a = _index_array("pair_counts", "index_a", index_a, rows.shape[0])
+    index_b = _index_array("pair_counts", "index_b", index_b, rows.shape[0])
+    if index_a.shape != index_b.shape or index_a.ndim != 1:
+        raise ConfigurationError(
+            f"pair_counts needs matching 1-d index arrays, got {index_a.shape} "
+            f"and {index_b.shape}"
+        )
     state = _resolve()
-    index_a = np.ascontiguousarray(index_a, dtype=np.int64)
-    index_b = np.ascontiguousarray(index_b, dtype=np.int64)
     registry = get_registry()
     started = time.perf_counter() if registry.enabled else 0.0
     native = state["native"]
     if native is not None and rows.shape[1] % 8 == 0:
         tier = "native"
-        words = np.ascontiguousarray(rows).view(np.uint64)
-        counts = native.pair_counts(words, index_a, index_b)
+        counts = native.pair_counts(rows.view(np.uint64), index_a, index_b)
     else:
         tier = "numpy"
         counts = numpy_tier.pair_counts(rows, index_a, index_b)
@@ -233,29 +269,30 @@ def hash_keys(
     Returns ``((coeff_a[m] * fingerprint64(k) + coeff_b[m]) mod (2^61 - 1))
     mod range_size`` per key as ``int64``, with ``m = members[i]`` (``0``
     when ``members`` is ``None``): the ingest path's item hash, position
-    hashes and shard router.  Shapes and member indices are checked here,
-    before any pointer reaches native code.
+    hashes and shard router.  Keys of any integer dtype and shape are
+    converted; the coefficients must be contiguous 1-d ``uint64`` arrays.
+    Shapes, dtypes and member indices are checked here, before any pointer
+    reaches native code.
     """
     keys = np.asarray(keys)
     if keys.dtype.kind not in "iu":
         raise ConfigurationError(
             f"hash_keys needs an integer key array, got dtype {keys.dtype}"
         )
-    coeff_a = np.ascontiguousarray(coeff_a, dtype=np.uint64)
-    coeff_b = np.ascontiguousarray(coeff_b, dtype=np.uint64)
-    if coeff_a.ndim != 1 or coeff_a.shape != coeff_b.shape or not coeff_a.size:
+    _require("hash_keys", "coeff_a", coeff_a, np.uint64, 1)
+    _require("hash_keys", "coeff_b", coeff_b, np.uint64, 1)
+    if coeff_a.shape != coeff_b.shape or not coeff_a.size:
         raise ConfigurationError("hash_keys needs matching 1-d coefficient arrays")
+    # A zero range would be a native division by zero.
+    if not (isinstance(range_size, (int, np.integer)) and 0 < range_size < 2**64):
+        raise ConfigurationError(
+            f"hash_keys range must be an integer in [1, 2^64), got {range_size!r}"
+        )
     if members is not None:
-        members = np.ascontiguousarray(members, dtype=np.int64)
+        members = _index_array("hash_keys", "member index", members, coeff_a.shape[0])
         if members.shape != keys.shape:
             raise ConfigurationError(
                 f"{members.shape} member indices for {keys.shape} keys"
-            )
-        if members.size and (
-            int(members.min()) < 0 or int(members.max()) >= coeff_a.shape[0]
-        ):
-            raise IndexError(
-                f"member index outside [0, {coeff_a.shape[0]}) in hash_keys"
             )
     native = _resolve()["native"]
     if native is None:
@@ -281,10 +318,14 @@ def band_signatures(
 
     ``words`` is the ``(n_users, row_words)`` uint64 view of packed rows;
     ``coeff_a``/``coeff_b`` carry ``bands + 1`` Carter-Wegman coefficients
-    (last pair = the residual whole-row hash).  Returns ``(signatures,
-    set_bits)`` as documented on :func:`repro.kernels.numpy_tier.band_signatures`.
+    (last pair = the residual whole-row hash), all contiguous ``uint64``.
+    Returns ``(signatures, set_bits)`` as documented on
+    :func:`repro.kernels.numpy_tier.band_signatures`.
     """
-    if bands * rows_per_band > words.shape[1]:
+    _require("band_signatures", "words", words, np.uint64, 2)
+    _require("band_signatures", "coeff_a", coeff_a, np.uint64, 1)
+    _require("band_signatures", "coeff_b", coeff_b, np.uint64, 1)
+    if bands < 1 or rows_per_band < 1 or bands * rows_per_band > words.shape[1]:
         raise ConfigurationError(
             f"band geometry {bands}x{rows_per_band} exceeds row width "
             f"{words.shape[1]} words"
@@ -301,11 +342,7 @@ def band_signatures(
     if native is not None:
         tier = "native"
         signatures, set_bits = native.band_signatures(
-            np.ascontiguousarray(words),
-            bands,
-            rows_per_band,
-            np.ascontiguousarray(coeff_a, dtype=np.uint64),
-            np.ascontiguousarray(coeff_b, dtype=np.uint64),
+            words, bands, rows_per_band, coeff_a, coeff_b
         )
     else:
         tier = "numpy"
@@ -343,8 +380,11 @@ def recover_rows(
     Row ``u``, bit ``j`` (``np.packbits`` order) is bit
     ``((coeff_a[j] * fingerprints[u] + coeff_b[j]) mod (2^61 - 1)) mod
     num_bits`` of ``packed_bits`` (the shared array's packed storage); rows
-    are :func:`packed_row_bytes` wide with zero pad bits.  Every input is
-    checked here, before any pointer reaches native code.
+    are :func:`packed_row_bytes` wide with zero pad bits.  ``packed_bits``
+    must span whole 64-bit words (``8 * ceil(num_bits / 64)`` bytes, as
+    :attr:`PackedBitArray.storage <repro.hashing.bitpack.PackedBitArray.storage>`
+    does): the native tier gathers whole words.  Every input is checked
+    here, before any pointer reaches native code.
     """
     for name, array, dtype in (
         ("fingerprints", fingerprints, np.uint64),
@@ -352,15 +392,7 @@ def recover_rows(
         ("coeff_b", coeff_b, np.uint64),
         ("packed_bits", packed_bits, np.uint8),
     ):
-        if not (
-            isinstance(array, np.ndarray)
-            and array.dtype == dtype
-            and array.ndim == 1
-            and array.flags.c_contiguous
-        ):
-            raise ConfigurationError(
-                f"recover_rows needs a contiguous 1-d {np.dtype(dtype)} {name} array"
-            )
+        _require("recover_rows", name, array, dtype, 1)
     if not (isinstance(k, (int, np.integer)) and 0 < k <= len(coeff_a) == len(coeff_b)):
         raise ConfigurationError(
             f"recover_rows needs 0 < k <= len(coeff_a) == len(coeff_b), got k={k}"
@@ -369,8 +401,11 @@ def recover_rows(
         raise ConfigurationError("recover_rows coefficients must be below 2^61 - 1")
     if not (isinstance(num_bits, (int, np.integer)) and num_bits > 0):
         raise ConfigurationError(f"num_bits must be a positive integer, got {num_bits}")
-    if len(packed_bits) < (num_bits + 7) // 8:
-        raise IndexError(f"{len(packed_bits)} packed bytes cannot hold {num_bits} bits")
+    if len(packed_bits) < 8 * ((num_bits + 63) // 64):
+        raise IndexError(
+            f"{len(packed_bits)} packed bytes are not the whole 64-bit words "
+            f"that hold {num_bits} bits"
+        )
     native = _resolve()["native"]
     registry = get_registry()
     started = time.perf_counter() if registry.enabled else 0.0

@@ -41,6 +41,26 @@ def test_kernels_status_csv(capsys):
     assert "numpy popcount," in output
 
 
+def _expected_vector_lanes() -> int:
+    """8 for a host-tuned build on a CPU with AVX-512 F and DQ, else 1."""
+    from repro.kernels import native
+
+    info = kernels.kernel_info()["native"]
+    avx512 = {"avx512f", "avx512dq"} <= set(native._cpu_flags().split())
+    return 8 if avx512 and "-march=native" in info["flags"] else 1
+
+
+def test_kernels_status_reports_vector_lanes(capsys):
+    if not kernels.kernel_info()["native"]["available"]:
+        pytest.skip("no C compiler: native tier unavailable on this host")
+    assert main(["kernels", "--csv"]) == 0
+    output = capsys.readouterr().out
+    assert f"vector lanes,{_expected_vector_lanes()}\n" in output
+    assert main(["kernels", "--bench", "--users", "16", "--pairs", "100", "--csv"]) == 0
+    output = capsys.readouterr().out
+    assert f"native vector lanes {_expected_vector_lanes()}\n" in output
+
+
 def test_kernels_forced_numpy(capsys, monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL", "numpy")
     assert main(["kernels", "--csv"]) == 0

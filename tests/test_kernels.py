@@ -33,6 +33,24 @@ from repro.streams.edge import Action, StreamElement
 
 SKETCH_SIZES = (63, 64, 1024, 1536)
 
+#: Ranges around the native vector body's bound (it needs range > 768) and
+#: at shard scale, for the exact-integer position checks.
+_EDGE_RANGES = [768, 769, 1009, 4_099, 7_680_000, 2**27 - 1]
+
+
+def _edge_coefficients() -> tuple[np.ndarray, np.ndarray]:
+    """19 ``(a, b)`` pairs at the edges of ``[0, p)``: every pairing of four
+    edge ``a``s with four edge ``b``s, then three more for a ragged tail."""
+    edges_a = [1, 2, _MERSENNE_P - 2, _MERSENNE_P - 1]
+    edges_b = [0, 11, _MERSENNE_P - 2, _MERSENNE_P - 1]
+    pairs = [(a, b) for a in edges_a for b in edges_b]
+    pairs += [(_MERSENNE_P - 1, 0), (2**32 + 1, 2**32 - 1), (2**61 - 2**32, 2**29)]
+    return (
+        np.array([a for a, _ in pairs], dtype=np.uint64),
+        np.array([b for _, b in pairs], dtype=np.uint64),
+    )
+
+
 _NATIVE_AVAILABLE = None
 
 
@@ -228,6 +246,34 @@ class TestHashKeyParity:
                 ]
                 assert single.hash_array(np.empty(0, dtype=np.int64)).shape == (0,)
 
+    @pytest.mark.parametrize("range_size", [*_EDGE_RANGES, _MERSENNE_P, 2**63 + 5, 2**64 - 1])
+    def test_edge_fingerprints_and_coefficients_exact(self, range_size):
+        """Every edge fingerprint under every edge coefficient pair, against
+        exact integers: ranges above 768 take the native vector body, and
+        the 171 keys leave a 3-key tail."""
+        coeff_a, coeff_b = _edge_coefficients()
+        fingerprints = TestRecoverRowParity.EDGE_FINGERPRINTS
+        keys = np.array(
+            [_key_with_fingerprint(fp) for fp in fingerprints for _ in coeff_a],
+            dtype=np.int64,
+        )
+        members = np.tile(np.arange(len(coeff_a)), len(fingerprints))
+        expected = [
+            ((int(coeff_a[m]) * fp + int(coeff_b[m])) % _MERSENNE_P) % range_size
+            for fp in fingerprints
+            for m in range(len(coeff_a))
+        ]
+        for tier in tiers():
+            with kernels.use_tier(tier):
+                hashed = kernels.hash_keys(keys, coeff_a, coeff_b, members, range_size)
+                single = kernels.hash_keys(keys, coeff_a[3:4], coeff_b[3:4], None, range_size)
+            assert hashed.tolist() == expected, (tier, range_size)
+            assert single.tolist() == [
+                ((int(coeff_a[3]) * fp + int(coeff_b[3])) % _MERSENNE_P) % range_size
+                for fp in fingerprints
+                for _ in coeff_a
+            ], (tier, range_size)
+
     def test_member_indices_are_bounds_checked(self):
         coeff = np.ones(4, dtype=np.uint64)
         keys = np.arange(3)
@@ -312,31 +358,48 @@ class TestRecoverRowParity:
             fingerprints=np.array(self.EDGE_FINGERPRINTS, dtype=np.uint64),
         )
 
-    def test_coefficients_at_the_prime_boundary(self):
-        """Extreme ``a``/``b`` against edge fingerprints, checked with exact integers."""
+    @pytest.mark.parametrize("num_bits", _EDGE_RANGES)
+    def test_coefficients_at_the_prime_boundary(self, num_bits):
+        """Extreme ``a``/``b`` against edge fingerprints, checked with exact integers.
+
+        Ranges above 768 take the native AVX-512 body (where the host has
+        it) and 768 the scalar one; 19 coefficients leave a 3-position tail.
+        """
         # a = p - 1, b = 11 and fingerprint 2^64 - 1 give a * x + b with both
         # 61-bit halves summing past 2p unless x is fully reduced first.
-        edges_a = [1, 2, _MERSENNE_P - 2, _MERSENNE_P - 1]
-        edges_b = [0, 11, _MERSENNE_P - 2, _MERSENNE_P - 1]
-        coeff_a = np.array([a for a in edges_a for _ in edges_b], dtype=np.uint64)
-        coeff_b = np.array([b for _ in edges_a for b in edges_b], dtype=np.uint64)
-        num_bits = 1009
+        coeff_a, coeff_b = _edge_coefficients()
+        k = len(coeff_a)
         array = _random_array(np.random.default_rng(3), num_bits)
-        bits = array.to_list()
-        expected = np.zeros((len(self.EDGE_FINGERPRINTS), packed_row_bytes(16)), np.uint8)
+        storage = array.storage
+        expected = np.zeros((len(self.EDGE_FINGERPRINTS), packed_row_bytes(k)), np.uint8)
         for row, fp in enumerate(self.EDGE_FINGERPRINTS):
             positions = [
                 ((int(a) * fp + int(b)) % _MERSENNE_P) % num_bits
                 for a, b in zip(coeff_a, coeff_b)
             ]
-            expected[row, :2] = np.packbits([bits[p] for p in positions])
+            bits = [(int(storage[p >> 3]) >> (7 - (p & 7))) & 1 for p in positions]
+            expected[row, : (k + 7) // 8] = np.packbits(bits)
         for tier in tiers():
             with kernels.use_tier(tier):
                 rows = kernels.recover_rows(
                     np.array(self.EDGE_FINGERPRINTS, dtype=np.uint64),
-                    coeff_a, coeff_b, array.storage, num_bits, 16,
+                    coeff_a, coeff_b, storage, num_bits, k,
                 )
-            assert np.array_equal(rows, expected), tier
+            assert np.array_equal(rows, expected), (tier, num_bits)
+
+    def test_storage_must_span_whole_words(self):
+        """The native tier gathers whole 64-bit words, so a buffer one byte
+        short of ``8 * ceil(num_bits / 64)`` is refused on every tier."""
+        fps = np.arange(4, dtype=np.uint64)
+        coeff = np.arange(1, 9, dtype=np.uint64)
+        for num_bits in (100, 4_099):
+            words = 8 * ((num_bits + 63) // 64)
+            bits = np.zeros(words, dtype=np.uint8)
+            for tier in tiers():
+                with kernels.use_tier(tier):
+                    assert kernels.recover_rows(fps, coeff, coeff, bits, num_bits, 8).shape == (4, 8)
+                    with pytest.raises(IndexError):
+                        kernels.recover_rows(fps, coeff, coeff, bits[:-1], num_bits, 8)
 
     def test_string_and_mixed_ids(self):
         keys = ["alice", "bob", ("tuple", 1), 2**70, -5, True, 7]
@@ -413,6 +476,50 @@ class TestRecoverRowParity:
                     kernels.recover_rows(fps, coeff, coeff, bits, 65, 8)
                 with pytest.raises(IndexError):
                     kernels.recover_rows(fps, coeff, coeff, bits[:0], 1, 8)
+
+    def test_other_kernels_check_inputs_before_native_code(self):
+        """The native tier takes raw pointers, so pair_counts, hash_keys and
+        band_signatures refuse a wrong dtype, shape or stride (and an
+        out-of-range ordinal) on every tier before calling in."""
+        rows = np.zeros((4, 16), dtype=np.uint8)
+        index = np.arange(4, dtype=np.int64)
+        words = np.zeros((4, 2), dtype=np.uint64)
+        coeff = np.arange(1, 4, dtype=np.uint64)
+        keys = np.arange(6, dtype=np.int64)
+        configuration_errors = [
+            (kernels.pair_counts, (rows.astype(np.int64), index, index)),
+            (kernels.pair_counts, (rows[:, ::2], index, index)),
+            (kernels.pair_counts, (rows.ravel(), index, index)),
+            (kernels.pair_counts, (rows.tolist(), index, index)),
+            (kernels.pair_counts, (rows, index.astype(np.float64), index)),
+            (kernels.pair_counts, (rows, index, index[:3])),
+            (kernels.pair_counts, (rows, index.reshape(2, 2), index.reshape(2, 2))),
+            (kernels.band_signatures, (words.astype(np.int64), 2, 1, coeff, coeff)),
+            (kernels.band_signatures, (np.zeros((4, 4), np.uint64)[:, ::2], 2, 1, coeff, coeff)),
+            (kernels.band_signatures, (words, 2, 1, coeff.astype(np.int64), coeff)),
+            (kernels.band_signatures, (words, 2, 1, coeff, np.arange(6, dtype=np.uint64)[::2])),
+            (kernels.band_signatures, (words, 0, 1, coeff[:1], coeff[:1])),
+            (kernels.hash_keys, (keys, coeff.astype(np.int64), coeff, None, 10)),
+            (kernels.hash_keys, (keys, coeff, np.arange(6, dtype=np.uint64)[::2], None, 10)),
+            (kernels.hash_keys, (keys, coeff.reshape(3, 1), coeff.reshape(3, 1), None, 10)),
+            (kernels.hash_keys, (keys, coeff, coeff, keys.astype(np.float64) % 3, 10)),
+            (kernels.hash_keys, (keys, coeff, coeff, None, 0)),
+            (kernels.hash_keys, (keys, coeff, coeff, None, 2**64)),
+            (kernels.hash_keys, (keys, coeff, coeff, None, 10.0)),
+        ]
+        index_errors = [
+            (kernels.pair_counts, (rows, np.array([0, 4]), np.array([0, 1]))),
+            (kernels.pair_counts, (rows, np.array([0, 1]), np.array([-1, 1]))),
+            (kernels.hash_keys, (keys, coeff, coeff, keys % 4, 10)),
+        ]
+        for tier in tiers():
+            with kernels.use_tier(tier):
+                for kernel, arguments in configuration_errors:
+                    with pytest.raises(ConfigurationError):
+                        kernel(*arguments)
+                for kernel, arguments in index_errors:
+                    with pytest.raises(IndexError):
+                        kernel(*arguments)
 
 
 def _string_pool_sketch():
