@@ -88,6 +88,7 @@ from __future__ import annotations
 
 import argparse
 import signal
+import statistics
 import sys
 import time
 from collections.abc import Sequence
@@ -737,6 +738,22 @@ def _cmd_metrics_reset(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Calls per kernel and tier in ``repro kernels --bench``; the table reports
+#: their median, so one call disturbed by the host does not decide a row.
+KERNEL_BENCH_REPEATS = 5
+
+
+def _median_call(function, *args):
+    """``(result, seconds)``: the last result of :data:`KERNEL_BENCH_REPEATS`
+    calls of ``function(*args)`` and the median of their wall times."""
+    seconds = []
+    for _ in range(KERNEL_BENCH_REPEATS):
+        started = time.perf_counter()
+        result = function(*args)
+        seconds.append(time.perf_counter() - started)
+    return result, statistics.median(seconds)
+
+
 def _cmd_kernels(args: argparse.Namespace) -> int:
     """Report the kernel tier in use; optionally micro-time both tiers."""
     import numpy as np
@@ -757,7 +774,6 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
         ["probe error", native.get("error") or info.get("error") or ""],
         ["numpy popcount", info.get("numpy_popcount", "")],
         ["block target bytes", block.get("target_bytes", "")],
-        ["block override", block.get("env_override") or ""],
     ]
     headers = ["field", "value"]
     print("# kernel tier status (select with REPRO_KERNEL=auto|numpy|native)")
@@ -790,22 +806,18 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     for tier in tiers:
         with kernels.use_tier(tier):
             kernels.pair_counts(rows, index_a[:128], index_b[:128])  # warm/JIT-compile
-            started = time.perf_counter()
-            counts = kernels.pair_counts(rows, index_a, index_b)
-            pair_seconds = time.perf_counter() - started
-            started = time.perf_counter()
-            signatures, _ = kernels.band_signatures(
-                rows.view(np.uint64), bands, rows_per_band, coeff_a, coeff_b
+            counts, pair_seconds = _median_call(kernels.pair_counts, rows, index_a, index_b)
+            (signatures, _), band_seconds = _median_call(
+                kernels.band_signatures,
+                rows.view(np.uint64), bands, rows_per_band, coeff_a, coeff_b,
             )
-            band_seconds = time.perf_counter() - started
-            started = time.perf_counter()
-            recovered = kernels.recover_rows(
-                fingerprints, hash_a, hash_b, shared, shared.size * 8, args.sketch_size
+            recovered, recover_seconds = _median_call(
+                kernels.recover_rows,
+                fingerprints, hash_a, hash_b, shared, shared.size * 8, args.sketch_size,
             )
-            recover_seconds = time.perf_counter() - started
-            started = time.perf_counter()
-            positions = kernels.hash_keys(keys, hash_a, hash_b, members, shared.size * 8)
-            hash_seconds = time.perf_counter() - started
+            positions, hash_seconds = _median_call(
+                kernels.hash_keys, keys, hash_a, hash_b, members, shared.size * 8
+            )
         for name, value in (
             ("pair counts", counts),
             ("band signatures", signatures),
@@ -835,7 +847,8 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     lanes = f"; native vector lanes {native['vector_lanes']}" if "native" in tiers else ""
     print(
         f"# micro-timing: {args.pairs} pairs and keys / {args.users} users at "
-        f"k={args.sketch_size} ({row_bytes} B/row); tiers bit-identical{lanes}"
+        f"k={args.sketch_size} ({row_bytes} B/row), median of {KERNEL_BENCH_REPEATS} "
+        f"calls; tiers bit-identical{lanes}"
     )
     print(render_csv(headers, bench_rows) if args.csv else render_table(headers, bench_rows))
     return 0

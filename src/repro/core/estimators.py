@@ -23,13 +23,16 @@ and, using ``s_uv = (n_u + n_v - n_Δ) / 2``, to
 The module also provides the analytical expectation and variance of ``ŝ_uv``
 stated in the paper, used by the analysis subpackage and its tests.
 
-Every estimator exists in two forms: the scalar functions below and
-array-valued counterparts (``estimate_jaccard_arrays`` etc.) that evaluate a
-whole batch of pairs at once.  The array forms are **bit-identical** to
-looping the scalar forms: the only transcendental step, ``ln|1 - 2x|``, is
-evaluated once per *unique* input value with the very same scalar code and
-scattered back, which is cheap because ``alpha`` can only take the ``k + 1``
-discrete values ``count / k`` and ``beta`` one value per shard.
+Every estimator exists in two forms: the scalar functions below and indexed
+array counterparts (``estimate_jaccard_arrays`` etc.) that evaluate a whole
+batch of pairs at once.  The indexed forms take what one gather of the
+pairs' users yields: an integer xor count per pair, a fill fraction and a
+cardinality per user, and the two pair index arrays into the per-user
+columns.  They are **bit-identical** to looping the scalar ``*_cross`` forms
+over ``count / k``: the only transcendental step, ``ln|1 - 2x|``, runs the
+very same scalar code once per xor count present (``alpha`` can take only
+the ``k + 1`` values ``count / k``) and once per distinct fill fraction (one
+per shard), and is scattered back by indexing.
 """
 
 from __future__ import annotations
@@ -154,14 +157,16 @@ def estimate_common_items(
     which never hurts accuracy and avoids nonsensical negative estimates when
     the sketch is noisy.
     """
-    _validate_inputs(sketch_size, beta)
-    if cardinality_a < 0 or cardinality_b < 0:
-        raise ConfigurationError("cardinalities must be non-negative")
-    n_delta = estimate_symmetric_difference(alpha, beta, sketch_size, strict=strict)
-    estimate = (cardinality_a + cardinality_b - n_delta) / 2.0
-    if clamp:
-        estimate = min(float(min(cardinality_a, cardinality_b)), max(0.0, estimate))
-    return estimate
+    return estimate_common_items_cross(
+        alpha,
+        beta,
+        beta,
+        sketch_size,
+        cardinality_a,
+        cardinality_b,
+        strict=strict,
+        clamp=clamp,
+    )
 
 
 def estimate_common_items_cross(
@@ -229,99 +234,112 @@ def estimate_jaccard_cross(
     return min(1.0, max(0.0, common / union))
 
 
-# -- array-valued estimators (the bulk query path) -----------------------------------
+# -- indexed estimators (the bulk query path) ----------------------------------------
 #
-# ``repro.core.vos`` and ``repro.service.sharding`` score whole blocks of
-# candidate pairs at once: one xor-popcount pass produces an ``alpha`` array,
-# and the functions below turn it into symmetric-difference / common-item /
-# Jaccard arrays.  ``betas_a`` / ``betas_b`` broadcast, so the single-array
-# caller passes two scalars and the sharded caller passes per-pair arrays.
+# ``repro.core.vos.VectorizedPairQueries`` scores whole blocks of pairs in the
+# indexed form its one routed gather produces: an integer xor count per pair
+# in ``[0, k]``, each *user's* fill fraction and cardinality, and the two pair
+# index arrays into those per-user columns.  ``ln|1 - 2x|`` is evaluated with
+# the scalar helper once per count present and once per distinct fill
+# fraction, then scattered, so element ``t`` of every result equals the
+# scalar ``estimate_*_cross(counts[t] / k, betas[index_a[t]],
+# betas[index_b[t]], k, ...)`` bitwise.
 
 
-def _validate_unit_interval_array(name: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+def _validate_betas(betas) -> np.ndarray:
+    arr = np.asarray(betas, dtype=np.float64)
     # The comparisons are phrased positively so NaN fails them too, matching
     # the scalar validators (`not 0.0 <= value <= 1.0` rejects NaN).
     if arr.size and not bool(((arr >= 0.0) & (arr <= 1.0)).all()):
-        raise ConfigurationError(f"{name} must be in [0, 1]")
+        raise ConfigurationError("beta must be in [0, 1]")
     return arr
 
 
-def _safe_log_one_minus_two_array(
-    values: np.ndarray, *, floor: float, strict: bool
-) -> np.ndarray:
-    """Vectorized :func:`_safe_log_one_minus_two`, bit-exact with the scalar form.
+def _validate_cardinalities(cardinalities) -> np.ndarray:
+    cards = np.asarray(cardinalities, dtype=np.int64)
+    if cards.size and int(cards.min()) < 0:
+        raise ConfigurationError("cardinalities must be non-negative")
+    return cards
 
-    The logarithm is evaluated once per unique input value using the scalar
-    helper itself, so saturation handling (and every last floating-point bit)
-    matches a Python loop exactly.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    flat = arr.ravel()
-    # np.unique without return_inverse is a plain sort; the inverse mapping is
-    # recovered with a searchsorted over the (tiny) unique-value table, which
-    # is several times faster than unique's own inverse path on large inputs.
-    unique = np.unique(flat)
-    logs = np.empty(unique.shape[0], dtype=np.float64)
-    for index, value in enumerate(unique.tolist()):
-        logs[index] = _safe_log_one_minus_two(value, floor=floor, strict=strict)
-    return logs[np.searchsorted(unique, flat)].reshape(arr.shape)
+
+def _indexed_log_terms(
+    counts, betas, sketch_size: int, index_a, index_b, strict: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair, ``ln|1 - 2 alpha|`` and ``ln|1 - 2 beta_a| + ln|1 - 2 beta_b|``."""
+    if sketch_size <= 0:
+        raise ConfigurationError(f"sketch_size must be positive, got {sketch_size}")
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        raise ConfigurationError(f"xor counts must be integers, got {counts.dtype}")
+    counts = counts.astype(np.int64, copy=False)
+    if counts.size and (int(counts.min()) < 0 or int(counts.max()) > sketch_size):
+        raise ConfigurationError(f"xor counts must be in [0, {sketch_size}]")
+    betas = _validate_betas(betas)
+    floor = 1.0 / (2.0 * sketch_size)
+    log_alphas = np.zeros(sketch_size + 1, dtype=np.float64)
+    present = np.bincount(counts, minlength=sketch_size + 1).nonzero()[0]
+    for count in present.tolist():
+        log_alphas[count] = _safe_log_one_minus_two(
+            count / sketch_size, floor=floor, strict=strict
+        )
+    distinct, inverse = np.unique(betas, return_inverse=True)
+    log_betas = np.empty(distinct.shape[0], dtype=np.float64)
+    saturated = None
+    for position, beta in enumerate(distinct.tolist()):
+        try:
+            log_betas[position] = _safe_log_one_minus_two(beta, floor=floor, strict=strict)
+        except EstimationError as error:
+            # Strict mode fails like the scalar loop: only if a pair reads it.
+            saturated, log_betas[position] = error, math.nan
+    log_betas = log_betas[inverse]
+    log_beta_terms = log_betas[index_a] + log_betas[index_b]
+    if saturated is not None and np.isnan(log_beta_terms).any():
+        raise saturated
+    return log_alphas[counts], log_beta_terms
 
 
 def estimate_symmetric_difference_arrays(
-    alphas,
-    betas_a,
-    betas_b,
+    counts,
+    betas,
     sketch_size: int,
+    index_a,
+    index_b,
     *,
     strict: bool = False,
 ) -> np.ndarray:
-    """Array form of :func:`estimate_symmetric_difference_cross`.
+    """Indexed form of :func:`estimate_symmetric_difference_cross`.
 
-    ``alphas`` is the per-pair xor-load array; ``betas_a`` / ``betas_b`` are
-    the fill fractions of the arrays each side was recovered from (scalars or
-    arrays broadcastable against ``alphas``).  Element ``t`` of the result
-    equals ``estimate_symmetric_difference_cross(alphas[t], betas_a[t],
-    betas_b[t], sketch_size)`` bitwise.
+    ``counts[t]`` is the xor popcount of pair ``t``, whose users sit at
+    positions ``index_a[t]`` and ``index_b[t]`` of the per-user fill-fraction
+    column ``betas``.  Element ``t`` of the result equals
+    ``estimate_symmetric_difference_cross(counts[t] / sketch_size,
+    betas[index_a[t]], betas[index_b[t]], sketch_size)`` bitwise.
     """
-    if sketch_size <= 0:
-        raise ConfigurationError(f"sketch_size must be positive, got {sketch_size}")
-    alphas = _validate_unit_interval_array("alpha", alphas)
-    betas_a = _validate_unit_interval_array("beta", betas_a)
-    betas_b = _validate_unit_interval_array("beta", betas_b)
-    floor = 1.0 / (2.0 * sketch_size)
-    log_alpha_terms = _safe_log_one_minus_two_array(alphas, floor=floor, strict=strict)
-    log_beta_terms = _safe_log_one_minus_two_array(
-        betas_a, floor=floor, strict=strict
-    ) + _safe_log_one_minus_two_array(betas_b, floor=floor, strict=strict)
+    log_alpha_terms, log_beta_terms = _indexed_log_terms(
+        counts, betas, sketch_size, index_a, index_b, strict
+    )
     estimates = -float(sketch_size) * (log_alpha_terms - log_beta_terms) / 2.0
     return np.maximum(0.0, estimates)
 
 
-def _validate_cardinality_arrays(cardinalities_a, cardinalities_b):
-    ca = np.asarray(cardinalities_a, dtype=np.int64)
-    cb = np.asarray(cardinalities_b, dtype=np.int64)
-    if (ca.size and int(ca.min()) < 0) or (cb.size and int(cb.min()) < 0):
-        raise ConfigurationError("cardinalities must be non-negative")
-    return ca, cb
-
-
 def estimate_common_items_arrays(
-    alphas,
-    betas_a,
-    betas_b,
+    counts,
+    betas,
     sketch_size: int,
-    cardinalities_a,
-    cardinalities_b,
+    cardinalities,
+    index_a,
+    index_b,
     *,
     strict: bool = False,
     clamp: bool = True,
 ) -> np.ndarray:
-    """Array form of :func:`estimate_common_items_cross` (bit-exact per element)."""
-    ca, cb = _validate_cardinality_arrays(cardinalities_a, cardinalities_b)
+    """Indexed form of :func:`estimate_common_items_cross` (bit-exact per pair);
+    ``cardinalities`` is per user, like ``betas``."""
+    cards = _validate_cardinalities(cardinalities)
     n_delta = estimate_symmetric_difference_arrays(
-        alphas, betas_a, betas_b, sketch_size, strict=strict
+        counts, betas, sketch_size, index_a, index_b, strict=strict
     )
+    ca, cb = cards[index_a], cards[index_b]
     estimates = (ca + cb - n_delta) / 2.0
     if clamp:
         estimates = np.minimum(
@@ -330,10 +348,8 @@ def estimate_common_items_arrays(
     return estimates
 
 
-def jaccard_from_common_arrays(
-    commons, cardinalities_a, cardinalities_b
-) -> np.ndarray:
-    """Array form of the ``J = s / (n_u + n_v - s)`` conversion, clamped to [0, 1].
+def jaccard_from_common_arrays(commons, cardinalities, index_a, index_b) -> np.ndarray:
+    """Indexed form of the ``J = s / (n_u + n_v - s)`` conversion, clamped to [0, 1].
 
     ``commons`` must already be clamped into the feasible range (as
     :func:`estimate_common_items_arrays` returns it).  Splitting this step out
@@ -341,7 +357,8 @@ def jaccard_from_common_arrays(
     the common-item array it already holds instead of re-running the whole
     inversion pipeline.
     """
-    ca, cb = _validate_cardinality_arrays(cardinalities_a, cardinalities_b)
+    cards = _validate_cardinalities(cardinalities)
+    ca, cb = cards[index_a], cards[index_b]
     unions = ca + cb - commons
     with np.errstate(divide="ignore", invalid="ignore"):
         jaccards = np.minimum(1.0, np.maximum(0.0, commons / unions))
@@ -355,28 +372,20 @@ def jaccard_from_common_arrays(
 
 
 def estimate_jaccard_arrays(
-    alphas,
-    betas_a,
-    betas_b,
+    counts,
+    betas,
     sketch_size: int,
-    cardinalities_a,
-    cardinalities_b,
+    cardinalities,
+    index_a,
+    index_b,
     *,
     strict: bool = False,
 ) -> np.ndarray:
-    """Array form of :func:`estimate_jaccard_cross` (bit-exact per element)."""
-    ca, cb = _validate_cardinality_arrays(cardinalities_a, cardinalities_b)
-    common = estimate_common_items_arrays(
-        alphas,
-        betas_a,
-        betas_b,
-        sketch_size,
-        ca,
-        cb,
-        strict=strict,
-        clamp=True,
+    """Indexed form of :func:`estimate_jaccard_cross` (bit-exact per pair)."""
+    commons = estimate_common_items_arrays(
+        counts, betas, sketch_size, cardinalities, index_a, index_b, strict=strict
     )
-    return jaccard_from_common_arrays(common, ca, cb)
+    return jaccard_from_common_arrays(commons, cardinalities, index_a, index_b)
 
 
 def estimator_expectation(

@@ -34,11 +34,11 @@ import numpy as np
 from repro.baselines.base import SimilaritySketch, normalize_pair_indices
 from repro.core.bitarray import SharedBitArray
 from repro.core.estimators import (
-    estimate_common_items,
     estimate_common_items_arrays,
-    estimate_jaccard,
+    estimate_common_items_cross,
     estimate_jaccard_arrays,
-    estimate_symmetric_difference,
+    estimate_jaccard_cross,
+    estimate_symmetric_difference_cross,
     jaccard_from_common_arrays,
 )
 from repro.core.memory import MemoryBudget, vos_parameters_for_budget
@@ -67,48 +67,111 @@ def pair_xor_counts(rows: np.ndarray, index_a: np.ndarray, index_b: np.ndarray) 
 
 
 class VectorizedPairQueries:
-    """Mixin: the vectorized indexed estimators on top of one per-pair hook.
+    """Mixin: the one read path of both VOS layouts.
 
-    A subclass provides :meth:`_indexed_pair_arrays` returning per-pair
-    ``(alphas, betas_a, betas_b, cardinalities_a, cardinalities_b)`` — the
-    betas may be scalars (one shared array) or per-pair arrays (cross-shard
-    pairs) — and inherits the three bulk estimator entry points, all
-    bit-identical to the scalar per-pair loop.  Used by both
-    :class:`VirtualOddSketch` and :class:`~repro.service.sharding.ShardedVOS`.
+    :meth:`gather` routes users to the shards owning them (``route()`` over
+    ``row_shards()``; a single-array sketch is its own shard 0) and reads each
+    group's packed rows through that shard's row memo, along with the shard's
+    fill fraction and the users' cardinalities.  Every read is built on it:
+
+    * the bulk estimators score pairs of gathered rows with one xor-popcount
+      pass and feed the counts, per-user fill fractions and cardinalities to
+      the indexed estimators of :mod:`repro.core.estimators`;
+    * the scalar reads are the one-pair case of the same inputs, handed to
+      the scalar ``*_cross`` estimators (a same-shard pair has
+      ``beta_a == beta_b``, which reduces to the paper's single-array form);
+    * :class:`~repro.index.banding.BandedSketchIndex` derives band keys from
+      the gathered rows.
+
+    The bulk results are bit-identical to the scalar per-pair loop.  Used by
+    both :class:`VirtualOddSketch` and
+    :class:`~repro.service.sharding.ShardedVOS`.
     """
 
     virtual_sketch_size: int
 
-    def _indexed_pair_arrays(
-        self, users: Sequence[UserId], index_a: np.ndarray, index_b: np.ndarray
-    ) -> tuple[np.ndarray, ...]:
-        raise NotImplementedError  # pragma: no cover - provided by subclasses
+    def gather(self, users: Sequence[UserId]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, betas, cardinalities)`` of ``users``, in input order.
 
-    def _estimator_inputs(self, users: Sequence[UserId], index_a, index_b) -> tuple:
-        """``(alphas, betas_a, betas_b, k, cards_a, cards_b)``: the array estimators' input."""
+        ``rows`` holds each user's packed virtual sketch (:meth:`packed_rows`
+        layout), ``betas`` the fill fraction of the array it was recovered
+        from, ``cardinalities`` its exact counter.  One :meth:`route` groups
+        the users by owning shard, so each shard does one memoised row read.
+        """
+        users = list(users)
+        rows = np.empty((len(users), packed_row_bytes(self.virtual_sketch_size)), np.uint8)
+        betas = np.empty(len(users), dtype=np.float64)
+        cardinalities = np.empty(len(users), dtype=np.int64)
+        shards = self.row_shards()
+        for shard_index, positions, members in self.route(users):
+            shard = shards[shard_index]
+            rows[positions] = shard._packed_rows(members)
+            betas[positions] = shard.beta
+            cardinalities[positions] = shard.cardinalities(members)
+        return rows, betas, cardinalities
+
+    def _indexed_inputs(self, users: Sequence[UserId], index_a, index_b) -> tuple:
+        """``(counts, betas, k, cardinalities, index_a, index_b)``: the indexed
+        estimators' input for the pairs ``(users[index_a[t]], users[index_b[t]])``."""
         index_a, index_b = normalize_pair_indices(index_a, index_b)
-        alphas, betas_a, betas_b, cards_a, cards_b = self._indexed_pair_arrays(
-            list(users), index_a, index_b
-        )
-        return alphas, betas_a, betas_b, self.virtual_sketch_size, cards_a, cards_b
+        rows, betas, cardinalities = self.gather(users)
+        counts = pair_xor_counts(rows, index_a, index_b)
+        return counts, betas, self.virtual_sketch_size, cardinalities, index_a, index_b
+
+    def _pair_inputs(self, user_a: UserId, user_b: UserId) -> tuple:
+        """``(alpha, beta_a, beta_b, k, n_a, n_b)``: the scalar ``*_cross`` input."""
+        rows, betas, cardinalities = self.gather([user_a, user_b])
+        count = np.count_nonzero(np.unpackbits(rows[0] ^ rows[1]))
+        beta_a, beta_b = betas.tolist()
+        card_a, card_b = cardinalities.tolist()
+        k = self.virtual_sketch_size
+        return count / k, beta_a, beta_b, k, card_a, card_b
+
+    # -- scalar reads ------------------------------------------------------------------
+
+    def sketch_matrix(self, users: Sequence[UserId]) -> np.ndarray:
+        """Recover many users' virtual sketches as an ``(n, k)`` uint8 bit matrix:
+        the gathered packed rows, unpacked."""
+        rows, _, _ = self.gather(users)
+        return np.unpackbits(rows, axis=1, count=self.virtual_sketch_size)
+
+    def virtual_sketch(self, user: UserId) -> np.ndarray:
+        """Recover the user's virtual odd sketch ``Ô_u`` as a uint8 vector."""
+        return self.sketch_matrix([user])[0]
+
+    def pair_alpha(self, user_a: UserId, user_b: UserId) -> float:
+        """The observed xor load ``alpha`` for a user pair."""
+        return self._pair_inputs(user_a, user_b)[0]
+
+    def estimate_symmetric_difference(self, user_a: UserId, user_b: UserId) -> float:
+        """Estimate ``n_Δ = |S_u Δ S_v|`` for the pair."""
+        return estimate_symmetric_difference_cross(*self._pair_inputs(user_a, user_b)[:4])
+
+    def estimate_common_items(self, user_a: UserId, user_b: UserId) -> float:
+        return estimate_common_items_cross(*self._pair_inputs(user_a, user_b))
+
+    def estimate_jaccard(self, user_a: UserId, user_b: UserId) -> float:
+        return estimate_jaccard_cross(*self._pair_inputs(user_a, user_b))
+
+    # -- bulk reads --------------------------------------------------------------------
 
     def estimate_jaccard_indexed(
         self, users: Sequence[UserId], index_a, index_b
     ) -> np.ndarray:
-        return estimate_jaccard_arrays(*self._estimator_inputs(users, index_a, index_b))
+        return estimate_jaccard_arrays(*self._indexed_inputs(users, index_a, index_b))
 
     def estimate_common_items_indexed(
         self, users: Sequence[UserId], index_a, index_b
     ) -> np.ndarray:
-        return estimate_common_items_arrays(*self._estimator_inputs(users, index_a, index_b))
+        return estimate_common_items_arrays(*self._indexed_inputs(users, index_a, index_b))
 
     def estimate_common_and_jaccard_indexed(
         self, users: Sequence[UserId], index_a, index_b
     ) -> tuple[np.ndarray, np.ndarray]:
         """One xor pass feeds both estimators; Jaccard derives from the commons."""
-        inputs = self._estimator_inputs(users, index_a, index_b)
+        inputs = self._indexed_inputs(users, index_a, index_b)
         commons = estimate_common_items_arrays(*inputs)
-        return commons, jaccard_from_common_arrays(commons, inputs[4], inputs[5])
+        return commons, jaccard_from_common_arrays(commons, *inputs[3:])
 
 
 class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
@@ -315,10 +378,6 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         """The underlying shared array (exposed for analysis and tests)."""
         return self._array
 
-    def virtual_sketch(self, user: UserId) -> np.ndarray:
-        """Recover the user's virtual odd sketch ``Ô_u`` as a uint8 vector."""
-        return self.sketch_matrix([user])[0]
-
     # -- bulk queries ------------------------------------------------------------------
 
     def _packed_rows(self, users: Sequence[UserId]) -> np.ndarray:
@@ -402,64 +461,10 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         """
         return [self]
 
-    def sketch_matrix(self, users: Sequence[UserId]) -> np.ndarray:
-        """Recover many users' virtual sketches as an ``(n, k)`` uint8 bit matrix.
-
-        Row ``i`` equals ``virtual_sketch(users[i])``: the packed rows
-        (:meth:`packed_rows`) unpacked, so both forms share one read path.
-        """
-        packed = self._packed_rows(list(users))
-        return np.unpackbits(packed, axis=1, count=self.virtual_sketch_size)
-
     def sketch_cache_info(self) -> dict[str, int]:
         """Occupancy and hit/miss counters of the row memo."""
         entries = int(np.count_nonzero(self._row_stamps == self._rows_stamp))
         return {"entries": entries, "hits": self._row_hits, "misses": self._row_misses}
-
-    def _indexed_pair_arrays(
-        self, users: Sequence[UserId], index_a: np.ndarray, index_b: np.ndarray
-    ) -> tuple[np.ndarray, ...]:
-        """The :class:`VectorizedPairQueries` hook for a single shared array.
-
-        One packed-row gather for the unique users, then blockwise xor +
-        popcount over the pair index arrays; both sides of every pair share
-        the global fill fraction ``beta``.
-        """
-        rows = self._packed_rows(users)
-        counts = pair_xor_counts(rows, index_a, index_b)
-        alphas = counts.astype(np.float64) / self.virtual_sketch_size
-        cardinalities = self.cardinalities(users)
-        beta = self.beta
-        return alphas, beta, beta, cardinalities[index_a], cardinalities[index_b]
-
-    def pair_alpha(self, user_a: UserId, user_b: UserId) -> float:
-        """The observed xor load ``alpha`` for a user pair."""
-        sketches = self.sketch_matrix([user_a, user_b])
-        return float(np.count_nonzero(sketches[0] != sketches[1])) / self.virtual_sketch_size
-
-    def estimate_symmetric_difference(self, user_a: UserId, user_b: UserId) -> float:
-        """Estimate ``n_Δ = |S_u Δ S_v|`` for the pair."""
-        return estimate_symmetric_difference(
-            self.pair_alpha(user_a, user_b), self.beta, self.virtual_sketch_size
-        )
-
-    def estimate_common_items(self, user_a: UserId, user_b: UserId) -> float:
-        return estimate_common_items(
-            self.pair_alpha(user_a, user_b),
-            self.beta,
-            self.virtual_sketch_size,
-            self.cardinality(user_a),
-            self.cardinality(user_b),
-        )
-
-    def estimate_jaccard(self, user_a: UserId, user_b: UserId) -> float:
-        return estimate_jaccard(
-            self.pair_alpha(user_a, user_b),
-            self.beta,
-            self.virtual_sketch_size,
-            self.cardinality(user_a),
-            self.cardinality(user_b),
-        )
 
     # -- accounting ------------------------------------------------------------------------------
 

@@ -17,9 +17,9 @@ The experiment protocol, faithful to Section V:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.baselines.base import SimilaritySketch
+from repro.baselines.base import SimilaritySketch, dedup_pair_users
 from repro.baselines.exact import ExactSimilarityTracker
 from repro.core.memory import MemoryBudget
 from repro.core.vos import VirtualOddSketch
@@ -87,16 +87,6 @@ class ExperimentConfig:
             raise ConfigurationError("num_checkpoints must be positive")
         if any(count <= 0 for count in self.shard_counts):
             raise ConfigurationError("shard_counts must be positive")
-
-
-@dataclass
-class _PairObservations:
-    """Per-checkpoint observations for one method."""
-
-    true_common: list[float] = field(default_factory=list)
-    estimated_common: list[float] = field(default_factory=list)
-    true_jaccard: list[float] = field(default_factory=list)
-    estimated_jaccard: list[float] = field(default_factory=list)
 
 
 class AccuracyExperiment:
@@ -199,36 +189,41 @@ class AccuracyExperiment:
         exact: ExactSimilarityTracker,
         result: AccuracyResult,
     ) -> None:
-        observations = {name: _PairObservations() for name in sketches}
-        for user_a, user_b in pairs:
-            if not (exact.has_user(user_a) and exact.has_user(user_b)):
+        tracked = [
+            (user_a, user_b)
+            for user_a, user_b in pairs
+            if exact.has_user(user_a) and exact.has_user(user_b)
+        ]
+        true_common = [exact.estimate_common_items(a, b) for a, b in tracked]
+        true_jaccard = [exact.estimate_jaccard(a, b) for a, b in tracked]
+        for name, sketch in sketches.items():
+            kept = [
+                position
+                for position, (user_a, user_b) in enumerate(tracked)
+                if sketch.has_user(user_a) and sketch.has_user(user_b)
+            ]
+            if not kept:
                 continue
-            true_common = exact.estimate_common_items(user_a, user_b)
-            true_jaccard = exact.estimate_jaccard(user_a, user_b)
-            for name, sketch in sketches.items():
-                if not (sketch.has_user(user_a) and sketch.has_user(user_b)):
-                    continue
-                record = observations[name]
-                record.true_common.append(true_common)
-                record.estimated_common.append(sketch.estimate_common_items(user_a, user_b))
-                record.true_jaccard.append(true_jaccard)
-                record.estimated_jaccard.append(sketch.estimate_jaccard(user_a, user_b))
-        for name, record in observations.items():
-            if not record.true_common:
-                continue
-            sketch = sketches[name]
-            # VOS and its sharded variant both expose a fill fraction.
-            beta = getattr(sketch, "beta", None)
+            # One bulk call per sketch scores every qualifying pair, bit for
+            # bit as the scalar per-pair estimators would.
+            users, index_a, index_b = dedup_pair_users(
+                (tracked[position][0] for position in kept),
+                (tracked[position][1] for position in kept),
+            )
+            commons, jaccards = sketch.estimate_common_and_jaccard_indexed(
+                users, index_a, index_b
+            )
             result.checkpoints[name].append(
                 AccuracyCheckpoint(
                     time=time,
                     aape=average_absolute_percentage_error(
-                        record.true_common, record.estimated_common
+                        [true_common[position] for position in kept], commons.tolist()
                     ),
                     armse=average_root_mean_square_error(
-                        record.true_jaccard, record.estimated_jaccard
+                        [true_jaccard[position] for position in kept], jaccards.tolist()
                     ),
-                    tracked_pairs=len(record.true_common),
-                    beta=beta,
+                    tracked_pairs=len(kept),
+                    # VOS and its sharded variant both expose a fill fraction.
+                    beta=getattr(sketch, "beta", None),
                 )
             )

@@ -624,11 +624,8 @@ class BandedSketchIndex:
 
     def _gather(self, users: Sequence[UserId]) -> tuple[np.ndarray, np.ndarray]:
         """Signature and validity rows for ``users``, in input order, derived
-        from their packed rows (the sketch routes each user to its shard)."""
-        rows = np.empty((len(users), 8 * self._row_words), dtype=np.uint8)
-        shards = self._sketch.row_shards()
-        for shard_index, positions, members in self._sketch.route(users):
-            rows[positions] = shards[shard_index].packed_rows(members)
+        from the packed rows the sketch's one routed gather reads."""
+        rows, _, _ = self._sketch.gather(users)
         return self._band_keys(rows)
 
     def candidate_pairs(

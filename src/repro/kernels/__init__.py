@@ -178,10 +178,7 @@ def kernel_info() -> dict:
         "numpy_popcount": (
             "bitwise_count" if hasattr(np, "bitwise_count") else "byte_table"
         ),
-        "block": {
-            "target_bytes": numpy_tier.TARGET_BLOCK_BYTES,
-            "env_override": os.environ.get("REPRO_PAIR_BLOCK_PAIRS") or None,
-        },
+        "block": {"target_bytes": numpy_tier.TARGET_BLOCK_BYTES},
     }
     if native is not None:
         info["native"].update(native.info)

@@ -18,13 +18,10 @@ behind the read and ingest paths (see :mod:`repro.kernels` for the dispatch laye
 Block sizing is derived from the packed row width instead of a fixed pair
 count: small sketches (8 bytes/row) get 64k-pair blocks while wide ones
 (192 bytes/row at k=1536) drop to 2k pairs, keeping each gather buffer near
-:data:`TARGET_BLOCK_BYTES` regardless of geometry.  ``REPRO_PAIR_BLOCK_PAIRS``
-overrides the computed size for benchmarking.
+:data:`TARGET_BLOCK_BYTES` regardless of geometry.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -70,13 +67,8 @@ def pair_block_pairs(row_bytes: int) -> int:
 
     Picks the largest power of two whose gather buffer stays at or under
     :data:`TARGET_BLOCK_BYTES`, clamped into
-    ``[MIN_BLOCK_PAIRS, MAX_BLOCK_PAIRS]``.  The ``REPRO_PAIR_BLOCK_PAIRS``
-    environment variable overrides the computed size (benches use this to
-    sweep block-size sensitivity).
+    ``[MIN_BLOCK_PAIRS, MAX_BLOCK_PAIRS]``.
     """
-    override = os.environ.get("REPRO_PAIR_BLOCK_PAIRS", "").strip()
-    if override:
-        return max(1, int(override))
     budget = TARGET_BLOCK_BYTES // max(1, int(row_bytes))
     if budget <= MIN_BLOCK_PAIRS:
         return MIN_BLOCK_PAIRS

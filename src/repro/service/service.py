@@ -372,11 +372,8 @@ class SimilarityService:
             "memory_bits": sketch.memory_bits(),
             "beta": sketch.beta,
         }
-        if isinstance(sketch, ShardedVOS):
-            stats["num_shards"] = sketch.num_shards
-            stats["shard_betas"] = sketch.betas()
-        else:
-            stats["num_shards"] = 1
+        stats["num_shards"] = len(sketch.row_shards())
+        stats["shard_betas"] = [shard.beta for shard in sketch.row_shards()]
         stats["sketch_cache"] = sketch.sketch_cache_info()
         # Candidate-index counters (layout, signature memory, rebuild activity,
         # restored-from-snapshot tables, last candidate fraction) appear once
@@ -449,18 +446,14 @@ class SimilarityService:
                 raise ConfigurationError(
                     "service is not bound to a snapshot path; pass one to save()"
                 )
-        extras: dict[str, object] = {}
-        if include_index is None:
-            include_index = self._index is not None and self._index.is_built
-        if include_index:
-            extras[INDEX_SNAPSHOT_SECTION] = self.index().export_state()
+        extras = self._index_extras(include_index)
         cursor = next_stamp()
         registry = get_registry()
         with timed("persistence.snapshot.save", registry) as span:
             checkpoint_id = save_snapshot(
                 self._sketch,
                 path,
-                extras=extras or None,
+                extras=extras,
                 checkpoint_id=new_checkpoint_id(),
             )
         snapshot_bytes = Path(path).stat().st_size
@@ -594,14 +587,21 @@ class SimilarityService:
         :meth:`save`'s semantics: ``None`` ships the banding index's
         signature tables whenever the index is already built.
         """
-        extras: dict[str, object] = {}
+        return dumps_snapshot(
+            self._sketch,
+            extras=self._index_extras(include_index),
+            checkpoint_id=new_checkpoint_id(),
+        )
+
+    def _index_extras(self, include_index: bool | None) -> dict | None:
+        """The snapshot extras :meth:`save` and :meth:`dumps_state` write: the
+        banding index's tables if ``include_index`` is true, or if it is
+        ``None`` and the index is already built; otherwise none."""
         if include_index is None:
             include_index = self._index is not None and self._index.is_built
-        if include_index:
-            extras[INDEX_SNAPSHOT_SECTION] = self.index().export_state()
-        return dumps_snapshot(
-            self._sketch, extras=extras or None, checkpoint_id=new_checkpoint_id()
-        )
+        if not include_index:
+            return None
+        return {INDEX_SNAPSHOT_SECTION: self.index().export_state()}
 
     def freeze_delta(self, since: int) -> dict:
         """Collect an epoch publish delta: every shard changed after cursor ``since``.

@@ -34,18 +34,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.baselines.base import SimilaritySketch
-from repro.core.estimators import (
-    estimate_common_items_cross,
-    estimate_jaccard_cross,
-    estimate_symmetric_difference_cross,
-)
 from repro.core.memory import MemoryBudget, vos_parameters_for_budget
-from repro.core.vos import (
-    VectorizedPairQueries,
-    VirtualOddSketch,
-    packed_row_bytes,
-    pair_xor_counts,
-)
+from repro.core.vos import VectorizedPairQueries, VirtualOddSketch
 from repro.exceptions import ConfigurationError
 from repro.hashing import UniversalHash
 from repro.hashing.universal import stable_hash64
@@ -55,6 +45,13 @@ from repro.streams.edge import StreamElement, UserId
 
 class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
     """VOS state hash-partitioned across independent shards.
+
+    This class routes: ingest by user (:meth:`split_by_shard`) and reads by
+    user (:meth:`route` over :meth:`row_shards`).  Every estimate, scalar or
+    bulk, comes from the :class:`~repro.core.vos.VectorizedPairQueries`
+    read path shared with :class:`VirtualOddSketch`: each pair side carries
+    the fill fraction of the shard its user lives on, and the estimators
+    apply the two-array (cross-shard) inversion.
 
     Parameters
     ----------
@@ -325,78 +322,6 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
     def betas(self) -> list[float]:
         """Per-shard fill fractions (load-balance diagnostics)."""
         return [shard.beta for shard in self._shards]
-
-    def virtual_sketch(self, user: UserId) -> np.ndarray:
-        """Recover ``Ô_u`` from the owning shard's array."""
-        return self.shard_for(user).virtual_sketch(user)
-
-    def pair_alpha(self, user_a: UserId, user_b: UserId) -> float:
-        """Observed xor load ``alpha`` for a pair (shards may differ)."""
-        sketch_a = self.virtual_sketch(user_a)
-        sketch_b = self.virtual_sketch(user_b)
-        return float(np.count_nonzero(sketch_a != sketch_b)) / self.virtual_sketch_size
-
-    def estimate_symmetric_difference(self, user_a: UserId, user_b: UserId) -> float:
-        return estimate_symmetric_difference_cross(
-            self.pair_alpha(user_a, user_b),
-            self.shard_for(user_a).beta,
-            self.shard_for(user_b).beta,
-            self.virtual_sketch_size,
-        )
-
-    def estimate_common_items(self, user_a: UserId, user_b: UserId) -> float:
-        return estimate_common_items_cross(
-            self.pair_alpha(user_a, user_b),
-            self.shard_for(user_a).beta,
-            self.shard_for(user_b).beta,
-            self.virtual_sketch_size,
-            self.cardinality(user_a),
-            self.cardinality(user_b),
-        )
-
-    def estimate_jaccard(self, user_a: UserId, user_b: UserId) -> float:
-        return estimate_jaccard_cross(
-            self.pair_alpha(user_a, user_b),
-            self.shard_for(user_a).beta,
-            self.shard_for(user_b).beta,
-            self.virtual_sketch_size,
-            self.cardinality(user_a),
-            self.cardinality(user_b),
-        )
-
-    # -- bulk queries ----------------------------------------------------------------
-
-    def _indexed_pair_arrays(
-        self, users: Sequence[UserId], index_a: np.ndarray, index_b: np.ndarray
-    ) -> tuple[np.ndarray, ...]:
-        """The :class:`~repro.core.vos.VectorizedPairQueries` hook across shards.
-
-        One :meth:`route` groups the users by owning shard, so each shard
-        performs one bulk packed-row read (through its own row memo); rows,
-        fill fractions and cardinalities are scattered back into input order.
-        Each pair side carries the fill fraction of the shard its user lives
-        on, so the shared estimator entry points evaluate the two-array
-        (cross-shard) generalization pair by pair.
-        """
-        rows = np.empty(
-            (len(users), packed_row_bytes(self.virtual_sketch_size)), dtype=np.uint8
-        )
-        betas = np.empty(len(users), dtype=np.float64)
-        cardinalities = np.empty(len(users), dtype=np.int64)
-        for shard_index, positions, members in self.route(users):
-            shard = self._shards[shard_index]
-            rows[positions] = shard._packed_rows(members)
-            betas[positions] = shard.beta
-            cardinalities[positions] = shard.cardinalities(members)
-        counts = pair_xor_counts(rows, index_a, index_b)
-        alphas = counts.astype(np.float64) / self.virtual_sketch_size
-        return (
-            alphas,
-            betas[index_a],
-            betas[index_b],
-            cardinalities[index_a],
-            cardinalities[index_b],
-        )
 
     def sketch_cache_info(self) -> dict[str, int]:
         """Aggregate row memo counters over all shards."""

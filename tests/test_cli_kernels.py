@@ -125,3 +125,24 @@ def test_kernels_bench_fails_when_recovered_rows_disagree(capsys, monkeypatch):
     monkeypatch.setattr(numpy_tier, "recover_rows", corrupted)
     assert main(["kernels", "--bench", "--users", "32", "--pairs", "500"]) == 2
     assert "disagree on recovered rows" in capsys.readouterr().err
+
+
+def test_kernels_bench_reports_median_of_repeated_calls(capsys, monkeypatch):
+    """Each kernel is timed KERNEL_BENCH_REPEATS times per tier, not once."""
+    from collections import Counter
+
+    from repro import cli
+
+    honest = kernels.hash_keys
+    calls: Counter = Counter()
+
+    def counting(*args):
+        calls[kernels.active_tier()] += 1
+        return honest(*args)
+
+    monkeypatch.setattr(kernels, "hash_keys", counting)
+    assert main(["kernels", "--bench", "--users", "16", "--pairs", "100", "--csv"]) == 0
+    output = capsys.readouterr().out
+    assert f"median of {cli.KERNEL_BENCH_REPEATS} calls" in output
+    assert cli.KERNEL_BENCH_REPEATS > 1
+    assert calls and set(calls.values()) == {cli.KERNEL_BENCH_REPEATS}

@@ -6,6 +6,11 @@ import math
 
 import pytest
 
+from repro.baselines.exact import ExactSimilarityTracker
+from repro.evaluation.metrics import (
+    average_absolute_percentage_error,
+    average_root_mean_square_error,
+)
 from repro.evaluation.runner import AccuracyExperiment, ExperimentConfig
 from repro.exceptions import ConfigurationError
 from repro.streams.generators import PowerLawBipartiteGenerator
@@ -171,3 +176,62 @@ class TestShardCountWiring:
     def test_invalid_shard_counts_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(shard_counts=(2, 0))
+
+
+class TestBulkScoring:
+    """Checkpoints are scored with one bulk call per sketch; the metrics must
+    equal the ones the scalar per-pair estimators give, exactly."""
+
+    def test_metrics_equal_a_scalar_loop(self):
+        generator = PowerLawBipartiteGenerator(
+            num_users=40, num_items=150, num_edges=1800, seed=13
+        )
+        from repro.streams.deletions import MassiveDeletionModel
+
+        stream = build_dynamic_stream(
+            generator.generate_edges(),
+            MassiveDeletionModel(period=500, deletion_probability=0.4, seed=14),
+            name="bulk-vs-scalar",
+        )
+        config = ExperimentConfig(
+            methods=("MinHash", "VOS"), shard_counts=(2,), baseline_registers=8,
+            top_users=15, max_pairs=40, num_checkpoints=3, seed=4,
+        )
+        experiment = AccuracyExperiment(config)
+        result = experiment.run(stream)
+
+        pairs = experiment.select_pairs(stream)
+        sketches = experiment.build_sketches(len(stream.users()))
+        exact = ExactSimilarityTracker()
+        checkpoints = set(stream.checkpoints(config.num_checkpoints))
+        expected: dict[str, list[tuple[float, float]]] = {name: [] for name in sketches}
+        for position, element in enumerate(stream, start=1):
+            exact.process(element)
+            for sketch in sketches.values():
+                sketch.process(element)
+            if position not in checkpoints:
+                continue
+            for name, sketch in sketches.items():
+                rows = [
+                    (
+                        exact.estimate_common_items(a, b),
+                        sketch.estimate_common_items(a, b),
+                        exact.estimate_jaccard(a, b),
+                        sketch.estimate_jaccard(a, b),
+                    )
+                    for a, b in pairs
+                    if exact.has_user(a) and exact.has_user(b)
+                    and sketch.has_user(a) and sketch.has_user(b)
+                ]
+                if rows:
+                    true_c, est_c, true_j, est_j = (list(column) for column in zip(*rows))
+                    expected[name].append(
+                        (
+                            average_absolute_percentage_error(true_c, est_c),
+                            average_root_mean_square_error(true_j, est_j),
+                        )
+                    )
+        for name in ("MinHash", "VOS", "VOS-sharded-2"):
+            recorded = [(point.aape, point.armse) for point in result.checkpoints[name]]
+            assert expected[name], name
+            assert recorded == expected[name], name

@@ -139,7 +139,7 @@ class TestPairCountParity:
         index_b = rng.integers(0, 50, size=1000).astype(np.int64)
         with kernels.use_tier("numpy"):
             baseline = kernels.pair_counts(rows, index_a, index_b)
-            monkeypatch.setenv("REPRO_PAIR_BLOCK_PAIRS", "7")
+            monkeypatch.setattr(numpy_tier, "pair_block_pairs", lambda row_bytes: 7)
             assert np.array_equal(kernels.pair_counts(rows, index_a, index_b), baseline)
 
     def test_popcount_table_tier_matches(self, monkeypatch):
@@ -582,8 +582,7 @@ class TestEndToEndParity:
 
 
 class TestDispatchControls:
-    def test_auto_sized_blocks(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PAIR_BLOCK_PAIRS", raising=False)
+    def test_auto_sized_blocks(self):
         narrow = kernels.pair_block_pairs(8)
         wide = kernels.pair_block_pairs(192)
         assert narrow > wide
@@ -591,8 +590,6 @@ class TestDispatchControls:
         assert wide >= numpy_tier.MIN_BLOCK_PAIRS
         # Power-of-two blocks whose gather buffer stays near the target.
         assert wide * 192 <= numpy_tier.TARGET_BLOCK_BYTES
-        monkeypatch.setenv("REPRO_PAIR_BLOCK_PAIRS", "12345")
-        assert kernels.pair_block_pairs(192) == 12345
 
     def test_invalid_tier_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "cuda")
