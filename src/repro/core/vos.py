@@ -31,7 +31,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.baselines.base import SimilaritySketch, normalize_pair_indices
+from repro.baselines.base import PairEstimate, SimilaritySketch, normalize_pair_indices
+from repro.baselines.users import UserTable
 from repro.core.bitarray import SharedBitArray
 from repro.core.estimators import (
     estimate_common_items_arrays,
@@ -152,6 +153,16 @@ class VectorizedPairQueries:
 
     def estimate_jaccard(self, user_a: UserId, user_b: UserId) -> float:
         return estimate_jaccard_cross(*self._pair_inputs(user_a, user_b))
+
+    def estimate_pair(self, user_a: UserId, user_b: UserId) -> PairEstimate:
+        """Both scalar estimates from one gather of the pair."""
+        inputs = self._pair_inputs(user_a, user_b)
+        return PairEstimate(
+            user_a=user_a,
+            user_b=user_b,
+            common_items=estimate_common_items_cross(*inputs),
+            jaccard=estimate_jaccard_cross(*inputs),
+        )
 
     # -- bulk reads --------------------------------------------------------------------
 
@@ -288,41 +299,56 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         )
 
     @classmethod
-    def cow_view(cls, source: "VirtualOddSketch") -> "VirtualOddSketch":
-        """A frozen copy of ``source``: its own bits and user table, shared hashes.
+    def cow_view(
+        cls, source: "VirtualOddSketch", *, blank: bool = False
+    ) -> "VirtualOddSketch":
+        """A sketch holding ``source``'s hash objects: its own state, shared hashes.
 
-        The serving daemon's epoch publisher calls this for each shard a
-        publish touches, then patches the copy with the publish delta.  The
-        bits and user table are untracked copies
+        The one way to build a sketch whose hashes equal another's.  Instead
+        of deriving the ``k``-hash user family again (three BLAKE2b digests
+        per member) the new sketch shares ``source``'s ``psi`` and user
+        family by reference; its row memo is its own and empty until the
+        first read.
+
+        By default the state is a frozen copy of ``source``'s: the serving
+        daemon's epoch publisher calls this for each shard a publish touches,
+        then patches the copy with the publish delta.  The bits and user
+        table are untracked copies
         (:meth:`~repro.hashing.bitpack.PackedBitArray.copy`,
-        :meth:`~repro.baselines.users.UserTable.copy`).  Instead of
-        rebuilding the ``k``-hash user family (tens of milliseconds at
-        service scale) the view shares ``source``'s hash objects by
-        reference; its row memo is its own and empty until the first read,
-        as row bytes differ per epoch.  It also takes ``source``'s LSH table:
-        the copied array keeps ``source``'s change stamp (the bits are equal),
-        so the table stays valid until the copy is patched.
+        :meth:`~repro.baselines.users.UserTable.copy`), and the view takes
+        ``source``'s LSH table: the copied array keeps ``source``'s change
+        stamp (the bits are equal), so the table stays valid until the copy
+        is patched.  Such a view is a full :class:`VirtualOddSketch` for the
+        read API but must never ingest; epoch services are frozen by
+        contract.
 
-        The view is a full :class:`VirtualOddSketch` for the read API but
-        must never ingest; epoch services are frozen by contract.
+        ``blank=True`` gives the sketch an empty array and user table and no
+        LSH table instead: a fresh sketch with ``source``'s layout and seed,
+        free to ingest.  :class:`~repro.service.sharding.ShardedVOS` builds
+        every shard after its first this way, and so does a snapshot restore.
         """
         view = cls.__new__(cls)
-        view._user_table = source.user_table.copy()
         view.shared_array_bits = source.shared_array_bits
         view.virtual_sketch_size = source.virtual_sketch_size
         view.seed = source.seed
-        view._array = source.shared_array.copy()
         view._item_hash = source._item_hash
         view._user_hashes = source._user_hashes
         view._reset_row_memo()
-        view.index_table = source.index_table
+        if blank:
+            view._user_table = UserTable()
+            view._array = SharedBitArray(source.shared_array_bits)
+            view.index_table = None
+        else:
+            view._user_table = source.user_table.copy()
+            view._array = source.shared_array.copy()
+            view.index_table = source.index_table
         return view
 
     # -- streaming updates ----------------------------------------------------------------
 
     def _toggle(self, element: StreamElement) -> None:
         virtual_index = self._item_hash(element.item)
-        self._array.flip(self._user_hashes[virtual_index](element.user))
+        self._array.flip(self._user_hashes.hash_pair(element.user, virtual_index))
 
     def _process_insertion(self, element: StreamElement) -> None:
         self._toggle(element)

@@ -10,6 +10,11 @@ Several sketches need a whole family of hash functions:
 :class:`~repro.hashing.universal.UniversalHash` whose seed is derived from the
 family seed and the index ``j``, so the whole family is reproducible from a
 single integer seed.
+
+A family is fixed by ``(size, range_size, seed)`` and immutable, so sketches
+whose hashes are the same share one family object (every shard of a
+:class:`~repro.service.sharding.ShardedVOS` and every epoch view of it)
+instead of deriving it again.
 """
 
 from __future__ import annotations
@@ -21,7 +26,13 @@ import numpy as np
 
 from repro import kernels
 from repro.exceptions import ConfigurationError
-from repro.hashing.universal import UniversalHash, fingerprint64, stable_hash64
+from repro.hashing.universal import (
+    _MERSENNE_P,
+    UniversalHash,
+    coefficient_arrays,
+    fingerprint64,
+    stable_hash64,
+)
 from repro.kernels import numpy_tier
 
 
@@ -55,6 +66,17 @@ class IndexedHash:
 class HashFamily:
     """A reproducible family of ``size`` independent hash functions.
 
+    Member ``j`` is ``UniversalHash(range_size, stable_hash64(("hash-family",
+    seed, j)))``.  Construction derives only the members' Carter-Wegman
+    coefficients, into two read-only ``uint64`` arrays (three BLAKE2b digests
+    per member, :func:`~repro.hashing.universal.coefficient_arrays`).  The
+    vectorized paths (:meth:`hash_pairs`, :meth:`recover_rows`,
+    :meth:`apply_many_array`) and the one-member :meth:`hash_pair` read
+    nothing else.  The :class:`IndexedHash` member objects are built on
+    first use (``family[j]``, iteration, :meth:`apply_all`,
+    :meth:`min_index`).  The family is immutable, so sketches with the same
+    hashes share one object.
+
     Parameters
     ----------
     size:
@@ -77,9 +99,13 @@ class HashFamily:
     size: int
     range_size: int
     seed: int = 0
-    _members: tuple[IndexedHash, ...] = field(init=False, repr=False, compare=False)
+    _member_seeds: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _coeff_a: np.ndarray = field(init=False, repr=False, compare=False)
     _coeff_b: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Built on first scalar use; two racing threads build equal tuples.
+    _members: tuple[IndexedHash, ...] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -88,37 +114,34 @@ class HashFamily:
             raise ConfigurationError(
                 f"range_size must be positive, got {self.range_size}"
             )
-        members = tuple(
-            IndexedHash(
-                index=j,
-                hash_function=UniversalHash(
-                    range_size=self.range_size,
-                    seed=stable_hash64(("hash-family", self.seed, j)),
-                ),
+        seeds = tuple(stable_hash64(("hash-family", self.seed, j)) for j in range(self.size))
+        coeff_a, coeff_b = coefficient_arrays(seeds)
+        object.__setattr__(self, "_member_seeds", seeds)
+        object.__setattr__(self, "_coeff_a", coeff_a)
+        object.__setattr__(self, "_coeff_b", coeff_b)
+
+    def _member_tuple(self) -> tuple[IndexedHash, ...]:
+        members = self._members
+        if members is None:
+            members = tuple(
+                IndexedHash(index=j, hash_function=UniversalHash(self.range_size, seed))
+                for j, seed in enumerate(self._member_seeds)
             )
-            for j in range(self.size)
-        )
-        object.__setattr__(self, "_members", members)
-        coefficients = [member.hash_function._coefficients for member in members]
-        object.__setattr__(
-            self, "_coeff_a", np.array([a for a, _ in coefficients], dtype=np.uint64)
-        )
-        object.__setattr__(
-            self, "_coeff_b", np.array([b for _, b in coefficients], dtype=np.uint64)
-        )
+            object.__setattr__(self, "_members", members)
+        return members
 
     def __len__(self) -> int:
         return self.size
 
     def __getitem__(self, index: int) -> IndexedHash:
-        return self._members[index]
+        return self._member_tuple()[index]
 
     def __iter__(self) -> Iterator[IndexedHash]:
-        return iter(self._members)
+        return iter(self._member_tuple())
 
     def apply_all(self, key: object) -> list[int]:
         """Hash ``key`` with every member function and return the values in order."""
-        return [member(key) for member in self._members]
+        return [member(key) for member in self._member_tuple()]
 
     def apply_many_array(self, keys) -> np.ndarray:
         """Vectorized :meth:`apply_all` for many keys: an ``(n, size)`` ``int64`` matrix.
@@ -141,6 +164,16 @@ class HashFamily:
             fingerprints, self._coeff_a, self._coeff_b, packed_bits, self.range_size, self.size
         )
 
+    def hash_pair(self, key: object, member_index: int) -> int:
+        """``self[member_index](key)``, read straight from the coefficient arrays.
+
+        The scalar form of :meth:`hash_pairs` for any hashable key: the VOS
+        per-element update, which flips one bit, builds no member objects.
+        """
+        a = int(self._coeff_a[member_index])
+        b = int(self._coeff_b[member_index])
+        return ((a * fingerprint64(key) + b) % _MERSENNE_P) % self.range_size
+
     def hash_pairs(self, keys, member_indices) -> np.ndarray:
         """Evaluate ``self[member_indices[i]](keys[i])`` for a whole batch at once.
 
@@ -160,4 +193,5 @@ class HashFamily:
         This is occasionally useful for diagnostics (e.g. inspecting how a key
         distributes across the family) and for tie-breaking strategies.
         """
-        return min(range(self.size), key=lambda j: self._members[j].value64(key))
+        members = self._member_tuple()
+        return min(range(self.size), key=lambda j: members[j].value64(key))

@@ -153,6 +153,34 @@ def fingerprint64_array(keys) -> np.ndarray:
     return _mix64_array(arr.astype(np.uint64) ^ np.uint64(_GOLDEN))
 
 
+def universal_coefficients(seed: int) -> tuple[int, int]:
+    """The Carter-Wegman ``(a, b)`` of the :class:`UniversalHash` with ``seed``.
+
+    ``a`` lies in ``[1, p)`` and ``b`` in ``[0, p)`` for the Mersenne prime
+    ``p``; deriving them costs two BLAKE2b digests.
+    """
+    a = stable_hash64(("uh-a", seed)) % (_MERSENNE_P - 1) + 1
+    b = stable_hash64(("uh-b", seed)) % _MERSENNE_P
+    return a, b
+
+
+def coefficient_arrays(seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``uint64`` arrays of the :func:`universal_coefficients` of ``seeds``.
+
+    Entry ``j`` of the two arrays is the ``(a, b)`` of
+    ``UniversalHash(range_size, seeds[j])`` for any ``range_size``: the form
+    the kernels' multi-hash entry points (:func:`repro.kernels.hash_keys`,
+    ``recover_rows``, ``band_signatures``) take.  No ``UniversalHash`` object
+    is built.  The arrays are read-only because hash families share them.
+    """
+    pairs = [universal_coefficients(seed) for seed in seeds]
+    coeff_a = np.array([a for a, _ in pairs], dtype=np.uint64)
+    coeff_b = np.array([b for _, b in pairs], dtype=np.uint64)
+    coeff_a.setflags(write=False)
+    coeff_b.setflags(write=False)
+    return coeff_a, coeff_b
+
+
 @dataclass(frozen=True)
 class UniversalHash:
     """A seeded hash function mapping hashable keys into ``{0, ..., range_size - 1}``.
@@ -191,9 +219,7 @@ class UniversalHash:
             raise ConfigurationError(
                 f"range_size must be positive, got {self.range_size}"
             )
-        a = stable_hash64(("uh-a", self.seed)) % (_MERSENNE_P - 1) + 1
-        b = stable_hash64(("uh-b", self.seed)) % _MERSENNE_P
-        object.__setattr__(self, "_coefficients", (a, b))
+        object.__setattr__(self, "_coefficients", universal_coefficients(self.seed))
 
     def __call__(self, key: object) -> int:
         """Hash ``key`` into ``[0, range_size)``."""

@@ -61,7 +61,7 @@ from repro import framing, kernels
 from repro.core.vos import packed_row_bytes
 from repro.exceptions import ConfigurationError, SnapshotError, UnknownUserError
 from repro.obs import get_registry, trace
-from repro.hashing.universal import _MERSENNE_P, UniversalHash, stable_hash64
+from repro.hashing.universal import coefficient_arrays, stable_hash64
 from repro.streams.batch import decode_id_column, encode_id_column
 from repro.streams.edge import UserId, user_sort_key
 
@@ -414,26 +414,10 @@ class BandedSketchIndex:
         """
         if self._layout is not None and bands == self._bands:
             return
-        hashes = [
-            UniversalHash(
-                range_size=_MERSENNE_P,
-                seed=stable_hash64(("index-band", self._seed, band)),
-            )
-            for band in range(bands)
-        ]
-        hashes.append(
-            UniversalHash(
-                range_size=_MERSENNE_P,
-                seed=stable_hash64(("index-residual", self._seed)),
-            )
-        )
+        seeds = [stable_hash64(("index-band", self._seed, band)) for band in range(bands)]
+        seeds.append(stable_hash64(("index-residual", self._seed)))
         self._bands = bands
-        self._coeff_a = np.array(
-            [hash_fn._coefficients[0] for hash_fn in hashes], dtype=np.uint64
-        )
-        self._coeff_b = np.array(
-            [hash_fn._coefficients[1] for hash_fn in hashes], dtype=np.uint64
-        )
+        self._coeff_a, self._coeff_b = coefficient_arrays(seeds)
         config = self._config
         self._layout = (bands, config.rows_per_band, config.min_band_bits, self._seed)
 

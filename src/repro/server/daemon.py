@@ -32,9 +32,11 @@ cannot accept deltas).
 
 Metrics (``server.*``): request counts/latency per op, error counts,
 connection counts and live-connection depth, epoch swap/publish/pause
-timings, and the
+timings, the first epoch's copy (``server.epoch.materialize``) and the
 shutdown checkpoint counter — all in the process registry
-(:mod:`repro.obs`), so ``stats`` responses carry them to clients.
+(:mod:`repro.obs`), so ``stats`` responses carry them to clients.  With the
+writer's ``persistence.snapshot.load`` and ``persistence.journal.replay``
+they break a daemon's cold start down by step.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from collections import deque
 
 from repro._version import __version__
 from repro.exceptions import ConfigurationError, ProtocolError, ReproError
-from repro.obs import get_registry, kv
+from repro.obs import get_registry, kv, trace
 from repro.server import protocol
 from repro.server.cow import CowEpochPublisher
 from repro.server.epochs import EpochManager
@@ -158,7 +160,8 @@ class ServingDaemon:
         if self._started:
             return self.address
         self._publisher = CowEpochPublisher(self._writer)
-        self._epochs = EpochManager(self._publisher.materialize())
+        with trace("server.epoch.materialize"):
+            self._epochs = EpochManager(self._publisher.materialize())
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self._host, self._port))

@@ -9,11 +9,12 @@ layer: shards share no mutable state, so they can later be ingested
 concurrently or moved to separate processes without changing this interface.
 
 Every shard is constructed with the *same* seed, hence the same item hash
-``psi`` and the same user-hash family: virtual bit ``j`` means the same thing
-in every shard, which is what makes **cross-shard pair queries** sound.  For a
-pair living on shards ``a`` and ``b`` the recovered sketches are contaminated
-by two different fill fractions, and the estimate uses the two-array
-generalization of the paper's inversion
+``psi`` and the same user-hash family (one object, held by every shard):
+virtual bit ``j`` means the same thing in every shard, which is what makes
+**cross-shard pair queries** sound.  For a pair living on shards ``a`` and
+``b`` the recovered sketches are contaminated by two different fill
+fractions, and the estimate uses the two-array generalization of the paper's
+inversion
 (:func:`repro.core.estimators.estimate_symmetric_difference_cross`):
 
     E[alpha] ≈ (1 - (1 - 2 beta_a)(1 - 2 beta_b) exp(-2 n_Δ / k)) / 2.
@@ -63,8 +64,12 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
     virtual_sketch_size:
         Virtual odd-sketch bits ``k`` per user (identical in every shard).
     seed:
-        Master seed.  All shards share it (same ``psi``, same user hashes);
-        the user-to-shard router derives its own independent seed from it.
+        Master seed.  All shards share it, and with it one ``psi`` and one
+        ``k``-hash user family: the first shard derives them and the others
+        hold the same objects (:meth:`VirtualOddSketch.cow_view` with
+        ``blank=True``), so construction costs one family derivation, not
+        ``num_shards``.  The user-to-shard router derives its own
+        independent seed from it.
 
     Examples
     --------
@@ -94,9 +99,9 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         self.shard_array_bits = shard_array_bits
         self.virtual_sketch_size = virtual_sketch_size
         self.seed = seed
-        self._shards = [
-            VirtualOddSketch(shard_array_bits, virtual_sketch_size, seed=seed)
-            for _ in range(num_shards)
+        first = VirtualOddSketch(shard_array_bits, virtual_sketch_size, seed=seed)
+        self._shards = [first] + [
+            VirtualOddSketch.cow_view(first, blank=True) for _ in range(num_shards - 1)
         ]
         self._router = UniversalHash(
             range_size=num_shards, seed=stable_hash64(("vos-shard-router", seed))
@@ -318,10 +323,6 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         """Aggregate fill fraction: total set bits over total array bits."""
         ones = sum(shard.shared_array.ones_count for shard in self._shards)
         return ones / (self.num_shards * self.shard_array_bits)
-
-    def betas(self) -> list[float]:
-        """Per-shard fill fractions (load-balance diagnostics)."""
-        return [shard.beta for shard in self._shards]
 
     def sketch_cache_info(self) -> dict[str, int]:
         """Aggregate row memo counters over all shards."""

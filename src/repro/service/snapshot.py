@@ -338,7 +338,10 @@ def _restore_vos(
     sections: dict[str, bytes],
     encodings: dict[str, str | None],
     prefix: str = "",
+    hashes_from: VirtualOddSketch | None = None,
 ) -> VirtualOddSketch:
+    """Restore one array; with ``hashes_from`` (a sketch of the same layout and
+    seed) the result shares that sketch's hashes instead of deriving them."""
     bits, size, seed = _sketch_parameters(parameters, "shared_array_bits")
     ones_count = framing.count(parameters, "ones_count", SnapshotError, "snapshot parameters")
     num_users = framing.count(parameters, "num_users", SnapshotError, "snapshot parameters")
@@ -358,7 +361,11 @@ def _restore_vos(
     if len(counts_blob) != num_users * 8:
         raise SnapshotError("cardinality sections disagree with recorded user count")
     try:
-        vos = VirtualOddSketch(shared_array_bits=bits, virtual_sketch_size=size, seed=seed)
+        vos = (
+            VirtualOddSketch(shared_array_bits=bits, virtual_sketch_size=size, seed=seed)
+            if hashes_from is None
+            else VirtualOddSketch.cow_view(hashes_from, blank=True)
+        )
         vos.shared_array.load_packed_bytes(array)
     except ConfigurationError as error:
         raise SnapshotError(f"snapshot state is invalid: {error}") from error
@@ -385,13 +392,16 @@ def _restore_sharded(
     shard_parameters = framing.mappings(parameters, "shards", SnapshotError, "snapshot parameters")
     if len(shard_parameters) != num_shards or not num_shards:
         raise SnapshotError("snapshot records a mismatched shard count")
-    shards = [
-        _restore_vos(entry, sections, encodings, prefix=f"shard{index}/")
-        for index, entry in enumerate(shard_parameters)
-    ]
-    for index, shard in enumerate(shards):
-        if (shard.shared_array_bits, shard.virtual_sketch_size, shard.seed) != layout:
+    # Checked before any shard is built: every shard holds the first one's
+    # hashes, which are right only for the sketch's own layout and seed.
+    for index, entry in enumerate(shard_parameters):
+        if _sketch_parameters(entry, "shared_array_bits") != layout:
             raise SnapshotError(f"snapshot shard {index} parameters differ from the sketch's")
+    first = _restore_vos(shard_parameters[0], sections, encodings, "shard0/")
+    shards = [first] + [
+        _restore_vos(entry, sections, encodings, f"shard{index}/", first)
+        for index, entry in enumerate(shard_parameters[1:], start=1)
+    ]
     return ShardedVOS.from_shards(shards, seed=layout[2])
 
 

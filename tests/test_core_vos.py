@@ -13,6 +13,7 @@ from repro.baselines.exact import ExactSimilarityTracker
 from repro.core.memory import MemoryBudget
 from repro.core.vos import VirtualOddSketch
 from repro.exceptions import ConfigurationError, UnknownUserError
+from repro.service.sharding import ShardedVOS
 from repro.streams.edge import Action, StreamElement
 
 
@@ -158,6 +159,22 @@ class TestQueries:
                     sketch.cardinality(user_a), sketch.cardinality(user_b)
                 )
                 assert 0.0 <= sketch.estimate_jaccard(user_a, user_b) <= 1.0
+
+    @pytest.mark.parametrize("shards", [0, 3], ids=["single", "sharded"])
+    def test_estimate_pair_equals_the_two_scalar_estimates(self, shards, small_dynamic_stream):
+        """One gather feeds both estimates: the record is ``==`` the two
+        separate scalar calls on either layout."""
+        sketch = (
+            ShardedVOS(shards, 1 << 14, 512, seed=9) if shards else _make(k=512, m=1 << 15, seed=9)
+        )
+        sketch.process_stream(small_dynamic_stream)
+        users = sorted(sketch.users())[:10]
+        for user_a in users:
+            for user_b in users:
+                estimate = sketch.estimate_pair(user_a, user_b)
+                assert (estimate.user_a, estimate.user_b) == (user_a, user_b)
+                assert estimate.common_items == sketch.estimate_common_items(user_a, user_b)
+                assert estimate.jaccard == sketch.estimate_jaccard(user_a, user_b)
 
 
 class TestRowMemoConcurrency:

@@ -17,6 +17,7 @@ from repro.core.memory import MemoryBudget
 from repro.core.vos import VirtualOddSketch
 from repro.index import BandedSketchIndex
 from repro.obs import MetricsRegistry, get_registry, set_registry
+from repro.server import ServingClient, ServingDaemon
 from repro.service import ServiceConfig, SimilarityService
 from repro.streams.edge import Action, StreamElement
 
@@ -140,6 +141,29 @@ class TestFourSubsystemCoverage:
         assert snap["counters"]["query.prefilter.pairs_in"]["value"] > 0
         kept = snap["counters"]["query.prefilter.pairs_kept"]["value"]
         assert 0 <= kept <= snap["counters"]["query.prefilter.pairs_in"]["value"]
+
+
+class TestColdStart:
+    def test_daemon_cold_start_shows_in_metrics(self, registry, tmp_path):
+        """Snapshot restore, journal replay and the first epoch's copy each
+        land in the registry a daemon's ``metrics`` op returns."""
+        path = tmp_path / "state.vos"
+        writer = SimilarityService.from_config(ServiceConfig(expected_users=50, num_shards=2))
+        writer.ingest(correlated_stream())
+        writer.save(path)
+        writer.ingest([StreamElement(999, 1, Action.INSERT)])
+        writer.save_delta()
+        service = SimilarityService.load(path)
+        with ServingDaemon(service, workers=1) as daemon:
+            with ServingClient(*daemon.address) as client:
+                histograms = client.metrics()["histograms"]
+        for name in (
+            "persistence.snapshot.load",
+            "persistence.journal.replay",
+            "server.epoch.materialize",
+        ):
+            assert histograms[name]["count"] == 1, name
+            assert histograms[name]["unit"] == "seconds"
 
 
 class TestRowCacheCounters:

@@ -163,4 +163,5 @@ class TestCrossShardEstimates:
         sketch.process(StreamElement(1, 1, Action.INSERT))
         ones = sum(shard.shared_array.ones_count for shard in sketch.shards)
         assert sketch.beta == ones / 128
-        assert len(sketch.betas()) == 2
+        betas = [shard.beta for shard in sketch.row_shards()]
+        assert betas == [shard.shared_array.ones_count / 64 for shard in sketch.shards]
