@@ -43,6 +43,32 @@ def _grown(column: np.ndarray, capacity: int) -> np.ndarray:
     return grown
 
 
+def lindley_fold(
+    users: np.ndarray, deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fold a batch's counter deltas per user: ``(unique, inverse, totals, lowest)``.
+
+    ``unique`` lists the distinct users of the ``int64`` column sorted, and
+    ``users == unique[inverse]``.  The per-element recurrence ``c := max(0,
+    c + d)`` is Lindley's, so a user starting at ``c0`` ends at ``totals +
+    max(c0, -lowest)``, where ``totals`` is the sum of its deltas and
+    ``lowest`` the lowest running sum of them in batch order: identical to
+    the per-element loop, clamps at zero included
+    (:meth:`UserTable.add_folded`).
+    """
+    unique, inverse = np.unique(users, return_inverse=True)
+    sizes = np.bincount(inverse)
+    # The narrowest dtype holding every group id: at most 2^16 groups
+    # take NumPy's O(n) radix sort instead of an O(n log n) merge sort,
+    # and any stable sort yields the same order.
+    groups = inverse.astype(np.min_scalar_type(max(len(sizes) - 1, 0)))
+    ends = np.cumsum(sizes)
+    prefix = np.cumsum(deltas[np.argsort(groups, kind="stable")])
+    running = prefix - np.repeat(np.concatenate(([0], prefix[ends[:-1] - 1])), sizes)
+    lowest = np.minimum.reduceat(running, ends - sizes)
+    return unique, inverse, running[ends - 1], lowest
+
+
 class UserTable:
     """Per-user ids, exact counters and change stamps of one sketch.
 
@@ -179,24 +205,19 @@ class UserTable:
         self._stamp(ordinal)
 
     def add_many(self, users: np.ndarray, deltas: np.ndarray) -> None:
-        """:meth:`add` over an ``int64`` user column in order, with one stamp.
+        """:meth:`add` over an ``int64`` user column in order, with one stamp."""
+        unique, _, totals, lowest = lindley_fold(users, deltas)
+        self.add_folded(unique, totals, lowest)
 
-        The per-element recurrence ``c := max(0, c + d)`` is Lindley's, so a
-        user starting at ``c0`` ends at ``total + max(c0, -lowest running
-        sum)``: identical to the per-element loop, clamps at zero included.
+    def add_folded(self, users: np.ndarray, totals: np.ndarray, lowest: np.ndarray) -> None:
+        """Apply a :func:`lindley_fold` of distinct ``users``, with one stamp.
+
+        Unseen users are interned in the order listed (sorted, as the fold
+        lists them), then every counter ``c0`` becomes ``totals + max(c0,
+        -lowest)``.
         """
-        unique, inverse = np.unique(users, return_inverse=True)
-        sizes = np.bincount(inverse)
-        # The narrowest dtype holding every group id: at most 2^16 groups
-        # take NumPy's O(n) radix sort instead of an O(n log n) merge sort,
-        # and any stable sort yields the same order.
-        groups = inverse.astype(np.min_scalar_type(max(len(sizes) - 1, 0)))
-        ends = np.cumsum(sizes)
-        prefix = np.cumsum(deltas[np.argsort(groups, kind="stable")])
-        running = prefix - np.repeat(np.concatenate(([0], prefix[ends[:-1] - 1])), sizes)
-        lowest = np.minimum.reduceat(running, ends - sizes)
-        ordinals = self.intern(unique)
-        self.set(ordinals, running[ends - 1] + np.maximum(self._counts[ordinals], -lowest))
+        ordinals = self.intern(users)
+        self.set(ordinals, totals + np.maximum(self._counts[ordinals], -lowest))
 
     def set(self, ordinals: np.ndarray, values, *, track: bool = True) -> None:
         """Write counters at ``ordinals``; a tracked write takes one stamp for all.

@@ -800,6 +800,9 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     # Ingest hashing: one member coefficient pair per key, as hash_pairs does.
     keys = rng.integers(-(1 << 62), 1 << 62, size=args.pairs)
     members = rng.integers(0, args.sketch_size, size=args.pairs)
+    # Ingest xor: random positions, a quarter of them listed twice (cancelling).
+    toggles = rng.integers(0, shared.size * 8, size=args.pairs)
+    toggles = np.concatenate((toggles, toggles[: args.pairs // 4]))
     tiers = ["numpy"] + (["native"] if native.get("available") else [])
     bench_rows: list[list] = []
     baseline: dict[str, np.ndarray] = {}
@@ -818,11 +821,20 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
             positions, hash_seconds = _median_call(
                 kernels.hash_keys, keys, hash_a, hash_b, members, shared.size * 8
             )
+            # Repeated xors alternate the copy between two states, the same
+            # ones on every tier, so the tiers' final bytes still compare.
+            xored = shared.copy()
+            (flipped, ones_change, words), xor_seconds = _median_call(
+                kernels.xor_positions, xored, toggles, shared.size * 8
+            )
         for name, value in (
             ("pair counts", counts),
             ("band signatures", signatures),
             ("recovered rows", recovered),
             ("hashed keys", positions),
+            ("xored bits", xored),
+            ("xor counts", np.array([flipped, ones_change])),
+            ("xor words", np.unique(words)),
         ):
             if not np.array_equal(baseline.setdefault(name, value), value):
                 print(f"error: kernel tiers disagree on {name}", file=sys.stderr)
@@ -838,11 +850,13 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
                 round(args.users / recover_seconds / 1e3, 1),
                 round(hash_seconds * 1e3, 3),
                 round(args.pairs / hash_seconds / 1e6, 2),
+                round(xor_seconds * 1e3, 3),
+                round(len(toggles) / xor_seconds / 1e6, 2),
             ]
         )
     headers = [
         "tier", "pair ms", "Mpairs/s", "band ms", "Musers/s", "recover ms", "kusers/s",
-        "hash ms", "Mkeys/s",
+        "hash ms", "Mkeys/s", "xor ms", "Mbits/s",
     ]
     lanes = f"; native vector lanes {native['vector_lanes']}" if "native" in tiers else ""
     print(

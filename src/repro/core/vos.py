@@ -32,7 +32,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.baselines.base import PairEstimate, SimilaritySketch, normalize_pair_indices
-from repro.baselines.users import UserTable
+from repro.baselines.users import UserTable, lindley_fold
 from repro.core.bitarray import SharedBitArray
 from repro.core.estimators import (
     estimate_common_items_arrays,
@@ -65,6 +65,55 @@ def pair_xor_counts(rows: np.ndarray, index_a: np.ndarray, index_b: np.ndarray) 
     blocks.  Both tiers are bit-identical.
     """
     return kernels.pair_counts(rows, index_a, index_b)
+
+
+def ingest_batch(sketch, elements) -> int:
+    """The one batch ingest of both VOS layouts, bit-identical to the per-element loop.
+
+    ``sketch`` is a :class:`VirtualOddSketch` (one shard: itself) or a
+    :class:`~repro.service.sharding.ShardedVOS`.  Accepts an element
+    iterable or an :class:`~repro.streams.batch.ElementBatch`.  One pass
+    over the batch does the work every shard would otherwise repeat, with
+    the shards' shared ``psi`` and user family:
+
+    * one item hash ``psi`` over the item column and one position hash
+      ``f_{psi(i)}(u)`` per element (:meth:`HashFamily.hash_pairs`);
+    * one Lindley fold of the counter deltas per distinct user
+      (:func:`~repro.baselines.users.lindley_fold`);
+    * one routing of the distinct users (``split_by_shard``).
+
+    Each shard then does only its own share: intern and set its users'
+    counters (:meth:`UserTable.add_folded`, one stamp) and xor its
+    positions into its array (:meth:`SharedBitArray.xor_bulk`, where
+    repeated toggles cancel).  Shards take disjoint users and xor is
+    commutative, so bits, ``beta``, counters and the users stamped as
+    changed are exactly those of feeding the elements one by one.  A
+    batch's new users take their shard's next ordinals in sorted order, and
+    the words stamped are exactly those whose bits changed (the
+    per-element loop also stamps words whose flips cancel).
+
+    Batches whose user or item column is not ``int64`` (string ids, floats
+    that would be silently truncated, ints beyond 64 bits) fall back to the
+    per-element loop, which handles every hashable key.
+    """
+    batch = ElementBatch.coerce(elements)
+    count = len(batch)
+    if count == 0:
+        return 0
+    if not (batch.integer_users and batch.integer_items):
+        for element in batch.to_elements():
+            sketch.process(element)
+        return count
+    shards = sketch.row_shards()
+    hashes = shards[0]
+    unique, inverse, totals, lowest = lindley_fold(batch.users, batch.deltas())
+    virtual_indices = hashes._item_hash.hash_array(batch.items)
+    positions = hashes._user_hashes.hash_pairs(batch.users, virtual_indices)
+    for shard_index, users, rows in sketch.split_by_shard(unique, inverse):
+        shard = shards[shard_index]
+        shard._user_table.add_folded(unique[users], totals[users], lowest[users])
+        shard._array.xor_bulk(positions[rows])
+    return count
 
 
 class VectorizedPairQueries:
@@ -359,38 +408,9 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         self._toggle(element)
 
     def process_batch(self, elements) -> int:
-        """Vectorized batch ingest (bit-identical to the per-element loop).
-
-        Accepts either an element iterable or an array-native
-        :class:`~repro.streams.batch.ElementBatch`; element iterables are
-        columnarized first, so both forms take the same code path.  The whole
-        batch is reduced to numpy operations: one vectorized item hash ``psi``
-        over the item column, one vectorized evaluation of the touched
-        positions ``f_{psi(i)}(u)`` (each element pairs its user's fingerprint
-        with the coefficient pair its virtual index selects — no per-user
-        gather of all ``k`` positions is needed), and a single bulk xor into
-        the shared array in which repeated toggles of the same position cancel
-        modulo 2.  Because xor is commutative and the cardinality fold is
-        exact, the resulting sketch state — shared-array bits, ``beta`` and
-        per-user counters — is identical to feeding the elements one by one.
-
-        Batches whose user or item column is not ``int64`` (string ids, floats
-        that would be silently truncated, ints beyond 64 bits) fall back to the
-        per-element loop, which handles every hashable key.
-        """
-        batch = ElementBatch.coerce(elements)
-        count = len(batch)
-        if count == 0:
-            return 0
-        if not (batch.integer_users and batch.integer_items):
-            for element in batch.to_elements():
-                self.process(element)
-            return count
-        users = batch.users
-        self._user_table.add_many(users, batch.deltas())
-        virtual_indices = self._item_hash.hash_array(batch.items)
-        self._array.xor_bulk(self._user_hashes.hash_pairs(users, virtual_indices))
-        return count
+        """Vectorized batch ingest (bit-identical to the per-element loop):
+        :func:`ingest_batch` with this array as its one shard."""
+        return ingest_batch(self, elements)
 
     # -- queries -----------------------------------------------------------------------------
 
@@ -476,6 +496,11 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         """:meth:`~repro.service.sharding.ShardedVOS.route` for one array: all shard 0's."""
         users = list(users)
         yield 0, np.arange(len(users)), users
+
+    def split_by_shard(self, users: np.ndarray, inverse: np.ndarray):
+        """:meth:`~repro.service.sharding.ShardedVOS.split_by_shard` for one
+        array: every user and element is shard 0's."""
+        yield 0, slice(None), slice(None)
 
     def row_shards(self) -> list["VirtualOddSketch"]:
         """Row sources for index structures: a single-array sketch is one shard.

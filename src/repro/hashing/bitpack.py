@@ -314,32 +314,24 @@ class PackedBitArray:
     def xor_bulk(self, positions) -> int:
         """Xor 1 into every listed position at once, keeping the popcount exact.
 
-        ``positions`` may contain repeats: toggling the same bit twice cancels,
-        so repeated occurrences are folded modulo 2 (sort-based count fold)
-        before the byte masks are xored in.  This is the bulk analogue
-        of calling :meth:`flip` once per position and leaves the array in a
-        bit-identical state.  Returns the number of bits actually flipped.
+        ``positions`` may contain repeats: toggling the same bit twice cancels.
+        One :func:`repro.kernels.xor_positions` call applies them all and
+        reports the words whose value changed, which are stamped; when every
+        toggle cancels nothing is stamped and :attr:`latest_stamp` stays.
+        This is the bulk analogue of calling :meth:`flip` once per position
+        and leaves the array in a bit-identical state.  Returns the number of
+        bits actually flipped.
         """
+        from repro import kernels  # the kernels import this leaf module
+
         pos = np.asarray(positions, dtype=np.int64).ravel()
         if pos.size == 0:
             return 0
-        self._check_positions(pos, "xor_bulk")
-        # Sort-based fold: for the typical batch the position count is far
-        # below the array length, so np.unique beats an array-length bincount.
-        unique_positions, counts = np.unique(pos, return_counts=True)
-        odd = unique_positions[(counts & 1).astype(bool)]
-        if odd.size == 0:
-            return 0
-        byte_index = odd >> 3
-        masks = np.right_shift(np.uint8(0x80), odd.astype(np.uint8) & 7)
-        previously_set = int(np.count_nonzero(self._bytes[byte_index] & masks))
-        # Distinct positions may share a byte: ``.at`` applies every mask.
-        np.bitwise_xor.at(self._bytes, byte_index, masks)
-        self._ones += int(odd.size) - 2 * previously_set
-        # Fancy-index assignment tolerates duplicate word indices, so no
-        # dedup pass is needed on the per-batch hot path.
-        self._stamp_words(odd // self.WORD_BITS)
-        return int(odd.size)
+        flipped, ones_change, words = kernels.xor_positions(self._bytes, pos, self._size)
+        if flipped:
+            self._ones += ones_change
+            self._stamp_words(words)
+        return flipped
 
     def to_list(self) -> list[int]:
         """Return the bit values as a plain Python list."""

@@ -4,9 +4,10 @@ Every read-path milestone bottoms out in three primitives: row recovery
 (each user's ``k`` Carter-Wegman positions, their bits gathered from the
 packed shared array and packed into a row), the uint64 xor+popcount sweep
 behind pair scoring and the banded hash fold behind LSH signature building.
-The ingest path bottoms out in a fourth: seeded Carter-Wegman hashing of
-integer id columns (item hash, position hashes, shard router).  This
-package routes all four through a tier chosen at runtime::
+The ingest path bottoms out in two more: seeded Carter-Wegman hashing of
+integer id columns (item hash, position hashes, shard router) and the xor
+of a batch's positions into the packed array.  This package routes all
+five through a tier chosen at runtime::
 
                         REPRO_KERNEL=auto|numpy|native
                                      |
@@ -66,6 +67,7 @@ __all__ = [
     "requested_tier",
     "reset_kernels",
     "use_tier",
+    "xor_positions",
 ]
 
 _LOG = logging.getLogger("repro.kernels")
@@ -416,3 +418,39 @@ def recover_rows(
         registry.inc(f"kernels.{tier}.recover_rows", rows.shape[0], unit="rows")
         registry.observe(f"kernels.{tier}.recover_seconds", elapsed)
     return rows
+
+
+def xor_positions(
+    packed_bits: np.ndarray, positions, num_bits: int
+) -> tuple[int, int, np.ndarray]:
+    """Dispatch the ingest xor to the active tier: flip bit ``positions[i]``
+    of ``packed_bits`` for every ``i``, in place.
+
+    ``packed_bits`` is a writable packed array of ``num_bits`` bits
+    (:attr:`PackedBitArray.storage
+    <repro.hashing.bitpack.PackedBitArray.storage>`: ``np.packbits`` order,
+    whole 64-bit words).  A position listed an even number of times ends
+    unchanged.  Returns ``(flipped, ones_change, words)``: the bits that
+    changed, the popcount change and the indices of the 64-bit words whose
+    value changed (the native tier lists each once; the NumPy tier repeats a
+    word once per changed bit in it).  When every toggle cancels, ``words``
+    is empty.  Positions outside ``[0, num_bits)`` raise :class:`IndexError`
+    before any bit changes.
+    """
+    _require("xor_positions", "packed_bits", packed_bits, np.uint8, 1)
+    if not packed_bits.flags.writeable:
+        raise ConfigurationError("xor_positions needs a writable packed_bits array")
+    if not (isinstance(num_bits, (int, np.integer)) and num_bits > 0):
+        raise ConfigurationError(f"num_bits must be a positive integer, got {num_bits}")
+    if len(packed_bits) < 8 * ((num_bits + 63) // 64):
+        raise IndexError(
+            f"{len(packed_bits)} packed bytes are not the whole 64-bit words "
+            f"that hold {num_bits} bits"
+        )
+    positions = _index_array("xor_positions", "positions", positions, num_bits)
+    if positions.ndim != 1:
+        raise ConfigurationError(
+            f"xor_positions needs a 1-d positions array, got shape {positions.shape}"
+        )
+    native = _resolve()["native"]
+    return (numpy_tier if native is None else native).xor_positions(packed_bits, positions)

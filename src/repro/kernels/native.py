@@ -55,6 +55,8 @@ class NativeBuildError(RuntimeError):
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #define MIX_C1 0xBF58476D1CE4E5B9ULL
 #define MIX_C2 0x94D049BB133111EBULL
@@ -258,6 +260,61 @@ void repro_recover_rows(const uint64_t *fps, int64_t n, const uint64_t *coeff_a,
     }
 }
 
+/* Xor 1 into bit pos[i] of the packed array `bits` for every i, in order,
+ * so a position listed an even number of times ends unchanged.  Bits are in
+ * np.packbits order; bit i of a word is bit (i & 63) ^ 7 of its little-endian
+ * value.  No sort: each word's value before the call is kept on its first
+ * touch, found again through an open-addressing table of at least 2n slots.
+ * Writes the words whose value changed to `changed` (each once, in order of
+ * first touch) and {bits flipped, popcount change} to `totals`; returns the
+ * number of changed words, or -1 when the scratch cannot be allocated. */
+int64_t repro_xor_positions(uint8_t *bits, const int64_t *pos, int64_t n,
+                            int64_t *changed, int64_t *totals) {
+    int shift = 1;
+    while ((INT64_C(1) << shift) < 2 * n) ++shift;
+    const uint64_t slot_mask = (UINT64_C(1) << shift) - 1;
+    int64_t *slots = malloc(sizeof(int64_t) << shift);
+    uint64_t *before = malloc(sizeof(uint64_t) * (size_t)n);
+    if (!slots || !before) {
+        free(slots);
+        free(before);
+        return -1;
+    }
+    memset(slots, 0xff, sizeof(int64_t) << shift);  /* every slot -1: empty */
+    int64_t distinct = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        const int64_t word = pos[i] >> 6;
+        uint64_t slot = ((uint64_t)word * GOLDEN) >> (64 - shift);
+        while (slots[slot] >= 0 && changed[slots[slot]] != word) {
+            slot = (slot + 1) & slot_mask;
+        }
+        uint64_t value;
+        memcpy(&value, bits + 8 * word, 8);
+        if (slots[slot] < 0) {
+            slots[slot] = distinct;
+            changed[distinct] = word;
+            before[distinct++] = value;
+        }
+        value ^= UINT64_C(1) << ((pos[i] & 63) ^ 7);
+        memcpy(bits + 8 * word, &value, 8);
+    }
+    int64_t count = 0, flipped = 0, ones = 0;
+    for (int64_t d = 0; d < distinct; ++d) {
+        uint64_t after;
+        memcpy(&after, bits + 8 * changed[d], 8);
+        if (after != before[d]) {
+            flipped += __builtin_popcountll(after ^ before[d]);
+            ones += __builtin_popcountll(after) - __builtin_popcountll(before[d]);
+            changed[count++] = changed[d];
+        }
+    }
+    free(slots);
+    free(before);
+    totals[0] = flipped;
+    totals[1] = ones;
+    return count;
+}
+
 void repro_pair_counts(const uint64_t *rows, int64_t row_words,
                        const int64_t *index_a, const int64_t *index_b,
                        int64_t n_pairs, int64_t *out) {
@@ -322,7 +379,10 @@ _SIGNATURES = {
     "repro_hash_keys": [_PTR, _INT, _PTR, _PTR, _PTR, _UINT, _PTR],
     "repro_recover_rows": [_PTR, _INT, _PTR, _PTR, _INT, _PTR, _UINT, _INT, _PTR],
     "repro_band_signatures": [_PTR, _INT, _INT, _INT, _INT, _PTR, _PTR, _PTR, _PTR],
+    "repro_xor_positions": [_PTR, _PTR, _INT, _PTR, _PTR],
 }
+#: Kernels returning a value; the rest return nothing.
+_RESULTS = {"repro_xor_positions": _INT, "repro_vector_lanes": _INT}
 
 _lock = threading.Lock()
 _cached: "NativeKernels | None" = None
@@ -421,12 +481,10 @@ class NativeKernels:
 
     def __init__(self, lib: ctypes.CDLL, info: dict) -> None:
         self._lib = lib
-        for name, argtypes in _SIGNATURES.items():
+        for name, argtypes in {**_SIGNATURES, "repro_vector_lanes": []}.items():
             function = getattr(lib, name)
-            function.restype = None
+            function.restype = _RESULTS.get(name)
             function.argtypes = argtypes
-        lib.repro_vector_lanes.restype = ctypes.c_int64
-        lib.repro_vector_lanes.argtypes = []
         self.info = {**info, "vector_lanes": int(lib.repro_vector_lanes())}
 
     def pair_counts(
@@ -495,6 +553,22 @@ class NativeKernels:
                 _pointer(set_bits),
             )
         return signatures, set_bits
+
+    def xor_positions(
+        self, packed_bits: np.ndarray, positions: np.ndarray
+    ) -> tuple[int, int, np.ndarray]:
+        n = int(positions.shape[0])
+        changed = np.empty(n, dtype=np.int64)
+        if not n:
+            return 0, 0, changed
+        totals = np.empty(2, dtype=np.int64)
+        count = self._lib.repro_xor_positions(
+            _pointer(packed_bits), _pointer(positions), n, _pointer(changed), _pointer(totals)
+        )
+        if count < 0:
+            raise MemoryError(f"xor_positions could not allocate scratch for {n} positions")
+        flipped, ones_change = totals.tolist()
+        return flipped, ones_change, changed[:count]
 
 
 def load() -> NativeKernels:

@@ -10,6 +10,8 @@ behind the read and ingest paths (see :mod:`repro.kernels` for the dispatch laye
   (the ingest path's item and position hashes).
 * :func:`recover_rows` — packed virtual-sketch rows: a block of users'
   positions (:func:`affine_positions`) gathered from the packed array.
+* :func:`xor_positions` — the ingest write: xor 1 into listed bit positions
+  of the packed array, repeats folded modulo 2 by one sort.
 * :func:`band_signatures` — the LSH banding fold: per-band SplitMix64 chains,
   per-band set-bit counts, a whole-row residual fold, and the Carter-Wegman
   affine signature hash, all bit-identical to the scalar definitions in
@@ -45,6 +47,7 @@ __all__ = [
     "pair_block_pairs",
     "pair_counts",
     "recover_rows",
+    "xor_positions",
 ]
 
 
@@ -218,3 +221,26 @@ def recover_rows(
             gather_bits(packed_bits, positions), axis=1
         )
     return rows
+
+
+def xor_positions(packed_bits: np.ndarray, positions: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """Xor 1 into bit ``positions[i]`` of ``packed_bits`` for every ``i``.
+
+    ``positions`` is an ``int64`` column checked to lie in range; a position
+    listed an even number of times ends unchanged.  Returns ``(flipped,
+    ones_change, words)``: the bits that changed, the popcount change and the
+    indices of the 64-bit words holding them (a word repeats once per changed
+    bit in it).  The parity reference for the native tier.
+    """
+    # Sort-based fold: for the typical batch the position count is far
+    # below the array length, so np.unique beats an array-length bincount.
+    unique_positions, counts = np.unique(positions, return_counts=True)
+    odd = unique_positions[(counts & 1).astype(bool)]
+    if odd.size == 0:
+        return 0, 0, odd
+    byte_index = odd >> 3
+    masks = np.right_shift(np.uint8(0x80), odd.astype(np.uint8) & 7)
+    previously_set = int(np.count_nonzero(packed_bits[byte_index] & masks))
+    # Distinct positions may share a byte: ``.at`` applies every mask.
+    np.bitwise_xor.at(packed_bits, byte_index, masks)
+    return int(odd.size), int(odd.size) - 2 * previously_set, odd >> 6

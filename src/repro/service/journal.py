@@ -83,14 +83,14 @@ class JournalConfig:
     ----------
     group_commit:
         ``False`` (default): every :meth:`JournalWriter.append_delta` fsyncs
-        before returning — a record is durable the moment the call returns.
-        ``True``: appends only write + flush, and durability is deferred to
-        one :meth:`JournalWriter.sync` per *checkpoint* (``save_delta`` calls
-        it once after appending every shard's record), cutting an N-shard
-        delta checkpoint from N fsyncs to one.  A crash between the appends
-        and the sync can tear the tail records, which is exactly the torn
-        tail the reader already trims — replay resumes at the last complete
-        record, the same contract as a crash mid-append.
+        before returning — its records are durable the moment the call
+        returns.  ``True``: appends only write + flush, and durability is
+        deferred to one :meth:`JournalWriter.sync` per *checkpoint*
+        (``save_delta`` calls it once after appending every shard's
+        record).  A crash between the appends and the sync can tear the
+        tail records, which is exactly the torn tail the reader already
+        trims — replay resumes at the last complete record, the same
+        contract as a crash mid-append.
     """
 
     group_commit: bool = False
@@ -417,59 +417,74 @@ class JournalWriter:
         """Current byte size of the journal file."""
         return self._path.stat().st_size if self._path.exists() else 0
 
-    def append_delta(
-        self,
-        shard: int,
-        word_indices,
-        word_data: bytes,
-        counter_users,
-        counter_counts,
-        *,
-        ones_count: int,
-        num_users: int,
-    ) -> int:
-        """Append one shard's delta record; returns the bytes written.
+    def append_delta(self, deltas) -> int:
+        """Append one record per shard delta with one open and one write.
 
-        ``counter_counts`` are absolute values (not deltas), so replay is a
-        plain overwrite; ``ones_count``/``num_users`` are the shard's state
-        *after* the delta and become replay-time consistency checks.
+        ``deltas`` are shard delta records (:func:`repro.service.delta.shard_delta`
+        dicts), one checkpoint's worth; returns the bytes written.  Each
+        record's ``counter_counts`` are absolute values (not deltas), so
+        replay is a plain overwrite; ``ones_count``/``num_users`` are the
+        shard's state *after* the delta and become replay-time consistency
+        checks.  Every delta is checked before anything is written, and the
+        sequence numbers advance only once the write succeeds.
         """
-        word_indices = np.asarray(word_indices, dtype=np.int64).ravel()
-        counter_counts = np.asarray(counter_counts, dtype=np.int64).ravel()
-        if len(word_data) != word_indices.size * 8:
-            raise SnapshotError(
-                f"delta word payload holds {len(word_data)} bytes, expected "
-                f"{word_indices.size * 8}"
+        # Sequence numbers are committed only once the write succeeds.
+        seq, shard_seqs = self._seq, dict(self._shard_seqs)
+        records = []
+        for delta in deltas:
+            word_indices = np.asarray(delta["words"], dtype=np.int64).ravel()
+            counter_counts = np.asarray(delta["counter_counts"], dtype=np.int64).ravel()
+            if len(delta["word_data"]) != word_indices.size * 8:
+                raise SnapshotError(
+                    f"delta word payload holds {len(delta['word_data'])} bytes, expected "
+                    f"{word_indices.size * 8}"
+                )
+            if counter_counts.size != len(delta["counter_users"]):
+                raise SnapshotError("delta counter columns differ in length")
+            seq += 1
+            shard = delta["shard"]
+            shard_seq = shard_seqs[shard] = shard_seqs.get(shard, 0) + 1
+            users_blob, users_encoding = encode_id_column(delta["counter_users"])
+            header = {
+                "seq": seq,
+                "shard": shard,
+                "shard_seq": shard_seq,
+                "words": int(word_indices.size),
+                "counters": len(delta["counter_users"]),
+                "counter_encoding": users_encoding,
+                "counter_users_bytes": len(users_blob),
+                "ones_count": delta["ones_count"],
+                "num_users": delta["num_users"],
+            }
+            records.append(
+                framing.pack_frame(
+                    framing.pack_block(
+                        header,
+                        word_indices.astype("<i8").tobytes(),
+                        delta["word_data"],
+                        users_blob,
+                        counter_counts.astype("<i8").tobytes(),
+                    )
+                )
             )
-        if counter_counts.size != len(counter_users):
-            raise SnapshotError("delta counter columns differ in length")
-        self._seq += 1
-        shard_seq = self._shard_seqs.get(shard, 0) + 1
-        users_blob, users_encoding = encode_id_column(counter_users)
-        header = {
-            "seq": self._seq,
-            "shard": shard,
-            "shard_seq": shard_seq,
-            "words": int(word_indices.size),
-            "counters": len(counter_users),
-            "counter_encoding": users_encoding,
-            "counter_users_bytes": len(users_blob),
-            "ones_count": ones_count,
-            "num_users": num_users,
-        }
-        record = framing.pack_frame(
-            framing.pack_block(
-                header,
-                word_indices.astype("<i8").tobytes(),
-                word_data,
-                users_blob,
-                counter_counts.astype("<i8").tobytes(),
-            )
-        )
+            if logger.isEnabledFor(logging.DEBUG):
+                logger.debug(
+                    "journal append %s",
+                    kv(
+                        seq=seq,
+                        shard=shard,
+                        shard_seq=shard_seq,
+                        bytes=len(records[-1]),
+                        words=int(word_indices.size),
+                    ),
+                )
+        if not records:
+            return 0
+        data = b"".join(records)
         registry = get_registry()
         with timed("persistence.journal.append", registry):
             with self._path.open("ab") as handle:
-                handle.write(record)
+                handle.write(data)
                 handle.flush()
                 if self._config.group_commit:
                     # Durability deferred to the next sync(): the bytes are in
@@ -479,22 +494,11 @@ class JournalWriter:
                 else:
                     with timed("persistence.journal.fsync", registry):
                         os.fsync(handle.fileno())
+        self._seq, self._shard_seqs = seq, shard_seqs
         if registry.enabled:
-            registry.inc("persistence.journal.records", 1, unit="records")
-            registry.inc("persistence.journal.bytes", len(record), unit="bytes")
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug(
-                "journal append %s",
-                kv(
-                    seq=self._seq,
-                    shard=shard,
-                    shard_seq=shard_seq,
-                    bytes=len(record),
-                    words=int(word_indices.size),
-                ),
-            )
-        self._shard_seqs[shard] = shard_seq
-        return len(record)
+            registry.inc("persistence.journal.records", len(records), unit="records")
+            registry.inc("persistence.journal.bytes", len(data), unit="bytes")
+        return len(data)
 
     def sync(self) -> bool:
         """Group commit: one fsync covering every append since the last sync.

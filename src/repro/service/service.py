@@ -522,28 +522,20 @@ class SimilarityService:
                 self._journal_path, self._checkpoint_id, config=self._journal_config
             )
         journal = self._journal
-        records = 0
-        bytes_written = 0
         cursor = next_stamp()
         registry = get_registry()
         with timed("persistence.checkpoint.delta", registry) as span:
-            for shard_index, shard in enumerate(self._sketch.row_shards()):
-                delta = shard_delta(shard, shard_index, self._journal_cursor)
-                if delta is None:
-                    continue
-                bytes_written += journal.append_delta(
-                    shard_index,
-                    delta["words"],
-                    delta["word_data"],
-                    delta["counter_users"],
-                    delta["counter_counts"],
-                    ones_count=delta["ones_count"],
-                    num_users=delta["num_users"],
-                )
-                records += 1
-            # Group commit: one fsync covers every record of this checkpoint
-            # (no-op under the default fsync-per-record config).
+            deltas = [
+                delta
+                for shard_index, shard in enumerate(self._sketch.row_shards())
+                if (delta := shard_delta(shard, shard_index, self._journal_cursor)) is not None
+            ]
+            # One open and one write for every shard's record.
+            bytes_written = journal.append_delta(deltas)
+            # Group commit: one fsync covers the checkpoint (no-op under the
+            # default config, whose append already synced).
             journal.sync()
+        records = len(deltas)
         self._journal_cursor = cursor
         self._elements_since_checkpoint = 0
         self._deltas_written += records

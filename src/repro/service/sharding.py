@@ -7,6 +7,10 @@ A single VOS instance serializes every update through one shared bit array.
 and query to the owning shard.  This is the scaling unit for the service
 layer: shards share no mutable state, so they can later be ingested
 concurrently or moved to separate processes without changing this interface.
+A batch is ingested in one pass (:func:`repro.core.vos.ingest_batch`, the
+same code a single array runs): one hash of its items, one of its positions,
+one counter fold and one routing of its distinct users; each shard then only
+interns its users and xors its positions.
 
 Every shard is constructed with the *same* seed, hence the same item hash
 ``psi`` and the same user-hash family (one object, held by every shard):
@@ -36,19 +40,19 @@ import numpy as np
 
 from repro.baselines.base import SimilaritySketch
 from repro.core.memory import MemoryBudget, vos_parameters_for_budget
-from repro.core.vos import VectorizedPairQueries, VirtualOddSketch
+from repro.core.vos import VectorizedPairQueries, VirtualOddSketch, ingest_batch
 from repro.exceptions import ConfigurationError
 from repro.hashing import UniversalHash
 from repro.hashing.universal import stable_hash64
-from repro.streams.batch import ElementBatch, id_column
+from repro.streams.batch import id_column
 from repro.streams.edge import StreamElement, UserId
 
 
 class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
     """VOS state hash-partitioned across independent shards.
 
-    This class routes: ingest by user (:meth:`split_by_shard`) and reads by
-    user (:meth:`route` over :meth:`row_shards`).  Every estimate, scalar or
+    This class routes: a batch's distinct users (:meth:`split_by_shard`) and
+    reads by user (:meth:`route` over :meth:`row_shards`).  Every estimate, scalar or
     bulk, comes from the :class:`~repro.core.vos.VectorizedPairQueries`
     read path shared with :class:`VirtualOddSketch`: each pair side carries
     the fill fraction of the shard its user lives on, and the estimators
@@ -223,18 +227,21 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
                 yield shard_index, order[start : start + count]
                 start += count
 
-    def split_by_shard(self, batch: ElementBatch):
-        """Yield ``(shard_index, sub_batch)`` pairs, order preserved per shard.
+    def split_by_shard(self, users: np.ndarray, inverse: np.ndarray):
+        """Yield ``(shard_index, user_rows, element_rows)`` per shard a batch touches.
 
-        One vectorized hash over the batch's user column assigns every element
-        to its owning shard; each sub-batch is a NumPy ``select`` (no
-        per-element list rebuilds).  Concatenating a shard's sub-batches over
-        consecutive calls reproduces that shard's element subsequence in
-        stream order, which is what makes batch ingest state-identical to
-        per-element routing.
+        ``users`` are a batch's distinct ``int64`` user ids, sorted, and
+        ``inverse`` maps each element to its user (``users[inverse]`` is the
+        batch's user column, as :func:`~repro.baselines.users.lindley_fold`
+        returns them).  One :meth:`shard_assignment` routes the distinct
+        users; each element goes where its user goes.  ``user_rows`` index
+        ``users`` (still sorted within a shard) and ``element_rows`` index
+        the batch (in stream order within a shard).
         """
-        for shard_index, positions in self._by_shard(self.shard_assignment(batch.users)):
-            yield shard_index, batch.select(positions)
+        owners = self.shard_assignment(users)
+        user_rows = dict(self._by_shard(owners))
+        for shard_index, element_rows in self._by_shard(owners[inverse]):
+            yield shard_index, user_rows[shard_index], element_rows
 
     def route(self, users: Sequence[UserId]):
         """Yield ``(shard_index, positions, users)`` per owning shard, input order kept.
@@ -246,24 +253,13 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
             yield shard_index, positions, column[positions].tolist()
 
     def process_batch(self, elements) -> int:
-        """Vectorized batch ingest: route by user, one sub-batch per shard.
+        """Vectorized batch ingest: :func:`~repro.core.vos.ingest_batch`.
 
-        Accepts element iterables and array-native
-        :class:`~repro.streams.batch.ElementBatch` objects alike.  The shard
-        assignment is one vectorized hash over the batch's user column; each
-        shard then runs its own vectorized ``process_batch`` on its column
-        slice.  Relative element order is preserved per shard, so the result
-        is state-identical to per-element routing.
+        One pass hashes, folds and routes the whole batch; each shard then
+        only interns its users, sets their counters and xors its positions.
+        The result is state-identical to per-element routing.
         """
-        batch = ElementBatch.coerce(elements)
-        count = len(batch)
-        if count == 0:
-            return 0
-        if self.num_shards == 1:
-            return self._shards[0].process_batch(batch)
-        for shard_index, sub_batch in self.split_by_shard(batch):
-            self._shards[shard_index].process_batch(sub_batch)
-        return count
+        return ingest_batch(self, elements)
 
     def _process_insertion(self, element: StreamElement) -> None:  # pragma: no cover
         raise NotImplementedError("ShardedVOS routes whole elements via process()")

@@ -129,12 +129,14 @@ def registered_snapshot_sections() -> tuple[str, ...]:
 
 def _vos_sections(
     vos: VirtualOddSketch, prefix: str = ""
-) -> list[tuple[str, bytes, str | None]]:
+) -> list[tuple[str, bytes | memoryview, str | None]]:
     table = vos.user_table
     order = table.key_order()
     users_bytes, users_encoding = encode_id_column(table.ids(order))
+    array = vos.shared_array
     return [
-        (f"{prefix}array", vos.shared_array.to_packed_bytes(), None),
+        # A view of the live storage, not a copy: the bytes to_packed_bytes returns.
+        (f"{prefix}array", memoryview(array.storage[: (len(array) + 7) // 8]), None),
         (f"{prefix}card_users", users_bytes, users_encoding),
         (f"{prefix}card_counts", table.counts(order).astype("<i8").tobytes(), None),
     ]
@@ -155,18 +157,16 @@ def new_checkpoint_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
-def dumps_snapshot(
+def _snapshot_parts(
     sketch: VirtualOddSketch | ShardedVOS,
-    *,
-    extras: Mapping[str, object] | None = None,
-    checkpoint_id: str | None = None,
-) -> bytes:
-    """Serialize a sketch to snapshot bytes (see module docstring for layout).
+    extras: Mapping[str, object] | None,
+    checkpoint_id: str | None,
+) -> list:
+    """The snapshot file as buffers in order: its header, then every section.
 
-    ``extras`` maps registered extra-section names to the state objects their
-    codecs encode (unregistered names raise :class:`SnapshotError`).
-    ``checkpoint_id`` defaults to a fresh random id; pass one explicitly to
-    re-bind a compaction to a known journal rotation.
+    Array sections are views of the live storage and the payload CRC is
+    accumulated section by section, so the payload is never copied; the
+    sketch must not be written until the buffers are consumed.
     """
     if isinstance(sketch, ShardedVOS):
         kind = _KIND_SHARDED
@@ -177,7 +177,7 @@ def dumps_snapshot(
             "seed": sketch.seed,
             "shards": [_vos_parameters(shard) for shard in sketch.shards],
         }
-        sections: list[tuple[str, bytes, str | None]] = []
+        sections: list[tuple[str, bytes | memoryview, str | None]] = []
         for index, shard in enumerate(sketch.shards):
             sections.extend(_vos_sections(shard, prefix=f"shard{index}/"))
     elif isinstance(sketch, VirtualOddSketch):
@@ -201,7 +201,10 @@ def dumps_snapshot(
         blob = codec.encode(state)
         extra_entries.append({"name": name, "bytes": len(blob)})
         extra_blobs.append(blob)
-    payload = b"".join(data for _, data, _ in sections) + b"".join(extra_blobs)
+    payload = [data for _, data, _ in sections] + extra_blobs
+    crc = 0
+    for data in payload:
+        crc = zlib.crc32(data, crc)
     section_table = []
     for name, data, encoding in sections:
         entry: dict = {"name": name, "bytes": len(data)}
@@ -214,13 +217,30 @@ def dumps_snapshot(
         "parameters": parameters,
         "sections": section_table,
         "extras": extra_entries,
-        "crc32": zlib.crc32(payload),
+        "crc32": crc,
     }
-    return framing.pack_file_header(MAGIC, FORMAT_VERSION, header) + payload
+    return [framing.pack_file_header(MAGIC, FORMAT_VERSION, header), *payload]
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically (temp file + ``os.replace``).
+def dumps_snapshot(
+    sketch: VirtualOddSketch | ShardedVOS,
+    *,
+    extras: Mapping[str, object] | None = None,
+    checkpoint_id: str | None = None,
+) -> bytes:
+    """Serialize a sketch to snapshot bytes (see module docstring for layout).
+
+    ``extras`` maps registered extra-section names to the state objects their
+    codecs encode (unregistered names raise :class:`SnapshotError`).
+    ``checkpoint_id`` defaults to a fresh random id; pass one explicitly to
+    re-bind a compaction to a known journal rotation.
+    """
+    return b"".join(_snapshot_parts(sketch, extras, checkpoint_id))
+
+
+def atomic_write_bytes(path: str | Path, *chunks) -> None:
+    """Write ``chunks`` (bytes-like, in order) to ``path`` atomically (temp
+    file + ``os.replace``).
 
     The temp file lives in the target directory, so the final rename never
     crosses filesystems; a crash mid-write leaves at worst a stray
@@ -240,7 +260,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
             mode = 0o666 & ~_UMASK
         os.fchmod(descriptor, mode)
         with os.fdopen(descriptor, "wb") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
             handle.flush()
             # The data must be durable *before* the rename becomes durable:
             # a journaled rename pointing at unsynced pages would replace the
@@ -272,9 +292,7 @@ def save_snapshot(
 ) -> str:
     """Atomically write a snapshot of ``sketch``; returns its checkpoint id."""
     checkpoint_id = checkpoint_id or new_checkpoint_id()
-    atomic_write_bytes(
-        path, dumps_snapshot(sketch, extras=extras, checkpoint_id=checkpoint_id)
-    )
+    atomic_write_bytes(path, *_snapshot_parts(sketch, extras, checkpoint_id))
     return checkpoint_id
 
 

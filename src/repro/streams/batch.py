@@ -14,10 +14,8 @@ replacement: one contiguous NumPy column per field —
 The integer/object split mirrors exactly the fallback gate the vectorized
 sketch paths already used (``type(x) is int``, ``OverflowError`` for ints
 beyond 64 bits), so handing a batch to ``process_batch`` is state-identical
-to handing it the element list it was built from.  Sub-batching (``select``,
-``slice``) is a NumPy indexing operation, which is what makes vectorized
-shard routing cheap: one hash over the user column, one ``select`` per shard,
-no per-element list rebuilds.
+to handing it the element list it was built from.  Sub-batching (``slice``)
+takes views of the columns, with no per-element list rebuilds.
 """
 
 from __future__ import annotations
@@ -257,10 +255,6 @@ class ElementBatch:
         return self.signs.astype(np.int64)
 
     # -- sub-batching ----------------------------------------------------------------
-
-    def select(self, indices) -> "ElementBatch":
-        """The sub-batch at ``indices``, in the order the indices list them."""
-        return ElementBatch(self.users[indices], self.items[indices], self.signs[indices])
 
     def slice(self, start: int, stop: int) -> "ElementBatch":
         """The contiguous sub-batch ``[start:stop)`` (views, no copies)."""

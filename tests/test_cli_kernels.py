@@ -146,3 +146,31 @@ def test_kernels_bench_reports_median_of_repeated_calls(capsys, monkeypatch):
     assert f"median of {cli.KERNEL_BENCH_REPEATS} calls" in output
     assert cli.KERNEL_BENCH_REPEATS > 1
     assert calls and set(calls.values()) == {cli.KERNEL_BENCH_REPEATS}
+
+
+def test_kernels_bench_times_the_ingest_xor(capsys):
+    assert main(["kernels", "--bench", "--users", "32", "--pairs", "500", "--csv"]) == 0
+    assert "xor ms" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "corrupt, what",
+    [
+        (lambda packed, result: packed.__setitem__(0, packed[0] ^ 1) or result, "xored bits"),
+        (lambda packed, result: (result[0] + 1, *result[1:]), "xor counts"),
+        (lambda packed, result: (*result[:2], result[2][:0]), "xor words"),
+    ],
+)
+def test_kernels_bench_fails_when_the_xor_tiers_disagree(capsys, monkeypatch, corrupt, what):
+    if not kernels.kernel_info()["native"]["available"]:
+        pytest.skip("no C compiler: only one tier to compare")
+    from repro.kernels import numpy_tier
+
+    honest = numpy_tier.xor_positions
+    monkeypatch.setattr(
+        numpy_tier,
+        "xor_positions",
+        lambda packed, positions: corrupt(packed, honest(packed, positions)),
+    )
+    assert main(["kernels", "--bench", "--users", "32", "--pairs", "500"]) == 2
+    assert f"disagree on {what}" in capsys.readouterr().err

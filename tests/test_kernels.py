@@ -23,7 +23,7 @@ from repro.core.memory import MemoryBudget
 from repro.core.vos import VirtualOddSketch, packed_row_bytes, pair_xor_counts
 from repro.exceptions import ConfigurationError
 from repro.hashing.families import HashFamily
-from repro.hashing.bitpack import PackedBitArray
+from repro.hashing.bitpack import PackedBitArray, next_stamp
 from repro.hashing.universal import _MERSENNE_P, UniversalHash, fingerprint64, stable_hash64
 from repro.index import BandedSketchIndex, IndexConfig
 from repro.kernels import numpy_tier
@@ -327,6 +327,122 @@ def _reference_rows(family: HashFamily, keys, array: PackedBitArray, k: int) -> 
     rows = np.zeros((len(keys), packed_row_bytes(k)), dtype=np.uint8)
     rows[:, : (k + 7) // 8] = np.packbits(bits, axis=1)
     return rows
+
+
+class TestXorPositionParity:
+    """The ingest xor (``kernels.xor_positions`` behind ``xor_bulk``): the
+    native tier toggles in order with no sort; it must leave the bytes,
+    popcount, flipped count and stamped words of the NumPy tier's sorted
+    odd-count fold, which must equal one :meth:`flip` per position."""
+
+    def _xor(self, tier, array: PackedBitArray, positions):
+        """``(copy, flipped, cursor, stamp)``: ``positions`` xored into a copy
+        of ``array`` under ``tier``, with the cursor and stamp from before."""
+        copy = PackedBitArray(len(array))
+        copy.load_packed_bytes(array.to_packed_bytes())
+        cursor = next_stamp()
+        stamp = copy.latest_stamp
+        with kernels.use_tier(tier):
+            flipped = copy.xor_bulk(positions)
+        return copy, flipped, cursor, stamp
+
+    @pytest.mark.parametrize("num_bits", [1, 8, 63, 64, 65, 130, 4_099, 7_680_000])
+    def test_tiers_match_sequential_flips(self, num_bits):
+        rng = np.random.default_rng(num_bits % 997)
+        array = _random_array(rng, num_bits)
+        positions = rng.integers(0, num_bits, size=min(3 * num_bits, 5_000))
+        # Repeats, some cancelling, in shuffled order.
+        positions = np.concatenate((positions, positions[: len(positions) // 3]))
+        rng.shuffle(positions)
+        expected = PackedBitArray(num_bits)
+        expected.load_packed_bytes(array.to_packed_bytes())
+        for position in positions.tolist():
+            expected.flip(position)
+        before = np.frombuffer(array.to_packed_bytes(), dtype=np.uint8)
+        after = np.frombuffer(expected.to_packed_bytes(), dtype=np.uint8)
+        changed = np.flatnonzero(before != after) // 8
+        _, counts = np.unique(positions, return_counts=True)
+        for tier in tiers():
+            result, flipped, cursor, _ = self._xor(tier, array, positions)
+            assert result.to_packed_bytes() == expected.to_packed_bytes(), tier
+            assert result.ones_count == expected.ones_count, tier
+            assert flipped == int(np.count_nonzero(counts & 1)), tier
+            assert result.dirty_words(cursor).tolist() == np.unique(changed).tolist(), tier
+
+    def test_kernel_results_match_across_tiers(self):
+        rng = np.random.default_rng(5)
+        num_bits = 1_000
+        storage = _random_array(rng, num_bits).storage
+        positions = np.concatenate((rng.integers(0, num_bits, 700), [3, 3, 999, 999, 999]))
+        results = {}
+        for tier in tiers():
+            packed = storage.copy()
+            with kernels.use_tier(tier):
+                flipped, ones_change, words = kernels.xor_positions(packed, positions, num_bits)
+            results[tier] = (packed.tobytes(), flipped, ones_change, tuple(np.unique(words)))
+            if tier == "native":
+                assert len(set(words.tolist())) == len(words)  # each word once
+        assert len(set(results.values())) == 1
+
+    def test_cancelling_positions_stamp_nothing(self):
+        """Even counts change no bit: no word is stamped and ``latest_stamp``
+        stays, so the row memo and LSH tables keyed on it stay valid."""
+        rng = np.random.default_rng(8)
+        array = _random_array(rng, 300)
+        once = rng.integers(0, 300, 50)
+        positions = np.concatenate((once, once[::-1], [7, 7, 7, 7]))
+        for tier in tiers():
+            result, flipped, cursor, stamp = self._xor(tier, array, positions)
+            assert flipped == 0, tier
+            assert result.to_packed_bytes() == array.to_packed_bytes(), tier
+            assert result.ones_count == array.ones_count, tier
+            assert result.dirty_words(cursor).tolist() == [], tier
+            assert result.latest_stamp == stamp, tier
+
+    def test_last_padded_word(self):
+        """Positions in the last, partly padded word flip only real bits."""
+        array = PackedBitArray(130)  # the third word holds bits 128 and 129
+        for tier in tiers():
+            result, flipped, cursor, _ = self._xor(tier, array, [129, 128, 129, 129, 0])
+            assert flipped == 3, tier
+            assert result.to_list() == [1] + [0] * 127 + [1, 1], tier
+            assert result.storage[16:].tolist() == [0xC0] + [0] * 7, tier
+            assert result.dirty_words(cursor).tolist() == [0, 2], tier
+
+    def test_empty_positions(self):
+        array = PackedBitArray(100)
+        for tier in tiers():
+            with kernels.use_tier(tier):
+                flipped, ones_change, words = kernels.xor_positions(
+                    array.storage, np.empty(0, dtype=np.int64), 100
+                )
+                assert (flipped, ones_change, words.tolist()) == (0, 0, [])
+                stamp = array.latest_stamp
+                assert array.xor_bulk([]) == 0
+                assert array.latest_stamp == stamp
+
+    def test_out_of_range_positions_raise_before_any_change(self):
+        """Checked in the dispatch layer, before a pointer reaches native code."""
+        array = _random_array(np.random.default_rng(2), 100)
+        before = array.to_packed_bytes()
+        for tier in tiers():
+            with kernels.use_tier(tier):
+                for positions in ([0, 100], [5, -1], [2**62]):
+                    with pytest.raises(IndexError):
+                        array.xor_bulk(positions)
+                    with pytest.raises(IndexError):
+                        kernels.xor_positions(array.storage, np.array(positions), 100)
+                with pytest.raises(ConfigurationError):
+                    kernels.xor_positions(array.storage, np.array([1.5]), 100)
+                with pytest.raises(ConfigurationError):
+                    kernels.xor_positions(array.storage.astype(np.int64), np.array([1]), 100)
+                read_only = array.storage.copy()
+                read_only.flags.writeable = False
+                with pytest.raises(ConfigurationError):
+                    kernels.xor_positions(read_only, np.array([1]), 100)
+                with pytest.raises(IndexError):
+                    kernels.xor_positions(array.storage[:8], np.array([1]), 100)
+            assert array.to_packed_bytes() == before
 
 
 class TestRecoverRowParity:

@@ -169,10 +169,8 @@ class TestIngestLifecycle:
 
     def test_failing_batch_surfaces_its_own_type(self, parity_stream, monkeypatch):
         """Batches before the failure stay applied; nothing after it runs."""
-        from repro.core.vos import VirtualOddSketch
-
         sketch = _make_sketch(num_shards=1)
-        original = VirtualOddSketch.process_batch
+        original = ShardedVOS.process_batch
         calls = []
 
         def explode_on_second(self, batch):
@@ -181,7 +179,7 @@ class TestIngestLifecycle:
                 raise Boom("injected ingest failure")
             return original(self, batch)
 
-        monkeypatch.setattr(VirtualOddSketch, "process_batch", explode_on_second)
+        monkeypatch.setattr(ShardedVOS, "process_batch", explode_on_second)
         with pytest.raises(Boom, match="injected ingest failure"):
             ingest_stream(sketch, parity_stream[:1500], batch_size=500)
         assert calls == [500, 500]

@@ -584,10 +584,11 @@ class TestGroupCommit:
         monkeypatch.setattr(journal_module.os, "fsync", counting_fsync)
         return calls
 
-    def _delta_args(self):
-        """A minimal well-formed delta record (never replayed in these tests)."""
+    def _delta(self, shard):
+        """A minimal well-formed shard delta (never replayed in these tests)."""
         return dict(
-            word_indices=np.array([0], dtype=np.int64),
+            shard=shard,
+            words=np.array([0], dtype=np.int64),
             word_data=b"\x01" + b"\x00" * 7,
             counter_users=[1],
             counter_counts=np.array([5], dtype=np.int64),
@@ -599,7 +600,7 @@ class TestGroupCommit:
         writer = JournalWriter(tmp_path / "j", "cafe" * 4)
         baseline = len(fsync_calls)  # header creation may fsync
         for shard in range(3):
-            writer.append_delta(shard, **self._delta_args())
+            writer.append_delta([self._delta(shard)])
         assert len(fsync_calls) - baseline == 3
         assert writer.sync() is False  # nothing deferred to sync
 
@@ -611,7 +612,7 @@ class TestGroupCommit:
         )
         baseline = len(fsync_calls)
         for shard in range(3):
-            writer.append_delta(shard, **self._delta_args())
+            writer.append_delta([self._delta(shard)])
         assert len(fsync_calls) == baseline  # appends only flushed
         assert writer.sync() is True
         assert len(fsync_calls) - baseline == 1
@@ -644,6 +645,47 @@ class TestGroupCommit:
         assert len(fsync_calls) - baseline == 1  # ...but one fsync covers them
         restored = SimilarityService.load(path)
         assert_same_sketch_state(service.sketch, restored.sketch)
+
+    def test_save_delta_is_one_open_and_one_write(self, tmp_path, monkeypatch, fsync_calls):
+        """Every shard's record of a checkpoint goes out in one write to one
+        open of the journal, fsynced once under the default config; the
+        records keep their sequence numbers and replay as before."""
+        import pathlib
+
+        from repro.service import ServiceConfig
+
+        rng = np.random.default_rng(30)
+        service = SimilarityService.from_config(
+            ServiceConfig(expected_users=100, num_shards=4, seed=6)
+        )
+        service.ingest(mutation_mix(rng))
+        path = tmp_path / "state.vos"
+        service.save(path)
+        service.ingest(mutation_mix(rng, base_user=60))
+        service.save_delta()
+        service.ingest(mutation_mix(rng, base_user=120))
+        writes = []
+        real_open = pathlib.Path.open
+
+        def counting_open(self, mode="r", *args, **kwargs):
+            handle = real_open(self, mode, *args, **kwargs)
+            if mode == "ab":
+                real_write = handle.write
+                handle.write = lambda data: writes.append(len(data)) or real_write(data)
+            return handle
+
+        journal = default_journal_path(path)
+        size = journal.stat().st_size
+        baseline = len(fsync_calls)
+        monkeypatch.setattr(pathlib.Path, "open", counting_open)
+        delta = service.save_delta()
+        monkeypatch.undo()
+        assert delta["records"] >= 2
+        assert writes == [delta["bytes"]] == [journal.stat().st_size - size]
+        assert len(fsync_calls) - baseline == 1
+        records = read_journal(journal).records
+        assert [record.seq for record in records] == list(range(1, len(records) + 1))
+        assert_same_sketch_state(service.sketch, SimilarityService.load(path).sketch)
 
     def test_torn_tail_after_crash_before_sync(self, tmp_path):
         """Crash between group-commit appends and the sync tears only the tail.

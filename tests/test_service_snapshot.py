@@ -118,6 +118,32 @@ class TestShardedRoundTrip:
         assert state.sketch.num_users == len(users)
         assert peak - retained < len(blob) / 2
 
+    def test_save_does_not_copy_the_payload(self, tmp_path):
+        """A save writes the array sections from views of the live storage
+        and accumulates the CRC section by section: its transient allocations
+        stay far below one payload (the whole-payload copies took ~3)."""
+        import tracemalloc
+
+        from repro.service import SimilarityService
+
+        service = SimilarityService(
+            ShardedVOS(8, shard_array_bits=1 << 23, virtual_sketch_size=256, seed=4)
+        )
+        path = tmp_path / "state.vos"
+        service.save(path)
+        tracemalloc.start()
+        try:
+            service.save(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        payload = 8 * (1 << 23) // 8
+        assert path.stat().st_size > payload
+        assert peak - retained < payload / 16
+        assert load_snapshot(path).shards[3].shared_array.to_packed_bytes() == bytes(
+            payload // 8
+        )
+
 
 class TestCorruptionPaths:
     def test_bad_magic(self, fed_vos):

@@ -119,11 +119,6 @@ class TestConstruction:
 
 
 class TestSubBatching:
-    def test_select_preserves_index_order(self):
-        batch = ElementBatch.from_elements(ELEMENTS)
-        sub = batch.select(np.array([2, 0]))
-        assert sub.to_elements() == [ELEMENTS[2], ELEMENTS[0]]
-
     def test_slice(self):
         batch = ElementBatch.from_elements(ELEMENTS)
         assert batch.slice(1, 3).to_elements() == ELEMENTS[1:3]

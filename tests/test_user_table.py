@@ -260,13 +260,17 @@ def test_journal_with_bad_counters_is_refused(bad, tmp_path):
     users, counts = BAD_COLUMNS[bad]
     writer = JournalWriter(default_journal_path(path), checkpoint)
     writer.append_delta(
-        0,
-        np.empty(0, dtype=np.int64),
-        b"",
-        users,
-        counts,
-        ones_count=service.sketch.shared_array.ones_count,
-        num_users=3,
+        [
+            {
+                "shard": 0,
+                "words": np.empty(0, dtype=np.int64),
+                "word_data": b"",
+                "counter_users": users,
+                "counter_counts": counts,
+                "ones_count": service.sketch.shared_array.ones_count,
+                "num_users": 3,
+            }
+        ]
     )
     with pytest.raises(SnapshotError):
         SimilarityService.load(path)
