@@ -209,15 +209,18 @@ class UserTable:
         unique, _, totals, lowest = lindley_fold(users, deltas)
         self.add_folded(unique, totals, lowest)
 
-    def add_folded(self, users: np.ndarray, totals: np.ndarray, lowest: np.ndarray) -> None:
+    def add_folded(
+        self, users: np.ndarray, totals: np.ndarray, lowest: np.ndarray
+    ) -> np.ndarray:
         """Apply a :func:`lindley_fold` of distinct ``users``, with one stamp.
 
         Unseen users are interned in the order listed (sorted, as the fold
         lists them), then every counter ``c0`` becomes ``totals + max(c0,
-        -lowest)``.
+        -lowest)``.  Returns the users' ordinals.
         """
         ordinals = self.intern(users)
         self.set(ordinals, totals + np.maximum(self._counts[ordinals], -lowest))
+        return ordinals
 
     def set(self, ordinals: np.ndarray, values, *, track: bool = True) -> None:
         """Write counters at ``ordinals``; a tracked write takes one stamp for all.

@@ -741,6 +741,9 @@ def _cmd_metrics_reset(args: argparse.Namespace) -> int:
 #: Calls per kernel and tier in ``repro kernels --bench``; the table reports
 #: their median, so one call disturbed by the host does not decide a row.
 KERNEL_BENCH_REPEATS = 5
+#: Flipped positions the flip-scan timing looks up: about one
+#: ``serve_churn`` publish's share of an 8-shard service's shard.
+KERNEL_BENCH_FLIPS = 162
 
 
 def _median_call(function, *args):
@@ -792,12 +795,16 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     rows_per_band = (row_bytes // 8) // bands
     coeff_a = (rng.integers(1, 1 << 60, size=bands + 1)).astype(np.uint64)
     coeff_b = (rng.integers(0, 1 << 60, size=bands + 1)).astype(np.uint64)
-    # Row recovery reads the random rows as one packed shared array.
+    # Row recovery reads the random rows as one packed shared array, through
+    # the double-hash position family VOS uses; the flip scan looks a
+    # publish-sized set of changed positions up in the same users.
+    from repro.hashing.families import PositionFamily
+
     shared = rows.ravel()
+    family = PositionFamily(args.sketch_size, shared.size * 8, seed=args.seed)
     fingerprints = rng.integers(0, 1 << 63, size=args.users).astype(np.uint64)
-    hash_a = rng.integers(1, 1 << 60, size=args.sketch_size).astype(np.uint64)
-    hash_b = rng.integers(0, 1 << 60, size=args.sketch_size).astype(np.uint64)
-    # Ingest hashing: one member coefficient pair per key, as hash_pairs does.
+    flips = np.unique(rng.integers(0, shared.size * 8, size=KERNEL_BENCH_FLIPS))
+    # Ingest hashing: one position per key and virtual bit, as hash_pairs does.
     keys = rng.integers(-(1 << 62), 1 << 62, size=args.pairs)
     members = rng.integers(0, args.sketch_size, size=args.pairs)
     # Ingest xor: random positions, a quarter of them listed twice (cancelling).
@@ -814,13 +821,12 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
                 kernels.band_signatures,
                 rows.view(np.uint64), bands, rows_per_band, coeff_a, coeff_b,
             )
-            recovered, recover_seconds = _median_call(
-                kernels.recover_rows,
-                fingerprints, hash_a, hash_b, shared, shared.size * 8, args.sketch_size,
+            (h1, h2, inverse), offset_seconds = _median_call(family.offsets, fingerprints)
+            recovered, recover_seconds = _median_call(family.recover_rows, h1, h2, shared)
+            (hit_users, hit_columns), scan_seconds = _median_call(
+                family.scan_flips, h1, inverse, flips
             )
-            positions, hash_seconds = _median_call(
-                kernels.hash_keys, keys, hash_a, hash_b, members, shared.size * 8
-            )
+            positions, hash_seconds = _median_call(family.hash_pairs, keys, members)
             # Repeated xors alternate the copy between two states, the same
             # ones on every tier, so the tiers' final bytes still compare.
             xored = shared.copy()
@@ -830,7 +836,9 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
         for name, value in (
             ("pair counts", counts),
             ("band signatures", signatures),
+            ("user offsets", np.stack((h1, h2, inverse))),
             ("recovered rows", recovered),
+            ("scan hits", np.stack((hit_users, hit_columns))),
             ("hashed keys", positions),
             ("xored bits", xored),
             ("xor counts", np.array([flipped, ones_change])),
@@ -846,8 +854,11 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
                 round(args.pairs / pair_seconds / 1e6, 2),
                 round(band_seconds * 1e3, 3),
                 round(args.users / band_seconds / 1e6, 2),
+                round(offset_seconds * 1e3, 3),
                 round(recover_seconds * 1e3, 3),
                 round(args.users / recover_seconds / 1e3, 1),
+                round(scan_seconds * 1e3, 3),
+                round(args.users * len(flips) / scan_seconds / 1e6, 2),
                 round(hash_seconds * 1e3, 3),
                 round(args.pairs / hash_seconds / 1e6, 2),
                 round(xor_seconds * 1e3, 3),
@@ -855,14 +866,14 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
             ]
         )
     headers = [
-        "tier", "pair ms", "Mpairs/s", "band ms", "Musers/s", "recover ms", "kusers/s",
-        "hash ms", "Mkeys/s", "xor ms", "Mbits/s",
+        "tier", "pair ms", "Mpairs/s", "band ms", "Musers/s", "offsets ms", "recover ms",
+        "kusers/s", "scan ms", "Mscans/s", "hash ms", "Mkeys/s", "xor ms", "Mbits/s",
     ]
     lanes = f"; native vector lanes {native['vector_lanes']}" if "native" in tiers else ""
     print(
         f"# micro-timing: {args.pairs} pairs and keys / {args.users} users at "
-        f"k={args.sketch_size} ({row_bytes} B/row), median of {KERNEL_BENCH_REPEATS} "
-        f"calls; tiers bit-identical{lanes}"
+        f"k={args.sketch_size} ({row_bytes} B/row) / {len(flips)} flips scanned, median "
+        f"of {KERNEL_BENCH_REPEATS} calls; tiers bit-identical{lanes}"
     )
     print(render_csv(headers, bench_rows) if args.csv else render_table(headers, bench_rows))
     return 0

@@ -5,8 +5,12 @@ The sketch consists of:
 * a shared bit array ``A`` of ``m`` bits (:class:`~repro.core.bitarray.SharedBitArray`);
 * an item hash ``psi : I -> {0, ..., k-1}`` selecting which virtual bit of a
   user's odd sketch an item toggles;
-* a family of ``k`` user hashes ``f_0 ... f_{k-1} : U -> {0, ..., m-1}``
-  selecting where each virtual bit lives inside ``A``;
+* ``k`` user hashes ``f_0 ... f_{k-1} : U -> {0, ..., m-1}`` selecting
+  where each virtual bit lives inside ``A``: the double-hash
+  :class:`~repro.hashing.families.PositionFamily`
+  ``f_j(u) = (h1(u) + j * h2(u)) mod m`` with ``h2(u)`` a unit of ``Z_m``,
+  so a user's positions are distinct and a changed bit of ``A`` names the
+  users and virtual bits it belongs to;
 * one exact cardinality counter ``n_u`` per user (inherited from
   :class:`~repro.baselines.base.SimilaritySketch`).
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +49,7 @@ from repro.core.estimators import (
 )
 from repro.core.memory import MemoryBudget, vos_parameters_for_budget
 from repro.exceptions import ConfigurationError
-from repro.hashing import HashFamily, UniversalHash
+from repro.hashing import PositionFamily, UniversalHash
 from repro import kernels
 from repro.obs import get_registry
 from repro.hashing.universal import fingerprint64, fingerprint64_array, stable_hash64
@@ -76,16 +81,18 @@ def ingest_batch(sketch, elements) -> int:
     over the batch does the work every shard would otherwise repeat, with
     the shards' shared ``psi`` and user family:
 
-    * one item hash ``psi`` over the item column and one position hash
-      ``f_{psi(i)}(u)`` per element (:meth:`HashFamily.hash_pairs`);
+    * one item hash ``psi`` over the item column;
     * one Lindley fold of the counter deltas per distinct user
       (:func:`~repro.baselines.users.lindley_fold`);
-    * one routing of the distinct users (``split_by_shard``).
+    * one routing of the distinct users (``split_by_shard``);
+    * one position ``f_{psi(i)}(u) = (h1 + psi(i) * h2) mod m`` per element
+      (:meth:`PositionFamily.positions`).
 
-    Each shard then does only its own share: intern and set its users'
-    counters (:meth:`UserTable.add_folded`, one stamp) and xor its
-    positions into its array (:meth:`SharedBitArray.xor_bulk`, where
-    repeated toggles cancel).  Shards take disjoint users and xor is
+    Each shard does only its own share: intern and set its users' counters
+    (:meth:`UserTable.add_folded`, one stamp), read their offsets ``(h1,
+    h2)`` from its per-user memo (derived once per user, when first seen)
+    and xor its positions into its array (:meth:`SharedBitArray.xor_bulk`,
+    where repeated toggles cancel).  Shards take disjoint users and xor is
     commutative, so bits, ``beta``, counters and the users stamped as
     changed are exactly those of feeding the elements one by one.  A
     batch's new users take their shard's next ordinals in sorted order, and
@@ -108,12 +115,51 @@ def ingest_batch(sketch, elements) -> int:
     hashes = shards[0]
     unique, inverse, totals, lowest = lindley_fold(batch.users, batch.deltas())
     virtual_indices = hashes._item_hash.hash_array(batch.items)
-    positions = hashes._user_hashes.hash_pairs(batch.users, virtual_indices)
-    for shard_index, users, rows in sketch.split_by_shard(unique, inverse):
+    routed = list(sketch.split_by_shard(unique, inverse))
+    first = np.empty(len(unique), dtype=np.int64)
+    step = np.empty(len(unique), dtype=np.int64)
+    for shard_index, users, _ in routed:
         shard = shards[shard_index]
-        shard._user_table.add_folded(unique[users], totals[users], lowest[users])
-        shard._array.xor_bulk(positions[rows])
+        ordinals = shard._user_table.add_folded(unique[users], totals[users], lowest[users])
+        offsets = shard._user_offsets()
+        first[users] = offsets[0][ordinals]
+        step[users] = offsets[1][ordinals]
+    positions = hashes._user_hashes.positions(first[inverse], step[inverse], virtual_indices)
+    for shard_index, _, rows in routed:
+        shards[shard_index]._array.xor_bulk(positions[rows])
     return count
+
+
+#: A flipped position scanned against one user costs about this many
+#: recovered positions (a modular product and a compare against an add, a
+#: compare and a bit gather): the fixed rule :meth:`VirtualOddSketch.track_patch`
+#: falls back to full recovery by.
+SCAN_COST = 2
+
+_NO_OFFSETS = tuple(np.empty(0, dtype=np.int64) for _ in range(3))
+
+
+@dataclass(frozen=True)
+class _PatchBasis:
+    """A copy-on-write epoch's bits as a patch of a frozen sketch's.
+
+    ``flips`` are the sorted positions whose bits differ from ``origin``'s;
+    ``origin`` is ``None`` when the cost rule chose full recovery.
+    """
+
+    origin: "VirtualOddSketch | None"
+    flips: np.ndarray
+
+
+def flipped_positions(old, new, words) -> np.ndarray:
+    """Sorted positions whose bits differ between two arrays of one size
+    within the listed 64-bit ``words`` (``old ^ new``, word by word)."""
+    words = np.asarray(words, dtype=np.int64)
+    if not words.size:
+        return np.empty(0, dtype=np.int64)
+    changed = old.storage.reshape(-1, 8)[words] ^ new.storage.reshape(-1, 8)[words]
+    word, bit = np.nonzero(np.unpackbits(changed, axis=1))
+    return np.sort(words[word] * 64 + bit)
 
 
 class VectorizedPairQueries:
@@ -253,13 +299,17 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
     sketches must be gathered from ``A``.
 
     Recovered rows are memoised by user ordinal (bit-packed, ``k / 8`` bytes
-    each, one matrix row per user) for as long as the shared array is
-    unchanged; any write invalidates every row, so memoised reads are exactly
-    what a fresh recovery returns.  Beside the memo the sketch holds
-    ``index_table``: the LSH bucket table :mod:`repro.index` derives from
-    those rows, keyed (like the memo) to the array's change stamp.
-    Like the hash coefficients, both are derived state that the paper's
-    cost model, which charges only the ``m``-bit array, does not count.
+    each, one matrix row per user), keyed to the array's change stamp: a
+    write ends every row's validity, so memoised reads are exactly what a
+    fresh recovery returns.  A copy-on-write epoch is the exception
+    (:meth:`track_patch`): it knows the bits its publish flipped, so its
+    first read copies its source's memo and flips only the row bits those
+    positions name.  Beside the memo the sketch holds ``index_table``: the
+    LSH bucket table :mod:`repro.index` derives from those rows, keyed (like
+    the memo) to the array's change stamp, and each user's position offsets
+    ``(h1, h2, h2^-1)``.  Like the hash coefficients, all are derived state
+    that the paper's cost model, which charges only the ``m``-bit array,
+    does not count.
 
     Examples
     --------
@@ -302,12 +352,13 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         self._item_hash = UniversalHash(
             range_size=virtual_sketch_size, seed=stable_hash64(("vos-psi", seed))
         )
-        self._user_hashes = HashFamily(
+        self._user_hashes = PositionFamily(
             size=virtual_sketch_size,
             range_size=shared_array_bits,
             seed=stable_hash64(("vos-f", seed)),
         )
         self._reset_row_memo()
+        self._offsets = _NO_OFFSETS
         #: The shard's LSH bucket table, owned by :mod:`repro.index.banding`
         #: (``None`` until an index builds or restores one).
         self.index_table = None
@@ -324,6 +375,11 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         self._row_hits = 0
         self._row_misses = 0
         self._rows_lock = threading.Lock()
+        #: Pending patch of a copy-on-write epoch (:meth:`track_patch`),
+        #: applied by the first read; then the rows the patch changed, for
+        #: the LSH table (:meth:`patch_basis`).
+        self._basis: _PatchBasis | None = None
+        self._index_basis: tuple | None = None
 
     # -- construction helpers --------------------------------------------------------
 
@@ -367,9 +423,10 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         :meth:`~repro.baselines.users.UserTable.copy`), and the view takes
         ``source``'s LSH table: the copied array keeps ``source``'s change
         stamp (the bits are equal), so the table stays valid until the copy
-        is patched.  Such a view is a full :class:`VirtualOddSketch` for the
-        read API but must never ingest; epoch services are frozen by
-        contract.
+        is patched, and shares its users' position offsets (a user's
+        ordinal and offsets never change).  Such a view is a full
+        :class:`VirtualOddSketch` for the read API but must never ingest;
+        epoch services are frozen by contract.
 
         ``blank=True`` gives the sketch an empty array and user table and no
         LSH table instead: a fresh sketch with ``source``'s layout and seed,
@@ -387,11 +444,42 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
             view._user_table = UserTable()
             view._array = SharedBitArray(source.shared_array_bits)
             view.index_table = None
+            view._offsets = _NO_OFFSETS
         else:
             view._user_table = source.user_table.copy()
             view._array = source.shared_array.copy()
             view.index_table = source.index_table
+            view._offsets = source._offsets
         return view
+
+    def track_patch(self, source: "VirtualOddSketch", flips: np.ndarray) -> None:
+        """Record that this frozen copy's bits are ``source``'s with ``flips`` toggled.
+
+        ``source`` is the frozen sketch this copy was made from and ``flips``
+        the sorted positions whose bits the copy's patch changed.  The first
+        read of this copy then starts from ``source``'s row memo and
+        ``index_table`` instead of recovering every row: it flips the row
+        bits the flipped positions name (users x flips modular products, see
+        :func:`repro.kernels.scan_flips`), recovers only rows the memo lacks
+        and re-keys only changed rows' band entries
+        (:meth:`repro.index.BandedSketchIndex.refresh`).
+
+        When ``source`` itself was never read, its own pending patch is
+        folded in: the copy patches from ``source``'s origin with the
+        symmetric difference of both flip sets.  Full recovery stays the
+        exact fallback, chosen by a fixed cost rule: scanning a flip costs
+        about :data:`SCAN_COST` recovered positions per user, so once the
+        flips outnumber ``k / SCAN_COST`` a recovery is cheaper and the copy
+        keeps no basis.
+        """
+        basis = source._basis
+        origin = source
+        if basis is not None:
+            origin = basis.origin
+            flips = np.setxor1d(basis.flips, flips, assume_unique=True)
+        if origin is not None and flips.shape[0] * SCAN_COST > self.virtual_sketch_size:
+            origin = None
+        self._basis = _PatchBasis(origin, flips if origin is not None else flips[:0])
 
     # -- streaming updates ----------------------------------------------------------------
 
@@ -429,13 +517,18 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
     def _packed_rows(self, users: Sequence[UserId]) -> np.ndarray:
         """Bit-packed virtual sketches, one row per user, through the row memo.
 
-        A write since a row was recovered invalidates it (one xor can land in
-        any user's virtual bits); missing rows are recovered in one
-        :func:`repro.kernels.recover_rows` call.
+        A write since a row was recovered invalidates it: the stamp says only
+        that the array changed, not where.  The first read of a copy-on-write
+        epoch applies its pending patch (:meth:`track_patch`) first, which
+        carries its source's rows over with exactly the flipped bits changed.
+        Missing rows are recovered in one :func:`repro.kernels.recover_rows`
+        call.
         """
         ordinals = self._user_table.ordinals(users)
         stamp = self._array.latest_stamp
         with self._rows_lock:
+            if self._basis is not None:
+                self._apply_basis(stamp)
             have = self._row_stamps.shape[0]
             if have < len(self._user_table):
                 extra = max(len(self._user_table), 2 * have) - have
@@ -466,15 +559,83 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
                 registry.inc("query.row_cache.misses", missing.size, unit="rows")
         return packed
 
+    def _apply_basis(self, stamp: int) -> None:
+        """Start the row memo from the patch basis's origin (under ``_rows_lock``).
+
+        The origin's rows valid at its stamp are copied, and each hit of the
+        flipped positions toggles its row bit (the position's bit is exactly
+        what changed).  Rows the origin never recovered stay missing.  All
+        users hit, recovered or not, are kept for the LSH table patch.
+        """
+        basis, self._basis = self._basis, None
+        origin = basis.origin
+        if origin is None:
+            self._index_basis = (None, None)
+            return
+        count = origin.num_users
+        rows = np.zeros((count, self._rows.shape[1]), dtype=np.uint8)
+        valid = np.zeros(count, dtype=bool)
+        with origin._rows_lock:
+            origin_stamp = origin.shared_array.latest_stamp
+            held = min(count, origin._rows.shape[0])
+            rows[:held] = origin._rows[:held]
+            valid[:held] = origin._row_stamps[:held] == origin_stamp
+        h1, _, inverse = (array[:count] for array in self._user_offsets())
+        users, columns = self._user_hashes.scan_flips(h1, inverse, basis.flips)
+        np.bitwise_xor.at(
+            rows,
+            (users, columns >> 3),
+            np.right_shift(np.uint8(0x80), (columns & 7).astype(np.uint8)),
+        )
+        self._rows = rows
+        self._row_stamps = np.where(valid, stamp, -1)
+        self._rows_stamp = stamp
+        self._index_basis = (origin, np.unique(users))
+
+    def patch_basis(self) -> tuple | None:
+        """What this sketch's LSH table may be patched from, after its first read.
+
+        ``None`` for a sketch that was not published as a patch (or whose
+        patch a table already used); ``(None, None)`` when the patch fell back
+        to full recovery; otherwise ``(origin, hit_rows)``: the frozen sketch
+        whose ``index_table`` describes the bits before the patch, and the
+        sorted ordinals (below ``origin.num_users``) whose rows it changed.
+        """
+        if self._basis is not None:
+            with self._rows_lock:
+                if self._basis is not None:
+                    self._apply_basis(self._array.latest_stamp)
+        return self._index_basis
+
+    def drop_patch_basis(self) -> None:
+        """Forget the patch basis once a table used it (frees the origin)."""
+        self._index_basis = None
+
+    def _user_offsets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(h1, h2, h2^-1)`` of every user, indexed by ordinal, memoised.
+
+        The memo is append-only (a user's ordinal and offsets never change):
+        only users added since the last call are derived, growing it builds
+        new arrays, and copies of this sketch keep sharing the old ones.
+        """
+        cached = self._offsets
+        have, need = cached[0].shape[0], len(self._user_table)
+        if have < need:
+            ids = self._user_table.ids(np.arange(have, need))
+            fingerprints = (
+                fingerprint64_array(ids)
+                if ids.dtype == np.int64
+                else np.fromiter(map(fingerprint64, ids), dtype=np.uint64, count=len(ids))
+            )
+            fresh = self._user_hashes.offsets(fingerprints)
+            cached = tuple(np.concatenate(pair) for pair in zip(cached, fresh))
+            self._offsets = cached
+        return cached
+
     def _recover_rows(self, ordinals: np.ndarray) -> np.ndarray:
         """Packed rows of user ``ordinals`` recovered from the shared array."""
-        ids = self._user_table.ids(ordinals)
-        fingerprints = (
-            fingerprint64_array(ids)
-            if ids.dtype == np.int64
-            else np.fromiter(map(fingerprint64, ids), dtype=np.uint64, count=len(ids))
-        )
-        return self._user_hashes.recover_rows(fingerprints, self._array.storage)
+        h1, h2, _ = self._user_offsets()
+        return self._user_hashes.recover_rows(h1[ordinals], h2[ordinals], self._array.storage)
 
     def packed_rows(self, users: Sequence[UserId]) -> np.ndarray:
         """Bit-packed virtual sketch rows, one user per row (public form).
@@ -524,12 +685,14 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         return self._array.memory_bits()
 
     def memory_bytes(self) -> dict[str, int]:
-        """Bytes held per layer: the shared array, the user table, the row memo
-        and the LSH table."""
+        """Bytes held per layer: the shared array, the user table, the row
+        memo, the users' position offsets ``(h1, h2, h2^-1)`` and the LSH
+        table."""
         table = self.index_table
         return {
             "array": self._array.nbytes,
             "user_table": self._user_table.nbytes,
             "row_memo": self._rows.nbytes + self._row_stamps.nbytes,
+            "offsets": sum(array.nbytes for array in self._offsets),
             "index": 0 if table is None else table.memory_bytes(),
         }

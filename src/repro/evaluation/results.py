@@ -26,6 +26,13 @@ class AccuracyCheckpoint:
     beta:
         For VOS only: the shared-array fill fraction at this checkpoint
         (``None`` for other methods).
+    zero_estimates:
+        Share of the tracked pairs whose common-item estimate is exactly 0.
+        A method at 1.0 estimates nothing, and its AAPE is exactly 1.0
+        whatever the truth.
+    memory_bits:
+        The method's ``memory_bits()`` at this checkpoint: what the paper's
+        cost model charges it, for checking the equal-memory premise.
     """
 
     time: int
@@ -33,6 +40,8 @@ class AccuracyCheckpoint:
     armse: float
     tracked_pairs: int
     beta: float | None = None
+    zero_estimates: float = 0.0
+    memory_bits: int = 0
 
 
 @dataclass

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.baselines.base import SimilaritySketch, dedup_pair_users
 from repro.baselines.exact import ExactSimilarityTracker
 from repro.core.memory import MemoryBudget
@@ -225,5 +227,7 @@ class AccuracyExperiment:
                     tracked_pairs=len(kept),
                     # VOS and its sharded variant both expose a fill fraction.
                     beta=getattr(sketch, "beta", None),
+                    zero_estimates=float(np.mean(commons == 0)),
+                    memory_bits=sketch.memory_bits(),
                 )
             )

@@ -1,17 +1,19 @@
-"""Indexed families of independent hash functions.
+"""Families of hash functions indexed by a member number.
 
-Several sketches need a whole family of hash functions:
+Two sketches need a whole family of hash functions:
 
-* MinHash uses ``k`` independent functions ``h_1 ... h_k`` over items;
-* VOS uses ``k`` independent functions ``f_1 ... f_k`` mapping *users* into
-  positions of the shared bit array ``A``.
+* MinHash uses ``k`` independent functions ``h_1 ... h_k`` over items:
+  :class:`HashFamily`, where ``family[j]`` is a
+  :class:`~repro.hashing.universal.UniversalHash` whose seed is derived from
+  the family seed and the index ``j``;
+* VOS maps each *user* to ``k`` positions ``f_0(u) ... f_{k-1}(u)`` of the
+  shared bit array ``A``: :class:`PositionFamily`, one double-hash
+  (Kirsch & Mitzenmacher, "Less Hashing, Same Performance", ESA 2006)
+  ``f_j(u) = (h1(u) + j * h2(u)) mod m`` whose step ``h2`` is a unit of
+  ``Z_m``.  Two hashes per user instead of ``k``, and the family inverts: a
+  changed bit of ``A`` names the users and virtual bits it belongs to.
 
-:class:`HashFamily` provides exactly that: ``family[j]`` is a
-:class:`~repro.hashing.universal.UniversalHash` whose seed is derived from the
-family seed and the index ``j``, so the whole family is reproducible from a
-single integer seed.
-
-A family is fixed by ``(size, range_size, seed)`` and immutable, so sketches
+Both are fixed by ``(size, range_size, seed)`` and immutable, so sketches
 whose hashes are the same share one family object (every shard of a
 :class:`~repro.service.sharding.ShardedVOS` and every epoch view of it)
 instead of deriving it again.
@@ -19,6 +21,8 @@ instead of deriving it again.
 
 from __future__ import annotations
 
+import functools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -27,10 +31,13 @@ import numpy as np
 from repro import kernels
 from repro.exceptions import ConfigurationError
 from repro.hashing.universal import (
+    _GOLDEN,
     _MERSENNE_P,
     UniversalHash,
+    _mix64,
     coefficient_arrays,
     fingerprint64,
+    fingerprint64_array,
     stable_hash64,
 )
 from repro.kernels import numpy_tier
@@ -70,8 +77,8 @@ class HashFamily:
     seed, j)))``.  Construction derives only the members' Carter-Wegman
     coefficients, into two read-only ``uint64`` arrays (three BLAKE2b digests
     per member, :func:`~repro.hashing.universal.coefficient_arrays`).  The
-    vectorized paths (:meth:`hash_pairs`, :meth:`recover_rows`,
-    :meth:`apply_many_array`) and the one-member :meth:`hash_pair` read
+    vectorized paths (:meth:`hash_pairs`, :meth:`apply_many_array`) and the
+    one-member :meth:`hash_pair` read
     nothing else.  The :class:`IndexedHash` member objects are built on
     first use (``family[j]``, iteration, :meth:`apply_all`,
     :meth:`min_index`).  The family is immutable, so sketches with the same
@@ -147,21 +154,11 @@ class HashFamily:
         """Vectorized :meth:`apply_all` for many keys: an ``(n, size)`` ``int64`` matrix.
 
         Row ``i`` is bit-exact with ``apply_all(keys[i])`` for any hashable
-        keys: the unfused parity reference for :meth:`recover_rows`.
+        keys.
         """
         fingerprints = np.fromiter(map(fingerprint64, keys), dtype=np.uint64)
         return numpy_tier.affine_positions(
             fingerprints[:, None], self._coeff_a, self._coeff_b, self.range_size
-        )
-
-    def recover_rows(self, fingerprints: np.ndarray, packed_bits: np.ndarray) -> np.ndarray:
-        """Packed rows of ``packed_bits`` at every member's position, one per fingerprint.
-
-        Row ``i`` packs ``bits[self[j](key)]`` for ``fingerprint64(key) ==
-        fingerprints[i]`` (:func:`repro.kernels.recover_rows`).
-        """
-        return kernels.recover_rows(
-            fingerprints, self._coeff_a, self._coeff_b, packed_bits, self.range_size, self.size
         )
 
     def hash_pair(self, key: object, member_index: int) -> int:
@@ -178,10 +175,9 @@ class HashFamily:
         """Evaluate ``self[member_indices[i]](keys[i])`` for a whole batch at once.
 
         ``keys`` is an integer-key array and ``member_indices`` selects which
-        family member hashes each key.  This is the shape of the VOS batch
-        update — position ``f_{psi(item)}(user)`` for every element — and runs
-        as one vectorized affine step over the selected coefficient pairs,
-        bit-exact with the scalar members.  Returns ``int64`` values.
+        family member hashes each key.  Runs as one vectorized affine step
+        over the selected coefficient pairs, bit-exact with the scalar
+        members.  Returns ``int64`` values.
         """
         return kernels.hash_keys(
             keys, self._coeff_a, self._coeff_b, member_indices, self.range_size
@@ -195,3 +191,210 @@ class HashFamily:
         """
         members = self._member_tuple()
         return min(range(self.size), key=lambda j: members[j].value64(key))
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with the bases that are exact for every ``n < 3.3 * 10^24``."""
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for base in bases:
+        if n % base == 0:
+            return n == base
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in bases:
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_factor(n: int) -> int:
+    """A non-trivial factor of the odd composite ``n`` (Pollard's rho, Brent's cycle)."""
+    for c in range(1, n):
+        x = y = 2
+        factor = 1
+        while factor == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            factor = math.gcd(abs(x - y), n)
+        if factor != n:
+            return factor
+    raise ArithmeticError(f"no factor found for {n}")
+
+
+@functools.lru_cache(maxsize=64)
+def distinct_primes(n: int) -> tuple[int, ...]:
+    """The distinct prime factors of ``n >= 1``, ascending."""
+    primes: set[int] = set()
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        if n % p == 0:
+            primes.add(p)
+            while n % p == 0:
+                n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        value = pending.pop()
+        if _is_probable_prime(value):
+            primes.add(value)
+            continue
+        factor = _pollard_factor(value)
+        pending.extend((factor, value // factor))
+    return tuple(sorted(primes))
+
+
+def unit_tests(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(qinv, qlimit)``: per distinct prime ``q`` of ``m``, ``c`` is a
+    multiple of ``q`` exactly when ``c * qinv mod 2^64 <= qlimit``.
+
+    For odd ``q``, ``qinv`` is ``q``'s inverse modulo ``2^64`` and ``qlimit``
+    is ``floor((2^64 - 1) / q)``; for ``q = 2`` they are ``2^63`` and
+    ``2^63 - 1`` (the product is 0 for even ``c`` and ``2^63`` for odd).
+    """
+    qinv, qlimit = [], []
+    for q in distinct_primes(m):
+        if q == 2:
+            qinv.append(1 << 63)
+            qlimit.append((1 << 63) - 1)
+        else:
+            qinv.append(pow(q, -1, 1 << 64))
+            qlimit.append(((1 << 64) - 1) // q)
+    arrays = (np.array(qinv, dtype=np.uint64), np.array(qlimit, dtype=np.uint64))
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@dataclass(frozen=True)
+class PositionFamily:
+    """VOS's user-to-position family: ``f_j(u) = (h1(u) + j * h2(u)) mod m``.
+
+    ``h1`` is a Carter-Wegman hash of the user's fingerprint into
+    ``[0, m)``.  ``h2`` is drawn from the units of ``Z_m`` (``gcd(h2, m) =
+    1``) by rejection: the first unit among ``w_t mod m`` for a seeded
+    Carter-Wegman ``w_0`` and ``w_{t+1} = mix64(w_t ^ GOLDEN) mod (2^61 -
+    1)``, or 1 should 256 candidates all share a prime with ``m`` (at
+    ``m = 7,680,000`` a candidate is a unit with probability 0.27, so that
+    happens with probability ``10^-35``).  Because ``h2`` is a unit:
+
+    * a user's ``size <= m`` positions are distinct, for any ``m``, so every
+      array keeps its exact size and ``memory_bits()``;
+    * position ``p`` is user ``u``'s virtual bit ``j = (p - h1) * h2^-1 mod
+      m`` when that ``j < size``, and no other user bit: a changed bit of the
+      array names the rows it changed (:func:`repro.kernels.scan_flips`).
+
+    Construction derives two coefficient pairs (six BLAKE2b digests) and the
+    divisibility tests of ``m``'s distinct primes; nothing depends on
+    ``size``.  :meth:`offsets` gives the per-user ``(h1, h2, h2^-1)`` that
+    batch ingest (:meth:`positions`), row recovery and the flip scan read;
+    each sketch keeps them per user, so the rejection runs once per user.
+    :meth:`hash_pair` is the per-element update of any hashable key.
+
+    >>> family = PositionFamily(size=4, range_size=12, seed=3)
+    >>> row = family.apply_many_array([7])[0].tolist()
+    >>> len(set(row)) == 4 and all(0 <= p < 12 for p in row)
+    True
+    """
+
+    size: int
+    range_size: int
+    seed: int = 0
+    _coeff_a: np.ndarray = field(init=False, repr=False, compare=False)
+    _coeff_b: np.ndarray = field(init=False, repr=False, compare=False)
+    _qinv: np.ndarray = field(init=False, repr=False, compare=False)
+    _qlimit: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.size <= 0:
+            raise ConfigurationError(f"family size must be positive, got {self.size}")
+        if not 0 < self.range_size < _MERSENNE_P:
+            raise ConfigurationError(
+                f"range_size must be in [1, 2^61 - 1), got {self.range_size}"
+            )
+        if self.size > self.range_size:
+            raise ConfigurationError(
+                f"{self.size} distinct positions do not fit in {self.range_size}"
+            )
+        seeds = [stable_hash64(("position-family", self.seed, part)) for part in (0, 1)]
+        coeff_a, coeff_b = coefficient_arrays(seeds)
+        qinv, qlimit = unit_tests(self.range_size)
+        object.__setattr__(self, "_coeff_a", coeff_a)
+        object.__setattr__(self, "_coeff_b", coeff_b)
+        object.__setattr__(self, "_qinv", qinv)
+        object.__setattr__(self, "_qlimit", qlimit)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def _kernel_arguments(self) -> tuple:
+        return self._coeff_a, self._coeff_b, self.range_size, self._qinv, self._qlimit
+
+    def offsets(self, fingerprints: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(h1, h2, h2^-1 mod m)`` per ``uint64`` fingerprint, as ``int64``
+        (:func:`repro.kernels.offsets`)."""
+        return kernels.offsets(fingerprints, *self._kernel_arguments())
+
+    @functools.lru_cache(maxsize=1 << 16)
+    def _scalar_offsets(self, fingerprint: int) -> tuple[int, int]:
+        m = self.range_size
+        a, b = (int(v) for v in self._coeff_a), (int(v) for v in self._coeff_b)
+        (a0, a1), (b0, b1) = a, b
+        x = fingerprint % _MERSENNE_P
+        h1 = (a0 * x + b0) % _MERSENNE_P % m
+        w = (a1 * x + b1) % _MERSENNE_P
+        primes = distinct_primes(m)
+        for _ in range(numpy_tier.UNIT_ATTEMPTS):
+            candidate = w % m
+            if all(candidate % q for q in primes):
+                return h1, candidate
+            w = _mix64(w ^ _GOLDEN) % _MERSENNE_P
+        return h1, 1 % m
+
+    def hash_pair(self, key: object, member_index: int) -> int:
+        """Position ``member_index`` of any hashable ``key``: the per-element
+        update's scalar form, bit-exact with :meth:`hash_pairs`."""
+        h1, h2 = self._scalar_offsets(fingerprint64(key))
+        return (h1 + member_index * h2) % self.range_size
+
+    def positions(self, h1: np.ndarray, h2: np.ndarray, member_indices) -> np.ndarray:
+        """Position ``member_indices[i]`` of the user with offsets ``(h1[i],
+        h2[i])``, as ``int64``: the VOS batch update's ``f_{psi(item)}(user)``
+        for every element, from offsets each shard keeps per user."""
+        return kernels.step_positions(h1, h2, member_indices, self.range_size)
+
+    def hash_pairs(self, keys, member_indices) -> np.ndarray:
+        """Position ``member_indices[i]`` of integer key ``keys[i]``, as
+        ``int64``: :meth:`offsets` of the keys' fingerprints, then
+        :meth:`positions`."""
+        h1, h2, _ = self.offsets(fingerprint64_array(keys))
+        return self.positions(h1, h2, member_indices)
+
+    def apply_many_array(self, keys) -> np.ndarray:
+        """All ``size`` positions of many hashable keys: an ``(n, size)``
+        ``int64`` matrix, the unfused reference for row recovery."""
+        fingerprints = np.fromiter(map(fingerprint64, keys), dtype=np.uint64)
+        h1, h2, _ = self.offsets(fingerprints)
+        steps = np.arange(self.size, dtype=object)
+        return np.array(
+            [(int(a) + steps * int(b)) % self.range_size for a, b in zip(h1, h2)],
+            dtype=np.int64,
+        ).reshape(len(h1), self.size)
+
+    def recover_rows(self, h1: np.ndarray, h2: np.ndarray, packed_bits: np.ndarray) -> np.ndarray:
+        """Packed rows of ``packed_bits`` at every position of the users with
+        offsets ``h1``/``h2`` (:func:`repro.kernels.recover_rows`)."""
+        return kernels.recover_rows(h1, h2, packed_bits, self.range_size, self.size)
+
+    def scan_flips(self, h1: np.ndarray, inverse: np.ndarray, flips) -> tuple[np.ndarray, np.ndarray]:
+        """``(users, columns)`` hit by the flipped positions ``flips``
+        (:func:`repro.kernels.scan_flips`)."""
+        return kernels.scan_flips(h1, inverse, flips, self.range_size, self.size)

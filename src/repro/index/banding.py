@@ -36,9 +36,12 @@ sub-quadratic on sparse sketches:
   :class:`~repro.service.sharding.ShardedVOS` uses the same seed, so virtual
   bit ``j`` means the same thing everywhere and band signatures are comparable
   *across* shards.  Each shard keeps one signature table beside its row
-  memo (rebuilt when that shard's array change stamp, user count or the band
-  layout moves) and the index merges all tables at query time, so
-  cross-shard pairs are proposed exactly like same-shard pairs.
+  memo (replaced when that shard's array change stamp, user count or the
+  band layout moves) and the index merges all tables at query time, so
+  cross-shard pairs are proposed exactly like same-shard pairs.  A
+  copy-on-write epoch's shard patches its source's table instead of
+  rebuilding it: only the rows its publish changed, and its new users, are
+  re-keyed and merged in.
 
 A shard's table is only its valid ``(row, column)`` entries sorted by
 signature; a table build, a candidate-pair pool and an export derive band keys
@@ -198,10 +201,12 @@ def _shard_key(shard, layout: tuple, rows: int | None = None) -> tuple:
     """What a shard's signature table depends on: ``(array stamp, user count,
     band layout)``, for ``rows`` users (default: all of the shard's).
 
-    Any write may change *any* user's recovered row (a single xor can land in
-    anyone's virtual bits), so the array's latest change stamp covers the
-    bits.  Users are never removed, so the count covers the user set.  The
-    layout (band count, band width, set-bit floor, seed) covers the hashes.
+    The array's latest change stamp covers the bits: it moves on every
+    write and does not say which rows the write changed.  (A copy-on-write
+    epoch knows that from its flipped positions, and patches the table it
+    came from instead: :meth:`BandedSketchIndex.refresh`.)  Users are never
+    removed, so the count covers the user set.  The layout (band count,
+    band width, set-bit floor, seed) covers the hashes.
     """
     rows = shard.num_users if rows is None else rows
     return (shard.shared_array.latest_stamp, rows, layout)
@@ -221,7 +226,9 @@ class _ShardSignatures:
     ``index_table``, beside its row memo.  No table is ever mutated, so
     epochs sharing a shard object, and the copies
     :meth:`~repro.core.vos.VirtualOddSketch.cow_view` makes, share it by
-    reference.  Construct tables with :meth:`of`, which sorts the entries.
+    reference.  Construct tables with :meth:`of`, which sorts the entries
+    by ``(signature, row, column)``, or :meth:`with_rows_replaced`, which
+    merges re-keyed rows into that same order.
     """
 
     #: A bucket is a run of equal ``bucket_signatures`` restricted to one column.
@@ -237,11 +244,59 @@ class _ShardSignatures:
     ) -> "_ShardSignatures":
         """The table over ordinals ``0 .. len(signatures) - 1`` of the dense
         ``(rows, bands + 1)`` keys, which it does not keep."""
-        rows, columns = np.nonzero(valid)
-        entries = signatures[rows, columns]
-        order = np.argsort(entries)
-        rows, columns = rows[order].astype(np.int32), columns[order].astype(np.int32)
-        return cls(entries[order], rows, columns, len(signatures), key)
+        entries, rows, columns = _sorted_entries(signatures, valid, np.arange(len(signatures)))
+        return cls(entries, rows, columns, len(signatures), key)
+
+    def with_rows_replaced(
+        self,
+        changed: np.ndarray,
+        signatures: np.ndarray,
+        valid: np.ndarray,
+        rows: int,
+        key: tuple,
+    ) -> "_ShardSignatures":
+        """This table with the entries of ``changed`` rows (sorted ordinals)
+        replaced by the dense keys given for them, over ``rows`` rows.
+
+        Equal to :meth:`of` over the whole new key matrix: the kept entries
+        are already in order, the new ones are sorted among themselves, and
+        one merge places them, in O(entries + changed * bucket size).
+        """
+        dead = np.zeros(max(rows, self.rows), dtype=bool)
+        dead[changed] = True
+        keep = ~dead[self.bucket_rows]
+        old_signatures = self.bucket_signatures[keep]
+        old_rows, old_columns = self.bucket_rows[keep], self.bucket_columns[keep]
+        new_signatures, new_rows, new_columns = _sorted_entries(signatures, valid, changed)
+        width = valid.shape[1]
+        # Entries with equal signatures order by (row, column): count the
+        # kept entries of each new entry's signature run that sort before it.
+        starts = np.searchsorted(old_signatures, new_signatures, side="left")
+        runs = np.searchsorted(old_signatures, new_signatures, side="right") - starts
+        before = starts.copy()
+        total = int(runs.sum())
+        if total:
+            owner = np.repeat(np.arange(len(runs)), runs)
+            offsets = np.cumsum(runs) - runs
+            members = np.repeat(starts - offsets, runs) + np.arange(total)
+            order_key = old_rows[members].astype(np.int64) * width + old_columns[members]
+            own_key = new_rows[owner].astype(np.int64) * width + new_columns[owner]
+            before += np.bincount(owner[order_key < own_key], minlength=len(runs))
+        size = old_signatures.shape[0] + new_signatures.shape[0]
+        slots = before + np.arange(new_signatures.shape[0])
+        fresh = np.zeros(size, dtype=bool)
+        fresh[slots] = True
+        merged = []
+        for old, new in (
+            (old_signatures, new_signatures),
+            (old_rows, new_rows),
+            (old_columns, new_columns),
+        ):
+            out = np.empty(size, dtype=old.dtype)
+            out[slots] = new
+            out[~fresh] = old
+            merged.append(out)
+        return type(self)(*merged, rows, key)
 
     def memory_bytes(self) -> int:
         arrays = (self.bucket_signatures, self.bucket_rows, self.bucket_columns)
@@ -260,6 +315,20 @@ class _ShardSignatures:
         hits = np.repeat(starts - offsets, counts) + np.arange(total)
         same_column = self.bucket_columns[hits] == np.repeat(columns, counts)
         return np.unique(self.bucket_rows[hits[same_column]])
+
+
+def _sorted_entries(
+    signatures: np.ndarray, valid: np.ndarray, ordinals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The valid ``(signature, row, column)`` entries of dense keys whose row
+    ``i`` belongs to ``ordinals[i]`` (ascending), sorted by that triple."""
+    rows, columns = np.nonzero(valid)
+    entries = signatures[rows, columns]
+    # np.nonzero lists (row, column) ascending, so a stable sort breaks
+    # signature ties by row and column.
+    order = np.argsort(entries, kind="stable")
+    rows = ordinals[rows[order]].astype(np.int32)
+    return entries[order], rows, columns[order].astype(np.int32)
 
 
 def _restored_table(shard, users, signatures, valid, layout) -> _ShardSignatures | None:
@@ -322,11 +391,13 @@ class BandedSketchIndex:
         own seed.
 
     The index holds no tables itself: each shard keeps its own, and every
-    bucket lookup calls :meth:`refresh`, which rebuilds a shard's table only
+    bucket lookup calls :meth:`refresh`, which replaces a shard's table only
     when that shard's array change stamp, user count or the band layout
-    moved.  Between ingests, repeated queries reuse the tables untouched, and
-    every index over the same shard objects (another epoch's, a restored
-    one's) reads the same tables.
+    moved, by a patch of its source's table where the shard is a
+    copy-on-write epoch and by a rebuild otherwise.  Between ingests,
+    repeated queries reuse the tables untouched, and every index over the
+    same shard objects (another epoch's, a restored one's) reads the same
+    tables.
 
     Examples
     --------
@@ -376,6 +447,9 @@ class BandedSketchIndex:
         self._layout: tuple | None = None
         self._coeff_a = self._coeff_b = np.empty(0, dtype=np.uint64)
         self._rebuilds = 0
+        self._patches = 0
+        self._patched_rows = 0
+        self._patch_fallbacks = 0
         self._restored = 0
         self._last_candidate_pairs: int | None = None
         self._last_pool_pairs: int | None = None
@@ -464,14 +538,18 @@ class BandedSketchIndex:
     # -- maintenance ------------------------------------------------------------------
 
     def refresh(self) -> list[_ShardSignatures]:
-        """Bring every shard's table in sync with its shard (rebuild-on-demand).
+        """Bring every shard's table in sync with its shard.
 
         The layout is resolved first (:meth:`_resolve_layout`).  Each shard's
-        ``index_table`` is then rebuilt on that shard when its key no longer
-        matches the shard's :func:`_shard_key`.  Returns the tables, one per
-        shard: a query reads these, not the shards' attributes, so another
-        index rebuilding a shared shard under another layout cannot swap a
-        table out from under it.
+        ``index_table`` is then replaced when its key no longer matches the
+        shard's :func:`_shard_key`: patched from the source's table when the
+        shard is a copy-on-write epoch whose patch basis allows it
+        (:meth:`_patch_table`), rebuilt otherwise.  A patch does not count as
+        a rebuild: ``stats()`` counts ``patches``, ``patched_rows`` and
+        ``patch_fallbacks`` (patch candidates rebuilt in full).  Returns the
+        tables, one per shard: a query reads these, not the shards'
+        attributes, so another index rebuilding a shared shard under another
+        layout cannot swap a table out from under it.
         """
         layout = self._resolve_layout()
         registry = get_registry()
@@ -480,16 +558,59 @@ class BandedSketchIndex:
             with trace("index.sync", registry) as span:
                 key = _shard_key(shard, layout)
                 table = shard.index_table
-                stale = table is None or table.key != key
-                if stale:
-                    table = shard.index_table = self._build_table(shard, key)
+                patched = rebuilt = False
+                if table is None or table.key != key:
+                    table, changed = self._patch_table(shard, key)
+                    patched = table is not None
+                    if not patched:
+                        table = self._build_table(shard, key)
+                        rebuilt = True
+                    shard.index_table = table
             tables.append(table)
-            if stale:
+            if rebuilt:
                 self._rebuilds += 1
                 if registry.enabled:
                     registry.inc("index.rebuilds", 1, unit="tables")
                     registry.observe("index.rebuild_seconds", span.seconds)
+            elif patched:
+                self._patches += 1
+                self._patched_rows += changed
+                if registry.enabled:
+                    registry.inc("index.patches", 1, unit="tables")
+                    registry.inc("index.patched_rows", changed, unit="rows")
+                    registry.observe("index.patch_seconds", span.seconds)
         return tables
+
+    def _patch_table(self, shard, key: tuple) -> tuple[_ShardSignatures | None, int]:
+        """``(table, rows re-keyed)`` patched from the shard's copy-on-write
+        source, or ``(None, 0)`` when the shard has no usable basis.
+
+        The basis (:meth:`~repro.core.vos.VirtualOddSketch.patch_basis`)
+        names the source sketch and the rows the publish changed.  Its table
+        is used only while it describes the source's bits under this layout
+        (its key is the source's :func:`_shard_key`); then the changed rows
+        and the rows of users added since are re-keyed from the shard's
+        packed rows and merged in.  A basis that cannot be used (the cost
+        rule chose full recovery, the layout moved, the source's table is
+        stale or missing) counts as a fallback.
+        """
+        basis = shard.patch_basis() if hasattr(shard, "patch_basis") else None
+        if basis is None:
+            return None, 0
+        origin, hits = basis
+        table = None if origin is None else origin.index_table
+        if table is None or table.key != _shard_key(origin, key[2]):
+            self._patch_fallbacks += 1
+            registry = get_registry()
+            if registry.enabled:
+                registry.inc("index.patch_fallbacks", 1, unit="tables")
+            shard.drop_patch_basis()
+            return None, 0
+        changed = np.concatenate((hits, np.arange(table.rows, key[1]))).astype(np.int64)
+        rows = shard.packed_rows(shard.user_table.ids(changed).tolist())
+        patched = table.with_rows_replaced(changed, *self._band_keys(rows), key[1], key)
+        shard.drop_patch_basis()
+        return patched, int(changed.shape[0])
 
     def build(self) -> None:
         """Force a full rebuild of every shard's signature table."""
@@ -720,7 +841,10 @@ class BandedSketchIndex:
         ``last_candidate_fraction`` is the proposed share of the last query's
         full pair pool — the knob-tuning signal for the recall/speed tradeoff
         (1.0 would mean no pruning at all).  Table counts cover the tables the
-        shards hold, whichever index built them.
+        shards hold, whichever index built them.  ``rebuilds`` counts full
+        table builds, ``patches`` copy-on-write patches (``patched_rows``
+        rows re-keyed by them) and ``patch_fallbacks`` the patch candidates
+        rebuilt in full.
         """
         shards = self._sketch.row_shards()
         tables = [shard.index_table for shard in shards if shard.index_table is not None]
@@ -741,6 +865,9 @@ class BandedSketchIndex:
             "users_indexed": users_indexed,
             "signature_bytes": sum(table.memory_bytes() for table in tables),
             "rebuilds": self._rebuilds,
+            "patches": self._patches,
+            "patched_rows": self._patched_rows,
+            "patch_fallbacks": self._patch_fallbacks,
             "restored": self._restored,
             "last_candidate_pairs": self._last_candidate_pairs,
             "last_pool_pairs": self._last_pool_pairs,

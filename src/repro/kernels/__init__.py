@@ -60,12 +60,15 @@ __all__ = [
     "band_signatures",
     "hash_keys",
     "kernel_info",
+    "offsets",
     "pair_block_pairs",
     "pair_counts",
     "packed_row_bytes",
     "recover_rows",
     "requested_tier",
     "reset_kernels",
+    "scan_flips",
+    "step_positions",
     "use_tier",
     "xor_positions",
 ]
@@ -366,58 +369,147 @@ def packed_row_bytes(sketch_size: int) -> int:
     return ((sketch_size + 63) // 64) * 8
 
 
-def recover_rows(
+def _check_family(kernel: str, coeff_a, coeff_b, num_bits, qinv, qlimit) -> None:
+    """Check a position family's parameters before they reach native code."""
+    for name, array in (
+        ("coeff_a", coeff_a), ("coeff_b", coeff_b), ("qinv", qinv), ("qlimit", qlimit)
+    ):
+        _require(kernel, name, array, np.uint64, 1)
+    if coeff_a.shape[0] < 2 or coeff_b.shape[0] < 2:
+        raise ConfigurationError(f"{kernel} needs two coefficient pairs")
+    if max(int(coeff_a[:2].max()), int(coeff_b[:2].max())) >= _MERSENNE_P:
+        raise ConfigurationError(f"{kernel} coefficients must be below 2^61 - 1")
+    if qinv.shape != qlimit.shape:
+        raise ConfigurationError(f"{kernel} needs one divisibility limit per prime")
+    _check_range(kernel, num_bits)
+
+
+def _check_range(kernel: str, num_bits) -> None:
+    if not (isinstance(num_bits, (int, np.integer)) and 0 < num_bits < _MERSENNE_P):
+        raise ConfigurationError(
+            f"{kernel} needs an integer range in [1, 2^61 - 1), got {num_bits!r}"
+        )
+
+
+def _tier():
+    """``(name, module)`` of the active tier's kernels."""
+    native = _resolve()["native"]
+    return ("numpy", numpy_tier) if native is None else ("native", native)
+
+
+def offsets(
     fingerprints: np.ndarray,
     coeff_a: np.ndarray,
     coeff_b: np.ndarray,
-    packed_bits: np.ndarray,
     num_bits: int,
-    k: int,
+    qinv: np.ndarray,
+    qlimit: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dispatch the position family's per-user derivation to the active tier.
+
+    Returns ``(h1, h2, inverse)`` as ``int64``: each fingerprint's offset in
+    ``[0, num_bits)``, its step (a unit of ``Z_num_bits``: the first unit
+    among a seeded candidate sequence, see
+    :func:`repro.kernels.numpy_tier.offsets`) and the step's inverse modulo
+    ``num_bits``.  ``qinv``/``qlimit`` are the multiplicative divisibility
+    tests of ``num_bits``'s distinct primes.
+    """
+    _require("offsets", "fingerprints", fingerprints, np.uint64, 1)
+    _check_family("offsets", coeff_a, coeff_b, num_bits, qinv, qlimit)
+    name, tier = _tier()
+    if name == "native":
+        return tier.offsets(fingerprints, coeff_a, coeff_b, num_bits, qinv, qlimit)
+    h1, h2 = tier.offsets(fingerprints, coeff_a, coeff_b, num_bits, qinv, qlimit)
+    inverse = tier.inverse_mod(h2, num_bits)
+    return h1.astype(np.int64), h2.astype(np.int64), inverse.astype(np.int64)
+
+
+def step_positions(h1: np.ndarray, h2: np.ndarray, members, num_bits: int) -> np.ndarray:
+    """Dispatch the ingest position hash to the active tier:
+    ``(h1[i] + members[i] * h2[i]) mod num_bits`` as ``int64``, for users'
+    :func:`offsets` ``h1``/``h2`` and virtual bits ``members`` (all below
+    ``num_bits``)."""
+    _check_range("step_positions", num_bits)
+    _check_offsets("step_positions", num_bits, h1, h2)
+    members = _index_array("step_positions", "members", members, num_bits)
+    if members.shape != h1.shape:
+        raise ConfigurationError(f"{members.shape} members for {h1.shape} users")
+    _, tier = _tier()
+    return tier.step_positions(h1, h2, members, num_bits)
+
+
+def _check_offsets(kernel: str, num_bits, *arrays) -> None:
+    for name, array in zip(("h1", "h2"), arrays):
+        _require(kernel, name, array, np.int64, 1)
+        if array.size and int(array.view(np.uint64).max()) >= num_bits:
+            raise IndexError(f"{name} outside [0, {num_bits}) in {kernel}")
+    if arrays[0].shape != arrays[1].shape:
+        raise ConfigurationError(f"{kernel} needs one h2 per h1")
+
+
+def recover_rows(
+    h1: np.ndarray, h2: np.ndarray, packed_bits: np.ndarray, num_bits: int, k: int
 ) -> np.ndarray:
     """Dispatch packed virtual-sketch row recovery to the active tier.
 
-    Row ``u``, bit ``j`` (``np.packbits`` order) is bit
-    ``((coeff_a[j] * fingerprints[u] + coeff_b[j]) mod (2^61 - 1)) mod
-    num_bits`` of ``packed_bits`` (the shared array's packed storage); rows
-    are :func:`packed_row_bytes` wide with zero pad bits.  ``packed_bits``
-    must span whole 64-bit words (``8 * ceil(num_bits / 64)`` bytes, as
-    :attr:`PackedBitArray.storage <repro.hashing.bitpack.PackedBitArray.storage>`
-    does): the native tier gathers whole words.  Every input is checked
-    here, before any pointer reaches native code.
+    Row ``u``, bit ``j`` (``np.packbits`` order) is bit ``(h1[u] + j * h2[u])
+    mod num_bits`` of ``packed_bits`` (the shared array's packed storage);
+    rows are :func:`packed_row_bytes` wide with zero pad bits.  ``h1`` and
+    ``h2`` are :func:`offsets` (``int64``, below ``num_bits``) and
+    ``packed_bits`` must span whole 64-bit words (``8 * ceil(num_bits /
+    64)`` bytes, as :attr:`PackedBitArray.storage
+    <repro.hashing.bitpack.PackedBitArray.storage>` does).  Every input is
+    checked here, before any pointer reaches native code.
     """
-    for name, array, dtype in (
-        ("fingerprints", fingerprints, np.uint64),
-        ("coeff_a", coeff_a, np.uint64),
-        ("coeff_b", coeff_b, np.uint64),
-        ("packed_bits", packed_bits, np.uint8),
-    ):
-        _require("recover_rows", name, array, dtype, 1)
-    if not (isinstance(k, (int, np.integer)) and 0 < k <= len(coeff_a) == len(coeff_b)):
-        raise ConfigurationError(
-            f"recover_rows needs 0 < k <= len(coeff_a) == len(coeff_b), got k={k}"
-        )
-    if max(int(coeff_a.max()), int(coeff_b.max())) >= _MERSENNE_P:
-        raise ConfigurationError("recover_rows coefficients must be below 2^61 - 1")
-    if not (isinstance(num_bits, (int, np.integer)) and num_bits > 0):
-        raise ConfigurationError(f"num_bits must be a positive integer, got {num_bits}")
+    _check_range("recover_rows", num_bits)
+    _check_offsets("recover_rows", num_bits, h1, h2)
+    _require("recover_rows", "packed_bits", packed_bits, np.uint8, 1)
+    if not (isinstance(k, (int, np.integer)) and 0 < k <= num_bits):
+        raise ConfigurationError(f"recover_rows needs 0 < k <= num_bits, got k={k}")
     if len(packed_bits) < 8 * ((num_bits + 63) // 64):
         raise IndexError(
             f"{len(packed_bits)} packed bytes are not the whole 64-bit words "
             f"that hold {num_bits} bits"
         )
-    native = _resolve()["native"]
+    tier, recover = _tier()
     registry = get_registry()
     started = time.perf_counter() if registry.enabled else 0.0
-    tier, recover = ("numpy", numpy_tier) if native is None else ("native", native)
-    rows = recover.recover_rows(
-        fingerprints, coeff_a, coeff_b, packed_bits, num_bits, k, packed_row_bytes(k)
-    )
+    rows = recover.recover_rows(h1, h2, packed_bits, num_bits, k, packed_row_bytes(k))
     if registry.enabled:
         elapsed = time.perf_counter() - started
         registry.inc(f"kernels.{tier}.recover_calls", 1, unit="calls")
         registry.inc(f"kernels.{tier}.recover_rows", rows.shape[0], unit="rows")
         registry.observe(f"kernels.{tier}.recover_seconds", elapsed)
     return rows
+
+
+def scan_flips(
+    h1: np.ndarray, inverse: np.ndarray, flips, num_bits: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dispatch the flipped-bit scan to the active tier.
+
+    ``flips`` are distinct positions whose bits changed; user ``u`` (offset
+    ``h1[u]``, inverse step ``inverse[u]``, from :func:`offsets`) holds flip
+    ``p`` as its virtual bit ``j = (p - h1[u]) * inverse[u] mod num_bits``
+    exactly when ``j < k``.  Returns ``(users, columns)``: every such hit,
+    user-major and in ``flips`` order within a user.  The cost is users x
+    flips modular products, against users x ``k`` positions for recovering
+    the rows.
+    """
+    _check_range("scan_flips", num_bits)
+    _check_offsets("scan_flips", num_bits, h1, inverse)
+    flips = _index_array("scan_flips", "flips", flips, num_bits)
+    if not (isinstance(k, (int, np.integer)) and 0 < k <= num_bits):
+        raise ConfigurationError(f"scan_flips needs 0 < k <= num_bits, got k={k}")
+    tier, scan = _tier()
+    registry = get_registry()
+    started = time.perf_counter() if registry.enabled else 0.0
+    users, columns = scan.scan_flips(h1, inverse, flips, num_bits, k)
+    if registry.enabled:
+        registry.inc(f"kernels.{tier}.scan_calls", 1, unit="calls")
+        registry.inc(f"kernels.{tier}.scan_pairs", h1.shape[0] * flips.shape[0], unit="pairs")
+        registry.observe(f"kernels.{tier}.scan_seconds", time.perf_counter() - started)
+    return users, columns
 
 
 def xor_positions(

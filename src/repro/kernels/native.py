@@ -209,55 +209,171 @@ void repro_hash_keys(const uint64_t *keys, int64_t n, const uint64_t *coeff_a,
     }
 }
 
-/* Packed virtual-sketch rows: bit j of row u (np.packbits order) is bit
- * ((a[j] * fps[u] + b[j]) mod p) mod num_bits of the packed array `bits`.
- * Hash, gather and pack are fused, so no position matrix is built; each
- * output byte is assembled in a register.  Pad bytes past ceil(k / 8) are
- * left as the caller allocated them (zero).
+/* -- the double-hash position family ------------------------------------------
  *
- * The vector body hashes eight positions at once and gathers the aligned
- * little-endian 64-bit word holding each bit, so `bits` must span whole
- * words (8 * ceil(num_bits / 64) bytes; the dispatch layer checks it).
- * Packbits bit i of a word is bit (i & 63) ^ 7 of its little-endian value.
- * The coefficient lanes are loaded in reverse, so lane 7 - v tests position
- * j + v and the lane test mask is the output byte itself. */
-void repro_recover_rows(const uint64_t *fps, int64_t n, const uint64_t *coeff_a,
-                        const uint64_t *coeff_b, int64_t k, const uint8_t *bits,
-                        uint64_t num_bits, int64_t row_bytes, uint8_t *out) {
-    for (int64_t u = 0; u < n; ++u) {
-        const uint64_t x = fps[u];
-        uint8_t *row = out + u * row_bytes;
-        int64_t j = 0;
-#if VECTOR_LANES == 8
-        if (num_bits > VECTOR_MIN_RANGE) {
-            const __m512i reverse = _mm512_set_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-            const __m512i m = _mm512_set1_epi64((long long)num_bits);
-            const __m512d inv_m = _mm512_set1_pd(1.0 / (double)num_bits);
-            const __m512i one = _mm512_set1_epi64(1), low6 = _mm512_set1_epi64(63);
-            const __m512i seven = _mm512_set1_epi64(7);
-            const __m512i xv = _mm512_set1_epi64((long long)reduce_p(x));
-            for (; j + 8 <= k; j += 8) {
-                const __m512i a = _mm512_permutexvar_epi64(reverse, _mm512_loadu_si512(coeff_a + j));
-                const __m512i b = _mm512_permutexvar_epi64(reverse, _mm512_loadu_si512(coeff_b + j));
-                const __m512i pos = position8(a, b, xv, m, inv_m);
-                const __m512i word = _mm512_i64gather_epi64(_mm512_srli_epi64(pos, 6),
-                                                            (const void *)bits, 8);
-                const __m512i bit = _mm512_sllv_epi64(
-                    one, _mm512_xor_si512(_mm512_and_si512(pos, low6), seven));
-                row[j >> 3] = (uint8_t)_mm512_test_epi64_mask(word, bit);
-            }
+ * Position j of the user with fingerprint x is (h1 + j * h2) mod m, where
+ *   h1 = ((a[0] x + b[0]) mod p) mod m, and
+ *   h2 = the first unit of Z_m among w_t mod m, for w_0 = (a[1] x + b[1]) mod p
+ *        and w_{t+1} = reduce_p(mix64(w_t ^ GOLDEN)); 1 mod m should
+ *        UNIT_ATTEMPTS candidates all share a prime with m.
+ * A candidate c is a unit iff none of m's distinct primes q divides it, and
+ * q | c iff c * qinv (mod 2^64) <= qlimit, with qinv the inverse of an odd q
+ * modulo 2^64 and qlimit = floor((2^64 - 1) / q) (for q = 2: qinv = 2^63,
+ * qlimit = 2^63 - 1).  Since h2 is a unit, a user's k <= m positions are
+ * distinct, and position p is the user's virtual bit j = (p - h1) * h2^-1
+ * mod m exactly when that j is below k. */
+#define UNIT_ATTEMPTS 256
+
+typedef struct {
+    uint64_t m;
+    double inv_m;
+    const uint64_t *qinv, *qlimit;
+    int64_t n_primes;
+} modulus_t;
+
+static inline modulus_t modulus(uint64_t m, const uint64_t *qinv, const uint64_t *qlimit,
+                                int64_t n_primes) {
+    modulus_t mod = {m, 1.0 / (double)m, qinv, qlimit, n_primes};
+    return mod;
+}
+
+/* h mod m for any 64-bit h.  Above FAST_MOD_MIN a double-precision quotient
+ * is within one of floor(h / m): its relative error is at most 3 * 2^-53, so
+ * its absolute error is below 3 * 2^-53 * 2^64 / m = 6144 / m < 1, and
+ * r = h - q m lies in [-m, 2m); one masked add and one masked subtract give
+ * the exact remainder.  At or below it, the hardware `%`. */
+#define FAST_MOD_MIN 6144
+static inline uint64_t mod_m(uint64_t h, const modulus_t *mod) {
+    const uint64_t m = mod->m;
+    if (m <= FAST_MOD_MIN) return h % m;
+    const uint64_t q = (uint64_t)((double)h * mod->inv_m);
+    int64_t r = (int64_t)(h - q * m);
+    if (r < 0) r += (int64_t)m;
+    if ((uint64_t)r >= m) r -= (int64_t)m;
+    return (uint64_t)r;
+}
+
+/* a * b mod m for a, b < m: one 64-bit product while m fits 32 bits. */
+static inline uint64_t mulmod(uint64_t a, uint64_t b, const modulus_t *mod) {
+    if (mod->m <= UINT64_C(0xFFFFFFFF)) return mod_m(a * b, mod);
+    return (uint64_t)((unsigned __int128)a * b % mod->m);
+}
+
+static inline int is_unit(uint64_t c, const modulus_t *mod) {
+    for (int64_t i = 0; i < mod->n_primes; ++i) {
+        if (c * mod->qinv[i] <= mod->qlimit[i]) return 0;
+    }
+    return 1;
+}
+
+/* (h1, h2) of fingerprint x. */
+static inline void offsets(uint64_t x, const uint64_t *a, const uint64_t *b,
+                           const modulus_t *mod, uint64_t *h1, uint64_t *h2) {
+    *h1 = mod_m(affine_mod_p(a[0], b[0], x), mod);
+    uint64_t w = affine_mod_p(a[1], b[1], x);
+    for (int t = 0; t < UNIT_ATTEMPTS; ++t) {
+        const uint64_t c = mod_m(w, mod);
+        if (is_unit(c, mod)) {
+            *h2 = c;
+            return;
         }
-#endif
-        for (; j < k; j += 8) {
-            int64_t stop = j + 8 < k ? j + 8 : k;
+        w = reduce_p(mix64(w ^ GOLDEN));
+    }
+    *h2 = 1 % mod->m;
+}
+
+/* The inverse of the unit a of Z_m, in [0, m), by the extended Euclidean
+ * algorithm (|t| stays below m, so int64 holds it for m < 2^62). */
+static inline uint64_t inverse_mod(uint64_t a, uint64_t m) {
+    uint64_t r0 = m, r1 = a;
+    int64_t t0 = 0, t1 = 1;
+    while (r1) {
+        const uint64_t q = r0 / r1, r2 = r0 - q * r1;
+        const int64_t t2 = t0 - (int64_t)q * t1;
+        r0 = r1;
+        r1 = r2;
+        t0 = t1;
+        t1 = t2;
+    }
+    return t0 < 0 ? (uint64_t)(t0 + (int64_t)m) : (uint64_t)t0 % m;
+}
+
+/* out[i] = (h1[i] + members[i] * h2[i]) mod m: position members[i] of the
+ * user with offsets (h1[i], h2[i]), the ingest hash of every element. */
+void repro_step_positions(const int64_t *h1, const int64_t *h2, const int64_t *members,
+                          int64_t n, uint64_t m, int64_t *out) {
+    const modulus_t mod = modulus(m, NULL, NULL, 0);
+    for (int64_t i = 0; i < n; ++i) {
+        const uint64_t pos = (uint64_t)h1[i] + mulmod((uint64_t)members[i], (uint64_t)h2[i], &mod);
+        out[i] = (int64_t)(pos >= m ? pos - m : pos);
+    }
+}
+
+/* Per fingerprint: h1, h2 and h2's inverse modulo m. */
+void repro_offsets(const uint64_t *fps, int64_t n, const uint64_t *a, const uint64_t *b,
+                   uint64_t m, const uint64_t *qinv, const uint64_t *qlimit, int64_t n_primes,
+                   int64_t *h1, int64_t *h2, int64_t *inv) {
+    const modulus_t mod = modulus(m, qinv, qlimit, n_primes);
+    for (int64_t i = 0; i < n; ++i) {
+        uint64_t one, two;
+        offsets(fps[i], a, b, &mod, &one, &two);
+        h1[i] = (int64_t)one;
+        h2[i] = (int64_t)two;
+        inv[i] = (int64_t)inverse_mod(two, m);
+    }
+}
+
+/* Packed virtual-sketch rows: bit j of row u (np.packbits order) is bit
+ * (h1[u] + j * h2[u]) mod m of the packed array `bits`.  Consecutive
+ * positions differ by h2, so each is an add and a conditional subtract; the
+ * bits are gathered and packed in registers, one output byte per 8
+ * positions.  Pad bytes past ceil(k / 8) are left as the caller allocated
+ * them (zero). */
+void repro_recover_rows(const int64_t *h1, const int64_t *h2, int64_t n, int64_t k,
+                        const uint8_t *bits, uint64_t m, int64_t row_bytes, uint8_t *out) {
+    for (int64_t u = 0; u < n; ++u) {
+        const uint64_t step = (uint64_t)h2[u];
+        uint64_t pos = (uint64_t)h1[u];
+        uint8_t *row = out + u * row_bytes;
+        for (int64_t j = 0; j < k; j += 8) {
+            const int64_t stop = j + 8 < k ? j + 8 : k;
             unsigned acc = 0;
             for (int64_t v = j; v < stop; ++v) {
-                uint64_t pos = position(coeff_a[v], coeff_b[v], x, num_bits);
                 acc |= ((bits[pos >> 3] >> (7 - (pos & 7))) & 1u) << (7 - (v - j));
+                pos += step;
+                if (pos >= m) pos -= m;
             }
             row[j >> 3] = (uint8_t)acc;
         }
     }
+}
+
+/* Every (user, virtual bit) that a set of flipped positions lands on: users
+ * u in [0, n) with offsets h1[u] and inverse steps inv[u], flips sorted
+ * positions.  Flip p is user u's bit j = (p - h1) * inv mod m iff j < k.
+ * Hits are written user-major, flips in input order, up to `capacity`;
+ * returns the total number of hits (the caller retries with more room when
+ * it exceeds the capacity). */
+int64_t repro_scan_flips(const int64_t *h1, const int64_t *inv, int64_t n,
+                         const int64_t *flips, int64_t f, uint64_t m, int64_t k,
+                         int64_t capacity, int64_t *users, int64_t *columns) {
+    const modulus_t mod = modulus(m, NULL, NULL, 0);
+    int64_t count = 0;
+    for (int64_t u = 0; u < n; ++u) {
+        const uint64_t start = (uint64_t)h1[u], step_inverse = (uint64_t)inv[u];
+        for (int64_t i = 0; i < f; ++i) {
+            const uint64_t p = (uint64_t)flips[i];
+            const uint64_t j = mulmod(p >= start ? p - start : p + (m - start), step_inverse, &mod);
+            if (j < (uint64_t)k) {
+                if (count < capacity) {
+                    users[count] = u;
+                    columns[count] = (int64_t)j;
+                }
+                ++count;
+            }
+        }
+    }
+    return count;
 }
 
 /* Xor 1 into bit pos[i] of the packed array `bits` for every i, in order,
@@ -377,12 +493,19 @@ _PTR, _INT, _UINT = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
 _SIGNATURES = {
     "repro_pair_counts": [_PTR, _INT, _PTR, _PTR, _INT, _PTR],
     "repro_hash_keys": [_PTR, _INT, _PTR, _PTR, _PTR, _UINT, _PTR],
-    "repro_recover_rows": [_PTR, _INT, _PTR, _PTR, _INT, _PTR, _UINT, _INT, _PTR],
+    "repro_step_positions": [_PTR, _PTR, _PTR, _INT, _UINT, _PTR],
+    "repro_offsets": [_PTR, _INT, _PTR, _PTR, _UINT, _PTR, _PTR, _INT, _PTR, _PTR, _PTR],
+    "repro_recover_rows": [_PTR, _PTR, _INT, _INT, _PTR, _UINT, _INT, _PTR],
+    "repro_scan_flips": [_PTR, _PTR, _INT, _PTR, _INT, _UINT, _INT, _INT, _PTR, _PTR],
     "repro_band_signatures": [_PTR, _INT, _INT, _INT, _INT, _PTR, _PTR, _PTR, _PTR],
     "repro_xor_positions": [_PTR, _PTR, _INT, _PTR, _PTR],
 }
 #: Kernels returning a value; the rest return nothing.
-_RESULTS = {"repro_xor_positions": _INT, "repro_vector_lanes": _INT}
+_RESULTS = {
+    "repro_xor_positions": _INT,
+    "repro_scan_flips": _INT,
+    "repro_vector_lanes": _INT,
+}
 
 _lock = threading.Lock()
 _cached: "NativeKernels | None" = None
@@ -516,24 +639,70 @@ class NativeKernels:
             )
         return out
 
-    def recover_rows(
+    def step_positions(
+        self, h1: np.ndarray, h2: np.ndarray, members: np.ndarray, num_bits: int
+    ) -> np.ndarray:
+        n = int(h1.shape[0])
+        out = np.empty(n, dtype=np.int64)
+        if n:
+            self._lib.repro_step_positions(
+                _pointer(h1), _pointer(h2), _pointer(members), n, num_bits, _pointer(out)
+            )
+        return out
+
+    def offsets(
         self,
         fingerprints: np.ndarray,
         coeff_a: np.ndarray,
         coeff_b: np.ndarray,
+        num_bits: int,
+        qinv: np.ndarray,
+        qlimit: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n = int(fingerprints.shape[0])
+        h1, h2, inverse = (np.empty(n, dtype=np.int64) for _ in range(3))
+        if n:
+            self._lib.repro_offsets(
+                _pointer(fingerprints), n, _pointer(coeff_a), _pointer(coeff_b), num_bits,
+                _pointer(qinv), _pointer(qlimit), qinv.shape[0], _pointer(h1), _pointer(h2),
+                _pointer(inverse),
+            )
+        return h1, h2, inverse
+
+    def recover_rows(
+        self,
+        h1: np.ndarray,
+        h2: np.ndarray,
         packed_bits: np.ndarray,
         num_bits: int,
         k: int,
         row_bytes: int,
     ) -> np.ndarray:
-        n = int(fingerprints.shape[0])
+        n = int(h1.shape[0])
         rows = np.zeros((n, row_bytes), dtype=np.uint8)
         if n:
             self._lib.repro_recover_rows(
-                _pointer(fingerprints), n, _pointer(coeff_a), _pointer(coeff_b), k,
-                _pointer(packed_bits), num_bits, row_bytes, _pointer(rows),
+                _pointer(h1), _pointer(h2), n, k, _pointer(packed_bits), num_bits, row_bytes,
+                _pointer(rows),
             )
         return rows
+
+    def scan_flips(
+        self, h1: np.ndarray, inverse: np.ndarray, flips: np.ndarray, num_bits: int, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        n, f = int(h1.shape[0]), int(flips.shape[0])
+        # Hits average n * f * k / m; start with room for several times that.
+        capacity = 64 + 4 * (n * f * k) // num_bits
+        while True:
+            users = np.empty(capacity, dtype=np.int64)
+            columns = np.empty(capacity, dtype=np.int64)
+            count = self._lib.repro_scan_flips(
+                _pointer(h1), _pointer(inverse), n, _pointer(flips), f, num_bits, k,
+                capacity, _pointer(users), _pointer(columns),
+            )
+            if count <= capacity:
+                return users[:count], columns[:count]
+            capacity = count
 
     def band_signatures(
         self,

@@ -8,8 +8,13 @@ behind the read and ingest paths (see :mod:`repro.kernels` for the dispatch laye
   buffers so the hot loop never allocates a fresh block-sized temporary.
 * :func:`hash_keys` — seeded Carter-Wegman hashing of an integer-key column
   (the ingest path's item and position hashes).
+* :func:`offsets` / :func:`step_positions` — the double-hash position
+  family: each user's offset ``h1`` and unit step ``h2`` modulo ``m``, and
+  the ingest path's per-element position ``(h1 + j * h2) mod m``.
 * :func:`recover_rows` — packed virtual-sketch rows: a block of users'
-  positions (:func:`affine_positions`) gathered from the packed array.
+  positions gathered from the packed array.
+* :func:`scan_flips` — the users and virtual bits a set of flipped
+  positions lands on, through each user's inverse step.
 * :func:`xor_positions` — the ingest write: xor 1 into listed bit positions
   of the packed array, repeats folded modulo 2 by one sort.
 * :func:`band_signatures` — the LSH banding fold: per-band SplitMix64 chains,
@@ -34,6 +39,7 @@ from repro.hashing.universal import (
     _GOLDEN,
     _affine_mod_mersenne,
     _mix64_array,
+    _reduce_mod_mersenne,
     fingerprint64_array,
 )
 
@@ -46,7 +52,12 @@ __all__ = [
     "hash_keys",
     "pair_block_pairs",
     "pair_counts",
+    "inverse_mod",
+    "mulmod",
+    "offsets",
     "recover_rows",
+    "scan_flips",
+    "step_positions",
     "xor_positions",
 ]
 
@@ -195,32 +206,141 @@ def affine_positions(
     return (wide % np.uint64(range_size)).astype(np.int64)
 
 
-def recover_rows(
+#: Unit candidates tried per user before the position family's step falls
+#: back to 1 (the C tier's ``UNIT_ATTEMPTS``).
+UNIT_ATTEMPTS = 256
+
+
+def mulmod(a: np.ndarray, b, m: int) -> np.ndarray:
+    """``a * b mod m`` elementwise for ``uint64`` values below ``m``.
+
+    One 64-bit product while ``m`` fits 32 bits; otherwise double-and-add
+    over the bits of ``b``, whose partial sums stay below ``2m < 2^64``.
+    """
+    modulus = np.uint64(m)
+    if m <= 0xFFFFFFFF:
+        return (a * b) % modulus
+    a, b = np.broadcast_arrays(np.asarray(a, np.uint64), np.asarray(b, np.uint64))
+    result = np.zeros(a.shape, dtype=np.uint64)
+    for bit in range(int(b.max(initial=0)).bit_length() - 1, -1, -1):
+        result = (result << np.uint64(1)) % modulus
+        chosen = ((b >> np.uint64(bit)) & np.uint64(1)).astype(bool)
+        result[chosen] = (result[chosen] + a[chosen]) % modulus
+    return result
+
+
+def offsets(
     fingerprints: np.ndarray,
     coeff_a: np.ndarray,
     coeff_b: np.ndarray,
+    num_bits: int,
+    qinv: np.ndarray,
+    qlimit: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(h1, h2)`` of the double-hash position family per fingerprint (``uint64``).
+
+    ``h1 = ((a[0] x + b[0]) mod p) mod m``; ``h2`` is the first unit of
+    ``Z_m`` among ``w_t mod m``, ``w_0 = (a[1] x + b[1]) mod p`` and
+    ``w_{t+1} = mix64(w_t ^ GOLDEN) mod p``, or ``1 mod m`` after
+    :data:`UNIT_ATTEMPTS` non-units.  ``c`` is a unit when no prime ``q`` of
+    ``m`` divides it: ``c * qinv (mod 2^64) > qlimit`` for each.
+    """
+    modulus = np.uint64(num_bits)
+    h1 = _affine_mod_mersenne(fingerprints, coeff_a[0], coeff_b[0]) % modulus
+    h2 = np.full(fingerprints.shape, 1 % num_bits, dtype=np.uint64)
+    pending = np.arange(fingerprints.shape[0])
+    w = _affine_mod_mersenne(fingerprints, coeff_a[1], coeff_b[1])
+    golden = np.uint64(_GOLDEN)
+    for _ in range(UNIT_ATTEMPTS):
+        candidates = w % modulus
+        unit = np.ones(candidates.shape, dtype=bool)
+        for inverse, limit in zip(qinv.tolist(), qlimit.tolist()):
+            unit &= candidates * np.uint64(inverse) > np.uint64(limit)
+        h2[pending[unit]] = candidates[unit]
+        pending, w = pending[~unit], w[~unit]
+        if not pending.size:
+            break
+        w = _reduce_mod_mersenne(_mix64_array(w ^ golden))
+    return h1, h2
+
+
+def inverse_mod(values: np.ndarray, num_bits: int) -> np.ndarray:
+    """The inverses of the units ``values`` of ``Z_m`` in ``[0, m)`` (``uint64``),
+    by the extended Euclidean algorithm run over the whole array at once."""
+    r0 = np.full(values.shape, num_bits, dtype=np.int64)
+    r1 = values.astype(np.int64)
+    t0 = np.zeros(values.shape, dtype=np.int64)
+    t1 = np.ones(values.shape, dtype=np.int64)
+    active = r1 != 0
+    while active.any():
+        q = np.zeros_like(r0)
+        q[active] = r0[active] // r1[active]
+        r0, r1 = np.where(active, r1, r0), np.where(active, r0 - q * r1, r1)
+        t0, t1 = np.where(active, t1, t0), np.where(active, t0 - q * t1, t1)
+        active = r1 != 0
+    return (t0 % num_bits).astype(np.uint64)
+
+
+def step_positions(h1: np.ndarray, h2: np.ndarray, members: np.ndarray, num_bits: int) -> np.ndarray:
+    """``(h1 + members * h2) mod m`` elementwise (broadcast), as ``int64``:
+    position ``members[i]`` of the user with offsets ``(h1[i], h2[i])``."""
+    modulus = np.uint64(num_bits)
+    position = h1.astype(np.uint64) + mulmod(
+        members.astype(np.uint64), h2.astype(np.uint64), num_bits
+    )
+    return np.where(position >= modulus, position - modulus, position).astype(np.int64)
+
+
+def recover_rows(
+    h1: np.ndarray,
+    h2: np.ndarray,
     packed_bits: np.ndarray,
     num_bits: int,
     k: int,
     row_bytes: int,
 ) -> np.ndarray:
-    """Packed rows of the bits at :func:`affine_positions` over ``k`` coefficients.
+    """Packed rows of the bits at ``(h1[u] + j * h2[u]) mod m`` for ``j < k``.
 
-    Users go a block at a time, so the affine step's ~20 elementwise passes
-    each stay within a :data:`TARGET_BLOCK_BYTES` buffer.
+    Users go a block at a time, so the position matrix stays within a
+    :data:`TARGET_BLOCK_BYTES` buffer.
     """
-    n = fingerprints.shape[0]
+    n = h1.shape[0]
     rows = np.zeros((n, row_bytes), dtype=np.uint8)
-    coeff_a, coeff_b = coeff_a[:k], coeff_b[:k]
+    steps = np.arange(k, dtype=np.uint64)
     block = max(1, TARGET_BLOCK_BYTES // (8 * k))
     for start in range(0, n, block):
-        positions = affine_positions(
-            fingerprints[start : start + block, None], coeff_a, coeff_b, num_bits
-        )
+        first, step = h1[start : start + block, None], h2[start : start + block, None]
+        position = step_positions(first, step, steps[None, :], num_bits)
         rows[start : start + block, : (k + 7) // 8] = np.packbits(
-            gather_bits(packed_bits, positions), axis=1
+            gather_bits(packed_bits, position), axis=1
         )
     return rows
+
+
+def scan_flips(
+    h1: np.ndarray, inverse: np.ndarray, flips: np.ndarray, num_bits: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(users, columns)`` of every hit of the sorted ``flips`` on users with
+    offsets ``h1`` and inverse steps ``inverse``: flip ``p`` is user ``u``'s
+    bit ``j = (p - h1[u]) * inverse[u] mod m`` when ``j < k``.  User-major,
+    flips in input order, as the C tier writes them."""
+    n, f = h1.shape[0], flips.shape[0]
+    modulus = np.uint64(num_bits)
+    flips = flips.astype(np.uint64)
+    users: list[np.ndarray] = []
+    columns: list[np.ndarray] = []
+    block = max(1, TARGET_BLOCK_BYTES // (8 * max(1, f)))
+    for start in range(0, n, block):
+        first = h1[start : start + block, None].astype(np.uint64)
+        distance = (flips[None, :] + (modulus - first)) % modulus
+        j = mulmod(distance, inverse[start : start + block, None].astype(np.uint64), num_bits)
+        hit_users, hit_flips = np.nonzero(j < np.uint64(k))
+        users.append(hit_users + start)
+        columns.append(j[hit_users, hit_flips].astype(np.int64))
+    if not users:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    return np.concatenate(users).astype(np.int64), np.concatenate(columns)
 
 
 def xor_positions(packed_bits: np.ndarray, positions: np.ndarray) -> tuple[int, int, np.ndarray]:

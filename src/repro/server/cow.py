@@ -18,16 +18,23 @@ module publishes at O(touched shards) instead:
   carried over by reference: the new epoch's shard *is* the previous
   epoch's object.
 
-LSH tables need no code here: each shard holds its own
-(``VirtualOddSketch.index_table``, keyed to the array's change stamp).  An
-untouched shard brings its table along with the object, and a touched
-shard's copy starts with its source's table, which the patch then makes
-stale, so the new epoch's first ``lsh`` read rebuilds exactly the shards
-this publish changed.
+Rows and LSH tables are derived state, and a publish changes little of it.
+Each shard holds its row memo and LSH table (``VirtualOddSketch.index_table``),
+keyed to the array's change stamp.  An untouched shard brings both along
+with the object.  A touched shard's copy also records what its patch
+flipped (:meth:`~repro.core.vos.VirtualOddSketch.track_patch`): the
+positions ``old ^ new`` of the delta's words, beside its source, whose memo
+and table describe the old bits.  The epoch's first read then carries the
+source's rows over and toggles only the row bits those positions name
+(the double-hash position family inverts a position into its users), and
+its first ``lsh`` read re-keys only those rows' band entries, instead of
+recovering every row and rebuilding every table.  A write too large for
+that (a fixed cost rule) falls back to full recovery.
 
 The copy is a flat cost per touched shard (``m / 8`` bytes, the packed
-array); applying the delta is O(changed words).  Nothing
-accumulates across publishes, so the cost does not grow with run length.
+array); applying the delta and listing its flipped positions are
+O(changed words).  Nothing accumulates across publishes, so the cost does
+not grow with run length.
 
 Exact-state guarantees: ``apply_packed_words`` re-derives the popcount from
 the before/after bits and rejects out-of-range, repeated or pad-setting
@@ -42,7 +49,7 @@ the parity suite under both kernel tiers.
 
 from __future__ import annotations
 
-from repro.core.vos import VirtualOddSketch
+from repro.core.vos import VirtualOddSketch, flipped_positions
 from repro.exceptions import SnapshotError
 from repro.hashing.bitpack import next_stamp
 from repro.service.delta import apply_shard_delta
@@ -89,11 +96,14 @@ class CowEpochPublisher:
         The payload's ``cursor`` becomes this publisher's cursor.  Only
         shards the delta touches get a new copy and a new sketch view;
         every other shard of the new epoch *is* the previous epoch's shard
-        object, LSH table included.
+        object, LSH table included.  A new shard copy records its flipped
+        positions for its first read to patch from; the patch itself never
+        runs here.
         """
         for entry in delta["shards"]:
             index = entry["shard"]
-            frozen = VirtualOddSketch.cow_view(self._current_shards[index])
+            source = self._current_shards[index]
+            frozen = VirtualOddSketch.cow_view(source)
             # Untracked: frozen views are never read for changes, so they
             # carry no stamp memory.
             problem = apply_shard_delta(frozen, entry, track=False)
@@ -101,6 +111,10 @@ class CowEpochPublisher:
                 raise SnapshotError(
                     f"cow copy {problem} — writer and epoch diverged"
                 )
+            frozen.track_patch(
+                source,
+                flipped_positions(source.shared_array, frozen.shared_array, entry["words"]),
+            )
             self._current_shards[index] = frozen
         service = self._assemble(
             elements=delta["elements_ingested"], batches=delta["batches_ingested"]

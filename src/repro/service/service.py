@@ -380,12 +380,19 @@ class SimilarityService:
         # an ``lsh`` query created — or a snapshot load restored — the index.
         stats["index"] = None if self._index is None else self._index.stats()
         # Bytes held per layer; the paper's cost model charges only "array".
+        # Each stats() call also publishes them as ``memory.<layer>_bytes``
+        # gauges, so a metrics snapshot carries the last reading.
         memory: Counter = Counter()
         for shard in sketch.row_shards():
             memory.update(shard.memory_bytes())
         users = stats["users"]
         memory["per_user"] = sum(memory.values()) / users if users else None
         stats["memory_bytes"] = dict(memory)
+        registry = get_registry()
+        if registry.enabled:
+            for layer, value in memory.items():
+                if value is not None:
+                    registry.set_gauge(f"memory.{layer}_bytes", value, unit="bytes")
         shards, cursor = sketch.row_shards(), self._journal_cursor
         stats["persistence"] = {
             "snapshot_path": None if self._snapshot_path is None else str(self._snapshot_path),

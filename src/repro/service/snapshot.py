@@ -1,4 +1,4 @@
-"""Versioned binary snapshots of VOS sketch state (format v2).
+"""Versioned binary snapshots of VOS sketch state (format v3).
 
 A snapshot captures everything needed to resume serving after a restart — or
 to ship a sketch to another process — with a **bit-exact** round-trip
@@ -10,7 +10,7 @@ Layout (little-endian)::
 
     offset  size  field
     0       8     magic  b"VOSSNAP\\x00"
-    8       4     format version (currently 2; version-1 files still load)
+    8       4     format version (currently 3; older versions are refused)
     12      4     header length H
     16      H     header: UTF-8 JSON (kind, checkpoint id, parameters,
                   section + extra tables, CRC-32)
@@ -26,8 +26,15 @@ header), so every parameter and length it declares is checked before it
 sizes anything: an ``m``-bit array is built only once its section holds
 exactly ``ceil(m / 8)`` bytes.
 
-**What's new in v2** over the v1 format (whose core sections are unchanged,
-which is why v1 files still load):
+**What's new in v3** over v2: nothing in the layout.  The version names the
+hash family the bits were written with: v3 arrays hold each user's virtual
+bits at the double-hash positions of
+:class:`~repro.hashing.families.PositionFamily`, v1 and v2 arrays at the
+``k``-member Carter-Wegman family it replaced.  The same bits read under the
+other family would give silently wrong estimates, so v1 and v2 files raise
+:class:`~repro.exceptions.SnapshotError` naming their version.
+
+**What v2 added** over v1:
 
 * a random ``checkpoint_id`` binding the snapshot to its write-ahead journal
   (:mod:`repro.service.journal`) — a journal can only be replayed onto the
@@ -70,8 +77,8 @@ from repro.service.sharding import ShardedVOS
 from repro.streams.batch import decode_id_column, encode_id_column  # noqa: F401
 
 MAGIC = b"VOSSNAP\x00"
-FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+SUPPORTED_VERSIONS = (3,)
 
 # Read the process umask once at import (single-threaded): os.umask is a
 # set-and-restore toggle on process-global state, so probing it per write

@@ -463,11 +463,11 @@ class TestSnapshotCommands:
         )
         return snapshot, more
 
-    def test_info_reports_v2_and_no_journal(self, seeded, capsys):
+    def test_info_reports_v3_and_no_journal(self, seeded, capsys):
         snapshot, _ = seeded
         assert main(["snapshot", "info", "--snapshot", str(snapshot), "--csv"]) == 0
         out = capsys.readouterr().out
-        assert "format version,2" in out
+        assert "format version,3" in out
         assert "journal,none" in out
 
     def test_delta_then_load_matches_full_rewrite(self, seeded, capsys, tmp_path):

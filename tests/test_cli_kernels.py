@@ -133,19 +133,41 @@ def test_kernels_bench_reports_median_of_repeated_calls(capsys, monkeypatch):
 
     from repro import cli
 
-    honest = kernels.hash_keys
+    honest = kernels.scan_flips
     calls: Counter = Counter()
 
     def counting(*args):
         calls[kernels.active_tier()] += 1
         return honest(*args)
 
-    monkeypatch.setattr(kernels, "hash_keys", counting)
+    monkeypatch.setattr(kernels, "scan_flips", counting)
     assert main(["kernels", "--bench", "--users", "16", "--pairs", "100", "--csv"]) == 0
     output = capsys.readouterr().out
     assert f"median of {cli.KERNEL_BENCH_REPEATS} calls" in output
     assert cli.KERNEL_BENCH_REPEATS > 1
     assert calls and set(calls.values()) == {cli.KERNEL_BENCH_REPEATS}
+
+
+def test_kernels_bench_times_the_flip_scan(capsys):
+    assert main(["kernels", "--bench", "--users", "32", "--pairs", "500", "--csv"]) == 0
+    output = capsys.readouterr().out
+    assert "scan ms" in output and "offsets ms" in output
+
+
+def test_kernels_bench_fails_when_scan_hits_disagree(capsys, monkeypatch):
+    if not kernels.kernel_info()["native"]["available"]:
+        pytest.skip("no C compiler: only one tier to compare")
+    from repro.kernels import numpy_tier
+
+    honest = numpy_tier.scan_flips
+
+    def corrupted(*args):
+        users, columns = honest(*args)
+        return users, columns + 1
+
+    monkeypatch.setattr(numpy_tier, "scan_flips", corrupted)
+    assert main(["kernels", "--bench", "--users", "64", "--pairs", "500"]) == 2
+    assert "disagree on scan hits" in capsys.readouterr().err
 
 
 def test_kernels_bench_times_the_ingest_xor(capsys):

@@ -403,7 +403,15 @@ class TestSearchIntegration:
         )
         sketch.process_batch(clone_pool_elements(num_users=2000))
         index = BandedSketchIndex(sketch)
-        nearest_neighbours(sketch, 0, k=5, index=index)  # warm the tables
+        # At this sparse geometry a clone shares a band bucket with ~70% of
+        # users (chance, whatever the seed): query the first user whose clone
+        # is a candidate, so the answer checked below is not empty.
+        pool = set(range(2000))
+        target = next(
+            user for user in range(0, 2000, 2)
+            if user + 1 in index.neighbour_candidates(user, pool)
+        )
+        nearest_neighbours(sketch, target, k=5, index=index)  # warm the tables
         calls = {"cardinality": 0, "users": 0, "gather": 0}
 
         def counting(name, original):
@@ -423,8 +431,8 @@ class TestSearchIntegration:
         monkeypatch.setattr(
             BandedSketchIndex, "_gather", counting("gather", BandedSketchIndex._gather)
         )
-        results = nearest_neighbours(sketch, 0, k=5, index=index)
-        assert results and results[0].user_b == 1
+        results = nearest_neighbours(sketch, target, k=5, index=index)
+        assert results and results[0].user_b == target + 1
         candidates = index.stats()["last_neighbour_candidates"]
         assert candidates < 100
         assert calls["cardinality"] <= candidates + 1
@@ -470,9 +478,13 @@ class TestServiceIntegration:
         ]
 
     def test_pairs_above_and_lsh_topk_user(self, service):
-        screened = service.pairs_above(0.9, candidates="lsh")
-        assert {(p.user_a, p.user_b) for p in screened} >= {
-            (2 * i, 2 * i + 1) for i in range(5)
+        screened = {(p.user_a, p.user_b) for p in service.pairs_above(0.9, candidates="lsh")}
+        clones = {(2 * i, 2 * i + 1) for i in range(100)}
+        # Banding recall is a probability: over seeds 9-13 this geometry
+        # screens 84-94 of the 100 clone pairs, and nothing else.
+        assert len(screened & clones) >= 80
+        assert screened <= {
+            (p.user_a, p.user_b) for p in service.pairs_above(0.9)
         }
         neighbours = service.top_k(0, k=1, index="lsh")
         assert neighbours and neighbours[0].user_b == 1
@@ -644,8 +656,11 @@ class TestIndexPersistence:
         fresh = SimilarityService.from_state_bytes(
             service.dumps_state(include_index=False)
         )
-        answers = {user: fresh.top_k(user, k=5, index="lsh") for user in (11, 118, 4, 5)}
-        assert answers[11] and answers[4]
+        answers = {user: fresh.top_k(user, k=5, index="lsh") for user in range(120)}
+        # Both shards' tables answer something: the corrupted one (11's) and
+        # the restored one.
+        assert answers[11]
+        assert any(answers[user] for user in answers if service.sketch.shard_of(user) != home)
         for user, expected in answers.items():
             assert restored.top_k(user, k=5, index="lsh") == expected
         assert restored.stats()["index"]["rebuilds"] == 1

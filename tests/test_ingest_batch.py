@@ -147,23 +147,35 @@ def test_batch_ingest_matches_element_loop_and_per_shard_path(seed, layout, obje
 
 
 def test_sharded_batch_hashes_three_times(monkeypatch):
-    """One integer batch on 8 shards makes three ``hash_keys`` dispatches:
-    the router over its distinct users, ``psi`` over its items and the
-    positions.  (The per-shard path made 17: one route, then ``psi`` and
-    positions once per shard.)"""
+    """One integer batch on 8 shards makes two ``hash_keys`` dispatches (the
+    router over its distinct users, ``psi`` over its items) and one position
+    dispatch over its elements.  (The per-shard path made 17: one route,
+    then ``psi`` and positions once per shard.)  Each shard derives position
+    offsets only for users it has not seen, once per user."""
     calls = []
-    original = kernels.hash_keys
 
-    def counting(*args, **kwargs):
-        calls.append(len(args[0]))
-        return original(*args, **kwargs)
+    def counting(name):
+        original = getattr(kernels, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, len(args[0])))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, wrapper)
 
     sketch = ShardedVOS(8, ARRAY_BITS, SKETCH_SIZE, seed=3)
     rng = np.random.default_rng(3)
     batch = ElementBatch(rng.integers(0, 500, 4096), rng.integers(0, 900, 4096), np.ones(4096))
-    monkeypatch.setattr(kernels, "hash_keys", counting)
+    for name in ("hash_keys", "step_positions", "offsets"):
+        counting(name)
     sketch.process_batch(batch)
-    assert sorted(calls) == sorted([len(np.unique(batch.users)), 4096, 4096])
+    distinct = len(np.unique(batch.users))
+    hashed = sorted(size for name, size in calls if name != "offsets")
+    assert hashed == sorted([distinct, 4096, 4096])
+    assert sum(size for name, size in calls if name == "offsets") == distinct
+    calls.clear()
+    sketch.process_batch(batch)
+    assert not [size for name, size in calls if name == "offsets"]
     assert {index for index, shard in enumerate(sketch.shards) if shard.num_users} == set(
         range(8)
     )

@@ -4,8 +4,10 @@ Every fast path in this repo ships with a bit-identity gate against its
 reference implementation; the kernel tiers get the same treatment.  The
 matrix covers sketch sizes {63, 64, 1024, 1536}, empty pair lists, odd
 (non-word-aligned) row widths against a scalar popcount loop, string-id
-pools, row recovery against ``apply_many_array`` + gather + pack (edge
-fingerprints, ragged widths, array lengths, boundary checks), end-to-end
+pools, the position family's offsets, row recovery (against
+``apply_many_array`` + gather + pack), flip scan (against brute force) and
+ingest positions over array lengths 1, 2, k, a power of two, primes and
+7,680,000 (edge fingerprints, ragged widths, boundary checks), end-to-end
 rankings, LSH candidate generation, and the strict
 ``REPRO_KERNEL=native`` failure mode.  Native cases skip (never silently
 pass) when no compiler is available — CI runs this file under both
@@ -22,7 +24,7 @@ from repro import kernels
 from repro.core.memory import MemoryBudget
 from repro.core.vos import VirtualOddSketch, packed_row_bytes, pair_xor_counts
 from repro.exceptions import ConfigurationError
-from repro.hashing.families import HashFamily
+from repro.hashing.families import HashFamily, PositionFamily
 from repro.hashing.bitpack import PackedBitArray, next_stamp
 from repro.hashing.universal import _MERSENNE_P, UniversalHash, fingerprint64, stable_hash64
 from repro.index import BandedSketchIndex, IndexConfig
@@ -252,7 +254,7 @@ class TestHashKeyParity:
         exact integers: ranges above 768 take the native vector body, and
         the 171 keys leave a 3-key tail."""
         coeff_a, coeff_b = _edge_coefficients()
-        fingerprints = TestRecoverRowParity.EDGE_FINGERPRINTS
+        fingerprints = TestPositionFamilyParity.EDGE_FINGERPRINTS
         keys = np.array(
             [_key_with_fingerprint(fp) for fp in fingerprints for _ in coeff_a],
             dtype=np.int64,
@@ -321,7 +323,7 @@ def _random_array(rng, num_bits: int) -> PackedBitArray:
     return array
 
 
-def _reference_rows(family: HashFamily, keys, array: PackedBitArray, k: int) -> np.ndarray:
+def _reference_rows(family: PositionFamily, keys, array: PackedBitArray, k: int) -> np.ndarray:
     """``apply_many_array`` + gather + pack: the unfused definition of a row."""
     bits = array.gather(family.apply_many_array(keys)[:, :k])
     rows = np.zeros((len(keys), packed_row_bytes(k)), dtype=np.uint8)
@@ -445,99 +447,136 @@ class TestXorPositionParity:
             assert array.to_packed_bytes() == before
 
 
-class TestRecoverRowParity:
+#: Array lengths the position-family parity covers: 1, 2, the family size
+#: (k = m), a power of two, primes (one below the fast-modulo bound, one
+#: above it) and the perfbench shard size.
+_FAMILY_RANGES = [1, 2, 77, 4_096, 6_143, 10_007, 7_680_000]
+
+
+def _python_offsets(family: PositionFamily, fingerprint: int) -> tuple[int, int, int]:
+    """``(h1, h2, h2^-1)`` in Python integers: the family's scalar definition."""
+    h1, h2 = family._scalar_offsets(fingerprint)
+    m = family.range_size
+    return h1, h2, pow(h2, -1, m) if m > 1 else 0
+
+
+class TestPositionFamilyParity:
+    """The double-hash position family's kernels: per-user offsets, row
+    recovery, the flip scan and the ingest position hash, bit-identical on
+    every tier to the Python-integer definition."""
+
     EDGE_FINGERPRINTS = [
         0, 1, _MERSENNE_P - 1, _MERSENNE_P, _MERSENNE_P + 1, 2 * _MERSENNE_P,
         2**63, 2**64 - 2, 2**64 - 1,
     ]
 
-    def _check(self, family, keys, array, k, fingerprints=None):
-        if fingerprints is None:
-            fingerprints = np.array([fingerprint64(key) for key in keys], dtype=np.uint64)
-        expected = _reference_rows(family, keys, array, k)
-        for tier in tiers():
-            with kernels.use_tier(tier):
-                rows = kernels.recover_rows(
-                    fingerprints, family._coeff_a, family._coeff_b,
-                    array.storage, len(array), k,
-                )
-            assert rows.dtype == np.uint8
-            assert np.array_equal(rows, expected), (tier, k, len(array))
+    def _family(self, num_bits: int, k: int = 77, seed: int = 6) -> PositionFamily:
+        return PositionFamily(size=min(k, num_bits), range_size=num_bits, seed=seed)
 
-    def test_fingerprints_at_and_above_the_prime(self):
-        keys = [_key_with_fingerprint(fp) for fp in self.EDGE_FINGERPRINTS]
-        assert [fingerprint64(key) for key in keys] == self.EDGE_FINGERPRINTS
-        family = HashFamily(size=192, range_size=10_007, seed=3)
-        array = _random_array(np.random.default_rng(1), 10_007)
-        self._check(
-            family, keys, array, 192,
-            fingerprints=np.array(self.EDGE_FINGERPRINTS, dtype=np.uint64),
+    @pytest.mark.parametrize("num_bits", _FAMILY_RANGES + [2**32 + 15, 2**40 + 3])
+    def test_offsets_match_python_integers(self, num_bits):
+        family = self._family(num_bits)
+        rng = np.random.default_rng(num_bits % 991)
+        fps = np.concatenate(
+            (np.array(self.EDGE_FINGERPRINTS, dtype=np.uint64),
+             rng.integers(0, 2**63, size=200, dtype=np.int64).astype(np.uint64))
         )
-
-    @pytest.mark.parametrize("num_bits", _EDGE_RANGES)
-    def test_coefficients_at_the_prime_boundary(self, num_bits):
-        """Extreme ``a``/``b`` against edge fingerprints, checked with exact integers.
-
-        Ranges above 768 take the native AVX-512 body (where the host has
-        it) and 768 the scalar one; 19 coefficients leave a 3-position tail.
-        """
-        # a = p - 1, b = 11 and fingerprint 2^64 - 1 give a * x + b with both
-        # 61-bit halves summing past 2p unless x is fully reduced first.
-        coeff_a, coeff_b = _edge_coefficients()
-        k = len(coeff_a)
-        array = _random_array(np.random.default_rng(3), num_bits)
-        storage = array.storage
-        expected = np.zeros((len(self.EDGE_FINGERPRINTS), packed_row_bytes(k)), np.uint8)
-        for row, fp in enumerate(self.EDGE_FINGERPRINTS):
-            positions = [
-                ((int(a) * fp + int(b)) % _MERSENNE_P) % num_bits
-                for a, b in zip(coeff_a, coeff_b)
-            ]
-            bits = [(int(storage[p >> 3]) >> (7 - (p & 7))) & 1 for p in positions]
-            expected[row, : (k + 7) // 8] = np.packbits(bits)
+        expected = np.array([_python_offsets(family, int(fp)) for fp in fps]).T
         for tier in tiers():
             with kernels.use_tier(tier):
-                rows = kernels.recover_rows(
-                    np.array(self.EDGE_FINGERPRINTS, dtype=np.uint64),
-                    coeff_a, coeff_b, storage, num_bits, k,
-                )
-            assert np.array_equal(rows, expected), (tier, num_bits)
+                got = np.stack(family.offsets(fps))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected), (tier, num_bits)
+        # Units: every step is coprime to m, so a user's positions are distinct.
+        assert all(np.gcd(int(h2), num_bits) == 1 for h2 in expected[1])
 
-    def test_storage_must_span_whole_words(self):
-        """The native tier gathers whole 64-bit words, so a buffer one byte
-        short of ``8 * ceil(num_bits / 64)`` is refused on every tier."""
-        fps = np.arange(4, dtype=np.uint64)
-        coeff = np.arange(1, 9, dtype=np.uint64)
-        for num_bits in (100, 4_099):
-            words = 8 * ((num_bits + 63) // 64)
-            bits = np.zeros(words, dtype=np.uint8)
-            for tier in tiers():
-                with kernels.use_tier(tier):
-                    assert kernels.recover_rows(fps, coeff, coeff, bits, num_bits, 8).shape == (4, 8)
-                    with pytest.raises(IndexError):
-                        kernels.recover_rows(fps, coeff, coeff, bits[:-1], num_bits, 8)
+    @pytest.mark.parametrize("num_bits", _FAMILY_RANGES)
+    def test_rows_match_gather_and_pack(self, num_bits):
+        rng = np.random.default_rng(num_bits)
+        keys = list(range(-20, 20)) + [2**63 - 1, -(2**63)]
+        family = self._family(num_bits)
+        array = _random_array(rng, num_bits)
+        self._check_rows(family, keys, array)
+        for row in family.apply_many_array(keys).tolist():
+            assert len(set(row)) == family.size
+
+    def _check_rows(self, family, keys, array):
+        expected = _reference_rows(family, keys, array, family.size)
+        fps = np.array([fingerprint64(key) for key in keys], dtype=np.uint64)
+        for tier in tiers():
+            with kernels.use_tier(tier):
+                h1, h2, _ = family.offsets(fps)
+                rows = family.recover_rows(h1, h2, array.storage)
+            assert rows.dtype == np.uint8
+            assert np.array_equal(rows, expected), (tier, family.size, len(array))
 
     def test_string_and_mixed_ids(self):
         keys = ["alice", "bob", ("tuple", 1), 2**70, -5, True, 7]
-        family = HashFamily(size=100, range_size=4096, seed=8)
-        self._check(family, keys, _random_array(np.random.default_rng(2), 4096), 100)
+        family = PositionFamily(size=100, range_size=4096, seed=8)
+        self._check_rows(family, keys, _random_array(np.random.default_rng(2), 4096))
 
     @pytest.mark.parametrize("k", [1, 7, 9, 63, 65, 100, 1536])
     def test_ragged_widths_keep_pad_bits_zero(self, k):
         rng = np.random.default_rng(k)
         keys = rng.integers(-(2**63), 2**63 - 1, size=40, dtype=np.int64).tolist()
-        family = HashFamily(size=1536, range_size=50_000, seed=4)
+        family = PositionFamily(size=k, range_size=50_000, seed=4)
         array = _random_array(rng, 50_000)
-        self._check(family, keys, array, k)
+        self._check_rows(family, keys, array)
         array.load_packed_bytes(b"\xff" * (50_000 // 8))
-        self._check(family, keys, array, k)
+        self._check_rows(family, keys, array)
 
-    @pytest.mark.parametrize("num_bits", [1, 3, 7_680_000])
-    def test_array_lengths(self, num_bits):
-        rng = np.random.default_rng(num_bits)
-        keys = list(range(-20, 20)) + [2**63 - 1, -(2**63)]
-        family = HashFamily(size=77, range_size=num_bits, seed=6)
-        self._check(family, keys, _random_array(rng, num_bits), 77)
+    @pytest.mark.parametrize("num_bits", _FAMILY_RANGES)
+    def test_scan_finds_exactly_the_users_bits_a_flip_holds(self, num_bits):
+        """Brute force: flip ``p`` is user ``u``'s bit ``j`` iff ``u``'s
+        position ``j`` is ``p``; hits come user-major, flips in order."""
+        rng = np.random.default_rng(num_bits + 1)
+        family = self._family(num_bits, k=min(77, num_bits))
+        keys = list(range(60))
+        positions = family.apply_many_array(keys)
+        # Every user's first and last positions, plus random ones.
+        flips = np.unique(
+            np.concatenate(
+                (positions[:, 0], positions[:, -1], rng.integers(0, num_bits, size=50))
+            )
+        )
+        expected = [
+            (user, row.index(flip))
+            for user, row in enumerate(positions.tolist())
+            for flip in flips.tolist()
+            if flip in row
+        ]
+        fps = np.array([fingerprint64(key) for key in keys], dtype=np.uint64)
+        for tier in tiers():
+            with kernels.use_tier(tier):
+                h1, _, inverse = family.offsets(fps)
+                users, columns = family.scan_flips(h1, inverse, flips)
+            assert list(zip(users.tolist(), columns.tolist())) == expected, (tier, num_bits)
+
+    def test_scan_grows_past_its_first_capacity(self):
+        """A dense flip set (every position) overflows the native tier's first
+        guess of the hit count; the retry returns every hit."""
+        family = PositionFamily(size=64, range_size=4_096, seed=2)
+        fps = np.arange(300, dtype=np.uint64)
+        flips = np.arange(4_096)
+        results = []
+        for tier in tiers():
+            with kernels.use_tier(tier):
+                h1, _, inverse = family.offsets(fps)
+                users, columns = family.scan_flips(h1, inverse, flips)
+            assert len(users) == 300 * 64
+            results.append((users.tolist(), columns.tolist()))
+        assert all(result == results[0] for result in results)
+
+    @pytest.mark.parametrize("num_bits", _FAMILY_RANGES + [2**32 + 15])
+    def test_ingest_positions_match_scalar_updates(self, num_bits):
+        family = self._family(num_bits)
+        rng = np.random.default_rng(7)
+        keys = rng.integers(-(2**62), 2**62, size=300)
+        members = rng.integers(0, family.size, size=300)
+        expected = [family.hash_pair(int(key), int(j)) for key, j in zip(keys, members)]
+        for tier in tiers():
+            with kernels.use_tier(tier):
+                assert family.hash_pairs(keys, members).tolist() == expected, tier
 
     def test_vos_rows_match_reference_for_every_tier(self):
         sketch = _string_pool_sketch()
@@ -551,47 +590,78 @@ class TestRecoverRowParity:
                     fresh = VirtualOddSketch.cow_view(shard)
                     assert np.array_equal(fresh.packed_rows(users), expected), tier
 
-    def test_empty_user_list(self):
-        coeff = np.ones(8, dtype=np.uint64)
+    def test_storage_must_span_whole_words(self):
+        offsets = np.arange(4, dtype=np.int64)
+        for num_bits in (100, 4_099):
+            words = 8 * ((num_bits + 63) // 64)
+            bits = np.zeros(words, dtype=np.uint8)
+            for tier in tiers():
+                with kernels.use_tier(tier):
+                    rows = kernels.recover_rows(offsets, offsets + 1, bits, num_bits, 8)
+                    assert rows.shape == (4, 8)
+                    with pytest.raises(IndexError):
+                        kernels.recover_rows(offsets, offsets + 1, bits[:-1], num_bits, 8)
+
+    def test_empty_inputs(self):
+        empty = np.empty(0, dtype=np.int64)
         bits = np.zeros(8, dtype=np.uint8)
+        family = PositionFamily(size=8, range_size=64, seed=1)
         for tier in tiers():
             with kernels.use_tier(tier):
-                rows = kernels.recover_rows(np.empty(0, np.uint64), coeff, coeff, bits, 64, 8)
-            assert rows.shape == (0, 8)
+                assert kernels.recover_rows(empty, empty, bits, 64, 8).shape == (0, 8)
+                users, columns = kernels.scan_flips(empty, empty, [3, 5], 64, 8)
+                assert users.size == columns.size == 0
+                h1, _, inverse = family.offsets(np.arange(3, dtype=np.uint64))
+                users, columns = kernels.scan_flips(h1, inverse, empty, 64, 8)
+                assert users.size == columns.size == 0
+                assert all(part.size == 0 for part in family.offsets(np.empty(0, np.uint64)))
 
     def test_bad_inputs_raise_before_native_code(self):
-        fps = np.arange(4, dtype=np.uint64)
-        coeff = np.arange(1, 9, dtype=np.uint64)
+        offsets = np.arange(4, dtype=np.int64)
         bits = np.zeros(8, dtype=np.uint8)
+        family = PositionFamily(size=8, range_size=64, seed=1)
+        coeff_a, coeff_b, _, qinv, qlimit = family._kernel_arguments()
         configuration_errors = [
-            (fps.astype(np.int64), coeff, coeff, bits, 64, 8),
-            (fps, coeff.astype(np.int64), coeff, bits, 64, 8),
-            (fps, coeff, coeff.astype(np.float64), bits, 64, 8),
-            (fps, coeff, coeff, bits.astype(np.uint64), 64, 8),
-            (fps.reshape(2, 2), coeff, coeff, bits, 64, 8),
-            (fps, coeff.reshape(2, 4), coeff.reshape(2, 4), bits, 64, 8),
-            (fps, coeff, coeff[:4], bits, 64, 4),
-            (fps, coeff, coeff, bits, 64, 9),
-            (fps, coeff, coeff, bits, 64, 0),
-            (fps, coeff, coeff, bits, 0, 8),
-            (fps, coeff, coeff, bits, -8, 8),
-            (fps, coeff, coeff, bits, 64.0, 8),
-            (np.arange(8, dtype=np.uint64)[::2], coeff, coeff, bits, 64, 8),
-            (fps, np.arange(16, dtype=np.uint64)[::2], coeff, bits, 64, 8),
-            (fps, coeff, coeff, np.zeros(16, dtype=np.uint8)[::2], 64, 8),
-            (fps, np.full(8, _MERSENNE_P, dtype=np.uint64), coeff, bits, 64, 8),
-            (fps, coeff, np.full(8, 2**64 - 1, dtype=np.uint64), bits, 64, 8),
-            (fps.tolist(), coeff, coeff, bits, 64, 8),
+            lambda: kernels.recover_rows(offsets.astype(np.uint64), offsets, bits, 64, 8),
+            lambda: kernels.recover_rows(offsets, offsets[:3], bits, 64, 8),
+            lambda: kernels.recover_rows(offsets, offsets, bits.astype(np.uint64), 64, 8),
+            lambda: kernels.recover_rows(offsets, offsets, bits, 64, 0),
+            lambda: kernels.recover_rows(offsets, offsets, bits, 64, 65),
+            lambda: kernels.recover_rows(offsets, offsets, bits, 0, 8),
+            lambda: kernels.recover_rows(offsets, offsets, bits, 64.0, 8),
+            lambda: kernels.recover_rows(offsets[::2], offsets[::2], bits, 64, 8),
+            lambda: kernels.recover_rows(offsets.tolist(), offsets, bits, 64, 8),
+            lambda: kernels.scan_flips(offsets, offsets, [1.5], 64, 8),
+            lambda: kernels.scan_flips(offsets, offsets, [1], 64, 0),
+            lambda: kernels.offsets(offsets, coeff_a, coeff_b, 64, qinv, qlimit),
+            lambda: kernels.offsets(
+                offsets.astype(np.uint64), coeff_a[:1], coeff_b[:1], 64, qinv, qlimit
+            ),
+            lambda: kernels.offsets(
+                offsets.astype(np.uint64), np.full(2, _MERSENNE_P, np.uint64), coeff_b,
+                64, qinv, qlimit,
+            ),
+            lambda: kernels.offsets(
+                offsets.astype(np.uint64), coeff_a, coeff_b, 64, qinv, qlimit[:0]
+            ),
+            lambda: kernels.step_positions(offsets, offsets, offsets[:3], 64),
+        ]
+        index_errors = [
+            lambda: kernels.recover_rows(offsets, offsets, bits, 65, 8),
+            lambda: kernels.recover_rows(offsets, offsets, bits[:0], 1, 8),
+            lambda: kernels.recover_rows(offsets + 62, offsets, bits, 64, 8),
+            lambda: kernels.scan_flips(offsets, offsets, [64], 64, 8),
+            lambda: kernels.scan_flips(offsets, offsets - 1, [3], 64, 8),
+            lambda: kernels.step_positions(offsets, offsets, offsets + 61, 64),
         ]
         for tier in tiers():
             with kernels.use_tier(tier):
-                for arguments in configuration_errors:
+                for call in configuration_errors:
                     with pytest.raises(ConfigurationError):
-                        kernels.recover_rows(*arguments)
-                with pytest.raises(IndexError):
-                    kernels.recover_rows(fps, coeff, coeff, bits, 65, 8)
-                with pytest.raises(IndexError):
-                    kernels.recover_rows(fps, coeff, coeff, bits[:0], 1, 8)
+                        call()
+                for call in index_errors:
+                    with pytest.raises(IndexError):
+                        call()
 
     def test_other_kernels_check_inputs_before_native_code(self):
         """The native tier takes raw pointers, so pair_counts, hash_keys and

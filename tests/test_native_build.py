@@ -17,6 +17,7 @@ import ctypes
 import numpy as np
 import pytest
 
+from repro.hashing.families import PositionFamily
 from repro.hashing.universal import _MERSENNE_P
 from repro.kernels import native, numpy_tier, packed_row_bytes
 
@@ -36,9 +37,14 @@ def test_base_flags_build_the_scalar_body(scalar_kernels):
     assert scalar_kernels.info["vector_lanes"] == 1
 
 
-@pytest.mark.parametrize("num_bits", [1, 768, 769, 4_099, 7_680_000])
+@pytest.mark.parametrize("num_bits", [1, 2, 768, 4_096, 6_143, 7_680_000])
 @pytest.mark.parametrize("k", [1, 19, 1536])
-def test_scalar_recover_rows_matches_numpy_tier(scalar_kernels, num_bits, k):
+def test_scalar_position_family_matches_numpy_tier(scalar_kernels, num_bits, k):
+    """Offsets, row recovery, the flip scan and the ingest positions of the
+    portable build equal the NumPy tier's."""
+    k = min(k, num_bits)
+    family = PositionFamily(size=k, range_size=num_bits, seed=num_bits)
+    coeff_a, coeff_b, _, qinv, qlimit = family._kernel_arguments()
     rng = np.random.default_rng(num_bits + k)
     bits = rng.integers(0, 256, size=8 * ((num_bits + 63) // 64), dtype=np.uint8)
     fingerprints = np.concatenate(
@@ -47,12 +53,25 @@ def test_scalar_recover_rows_matches_numpy_tier(scalar_kernels, num_bits, k):
             rng.integers(0, 2**63, size=37).astype(np.uint64),
         )
     )
-    coeff_a = rng.integers(1, _MERSENNE_P, size=k).astype(np.uint64)
-    coeff_b = rng.integers(0, _MERSENNE_P, size=k).astype(np.uint64)
-    coeff_a[0], coeff_b[0] = _MERSENNE_P - 1, _MERSENNE_P - 1
-    arguments = (fingerprints, coeff_a, coeff_b, bits, num_bits, k, packed_row_bytes(k))
+    h1, h2, inverse = scalar_kernels.offsets(
+        fingerprints, coeff_a, coeff_b, num_bits, qinv, qlimit
+    )
+    first, step = numpy_tier.offsets(fingerprints, coeff_a, coeff_b, num_bits, qinv, qlimit)
+    assert np.array_equal(h1, first.astype(np.int64))
+    assert np.array_equal(h2, step.astype(np.int64))
+    assert np.array_equal(inverse, numpy_tier.inverse_mod(step, num_bits).astype(np.int64))
+    arguments = (h1, h2, bits, num_bits, k, packed_row_bytes(k))
     assert np.array_equal(
         scalar_kernels.recover_rows(*arguments), numpy_tier.recover_rows(*arguments)
+    )
+    flips = np.unique(rng.integers(0, num_bits, size=300))
+    native_hits = scalar_kernels.scan_flips(h1, inverse, flips, num_bits, k)
+    numpy_hits = numpy_tier.scan_flips(h1, inverse, flips, num_bits, k)
+    assert all(np.array_equal(a, b) for a, b in zip(native_hits, numpy_hits))
+    members = rng.integers(0, k, size=h1.shape[0]).astype(np.int64)
+    assert np.array_equal(
+        scalar_kernels.step_positions(h1, h2, members, num_bits),
+        numpy_tier.step_positions(h1, h2, members, num_bits),
     )
 
 

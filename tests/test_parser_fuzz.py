@@ -38,7 +38,7 @@ from collections.abc import Callable, Iterator
 import pytest
 
 from repro.core.vos import VirtualOddSketch
-from repro.exceptions import DatasetError, ProtocolError, ReproError
+from repro.exceptions import DatasetError, ProtocolError, ReproError, SnapshotError
 from repro.index.banding import (
     BandedSketchIndex,
     IndexConfig,
@@ -215,6 +215,23 @@ def test_snapshot_parser(kind):
         service.index().refresh()
     blob = service.dumps_state()
     assert assert_only_repro_errors(SimilarityService.from_state_bytes, blob, _snapshot_sites(blob))
+
+
+@pytest.mark.parametrize("version", [0, 1, 2, 4, 2**32 - 1])
+def test_snapshot_header_versions_other_than_3_are_refused(version):
+    """The v3 header round-trips; the same bytes under any other version
+    (v1 and v2 placed bits with the Carter-Wegman user family) raise a
+    SnapshotError naming the version, before any section is read."""
+    service = SimilarityService(ShardedVOS(2, 2048, 128, seed=3))
+    service.ingest(_elements(MIXED_IDS))
+    service.index().refresh()
+    blob = service.dumps_state()
+    found, header, payload = _split_file(blob, MAGIC)
+    assert found == 3 and _file(MAGIC, 3, header, payload) == blob
+    with pytest.raises(
+        SnapshotError, match=rf"unsupported snapshot version {version} \(this build reads version 3\)"
+    ):
+        SimilarityService.from_state_bytes(_file(MAGIC, version, header, payload))
 
 
 def test_journal_parser(tmp_path):

@@ -243,9 +243,10 @@ class TestEpochIndexTables:
 
         A new user inserting and deleting the same item in one batch changes
         counters but no array word, and adds a user to one shard.  That
-        shard's copy fails its key check and rebuilds; every other table of
-        the new epoch *is* the previous epoch's, and epoch N+1's rebuild
-        leaves epoch N's tables exactly as they were.
+        shard's copy fails its key check and patches its source's table
+        with the one new row (no rebuild); every other table of the new
+        epoch *is* the previous epoch's, and epoch N+1's patch leaves epoch
+        N's tables exactly as they were.
         """
         writer = _sharded_service(seed=31)
         writer.ingest(ROUNDS[0])
@@ -279,7 +280,9 @@ class TestEpochIndexTables:
         )
         second_index = second.index()
         assert second_index.bands == first_index.bands
-        assert second_index.stats()["rebuilds"] == 1
+        assert second_index.stats()["rebuilds"] == 0
+        assert second_index.stats()["patches"] == 1
+        assert second_index.stats()["patched_rows"] == 1
         assert second_index.stats()["users_indexed"] == users_indexed + 1
         for position, (old, new) in enumerate(zip(first_tables, second_index.refresh())):
             if position == touched:

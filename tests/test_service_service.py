@@ -83,11 +83,13 @@ class TestIngestAndQuery:
         service.ingest(small_dynamic_stream)
         shards = service.sketch.row_shards()
         cold = service.stats()["memory_bytes"]
-        assert set(cold) == {"array", "user_table", "row_memo", "index", "per_user"}
+        assert set(cold) == {"array", "user_table", "row_memo", "offsets", "index", "per_user"}
         # Packed bits plus the word stamps the tracked ingest allocated.
         assert cold["array"] == sum(2 * shard.shared_array.storage.nbytes for shard in shards)
         assert cold["user_table"] > 16 * service.stats()["users"]  # two int64 columns
         assert cold["row_memo"] == cold["index"] == 0
+        # Ingest derives each user's position offsets once: three int64s.
+        assert cold["offsets"] == 24 * service.stats()["users"]
         service.top_k_pairs(k=3, candidates="lsh")
         assert service.stats()["memory_bytes"]["index"] == 0  # pair searches build no table
         service.top_k(next(iter(service.sketch.users())), k=3, index="lsh")
@@ -96,7 +98,7 @@ class TestIngestAndQuery:
         row_bytes = packed_row_bytes(service.sketch.virtual_sketch_size)
         assert warm["row_memo"] == (row_bytes + 8) * stats["users"]
         assert warm["index"] == stats["index"]["signature_bytes"] > 0
-        layers = ("array", "user_table", "row_memo", "index")
+        layers = ("array", "user_table", "row_memo", "offsets", "index")
         assert warm["per_user"] == sum(warm[layer] for layer in layers) / stats["users"]
         assert stats["sketch_cache"].keys() == {"entries", "hits", "misses"}
 
@@ -239,43 +241,27 @@ class TestCheckpointPolicy:
         assert dirty["dirty_counters"] == 1
         assert dirty["dirty_words"] >= 0
 
-    def test_v1_loaded_service_upgrades_on_policy_trigger(self, tmp_path):
-        """A v1 snapshot has no checkpoint id: the policy's first trigger
-        writes a full v2 checkpoint instead of crashing in save_delta."""
-        import json
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_pre_v3_snapshot_is_refused_by_load(self, tmp_path, version):
+        """A v1 or v2 file holds bits placed by the Carter-Wegman user family:
+        loading it raises SnapshotError naming its version, never a service
+        that would read those bits at double-hash positions."""
         import struct
 
-        from repro.service import CheckpointPolicy, ServiceConfig, SimilarityService
-        from repro.service.snapshot import MAGIC, dumps_snapshot, snapshot_info
+        from repro.exceptions import SnapshotError
+        from repro.service import ServiceConfig, SimilarityService
+        from repro.service.snapshot import MAGIC, dumps_snapshot
 
         service = SimilarityService.from_config(
             ServiceConfig(expected_users=20, num_shards=2, seed=1)
         )
         service.ingest([StreamElement(1, i, Action.INSERT) for i in range(10)])
-        blob = dumps_snapshot(service.sketch)
-        _, header_length = struct.unpack_from("<II", blob, len(MAGIC))
-        start = len(MAGIC) + 8
-        header = json.loads(blob[start : start + header_length])
-        del header["checkpoint_id"]
-        del header["extras"]
-        for entry in header["sections"]:
-            entry.pop("encoding", None)
-        header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        path = tmp_path / "v1.vos"
-        path.write_bytes(
-            MAGIC
-            + struct.pack("<II", 1, len(header_bytes))
-            + header_bytes
-            + blob[start + header_length :]
-        )
-        loaded = SimilarityService.load(
-            path, checkpoint_policy=CheckpointPolicy(every_n_elements=5)
-        )
-        assert loaded.stats()["persistence"]["checkpoint_id"] is None
-        loaded.ingest([StreamElement(2, i, Action.INSERT) for i in range(10)])
-        # The trigger upgraded the file to v2 and bound a checkpoint id.
-        assert snapshot_info(path)["format_version"] == 2
-        assert loaded.stats()["persistence"]["checkpoint_id"] is not None
+        blob = bytearray(dumps_snapshot(service.sketch))
+        struct.pack_into("<I", blob, len(MAGIC), version)
+        path = tmp_path / f"v{version}.vos"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match=f"unsupported snapshot version {version}"):
+            SimilarityService.load(path)
 
     def test_journal_bytes_reported_after_restart(self, tmp_path):
         from repro.service import SimilarityService

@@ -11,6 +11,7 @@ from repro.core.vos import VirtualOddSketch
 from repro.exceptions import SnapshotError
 from repro.service.sharding import ShardedVOS
 from repro.service.snapshot import (
+    FORMAT_VERSION,
     MAGIC,
     dumps_snapshot,
     load_snapshot,
@@ -192,7 +193,7 @@ class TestCorruptionPaths:
         import zlib
 
         header = json.dumps({"crc32": zlib.crc32(b"")}).encode("utf-8")
-        blob = MAGIC + struct.pack("<II", 1, len(header)) + header
+        blob = MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header
         with pytest.raises(SnapshotError, match="malformed"):
             loads_snapshot(blob)
 
@@ -200,7 +201,7 @@ class TestCorruptionPaths:
         import json
 
         header = json.dumps([1, 2, 3]).encode("utf-8")
-        blob = MAGIC + struct.pack("<II", 1, len(header)) + header
+        blob = MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header
         with pytest.raises(SnapshotError, match="not a JSON object"):
             loads_snapshot(blob)
 
@@ -480,46 +481,31 @@ class TestObjectUserIds:
             _assert_same_vos_state(original, copy)
 
 
-class TestFormatV2:
-    def test_writes_version_2_with_checkpoint_id(self, fed_vos, tmp_path):
-        from repro.service.snapshot import FORMAT_VERSION, load_snapshot_state, snapshot_info
+class TestFormatV3:
+    def test_writes_version_3_with_checkpoint_id(self, fed_vos, tmp_path):
+        from repro.service.snapshot import load_snapshot_state, snapshot_info
 
-        path = tmp_path / "v2.vos"
+        path = tmp_path / "v3.vos"
         save_snapshot(fed_vos, path)
         info = snapshot_info(path)
-        assert info["format_version"] == FORMAT_VERSION == 2
+        assert info["format_version"] == FORMAT_VERSION == 3
         assert len(info["checkpoint_id"]) == 16
         state = load_snapshot_state(path)
-        assert state.version == 2
+        assert state.version == 3
         assert state.checkpoint_id == info["checkpoint_id"]
         assert state.extras == {}
 
-    def test_v1_snapshots_still_load(self, fed_vos):
-        """A faithful v1 blob (v1 header keys, same core sections) restores."""
-        import json
-
-        blob = dumps_snapshot(fed_vos)
-        version, header_length = struct.unpack_from("<II", blob, len(MAGIC))
-        start = len(MAGIC) + 8
-        header = json.loads(blob[start : start + header_length])
-        # v1 headers had no checkpoint id, no extras table and no encodings.
-        del header["checkpoint_id"]
-        del header["extras"]
-        for entry in header["sections"]:
-            entry.pop("encoding", None)
-        v1_header = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        v1_blob = (
-            MAGIC
-            + struct.pack("<II", 1, len(v1_header))
-            + v1_header
-            + blob[start + header_length :]
-        )
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_v1_and_v2_snapshots_are_refused(self, fed_vos, version):
+        """Older files placed bits with the Carter-Wegman user family; read
+        at double-hash positions they would give silently wrong estimates,
+        so they raise a SnapshotError naming their version."""
         from repro.service.snapshot import loads_snapshot_state
 
-        state = loads_snapshot_state(v1_blob)
-        assert state.version == 1
-        assert state.checkpoint_id == ""
-        _assert_same_vos_state(fed_vos, state.sketch)
+        blob = bytearray(dumps_snapshot(fed_vos))
+        struct.pack_into("<I", blob, len(MAGIC), version)
+        with pytest.raises(SnapshotError, match=f"unsupported snapshot version {version}"):
+            loads_snapshot_state(bytes(blob))
 
     def test_unknown_extra_sections_are_skipped(self, fed_vos):
         from repro.service.snapshot import (
