@@ -152,14 +152,12 @@ class _PatchBasis:
 
 
 def flipped_positions(old, new, words) -> np.ndarray:
-    """Sorted positions whose bits differ between two arrays of one size
-    within the listed 64-bit ``words`` (``old ^ new``, word by word)."""
+    """Positions whose bits differ between two arrays of one size within the
+    listed 64-bit ``words`` (``old ^ new``), ascending for ascending words."""
     words = np.asarray(words, dtype=np.int64)
-    if not words.size:
-        return np.empty(0, dtype=np.int64)
     changed = old.storage.reshape(-1, 8)[words] ^ new.storage.reshape(-1, 8)[words]
-    word, bit = np.nonzero(np.unpackbits(changed, axis=1))
-    return np.sort(words[word] * 64 + bit)
+    bits = np.flatnonzero(np.unpackbits(changed))
+    return words[bits >> 6] * 64 + (bits & 63)
 
 
 class VectorizedPairQueries:

@@ -594,7 +594,7 @@ class BandedSketchIndex:
         rule chose full recovery, the layout moved, the source's table is
         stale or missing) counts as a fallback.
         """
-        basis = shard.patch_basis() if hasattr(shard, "patch_basis") else None
+        basis = shard.patch_basis()
         if basis is None:
             return None, 0
         origin, hits = basis

@@ -1,13 +1,15 @@
 """Runtime-selected kernel tiers for the read-path hot primitives.
 
-Every read-path milestone bottoms out in three primitives: row recovery
-(each user's ``k`` Carter-Wegman positions, their bits gathered from the
-packed shared array and packed into a row), the uint64 xor+popcount sweep
-behind pair scoring and the banded hash fold behind LSH signature building.
-The ingest path bottoms out in two more: seeded Carter-Wegman hashing of
-integer id columns (item hash, position hashes, shard router) and the xor
-of a batch's positions into the packed array.  This package routes all
-five through a tier chosen at runtime::
+Every read-path milestone bottoms out in a few primitives: row recovery
+(each user's ``k`` double-hash positions ``(h1 + j h2) mod m``, their bits
+gathered from the packed shared array and packed into a row), the flip scan
+that names the rows a set of changed bits belongs to, the uint64
+xor+popcount sweep behind pair scoring and the banded hash fold behind LSH
+signature building.  The ingest path bottoms out in more: seeded
+Carter-Wegman hashing of integer id columns (item hash, shard router), each
+user's position offsets and per-element positions, and the xor of a batch's
+positions into the packed array.  This package routes them all through a
+tier chosen at runtime::
 
                         REPRO_KERNEL=auto|numpy|native
                                      |
@@ -35,8 +37,9 @@ Tiers are bit-identical by contract and parity-tested
 
 Per-call observability lands in the metrics registry under
 ``kernels.<tier>.pair_calls`` / ``pairs_scored`` / ``pair_seconds``,
-``kernels.<tier>.band_calls`` / ``band_rows`` / ``band_seconds`` and
-``kernels.<tier>.recover_calls`` / ``recover_rows`` / ``recover_seconds``.
+``kernels.<tier>.band_calls`` / ``band_rows`` / ``band_seconds``,
+``kernels.<tier>.recover_calls`` / ``recover_rows`` / ``recover_seconds`` and
+``kernels.<tier>.scan_calls`` / ``scan_pairs`` / ``scan_seconds``.
 """
 
 from __future__ import annotations

@@ -11,15 +11,17 @@ dependency is involved: the loader is plain :mod:`ctypes` and the compiler
 invocation a :mod:`subprocess` call, so hosts without a C compiler simply
 fail the probe and the dispatch layer keeps using the NumPy tier.
 
-The one position hash ``((a * x + b) mod (2^61 - 1)) mod m`` of ingest
-(``repro_hash_keys``) and row recovery (``repro_recover_rows``) has two
-bodies: a portable scalar ``position()`` and, when the compiler targets
+The Carter-Wegman hash ``((a * x + b) mod (2^61 - 1)) mod m`` of the item
+hash and shard router (``repro_hash_keys``) has two bodies: a portable
+scalar ``position()`` and, when the compiler targets
 AVX-512 F and DQ (``-march=native`` on such a host), an eight-lane
 ``position8()`` built from 32-bit limb products, Mersenne folds and a
 double-precision quotient whose error bound makes one fix-up exact for
 ``m > 768`` (derived in the C comments).  The scalar body serves loop tails,
 ranges up to 768 and builds without AVX-512; ``repro_vector_lanes()``
-reports which body the library has (``info["vector_lanes"]``).
+reports which body the library has (``info["vector_lanes"]``).  The
+double-hash position family (``repro_offsets``, ``repro_step_positions``,
+``repro_recover_rows``, ``repro_scan_flips``) is scalar C.
 
 Bit-identity contract: ``mix64`` is the same SplitMix64 finaliser as
 :func:`repro.hashing.universal._mix64` (uint64 wraparound in both), and both
@@ -93,11 +95,10 @@ static inline uint64_t affine_mod_p(uint64_t a, uint64_t b, uint64_t x) {
     return r >= MERSENNE_P ? r - MERSENNE_P : r;
 }
 
-/* ((a * x + b) mod p) mod range for a mixed key x: the one position hash
- * of ingest (repro_hash_keys) and row recovery (repro_recover_rows).  The
- * scalar body serves loop tails, ranges up to VECTOR_MIN_RANGE and builds
- * without AVX-512; position8 below computes the same value eight lanes at a
- * time. */
+/* ((a * x + b) mod p) mod range for a mixed key x: the Carter-Wegman hash
+ * of repro_hash_keys.  The scalar body serves loop tails, ranges up to
+ * VECTOR_MIN_RANGE and builds without AVX-512; position8 below computes the
+ * same value eight lanes at a time. */
 static inline uint64_t position(uint64_t a, uint64_t b, uint64_t x, uint64_t range) {
     return affine_mod_p(a, b, x) % range;
 }

@@ -21,6 +21,7 @@ from repro import kernels
 from repro.core.vos import SCAN_COST
 from repro.index import BandedSketchIndex, IndexConfig
 from repro.index.banding import _shard_key
+from repro.obs import MetricsRegistry, get_registry, set_registry
 from repro.server.cow import CowEpochPublisher
 from repro.service import SimilarityService
 from repro.service.sharding import ShardedVOS
@@ -156,8 +157,6 @@ def test_patch_counters_and_memory_gauges_reach_the_registry():
     """``index.patches`` / ``patched_rows`` / ``patch_fallbacks`` count in the
     registry as in ``stats()``, and ``stats()`` publishes each memory layer
     as a ``memory.<layer>_bytes`` gauge."""
-    from repro.obs import MetricsRegistry, set_registry
-
     previous = set_registry(MetricsRegistry())
     try:
         chain = _Chain(seed=3, shards=2, bands=2)
@@ -167,10 +166,7 @@ def test_patch_counters_and_memory_gauges_reach_the_registry():
         chain.epoch.index().refresh()
         chain.write("write")
         stats = _refreshed_stats(chain.epoch)
-        from repro.obs import get_registry
-
-        snapshot = get_registry().snapshot()
-        counters = snapshot["counters"]
+        counters = get_registry().snapshot()["counters"]
         assert counters["index.patches"]["value"] == stats["patches"] >= 1
         assert counters["index.patched_rows"]["value"] == stats["patched_rows"] >= 1
         assert counters["index.patch_fallbacks"]["value"] >= 1
