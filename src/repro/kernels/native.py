@@ -21,7 +21,8 @@ double-precision quotient whose error bound makes one fix-up exact for
 ranges up to 768 and builds without AVX-512; ``repro_vector_lanes()``
 reports which body the library has (``info["vector_lanes"]``).  The
 double-hash position family (``repro_offsets``, ``repro_step_positions``,
-``repro_recover_rows``, ``repro_scan_flips``) is scalar C.
+``repro_recover_rows``, ``repro_scan_flips``) is scalar C, except an
+eight-flip AVX-512 body of the scan.
 
 Bit-identity contract: ``mix64`` is the same SplitMix64 finaliser as
 :func:`repro.hashing.universal._mix64` (uint64 wraparound in both), and both
@@ -360,9 +361,42 @@ int64_t repro_scan_flips(const int64_t *h1, const int64_t *inv, int64_t n,
                          int64_t capacity, int64_t *users, int64_t *columns) {
     const modulus_t mod = modulus(m, NULL, NULL, 0);
     int64_t count = 0;
+#if VECTOR_LANES == 8
+    const int vector = m > FAST_MOD_MIN && m <= UINT64_C(0xFFFFFFFF);
+    const __m512i mv = _mm512_set1_epi64((long long)m), kv = _mm512_set1_epi64(k);
+    const __m512d inv_m = _mm512_set1_pd(1.0 / (double)m);
+#endif
     for (int64_t u = 0; u < n; ++u) {
         const uint64_t start = (uint64_t)h1[u], step_inverse = (uint64_t)inv[u];
-        for (int64_t i = 0; i < f; ++i) {
+        int64_t i = 0;
+#if VECTOR_LANES == 8
+        /* Eight flips at a time: the product of two values below m <= 2^32
+         * fits 64 bits, and mod_range8's quotient is exact after its fix-ups
+         * for m > FAST_MOD_MIN (the bound mod_m derives). */
+        if (vector) {
+            const __m512i first = _mm512_set1_epi64((long long)start);
+            const __m512i factor = _mm512_set1_epi64((long long)step_inverse);
+            for (; i + 8 <= f; i += 8) {
+                const __m512i p = _mm512_loadu_si512(flips + i);
+                __m512i t = _mm512_sub_epi64(p, first);
+                t = _mm512_mask_add_epi64(t, _mm512_cmplt_epu64_mask(p, first), t, mv);
+                const __m512i j = mod_range8(_mm512_mullo_epi64(t, factor), mv, inv_m);
+                __mmask8 hit = _mm512_cmplt_epu64_mask(j, kv);
+                if (hit) {
+                    uint64_t lanes[8];
+                    _mm512_storeu_si512(lanes, j);
+                    for (; hit; hit &= (__mmask8)(hit - 1)) {
+                        if (count < capacity) {
+                            users[count] = u;
+                            columns[count] = (int64_t)lanes[__builtin_ctz(hit)];
+                        }
+                        ++count;
+                    }
+                }
+            }
+        }
+#endif
+        for (; i < f; ++i) {
             const uint64_t p = (uint64_t)flips[i];
             const uint64_t j = mulmod(p >= start ? p - start : p + (m - start), step_inverse, &mod);
             if (j < (uint64_t)k) {
