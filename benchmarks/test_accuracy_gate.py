@@ -13,14 +13,15 @@ module records the numbers and gates them without any:
   MinHash and OPH on every dataset, and at or below RP wherever RP estimates
   anything at all.
 * ``test_vos_accuracy_pinned`` runs VOS alone over seeds 17-24 and holds
-  each dataset's 8-seed mean AAPE and ARMSE within three standard errors of
-  the difference from the means pinned below.  A change of hash family acts
-  like a reseed, so it must land inside that band.  (Three standard errors
-  of the pinned mean alone, ignoring the new mean's own spread, would fail a
-  true reseed about one run in four over eight comparisons: the double-hash
-  family's flickr AAPE, 0.318 against 0.375, sits 0.006 past that bound on
-  the better side, while over seeds 100-131 both families read flickr
-  0.383/0.368 and livejournal 0.356/0.345, SD 0.05-0.07.)
+  each dataset's 8-seed mean AAPE and ARMSE at most three standard errors
+  of the pinned mean (pinned SD / sqrt(8)) above the means pinned below.
+  A change of hash family acts like a reseed, so it must not land above
+  that bound.  The gate is one-sided because its claim is "no worse": a
+  mean below the pin is better accuracy, not a failure.  (The two-sided
+  form does not hold for the double-hash family: its flickr AAPE, 0.318
+  against 0.375, sits 0.006 below the lower bound, while over seeds
+  100-131 both families read flickr 0.383/0.368 and livejournal
+  0.356/0.345, SD 0.05-0.07.)  The JSON records both bounds per metric.
 * ``test_vos_variance_band`` standardizes VOS's common-item errors on the
   YouTube tracked pairs by the paper's predicted standard deviation
   (:func:`repro.analysis.variance.predicted_standard_deviation`) and holds
@@ -67,7 +68,7 @@ PINNED = {
     "livejournal": {"aape": (0.3832, 0.0444), "armse": (0.02478, 0.00258)},
     "orkut": {"aape": (0.3403, 0.0367), "armse": (0.02280, 0.00273)},
 }
-#: Standard errors of the 8-seed mean a run may stray from the pinned mean.
+#: Standard errors of the pinned 8-seed mean a run's mean may lie above it.
 STANDARD_ERRORS = 3.0
 #: The dataset whose tracked pairs check the variance model.
 VARIANCE_DATASET = "youtube"
@@ -206,7 +207,7 @@ def test_registry_excludes_static_odd_sketch():
 
 
 def test_vos_accuracy_pinned(all_streams):
-    """VOS's 8-seed mean AAPE/ARMSE within three standard errors of the pins."""
+    """VOS's 8-seed mean AAPE/ARMSE at most three standard errors above the pins."""
     runs: dict[str, dict[str, list[float]]] = {}
     for seed in SEEDS:
         experiment = AccuracyExperiment(
@@ -223,17 +224,15 @@ def test_vos_accuracy_pinned(all_streams):
         for metric, values in record.items():
             pinned_mean, pinned_sd = PINNED[name][metric]
             mean, sd = float(np.mean(values)), float(np.std(values, ddof=1))
-            # Two 8-seed means of one distribution differ by sqrt(2) of one
-            # mean's standard error: the bound is three standard errors of
-            # that difference, from the pinned and the measured spreads.
-            bound = STANDARD_ERRORS * math.hypot(pinned_sd, sd) / math.sqrt(len(SEEDS))
+            bound = STANDARD_ERRORS * pinned_sd / math.sqrt(len(SEEDS))
             summary[name][metric] = {
                 "mean": mean,
                 "sd": sd,
                 "pinned_mean": pinned_mean,
-                "bound": bound,
+                "upper_bound": pinned_mean + bound,
+                "within_two_sided": abs(mean - pinned_mean) <= bound,
             }
-            assert abs(mean - pinned_mean) <= bound, (name, metric, mean, pinned_mean)
+            assert mean - pinned_mean <= bound, (name, metric, mean, pinned_mean)
     _merge_results({"vos_seeds": list(SEEDS), "vos_8_seed": summary})
 
 

@@ -88,11 +88,15 @@ class UserTable:
         self._latest = 0  # newest tracked write: "nothing changed since" in O(1)
 
     def copy(self) -> "UserTable":
-        """An untracked copy: the same users, ordinals and counters, no stamps."""
+        """An untracked copy: the same users, ordinals and counters, no stamps.
+
+        The columns keep their spare capacity, so the users a copy-on-write
+        epoch adds next do not reallocate them again.
+        """
         clone = UserTable()
         clone._ordinals = self._ordinals.copy()
-        clone._ids = self._ids[: len(self)].copy()
-        clone._counts = self._counts[: len(self)].copy()
+        clone._ids = self._ids.copy()
+        clone._counts = self._counts.copy()
         return clone
 
     def __len__(self) -> int:
@@ -116,6 +120,13 @@ class UserTable:
             )
         except KeyError as error:
             raise UnknownUserError(error.args[0]) from None
+
+    def ordinal(self, user: UserId) -> int:
+        """The ordinal of one ``user``; raises :class:`UnknownUserError` if unseen."""
+        try:
+            return self._ordinals[user]
+        except KeyError:
+            raise UnknownUserError(user) from None
 
     def intern(self, users) -> np.ndarray:
         """Ordinals of ``users``, giving each unseen user the next one, at counter 0."""
@@ -246,4 +257,7 @@ class UserTable:
             raise ConfigurationError(f"{len(keys)} users, counter column {values.shape}")
         if len(set(keys)) != len(keys):
             raise ConfigurationError("user ids repeat in one counter column")
-        self.set(self.intern(keys), values, track=track)
+        ordinals = self.intern(keys)
+        self._counts[ordinals] = values
+        if track:
+            self._stamp(ordinals)

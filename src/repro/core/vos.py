@@ -151,12 +151,13 @@ class _PatchBasis:
     flips: np.ndarray
 
 
-def flipped_positions(old, new, words) -> np.ndarray:
-    """Positions whose bits differ between two arrays of one size within the
-    listed 64-bit ``words`` (``old ^ new``), ascending for ascending words."""
+def flipped_positions(old, words, data: bytes) -> np.ndarray:
+    """Positions of ``old`` whose bits the packed ``words`` ``data`` (a
+    delta's ``packed_words``) would change (``old ^ new``), ascending for
+    ascending words."""
     words = np.asarray(words, dtype=np.int64)
-    changed = old.storage.reshape(-1, 8)[words] ^ new.storage.reshape(-1, 8)[words]
-    bits = np.flatnonzero(np.unpackbits(changed))
+    changed = old.storage.view(np.uint64)[words] ^ np.frombuffer(data, dtype=np.uint64)
+    bits = np.flatnonzero(np.unpackbits(changed.view(np.uint8)))
     return words[bits >> 6] * 64 + (bits & 63)
 
 
@@ -356,7 +357,7 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
             seed=stable_hash64(("vos-f", seed)),
         )
         self._reset_row_memo()
-        self._offsets = _NO_OFFSETS
+        self._offsets = self._offset_columns = _NO_OFFSETS
         #: The shard's LSH bucket table, owned by :mod:`repro.index.banding`
         #: (``None`` until an index builds or restores one).
         self.index_table = None
@@ -442,12 +443,14 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
             view._user_table = UserTable()
             view._array = SharedBitArray(source.shared_array_bits)
             view.index_table = None
-            view._offsets = _NO_OFFSETS
+            view._offsets = view._offset_columns = _NO_OFFSETS
         else:
             view._user_table = source.user_table.copy()
             view._array = source.shared_array.copy()
             view.index_table = source.index_table
-            view._offsets = source._offsets
+            # Exactly sized: the copy has no spare rows, so it reallocates
+            # before it grows and never writes a row its source reads.
+            view._offsets = view._offset_columns = source._offsets
         return view
 
     def track_patch(self, source: "VirtualOddSketch", flips: np.ndarray) -> None:
@@ -474,7 +477,8 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         origin = source
         if basis is not None:
             origin = basis.origin
-            flips = np.setxor1d(basis.flips, flips, assume_unique=True)
+            if origin is not None:
+                flips = np.setxor1d(basis.flips, flips, assume_unique=True)
         if origin is not None and flips.shape[0] * SCAN_COST > self.virtual_sketch_size:
             origin = None
         self._basis = _PatchBasis(origin, flips if origin is not None else flips[:0])
@@ -482,8 +486,13 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
     # -- streaming updates ----------------------------------------------------------------
 
     def _toggle(self, element: StreamElement) -> None:
+        # ``process`` has interned the user: read its memoised offsets.
         virtual_index = self._item_hash(element.item)
-        self._array.flip(self._user_hashes.hash_pair(element.user, virtual_index))
+        ordinal = self._user_table.ordinal(element.user)
+        h1, h2, _ = self._user_offsets()
+        self._array.flip(
+            (int(h1[ordinal]) + virtual_index * int(h2[ordinal])) % self.shared_array_bits
+        )
 
     def _process_insertion(self, element: StreamElement) -> None:
         self._toggle(element)
@@ -563,18 +572,21 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         The origin's rows valid at its stamp are copied, and each hit of the
         flipped positions toggles its row bit (the position's bit is exactly
         what changed).  Rows the origin never recovered stay missing.  All
-        users hit, recovered or not, are kept for the LSH table patch.
+        users hit, recovered or not, are kept for the LSH table patch, with
+        the origin's table, but not the origin: this sketch keeps no
+        reference to it.
         """
         basis, self._basis = self._basis, None
         origin = basis.origin
         if origin is None:
-            self._index_basis = (None, None)
+            self._index_basis = (None, None, None)
             return
         count = origin.num_users
         rows = np.zeros((count, self._rows.shape[1]), dtype=np.uint8)
         valid = np.zeros(count, dtype=bool)
         with origin._rows_lock:
             origin_stamp = origin.shared_array.latest_stamp
+            table = origin.index_table
             held = min(count, origin._rows.shape[0])
             rows[:held] = origin._rows[:held]
             valid[:held] = origin._row_stamps[:held] == origin_stamp
@@ -588,16 +600,21 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         self._rows = rows
         self._row_stamps = np.where(valid, stamp, -1)
         self._rows_stamp = stamp
-        self._index_basis = (origin, np.unique(users))
+        # Only the origin's (immutable) table and what it must be keyed to:
+        # holding the origin itself would chain every epoch read since.
+        self._index_basis = (table, (origin_stamp, count), np.unique(users))
 
     def patch_basis(self) -> tuple | None:
         """What this sketch's LSH table may be patched from, after its first read.
 
         ``None`` for a sketch that was not published as a patch (or whose
-        patch a table already used); ``(None, None)`` when the patch fell back
-        to full recovery; otherwise ``(origin, hit_rows)``: the frozen sketch
-        whose ``index_table`` describes the bits before the patch, and the
-        sorted ordinals (below ``origin.num_users``) whose rows it changed.
+        patch a table already used); ``(None, None, None)`` when the patch
+        fell back to full recovery; otherwise ``(table, origin_key,
+        hit_rows)``: the origin's ``index_table`` when the patch was applied
+        (``None`` if it had none), the ``(stamp, user count)`` of the origin's
+        bits before the patch, which that table must be keyed to, and the
+        sorted ordinals (below the origin's user count) whose rows the patch
+        changed.
         """
         if self._basis is not None:
             with self._rows_lock:
@@ -606,27 +623,46 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
         return self._index_basis
 
     def drop_patch_basis(self) -> None:
-        """Forget the patch basis once a table used it (frees the origin)."""
+        """Forget the patch basis once a table used it (frees the origin's table)."""
         self._index_basis = None
 
     def _user_offsets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(h1, h2, h2^-1)`` of every user, indexed by ordinal, memoised.
 
         The memo is append-only (a user's ordinal and offsets never change):
-        only users added since the last call are derived, growing it builds
-        new arrays, and copies of this sketch keep sharing the old ones.
+        only users added since the last call are derived, into columns that
+        grow by doubling, so a per-element stream of new users stays linear.
+        The memo is the columns' first rows, replaced in one assignment once
+        they are written.  Copies of this sketch share it (:meth:`cow_view`)
+        without the spare rows, so only the sketch that allocated the
+        columns writes past the rows any sketch reads.
         """
         cached = self._offsets
         have, need = cached[0].shape[0], len(self._user_table)
         if have < need:
+            columns = self._offset_columns
+            if columns[0].shape[0] < need:
+                capacity = max(need, 2 * have)
+                spare = np.empty(capacity - have, dtype=np.int64)
+                columns = tuple(np.concatenate((column, spare)) for column in cached)
+                self._offset_columns = columns
             ids = self._user_table.ids(np.arange(have, need))
-            fingerprints = (
-                fingerprint64_array(ids)
-                if ids.dtype == np.int64
-                else np.fromiter(map(fingerprint64, ids), dtype=np.uint64, count=len(ids))
-            )
-            fresh = self._user_hashes.offsets(fingerprints)
-            cached = tuple(np.concatenate(pair) for pair in zip(cached, fresh))
+            if need - have == 1:
+                # A lone new user (the per-element update): Python integers
+                # skip the kernel call's fixed cost.
+                fresh = self._user_hashes.scalar_offsets(fingerprint64(ids.tolist()[0]))
+                for column, value in zip(columns, fresh):
+                    column[have] = value
+            else:
+                fingerprints = (
+                    fingerprint64_array(ids)
+                    if ids.dtype == np.int64
+                    else np.fromiter(map(fingerprint64, ids), dtype=np.uint64, count=len(ids))
+                )
+                fresh = self._user_hashes.offsets(fingerprints)
+                for column, values in zip(columns, fresh):
+                    column[have:need] = values
+            cached = tuple(column[:need] for column in columns)
             self._offsets = cached
         return cached
 
@@ -691,6 +727,6 @@ class VirtualOddSketch(VectorizedPairQueries, SimilaritySketch):
             "array": self._array.nbytes,
             "user_table": self._user_table.nbytes,
             "row_memo": self._rows.nbytes + self._row_stamps.nbytes,
-            "offsets": sum(array.nbytes for array in self._offsets),
+            "offsets": sum(array.nbytes for array in self._offset_columns),
             "index": 0 if table is None else table.memory_bytes(),
         }

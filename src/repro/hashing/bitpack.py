@@ -234,7 +234,7 @@ class PackedBitArray:
         if words.size == 0:
             return b""
         self._check_words(words, "packed_words")
-        return self._bytes.reshape(-1, 8)[words].tobytes()
+        return self._bytes.view(np.uint64)[words].tobytes()
 
     def apply_packed_words(self, word_indices, data: bytes, *, track: bool = True) -> None:
         """Overwrite the listed words from :meth:`packed_words` bytes.
@@ -255,19 +255,31 @@ class PackedBitArray:
             )
         if words.size == 0:
             return
-        self._check_words(words, "apply_packed_words")
-        if np.unique(words).size != words.size:
-            raise ConfigurationError("apply_packed_words requires distinct word indices")
-        fresh = np.frombuffer(data, dtype=np.uint8).reshape(words.size, 8)
-        valid = self._size - (self.num_words - 1) * self.WORD_BITS
-        pad = np.packbits(np.arange(self.WORD_BITS) >= valid)
-        if np.any(fresh[words == self.num_words - 1] & pad):
+        # Deltas list their words ascending, which proves them distinct
+        # without sorting and bounds them by the first and last; any other
+        # order takes the general checks.
+        ascending = bool((words[1:] > words[:-1]).all())
+        last = self.num_words - 1
+        if not ascending:
+            self._check_words(words, "apply_packed_words")
+            if np.unique(words).size != words.size:
+                raise ConfigurationError("apply_packed_words requires distinct word indices")
+        elif words[0] < 0 or words[-1] > last:
             raise ConfigurationError(
-                "packed word payload sets pad bits past the end of the array"
+                f"word index out of range [0, {self.num_words}) in apply_packed_words"
             )
-        rows = self._bytes.reshape(-1, 8)
-        before = int(_bitwise_count(rows[words]).sum(dtype=np.int64))
-        rows[words] = fresh
+        if words[-1] == last if ascending else (words == last).any():
+            valid = self._size - last * self.WORD_BITS
+            pad = np.packbits(np.arange(self.WORD_BITS) >= valid)
+            fresh = np.frombuffer(data, dtype=np.uint8).reshape(words.size, 8)
+            if np.any(fresh[words == last] & pad):
+                raise ConfigurationError(
+                    "packed word payload sets pad bits past the end of the array"
+                )
+        lanes = self._bytes.view(np.uint64)
+        fresh = np.frombuffer(data, dtype=np.uint64)
+        before = int(_bitwise_count(lanes[words]).sum(dtype=np.int64))
+        lanes[words] = fresh
         self._ones += int(_bitwise_count(fresh).sum(dtype=np.int64)) - before
         if track:
             self._stamp_words(words)

@@ -296,8 +296,9 @@ class PositionFamily:
     divisibility tests of ``m``'s distinct primes; nothing depends on
     ``size``.  :meth:`offsets` gives the per-user ``(h1, h2, h2^-1)`` that
     batch ingest (:meth:`positions`), row recovery and the flip scan read;
-    each sketch keeps them per user, so the rejection runs once per user.
-    :meth:`hash_pair` is the per-element update of any hashable key.
+    each sketch keeps them per user, so the rejection runs once per user,
+    and its per-element update reads them too.  :meth:`hash_pair` is the
+    scalar form for any hashable key.
 
     >>> family = PositionFamily(size=4, range_size=12, seed=3)
     >>> row = family.apply_many_array([7])[0].tolist()
@@ -312,6 +313,7 @@ class PositionFamily:
     _coeff_b: np.ndarray = field(init=False, repr=False, compare=False)
     _qinv: np.ndarray = field(init=False, repr=False, compare=False)
     _qlimit: np.ndarray = field(init=False, repr=False, compare=False)
+    _scalar_coefficients: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -331,6 +333,7 @@ class PositionFamily:
         object.__setattr__(self, "_coeff_b", coeff_b)
         object.__setattr__(self, "_qinv", qinv)
         object.__setattr__(self, "_qlimit", qlimit)
+        object.__setattr__(self, "_scalar_coefficients", (coeff_a.tolist(), coeff_b.tolist()))
 
     def __len__(self) -> int:
         return self.size
@@ -343,26 +346,30 @@ class PositionFamily:
         (:func:`repro.kernels.offsets`)."""
         return kernels.offsets(fingerprints, *self._kernel_arguments())
 
-    @functools.lru_cache(maxsize=1 << 16)
-    def _scalar_offsets(self, fingerprint: int) -> tuple[int, int]:
+    def scalar_offsets(self, fingerprint: int) -> tuple[int, int, int]:
+        """:meth:`offsets` of one fingerprint, in Python integers.
+
+        A sketch derives a lone new user's offsets here (the per-element
+        update): a kernel call's fixed cost is ~10x this derivation for one
+        user.  Bit-exact with both kernel tiers (the parity suite).
+        """
         m = self.range_size
-        a, b = (int(v) for v in self._coeff_a), (int(v) for v in self._coeff_b)
-        (a0, a1), (b0, b1) = a, b
+        (a0, a1), (b0, b1) = self._scalar_coefficients
         x = fingerprint % _MERSENNE_P
         h1 = (a0 * x + b0) % _MERSENNE_P % m
         w = (a1 * x + b1) % _MERSENNE_P
-        primes = distinct_primes(m)
+        step = 1 % m
         for _ in range(numpy_tier.UNIT_ATTEMPTS):
-            candidate = w % m
-            if all(candidate % q for q in primes):
-                return h1, candidate
+            if math.gcd(w % m, m) == 1:
+                step = w % m
+                break
             w = _mix64(w ^ _GOLDEN) % _MERSENNE_P
-        return h1, 1 % m
+        return h1, step, pow(step, -1, m) if m > 1 else 0
 
     def hash_pair(self, key: object, member_index: int) -> int:
-        """Position ``member_index`` of any hashable ``key``: the per-element
-        update's scalar form, bit-exact with :meth:`hash_pairs`."""
-        h1, h2 = self._scalar_offsets(fingerprint64(key))
+        """Position ``member_index`` of any hashable ``key``: the scalar form
+        of :meth:`hash_pairs`."""
+        h1, h2, _ = self.scalar_offsets(fingerprint64(key))
         return (h1 + member_index * h2) % self.range_size
 
     def positions(self, h1: np.ndarray, h2: np.ndarray, member_indices) -> np.ndarray:

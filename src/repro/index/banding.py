@@ -586,9 +586,10 @@ class BandedSketchIndex:
         source, or ``(None, 0)`` when the shard has no usable basis.
 
         The basis (:meth:`~repro.core.vos.VirtualOddSketch.patch_basis`)
-        names the source sketch and the rows the publish changed.  Its table
-        is used only while it describes the source's bits under this layout
-        (its key is the source's :func:`_shard_key`); then the changed rows
+        holds the source's table, the source's bits' ``(stamp, user count)``
+        and the rows the publish changed.  The table is used only while it
+        describes those bits under this layout (its key is the source's
+        :func:`_shard_key`); then the changed rows
         and the rows of users added since are re-keyed from the shard's
         packed rows and merged in.  A basis that cannot be used (the cost
         rule chose full recovery, the layout moved, the source's table is
@@ -597,9 +598,8 @@ class BandedSketchIndex:
         basis = shard.patch_basis()
         if basis is None:
             return None, 0
-        origin, hits = basis
-        table = None if origin is None else origin.index_table
-        if table is None or table.key != _shard_key(origin, key[2]):
+        table, origin_key, hits = basis
+        if table is None or table.key != (*origin_key, key[2]):
             self._patch_fallbacks += 1
             registry = get_registry()
             if registry.enabled:

@@ -113,7 +113,7 @@ class CowEpochPublisher:
                 )
             frozen.track_patch(
                 source,
-                flipped_positions(source.shared_array, frozen.shared_array, entry["words"]),
+                flipped_positions(source.shared_array, entry["words"], entry["word_data"]),
             )
             self._current_shards[index] = frozen
         service = self._assemble(

@@ -397,21 +397,22 @@ class TestSearchIntegration:
         assert mates.tolist() == [0, 2]
 
     def test_lsh_nearest_scans_no_user_pool(self, monkeypatch):
-        """One LSH ``nearest`` costs O(candidates), not O(users)."""
+        """An LSH ``nearest`` costs O(candidates), not O(users), and answers
+        exactly what the exhaustive scan of its candidates answers."""
         sketch = ShardedVOS(
             4, shard_array_bits=1 << 20, virtual_sketch_size=1024, seed=3
         )
         sketch.process_batch(clone_pool_elements(num_users=2000))
         index = BandedSketchIndex(sketch)
-        # At this sparse geometry a clone shares a band bucket with ~70% of
-        # users (chance, whatever the seed): query the first user whose clone
-        # is a candidate, so the answer checked below is not empty.
+        nearest_neighbours(sketch, 0, k=5, index=index)  # warm the tables
+        targets = range(0, 40, 2)
         pool = set(range(2000))
-        target = next(
-            user for user in range(0, 2000, 2)
-            if user + 1 in index.neighbour_candidates(user, pool)
-        )
-        nearest_neighbours(sketch, target, k=5, index=index)  # warm the tables
+        expected = {
+            target: nearest_neighbours(
+                sketch, target, k=5, candidates=index.neighbour_candidates(target, pool)
+            )
+            for target in targets
+        }
         calls = {"cardinality": 0, "users": 0, "gather": 0}
 
         def counting(name, original):
@@ -431,13 +432,22 @@ class TestSearchIntegration:
         monkeypatch.setattr(
             BandedSketchIndex, "_gather", counting("gather", BandedSketchIndex._gather)
         )
-        results = nearest_neighbours(sketch, target, k=5, index=index)
-        assert results and results[0].user_b == target + 1
-        candidates = index.stats()["last_neighbour_candidates"]
-        assert candidates < 100
-        assert calls["cardinality"] <= candidates + 1
-        assert calls["users"] == 0
-        assert calls["gather"] == 0
+        clones_first = 0
+        for target in targets:
+            calls.update(cardinality=0, users=0, gather=0)
+            results = nearest_neighbours(sketch, target, k=5, index=index)
+            assert results == expected[target], target
+            candidates = index.stats()["last_neighbour_candidates"]
+            assert candidates < 100
+            assert calls["cardinality"] <= candidates + 1
+            assert calls["users"] == 0
+            assert calls["gather"] == 0
+            clones_first += bool(results) and results[0].user_b == target + 1
+        # Whether a clone shares a band bucket is chance at this sparse
+        # geometry (~70% of clone pairs under either hash family), so the
+        # answers are checked against the candidate scan above; some of them
+        # find their clone first.
+        assert clones_first > 0
 
 
 class TestServiceIntegration:
@@ -480,9 +490,11 @@ class TestServiceIntegration:
     def test_pairs_above_and_lsh_topk_user(self, service):
         screened = {(p.user_a, p.user_b) for p in service.pairs_above(0.9, candidates="lsh")}
         clones = {(2 * i, 2 * i + 1) for i in range(100)}
-        # Banding recall is a probability: over seeds 9-13 this geometry
-        # screens 84-94 of the 100 clone pairs, and nothing else.
-        assert len(screened & clones) >= 80
+        # Banding recall is a probability, so which clone pairs share a band
+        # bucket changes with the hash family.  The Carter-Wegman family this
+        # sketch used before screened 85 of the 100 clone pairs here (84-94
+        # over seeds 9-16; the double-hash family 90-94): no fewer may pass.
+        assert len(screened & clones) >= 85
         assert screened <= {
             (p.user_a, p.user_b) for p in service.pairs_above(0.9)
         }

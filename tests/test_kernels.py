@@ -455,9 +455,7 @@ _FAMILY_RANGES = [1, 2, 77, 4_096, 6_143, 10_007, 7_680_000]
 
 def _python_offsets(family: PositionFamily, fingerprint: int) -> tuple[int, int, int]:
     """``(h1, h2, h2^-1)`` in Python integers: the family's scalar definition."""
-    h1, h2 = family._scalar_offsets(fingerprint)
-    m = family.range_size
-    return h1, h2, pow(h2, -1, m) if m > 1 else 0
+    return family.scalar_offsets(fingerprint)
 
 
 class TestPositionFamilyParity:

@@ -12,6 +12,9 @@ band count.  After every read, each shard's memo rows must equal a fresh
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +147,24 @@ def test_unread_epochs_fold_their_flips():
     assert shard._basis.origin is skipped._basis.origin
     stats = _refreshed_stats(chain.epoch)
     assert stats["patches"] == 1 and stats["rebuilds"] == 0
+    _assert_exact(chain.epoch.sketch, chain.epoch.index())
+
+
+def test_rows_only_reads_free_older_epochs():
+    """An epoch read without ``lsh`` patches its rows and keeps its source's
+    table for a later LSH read, but not the source: once an epoch is no
+    longer served, its shard copies are freed, however many epochs follow."""
+    chain = _Chain(seed=7, shards=2, bands=2)
+    chain.epoch.index().refresh()
+    published = []
+    for _ in range(8):
+        chain.write("write")
+        assert chain.epoch.top_k(0, k=3) == chain.writer.top_k(0, k=3)
+        published += [weakref.ref(shard) for shard in chain.epoch.sketch.row_shards()]
+    served = {id(shard) for shard in chain.epoch.sketch.row_shards()}
+    gc.collect()
+    alive = {id(ref()) for ref in published if ref() is not None}
+    assert alive <= served
     _assert_exact(chain.epoch.sketch, chain.epoch.index())
 
 
